@@ -1,4 +1,5 @@
-"""Iterated bracket evaluation: recursion, closed binomial form, fast paths.
+"""Iterated bracket evaluation: recursion, closed binomial form, the
+Cayley-Hamilton kernel, fast paths.
 
 The recursion is the designated oracle; every other evaluator is tested
 against it.
@@ -6,6 +7,7 @@ against it.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from .errors import (
@@ -14,13 +16,18 @@ from .errors import (
     NotAnEigenpair,
     NotIdempotent,
     NotNilpotent,
+    ResultTooLarge,
 )
-from .fields import require_same_field
+from .fields import GaussianRational, require_same_field
 from .matrices import Mat2, RankOneFactor, is_idempotent, outer
+
+# Exact powers whose estimated size passes this many bits are refused: their
+# cost grows faster than linearly (1 << 18 bits takes about a second over Qi).
+MAX_POWER_BITS = 1 << 18
 
 
 def _check_order(k, minimum=0):
-    if not isinstance(k, int) or k < minimum:
+    if not isinstance(k, int) or isinstance(k, bool) or k < minimum:
         raise InvalidOrder(f"bracket order must be an integer >= {minimum}, got {k!r}")
 
 
@@ -55,14 +62,76 @@ def kcomm_closed(A: Mat2, B: Mat2, k: int) -> Mat2:
     return Mat2(A.field, tuple(acc))
 
 
+def _growth_bits(x) -> int:
+    """Bits each factor of the exact scalar x adds to x**m; 0 for zero and units."""
+    if isinstance(x, GaussianRational):
+        mag = max(x.a * x.a + x.b * x.b, x.den * x.den)
+        return (mag.bit_length() + 1) // 2 if mag > 1 else 0
+    mag = max(abs(x.numerator), x.denominator)
+    return mag.bit_length() if mag > 1 else 0
+
+
+def _kcomm_cayley_hamilton(A: Mat2, B: Mat2, k: int) -> Mat2:
+    """Order-k bracket in O(1) matrix products: at most two commutators and one power.
+
+    T(R) = RB - BR satisfies T^3 = delta*T on 2x2 matrices, where
+    delta = tr(B)^2 - 4 det(B) = (b11 - b22)^2 + 4 b12 b21: expand T^3 and
+    reduce B^2 = tr(B) B - det(B) I by Cayley-Hamilton.  Hence, for k >= 1,
+
+        [A, B]_k = delta^((k-1)//2) * [A, B]_(1 if k odd else 2).
+
+    The second form of delta avoids the cancellation of tr^2 - 4 det on
+    floats.  Special cases:
+
+    - B a rank-one idempotent: delta = 1, so the brackets have period 2
+      (``kcomm_idempotent_fast``);
+    - B square-zero: delta = 0, so they vanish for k >= 3
+      (``kcomm_nilpotent_fast``);
+    - Lemma 2.3: the order-k >= 3 brackets of every A against S vanish iff
+      delta(S) = 0, i.e. iff S is scalar plus square-zero;
+    - x f* with S x = alpha x, S* f = conj(beta) f: delta = (alpha - beta)^2,
+      giving (beta - alpha)^k x f* (``kcomm_eigenpair``).
+
+    Raises ResultTooLarge when delta^((k-1)//2) would pass MAX_POWER_BITS over
+    an exact field, or when a float result is not finite.
+    """
+    _check_order(k)
+    require_same_field(A.field, B.field)
+    if k == 0:
+        return A
+    field = A.field
+    R = A @ B - B @ A
+    if k % 2 == 0:
+        R = R @ B - B @ R
+    m = (k - 1) // 2
+    if m:
+        b11, b12, b21, b22 = B.entries
+        d = b11 - b22
+        delta = d * d + 4 * b12 * b21
+        if field.is_exact and m * _growth_bits(delta) > MAX_POWER_BITS:
+            raise ResultTooLarge(f"discriminant**{m} would need more than {MAX_POWER_BITS} bits")
+        try:
+            R = R.scale(delta**m)
+        except OverflowError as exc:
+            raise ResultTooLarge(f"discriminant**{m} overflows {field.variant}") from exc
+    if not field.is_exact and not all(cmath.isfinite(x) for x in R.entries):
+        raise ResultTooLarge(f"order-{k} bracket overflows {field.variant}")
+    return R
+
+
 def kcomm(A: Mat2, B: Mat2, k: int, method: str = "recursive") -> Mat2:
+    """Order-k bracket by the named evaluator.
+
+    "auto" is the Cayley-Hamilton kernel, O(1) matrix products in k;
+    "recursive" is the oracle (2k products) and "closed" the paper's
+    alternating binomial sum (3k + 2 products).
+    """
     if method == "recursive":
         return kcomm_recursive(A, B, k)
     if method == "closed":
         return kcomm_closed(A, B, k)
     if method == "auto":
-        # closed form wins once k outgrows the recursion's 2k multiplies
-        return kcomm_closed(A, B, k) if k > 4 else kcomm_recursive(A, B, k)
+        return _kcomm_cayley_hamilton(A, B, k)
     raise ValueError(f"unknown bracket method {method!r}")
 
 

@@ -11,10 +11,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .brackets import kcomm_recursive
+from .brackets import kcomm
 from .errors import (
     EmptySystem,
     InvalidOrder,
+    InvariantViolation,
     KTooSmall,
     NotScalarPlusNilpotent,
     SingularSystem,
@@ -91,18 +92,18 @@ def scalar_witness_test(Z: Mat2, k: int) -> Verdict:
     """Vanishing of order-k brackets against rank-one idempotents.
 
     For exact fields the result provably coincides with Z being a scalar
-    matrix, and that equivalence is asserted here.
+    matrix, and that equivalence is checked here.
     """
     if not isinstance(k, int) or k < 1:
         raise InvalidOrder(f"scalar witness test needs k >= 1, got {k!r}")
     verdict = Verdict(holds=True)
     for Q in _witness_idempotents(Z.field):
-        bracket = kcomm_recursive(Z, Q, k)
+        bracket = kcomm(Z, Q, k, method="auto")
         if not bracket.is_zero():
             verdict = Verdict(holds=False, witness=Q, detail=bracket)
             break
-    if Z.field.is_exact:
-        assert verdict.holds == Z.is_scalar(), "witness set failed to decide scalarity"
+    if Z.field.is_exact and verdict.holds != Z.is_scalar():
+        raise InvariantViolation("witness set failed to decide scalarity")
     return verdict
 
 
@@ -129,7 +130,7 @@ def scalar_plus_nilpotent_kcomm(S: Mat2, k: int, trials: int = 32, seed: int = 0
     rng = Random(seed)
     probes += [random_rank_one(field, rng) for _ in range(trials)]
     for A in probes:
-        bracket = kcomm_recursive(A, S, k)
+        bracket = kcomm(A, S, k, method="auto")
         if not bracket.is_zero():
             return Verdict(holds=False, witness=A, detail=bracket)
     return Verdict(holds=True)

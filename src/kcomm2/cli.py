@@ -254,6 +254,9 @@ def main(argv=None) -> int:
     except Kcomm2Error as exc:
         _emit(args, {"error": type(exc).__name__, "message": str(exc)})
         return 2
+    except ValueError as exc:  # e.g. a non-finite float refused by canonical_dumps
+        _emit(args, {"error": "value", "message": str(exc)})
+        return 2
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 2

@@ -90,3 +90,15 @@ class PreservationFailed(Kcomm2Error):
 
 class InputError(Kcomm2Error):
     """Malformed external input (JSON, CLI flags)."""
+
+
+class DuplicateInput(InputError, ValueError):
+    """A map table lists the same input matrix twice."""
+
+
+class ResultTooLarge(Kcomm2Error):
+    """The bracket's value exceeds the exact size cap or the float range."""
+
+
+class InvariantViolation(Kcomm2Error):
+    """An identity the mathematics guarantees failed to hold: a library fault."""

@@ -75,7 +75,7 @@ class GaussianRational:
         return NotImplemented
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return GaussianRational._raw(
@@ -87,7 +87,7 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return GaussianRational._raw(
@@ -106,7 +106,7 @@ class GaussianRational:
         return GaussianRational._raw(-self.a, -self.b, self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return GaussianRational._raw(
@@ -201,9 +201,6 @@ class FieldTag:
     def is_complex(self) -> bool:
         return self.variant in ("Qi", "C64")
 
-    def with_tolerance(self, tol: float) -> "FieldTag":
-        return FieldTag(self.variant, tol)
-
     def zero(self):
         return self.coerce(0)
 
@@ -273,27 +270,33 @@ class FieldTag:
         return {"re": z.real, "im": z.imag}
 
     def parse(self, obj):
+        """Decode one JSON scalar; booleans and non-finite floats are refused."""
         v = self.variant
+        value = None
         try:
-            if v == "Q":
+            if isinstance(obj, bool):
+                pass
+            elif v == "Q":
                 if isinstance(obj, (str, int)):
-                    return Fraction(obj)
+                    value = Fraction(obj)
             elif v == "Qi":
                 if isinstance(obj, dict):
-                    return GaussianRational(Fraction(obj["re"]), Fraction(obj["im"]))
-                if isinstance(obj, (str, int)):
-                    return GaussianRational(Fraction(obj))
+                    value = GaussianRational(Fraction(obj["re"]), Fraction(obj["im"]))
+                elif isinstance(obj, (str, int)):
+                    value = GaussianRational(Fraction(obj))
             elif v == "R64":
                 if isinstance(obj, (int, float)):
-                    return float(obj)
+                    value = float(obj)
             else:
                 if isinstance(obj, dict):
-                    return complex(float(obj["re"]), float(obj["im"]))
-                if isinstance(obj, (int, float)):
-                    return complex(obj)
-        except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
+                    value = complex(float(obj["re"]), float(obj["im"]))
+                elif isinstance(obj, (int, float)):
+                    value = complex(obj)
+        except (ValueError, TypeError, KeyError, ZeroDivisionError, OverflowError) as exc:
             raise InputError(f"bad scalar {obj!r} for field {v}: {exc}") from exc
-        raise InputError(f"bad scalar {obj!r} for field {v}")
+        if value is None or (not self.is_exact and not cmath.isfinite(value)):
+            raise InputError(f"bad scalar {obj!r} for field {v}")
+        return value
 
 
 RATIONAL_Q = FieldTag("Q")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotScalarPlusNilpotent, RankNotOne
+from .errors import InvariantViolation, NotScalarPlusNilpotent, RankNotOne
 from .fields import FieldTag, require_same_field
 
 
@@ -180,7 +180,8 @@ def is_nilpotent(A: Mat2) -> bool:
     square_zero = (A @ A).is_zero()
     if f.is_exact:
         char_zero = f.is_zero(A.trace()) and f.is_zero(A.det())
-        assert square_zero == char_zero, "nilpotency characterizations disagree"
+        if square_zero != char_zero:
+            raise InvariantViolation("nilpotency characterizations disagree")
     return square_zero
 
 

@@ -7,9 +7,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from random import Random
 
-from .brackets import kcomm_recursive
+from .brackets import kcomm, kcomm_recursive
 from .errors import (
+    DuplicateInput,
     InputNotInTable,
+    InvariantViolation,
     InvalidOrder,
     LambdaNotRootOfUnity,
     NotTheoremForm,
@@ -44,7 +46,7 @@ class MapTable:
         for i in range(len(ins)):
             for j in range(i + 1, len(ins)):
                 if ins[i].eq(ins[j]):
-                    raise ValueError("map table inputs must be pairwise distinct")
+                    raise DuplicateInput("map table inputs must be pairwise distinct")
 
     def lookup(self, A: Mat2) -> Mat2:
         for inp, out in self.entries:
@@ -140,10 +142,15 @@ def generate_map(lam, h_spec, inputs, k: int, label: str = "") -> MapTable:
 
 
 def verify_preserving(table: MapTable, pairs) -> PreservationVerdict:
-    """Check the order-k bracket identity on listed pairs via the recursive oracle."""
+    """Check the order-k bracket identity on listed pairs.
+
+    The left side goes through the Cayley-Hamilton kernel, the right side
+    through the recursive oracle, so every check also tests one against the
+    other.
+    """
     k = table.k
     for A, B in pairs:
-        left = kcomm_recursive(table.lookup(A), table.lookup(B), k)
+        left = kcomm(table.lookup(A), table.lookup(B), k, method="auto")
         right = kcomm_recursive(A, B, k)
         if not left.eq(right):
             return PreservationVerdict(holds=False, pair=(A, B), left=left, right=right)
@@ -192,7 +199,8 @@ def decompose(table: MapTable) -> Decomposition:
         raise NotTheoremForm("lambda-zero", D)
     _check_root(field, lam, k)
     # lam**(k+1) = 1 makes lam**(-k) = lam; keep the implied identity honest
-    assert field.eq(lam ** (-k), lam)
+    if not field.eq(lam ** (-k), lam):
+        raise InvariantViolation(f"lambda**(k+1) = 1 but lambda**(-k) != lambda for {lam!r}")
 
     h_table = []
     for A, out in table.entries:
@@ -200,7 +208,8 @@ def decompose(table: MapTable) -> Decomposition:
         if not residue.is_scalar():
             raise NotTheoremForm("nonscalar-residue", residue)
         h_val = residue.entries[0]
-        assert field.eq(h_val, residue.entries[3])
+        if not field.eq(h_val, residue.entries[3]):
+            raise InvariantViolation("scalar residue with unequal diagonal")
         h_table.append((A, h_val))
 
     pairs = all_pairs(probes)
@@ -258,6 +267,8 @@ def probe_campaign(k: int, field: FieldTag, trials: int, seed: int) -> CampaignR
     """
     if not isinstance(k, int) or k < 1:
         raise InvalidOrder(f"campaign needs k >= 1, got {k!r}")
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
+        raise InvalidOrder(f"campaign needs trials >= 0, got {trials!r}")
     rng = Random(seed)
     report = CampaignReport(field=field, k=k, trials=trials)
     probes = probe_set(field)

@@ -31,13 +31,6 @@ def random_scalar(field: FieldTag, rng: Random, span: int = 9, denominators: boo
     return complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
 
 
-def random_nonzero_scalar(field: FieldTag, rng: Random, **kw):
-    while True:
-        z = random_scalar(field, rng, **kw)
-        if not field.is_zero(z):
-            return z
-
-
 def random_mat(field: FieldTag, rng: Random, **kw) -> Mat2:
     return Mat2(field, tuple(random_scalar(field, rng, **kw) for _ in range(4)))
 

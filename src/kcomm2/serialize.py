@@ -41,8 +41,9 @@ def mat_from_json(obj, field: FieldTag | None = None) -> Mat2:
     elif "field" in obj and obj["field"] != field.variant:
         raise InputError(f"matrix declares field {obj['field']!r}, expected {field.variant!r}")
     rows = obj["entries"]
-    if len(rows) != 2 or any(len(r) != 2 for r in rows):
-        raise InputError("matrix entries must be a 2x2 array")
+    if not (isinstance(rows, (list, tuple)) and len(rows) == 2
+            and all(isinstance(r, (list, tuple)) and len(r) == 2 for r in rows)):
+        raise InputError(f"matrix entries must be a 2x2 array, got {rows!r}")
     return Mat2(field, tuple(field.parse(rows[i][j]) for i in (0, 1) for j in (0, 1)))
 
 
@@ -66,7 +67,7 @@ def maptable_from_json(obj, tolerance: float = 1e-9) -> MapTable:
         )
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad map table JSON: {exc!r}") from exc
-    if not isinstance(k, int):
+    if not isinstance(k, int) or isinstance(k, bool):
         raise InputError(f"map table k must be an integer, got {k!r}")
     return MapTable(field=field, k=k, entries=entries)
 
@@ -80,13 +81,6 @@ def sandwich_from_json(obj, tolerance: float = 1e-9) -> SandwichSystem:
     if any(len(p) != 2 for p in left + right):
         raise InputError("sandwich sides must be lists of [A, B] pairs")
     return SandwichSystem(left=left, right=right)
-
-
-def sandwich_to_json(system: SandwichSystem) -> dict:
-    return {
-        "left": [[mat_to_json(a), mat_to_json(b)] for a, b in system.left],
-        "right": [[mat_to_json(a), mat_to_json(b)] for a, b in system.right],
-    }
 
 
 def verdict_to_json(v: Verdict) -> dict:
@@ -123,7 +117,8 @@ def solver_result_to_json(result, field: FieldTag) -> dict:
             "left_value": mat_to_json(result.left_value),
             "right_value": mat_to_json(result.right_value),
         }
-    assert isinstance(result, Coefficients)
+    if not isinstance(result, Coefficients):
+        raise TypeError(f"expected a solver result, got {type(result).__name__}")
     return {
         "identity": True,
         "mode": result.mode,
@@ -144,4 +139,5 @@ def campaign_to_json(report: CampaignReport) -> dict:
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Strict JSON: a non-finite float raises ValueError instead of printing NaN."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)

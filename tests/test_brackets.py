@@ -4,8 +4,11 @@ from random import Random
 import pytest
 
 from kcomm2 import (
+    FLOAT_C,
+    FLOAT_R,
     GAUSSIAN_QI,
     RATIONAL_Q,
+    GaussianRational,
     Mat2,
     RankOneFactor,
     kcomm,
@@ -21,6 +24,7 @@ from kcomm2.errors import (
     NotAnEigenpair,
     NotIdempotent,
     NotNilpotent,
+    ResultTooLarge,
 )
 from kcomm2.identities import golden_identities
 from kcomm2.randgen import random_mat, random_scalar
@@ -73,6 +77,83 @@ class TestClosedForm:
             r = kcomm(A, B, k, method="recursive")
             assert kcomm(A, B, k, method="closed").eq(r)
             assert kcomm(A, B, k, method="auto").eq(r)
+
+
+def _as_complex(x):
+    if isinstance(x, GaussianRational):
+        return complex(float(x.re), float(x.im))
+    return complex(float(x))
+
+
+class TestCayleyHamilton:
+    def test_cubic_identity_symbolic(self):
+        sp = pytest.importorskip("sympy")
+        R = sp.Matrix(2, 2, sp.symbols("r11 r12 r21 r22"))
+        B = sp.Matrix(2, 2, sp.symbols("b11 b12 b21 b22"))
+
+        def T(X):
+            return X * B - B * X
+
+        delta = B.trace() ** 2 - 4 * B.det()
+        assert (T(T(T(R))) - delta * T(R)).expand() == sp.zeros(2, 2)
+        assert sp.expand(delta - ((B[0, 0] - B[1, 1]) ** 2 + 4 * B[0, 1] * B[1, 0])) == 0
+
+    def test_auto_equals_oracle_exactly(self, exact_field):
+        rng = Random(64)
+        for i in range(12):
+            A = random_mat(exact_field, rng, denominators=i % 2 == 1)
+            B = random_mat(exact_field, rng, denominators=i % 3 == 1)
+            R = A  # the oracle's recurrence, one step per order
+            for k in range(65):
+                if k:
+                    R = R @ B - B @ R
+                assert kcomm(A, B, k, method="auto").entries == R.entries, (i, k)
+            assert kcomm_recursive(A, B, 64).entries == R.entries
+
+    @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
+    def test_float_order_64_matches_exact_reference(self, field):
+        """Within 1e-9 of the largest entry of the bracket of the exactly lifted input."""
+        exact = RATIONAL_Q if field is FLOAT_R else GAUSSIAN_QI
+
+        def lift(M):
+            if field is FLOAT_R:
+                return Mat2(exact, tuple(Fraction(x) for x in M.entries))
+            return Mat2(exact, tuple(GaussianRational(Fraction(z.real), Fraction(z.imag))
+                                     for z in M.entries))
+
+        rng = Random(12)
+        for _ in range(20):
+            A, B = random_mat(field, rng), random_mat(field, rng)
+            ref = [_as_complex(r) for r in kcomm_recursive(lift(A), lift(B), 64).entries]
+            got = kcomm(A, B, 64, method="auto").entries
+            err = max(abs(g - r) for g, r in zip(got, ref))
+            assert err <= 1e-9 * max(abs(r) for r in ref)
+
+    def test_idempotent_and_square_zero_special_cases(self, exact_field):
+        e11, e12, e21, _ = units(exact_field)
+        huge = 10**30
+        assert kcomm(e21, e11, huge + 1, method="auto").eq(kcomm_recursive(e21, e11, 1))
+        assert kcomm(e21, e11, huge, method="auto").eq(kcomm_recursive(e21, e11, 2))
+        assert kcomm(e21, e12, huge, method="auto").is_zero()
+
+    def test_exact_size_cap(self, exact_field):
+        e12 = Mat2.unit(exact_field, 1, 2)
+        B = Mat2.diag(exact_field, 3, 0)  # delta = 9
+        with pytest.raises(ResultTooLarge):
+            kcomm(e12, B, 10**6, method="auto")
+
+    @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
+    def test_float_overflow_is_typed(self, field):
+        A = Mat2.from_rows(field, [[1e10, 1.0], [0.0, 1.0]])
+        B = Mat2.from_rows(field, [[1e10, 3.0], [1.0, 0.0]])
+        with pytest.raises(ResultTooLarge):
+            kcomm(A, B, 201, method="auto")
+
+    def test_boolean_order_rejected(self):
+        eye = Mat2.identity(RATIONAL_Q)
+        for method in ("auto", "recursive"):
+            with pytest.raises(InvalidOrder):
+                kcomm(eye, eye, True, method=method)
 
 
 class TestAlgebraicLaws:

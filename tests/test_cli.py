@@ -202,3 +202,57 @@ class TestStdin:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["bracket"]["entries"] == [["0", "-1"], ["0", "0"]]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+class TestHostileInputs:
+    """Each input exits 2 with a JSON error body that parses as strict JSON."""
+
+    def run_text(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        code = main(argv + ["--input", str(path)])
+        body = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert code == 2
+        assert "error" in body
+        return body
+
+    def table_text(self, mutate):
+        table = maptable_to_json(generate_map(Fraction(1), h_det, probe_set(RATIONAL_Q), 1))
+        mutate(table)
+        return json.dumps(table)
+
+    def test_entries_not_an_array(self, capsys, tmp_path):
+        text = json.dumps({"A": {"field": "Q", "entries": 5}, "B": E["e11"]})
+        self.run_text(capsys, tmp_path, ["kcomm"], text)
+
+    def test_nan_scalar(self, capsys, tmp_path):
+        text = ('{"A":{"field":"R64","entries":[[NaN,0.5],[0.0,1.0]]},'
+                '"B":{"field":"R64","entries":[[1.0,0.0],[0.5,0.0]]}}')
+        self.run_text(capsys, tmp_path, ["kcomm"], text)
+
+    def test_negative_trials(self, capsys, tmp_path):
+        self.run_text(capsys, tmp_path, ["campaign", "--k", "1", "--trials", "-1"], "")
+
+    def test_boolean_table_order(self, capsys, tmp_path):
+        text = self.table_text(lambda t: t.update(k=True))
+        self.run_text(capsys, tmp_path, ["verify-map"], text)
+
+    def test_duplicate_table_inputs(self, capsys, tmp_path):
+        text = self.table_text(lambda t: t["entries"].append(t["entries"][2]))
+        self.run_text(capsys, tmp_path, ["decompose-map"], text)
+
+    @pytest.mark.parametrize("method", ["auto", "recursive"])
+    @pytest.mark.parametrize("field", ["R64", "C64"])
+    def test_float_overflow_never_prints_nan(self, capsys, tmp_path, method, field):
+        text = json.dumps({"A": {"field": field, "entries": [[1e10, 1.0], [0.0, 1.0]]},
+                           "B": {"field": field, "entries": [[1e10, 3.0], [1.0, 0.0]]}})
+        self.run_text(capsys, tmp_path, ["kcomm", "--k", "201", "--method", method], text)
+
+    def test_exact_result_too_large(self, capsys, tmp_path):
+        text = json.dumps({"A": E["e12"], "B": {"field": "Q", "entries": [["3", "0"], ["0", "0"]]}})
+        body = self.run_text(capsys, tmp_path, ["kcomm", "--k", "1000001"], text)
+        assert body["error"] == "ResultTooLarge"
