@@ -11,10 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .brackets import kcomm
+from .brackets import _check_order, kcomm
 from .errors import (
     EmptySystem,
-    InvalidOrder,
     InvariantViolation,
     KTooSmall,
     NotScalarPlusNilpotent,
@@ -94,8 +93,7 @@ def scalar_witness_test(Z: Mat2, k: int) -> Verdict:
     For exact fields the result provably coincides with Z being a scalar
     matrix, and that equivalence is checked here.
     """
-    if not isinstance(k, int) or k < 1:
-        raise InvalidOrder(f"scalar witness test needs k >= 1, got {k!r}")
+    _check_order(k, minimum=1)
     verdict = Verdict(holds=True)
     for Q in _witness_idempotents(Z.field):
         bracket = kcomm(Z, Q, k, method="auto")
@@ -123,8 +121,9 @@ def scalar_plus_nilpotent_kcomm(S: Mat2, k: int, trials: int = 32, seed: int = 0
     matrices.  The spectral test is the authoritative classifier; agreement of
     the two is a tested property, not an assumption.
     """
-    if not isinstance(k, int) or k < 3:
-        raise KTooSmall(f"the vanishing criterion needs k >= 3, got {k!r}")
+    _check_order(k, minimum=1)
+    if k < 3:
+        raise KTooSmall(f"the vanishing criterion needs k >= 3, got {k}")
     field = S.field
     probes = [Mat2.unit(field, i, j) for i in (1, 2) for j in (1, 2)]
     rng = Random(seed)
@@ -175,10 +174,6 @@ def apply_operator(field: FieldTag, op, T: Mat2) -> Mat2:
     return unvec(field, out)
 
 
-def _operators_equal(field: FieldTag, L, R) -> bool:
-    return all(field.eq(L[r][c], R[r][c]) for r in range(4) for c in range(4))
-
-
 def _pivot_row(field: FieldTag, aug, col, start):
     """Row index of the pivot for this column, or None. Floats pick max magnitude."""
     if field.is_exact:
@@ -194,65 +189,56 @@ def _pivot_row(field: FieldTag, aug, col, start):
     return best
 
 
-def solve_linear(field: FieldTag, rows, rhs):
-    """One solution of rows * x = rhs over the field, or None if inconsistent.
+def _gauss_jordan(field: FieldTag, rows, n: int):
+    """Reduced row echelon form of rows, pivoting on the first n columns only.
 
-    Gauss-Jordan with free variables set to zero; float fields pivot on
-    magnitude and treat sub-tolerance values as zero.
+    Columns past n (right-hand sides) are carried through the row operations.
+    Returns the reduced rows and their pivot columns.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [list(rows[r]) + [rhs[r]] for r in range(m)]
+    work = [list(r) for r in rows]
     pivots = []
-    row = 0
     for col in range(n):
-        if row == m:
+        row = len(pivots)
+        if row == len(work):
             break
-        p = _pivot_row(field, aug, col, row)
+        p = _pivot_row(field, work, col, row)
         if p is None:
             continue
-        aug[row], aug[p] = aug[p], aug[row]
-        piv = aug[row][col]
-        aug[row] = [a / piv for a in aug[row]]
-        for r in range(m):
-            if r != row and not field.is_zero(aug[r][col]):
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
+        work[row], work[p] = work[p], work[row]
+        piv = work[row][col]
+        work[row] = [a / piv for a in work[row]]
+        for r in range(len(work)):
+            if r != row and not field.is_zero(work[r][col]):
+                factor = work[r][col]
+                work[r] = [a - factor * b for a, b in zip(work[r], work[row])]
         pivots.append(col)
-        row += 1
-    for r in range(row, m):
-        if not field.is_zero(aug[r][n]):
-            return None
-    x = [field.zero()] * n
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][n]
-    return x
+    return work, pivots
+
+
+def solve_linear(field: FieldTag, rows, rhs_list):
+    """One solution of rows * x = rhs for every rhs in rhs_list, or None if
+    any of them is inconsistent.
+
+    One Gauss-Jordan pass serves all right-hand sides; free variables are set
+    to zero.  Float fields pivot on magnitude and treat sub-tolerance values
+    as zero.
+    """
+    n = len(rows[0]) if rows else 0
+    aug = [list(row) + [rhs[r] for rhs in rhs_list] for r, row in enumerate(rows)]
+    work, pivots = _gauss_jordan(field, aug, n)
+    if any(not field.is_zero(v) for row in work[len(pivots):] for v in row[n:]):
+        return None
+    solutions = []
+    for j in range(n, n + len(rhs_list)):
+        x = [field.zero()] * n
+        for i, col in enumerate(pivots):
+            x[col] = work[i][j]
+        solutions.append(x)
+    return solutions
 
 
 def matrix_rank(field: FieldTag, rows) -> int:
-    m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    work = [list(r) for r in rows]
-    rank = 0
-    for col in range(n):
-        if rank == m:
-            break
-        p = _pivot_row(field, work, col, rank)
-        if p is None:
-            continue
-        work[rank], work[p] = work[p], work[rank]
-        piv = work[rank][col]
-        work[rank] = [a / piv for a in work[rank]]
-        for r in range(m):
-            if r != rank and not field.is_zero(work[r][col]):
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    return len(_gauss_jordan(field, rows, len(rows[0]) if rows else 0)[1])
 
 
 def rank_one_identity_solve(system: SandwichSystem, mode: str = "auto"):
@@ -273,14 +259,13 @@ def rank_one_identity_solve(system: SandwichSystem, mode: str = "auto"):
     field = system.field()
     L = sandwich_operator(system.left)
     R = sandwich_operator(system.right)
-    if not _operators_equal(field, L, R):
-        for p, q in _VEC_INDEX:
-            T = Mat2.unit(field, p + 1, q + 1)
-            lv = apply_operator(field, L, T)
-            rv = apply_operator(field, R, T)
-            if not lv.eq(rv):
-                return NotAnIdentity(witness=T, left_value=lv, right_value=rv)
-        raise AssertionError("operators differ but agree on the basis")
+    # column c of an operator is its value on the c-th unit matrix
+    for c, (p, q) in enumerate(_VEC_INDEX):
+        lv = [L[r][c] for r in range(4)]
+        rv = [R[r][c] for r in range(4)]
+        if not all(field.eq(a, b) for a, b in zip(lv, rv)):
+            return NotAnIdentity(witness=Mat2.unit(field, p + 1, q + 1),
+                                 left_value=unvec(field, lv), right_value=unvec(field, rv))
 
     def try_mode(m):
         if m == "b-in-d":
@@ -294,13 +279,10 @@ def rank_one_identity_solve(system: SandwichSystem, mode: str = "auto"):
         if matrix_rank(field, indep) != len(indep):
             return None
         cols = [[span[j][r] for j in range(len(span))] for r in range(4)]
-        out = []
-        for t in targets:
-            sol = solve_linear(field, cols, t)
-            if sol is None:
-                # cannot happen when the identity holds and independence does
-                raise AssertionError("span extraction failed on a valid identity")
-            out.append(sol)
+        out = solve_linear(field, cols, targets)
+        if out is None:
+            # cannot happen when the identity holds and independence does
+            raise InvariantViolation("span extraction failed on a valid identity")
         return Coefficients(mode=m, coeffs=out)
 
     if mode in ("b-in-d", "a-in-c"):

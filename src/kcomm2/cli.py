@@ -13,9 +13,10 @@ import json
 import sys
 
 from . import classify as cls
-from .brackets import kcomm
+from .brackets import kcomm, kcomm_recursive
 from .errors import (
     InputError,
+    InvariantViolation,
     Kcomm2Error,
     LambdaNotRootOfUnity,
     NotTheoremForm,
@@ -50,9 +51,11 @@ def _read_input(args):
 
 
 def _emit(args, obj):
+    """Write obj as canonical JSON to --output or stdout (stdout when args is None)."""
     text = ser.canonical_dumps(obj) + "\n"
-    if args.output and args.output != "-":
-        with open(args.output, "w") as fh:
+    path = args.output if args is not None else None
+    if path and path != "-":
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -68,7 +71,7 @@ def cmd_kcomm(args) -> int:
     data = _read_input(args)
     A = ser.mat_from_json(_require(data, "A"))
     B = ser.mat_from_json(_require(data, "B"))
-    result = kcomm(A, B, args.k, method=args.method)
+    result = kcomm(A, B, args.k, method="auto")
     _emit(args, {"bracket": ser.mat_to_json(result)})
     return 0
 
@@ -76,11 +79,11 @@ def cmd_kcomm(args) -> int:
 def cmd_classify(args) -> int:
     data = _read_input(args)
     if args.lemma == "2.2":
-        Z = ser.mat_from_json(_require(data, "Z"))
+        Z = ser.mat_from_json(_require(data, "Z"), tolerance=args.tolerance)
         verdict = cls.scalar_witness_test(Z, args.k)
         _emit(args, ser.verdict_to_json(verdict))
         return 0 if verdict.holds else 1
-    S = ser.mat_from_json(_require(data, "S"))
+    S = ser.mat_from_json(_require(data, "S"), tolerance=args.tolerance)
     if args.lemma == "2.3-spectral":
         verdict = cls.scalar_plus_nilpotent_spectral(S)
         out = {"holds": verdict.holds, "discriminant": S.field.encode(verdict.discriminant)}
@@ -169,14 +172,12 @@ def cmd_campaign(args) -> int:
 
 def cmd_fixtures(args) -> int:
     field = ser.field_from_code(args.field, args.tolerance)
-    from .brackets import kcomm_recursive
-
     items = []
     for k in range(1, args.kmax + 1):
         for ident in golden_identities(field, k):
             computed = kcomm_recursive(ident.A, ident.B, k)
             if not computed.eq(ident.expected):
-                raise AssertionError(f"fixture {ident.name} at k={k} failed self-check")
+                raise InvariantViolation(f"fixture {ident.name} at k={k} failed self-check")
             items.append(
                 {
                     "k": k,
@@ -190,76 +191,71 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError, so they leave main like any bad input."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+# The flags some subcommands share; each subcommand declares the ones it reads.
+_FLAGS = {
+    "field": dict(default="Q", choices=("Q", "Qi", "R64", "C64")),
+    "tolerance": dict(type=float, default=1e-9,
+                      help="comparison tolerance of the float fields R64 and C64"),
+    "seed": dict(type=int, default=0),
+    "trials": dict(type=int, default=32),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="kcomm2", description=__doc__)
+    parser = _Parser(prog="kcomm2", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, k_default=None):
-        p.add_argument("--field", default="Q", choices=("Q", "Qi", "R64", "C64"))
-        p.add_argument("--tolerance", type=float, default=1e-9)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=32)
+    def command(name, func, help, *flags, k=None):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--input", default=None, help="JSON input path ('-' for stdin)")
         p.add_argument("--output", default=None, help="JSON output path ('-' for stdout)")
-        if k_default is not None:
-            p.add_argument("--k", type=int, default=k_default)
+        if k is not None:
+            p.add_argument("--k", type=int, default=k)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("kcomm", help="evaluate an order-k bracket")
-    common(p, k_default=1)
-    p.add_argument("--method", default="auto", choices=("recursive", "closed", "auto"))
-    p.set_defaults(func=cmd_kcomm)
-
-    p = sub.add_parser("classify", help="run a structure classifier")
-    common(p, k_default=3)
+    command("kcomm", cmd_kcomm, "evaluate an order-k bracket", k=1)
+    p = command("classify", cmd_classify, "run a structure classifier",
+                "seed", "trials", "tolerance", k=3)
     p.add_argument("--lemma", required=True, choices=("2.2", "2.3-spectral", "2.3-kcomm"))
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("sandwich", help="decide a rank-one sandwich identity")
-    common(p)
+    p = command("sandwich", cmd_sandwich, "decide a rank-one sandwich identity", "tolerance")
     p.add_argument("--mode", default="auto", choices=("auto", "b-in-d", "a-in-c"))
-    p.set_defaults(func=cmd_sandwich)
-
-    p = sub.add_parser("gen-map", help="build a canonical-form map table")
-    common(p, k_default=1)
-    p.set_defaults(func=cmd_gen_map)
-
-    p = sub.add_parser("verify-map", help="check the bracket identity on a table")
-    common(p)
-    p.set_defaults(func=cmd_verify_map)
-
-    p = sub.add_parser("decompose-map", help="extract (lambda, h) from a table")
-    common(p)
-    p.set_defaults(func=cmd_decompose_map)
-
-    p = sub.add_parser("campaign", help="randomized accept/reject exercise")
-    common(p, k_default=3)
-    p.set_defaults(func=cmd_campaign)
-
-    p = sub.add_parser("fixtures", help="emit the golden bracket identities")
-    common(p)
+    command("gen-map", cmd_gen_map, "build a canonical-form map table",
+            "field", "tolerance", "seed", k=1)
+    command("verify-map", cmd_verify_map, "check the bracket identity on a table", "tolerance")
+    command("decompose-map", cmd_decompose_map, "extract (lambda, h) from a table", "tolerance")
+    command("campaign", cmd_campaign, "randomized accept/reject exercise",
+            "field", "tolerance", "seed", "trials", k=3)
+    p = command("fixtures", cmd_fixtures, "emit the golden bracket identities", "field", "tolerance")
     p.add_argument("--kmax", type=int, default=10)
-    p.set_defaults(func=cmd_fixtures)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
-        _emit(args, {"error": "input", "message": str(exc)})
-        return 2
+        body = {"error": "input", "message": str(exc)}
     except Kcomm2Error as exc:
-        _emit(args, {"error": type(exc).__name__, "message": str(exc)})
-        return 2
+        body = {"error": type(exc).__name__, "message": str(exc)}
     except ValueError as exc:  # e.g. a non-finite float refused by canonical_dumps
-        _emit(args, {"error": "value", "message": str(exc)})
-        return 2
+        body = {"error": "value", "message": str(exc)}
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 2
+    _emit(args, body)
+    return 2
 
 
 if __name__ == "__main__":

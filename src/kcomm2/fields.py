@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FieldMismatch, InvalidOrder, InputError
+from .errors import FieldMismatch, InvalidOrder, InputError, ResultTooLarge
 
 
 class GaussianRational:
@@ -261,10 +261,13 @@ class FieldTag:
 
     def encode(self, z):
         v = self.variant
-        if v == "Q":
-            return str(z)
-        if v == "Qi":
-            return {"re": str(z.re), "im": str(z.im)}
+        try:
+            if v == "Q":
+                return str(z)
+            if v == "Qi":
+                return {"re": str(z.re), "im": str(z.im)}
+        except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+            raise ResultTooLarge(f"exact value too large to print: {exc}") from exc
         if v == "R64":
             return z
         return {"re": z.real, "im": z.imag}

@@ -33,11 +33,13 @@ def mat_to_json(M: Mat2) -> dict:
     }
 
 
-def mat_from_json(obj, field: FieldTag | None = None) -> Mat2:
+def mat_from_json(obj, field: FieldTag | None = None, tolerance: float = 1e-9) -> Mat2:
+    """Decode a matrix over field, or over the field its JSON names (default Q)
+    with the given tolerance."""
     if not isinstance(obj, dict) or "entries" not in obj:
         raise InputError(f"matrix JSON must be an object with 'entries', got {obj!r}")
     if field is None:
-        field = field_from_code(obj.get("field", "Q"))
+        field = field_from_code(obj.get("field", "Q"), tolerance)
     elif "field" in obj and obj["field"] != field.variant:
         raise InputError(f"matrix declares field {obj['field']!r}, expected {field.variant!r}")
     rows = obj["entries"]
@@ -74,8 +76,8 @@ def maptable_from_json(obj, tolerance: float = 1e-9) -> MapTable:
 
 def sandwich_from_json(obj, tolerance: float = 1e-9) -> SandwichSystem:
     try:
-        left = [tuple(mat_from_json(m) for m in pair) for pair in obj["left"]]
-        right = [tuple(mat_from_json(m) for m in pair) for pair in obj["right"]]
+        left = [tuple(mat_from_json(m, tolerance=tolerance) for m in pair) for pair in obj["left"]]
+        right = [tuple(mat_from_json(m, tolerance=tolerance) for m in pair) for pair in obj["right"]]
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad sandwich system JSON: {exc!r}") from exc
     if any(len(p) != 2 for p in left + right):

@@ -104,6 +104,11 @@ class TestScalarPlusNilpotent:
         with pytest.raises(KTooSmall):
             scalar_plus_nilpotent_kcomm(Mat2.identity(exact_field), 2)
 
+    @pytest.mark.parametrize("k", [3.0, True, "3"])
+    def test_non_integer_order_rejected(self, k):
+        with pytest.raises(InvalidOrder):
+            scalar_plus_nilpotent_kcomm(Mat2.identity(RATIONAL_Q), k)
+
     def test_agreement_of_both_classifiers(self):
         rng = Random(202)
         for _ in range(150):

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import pytest
 
 from kcomm2 import GAUSSIAN_QI, RATIONAL_Q, Mat2
-from kcomm2.cli import main
+from kcomm2.cli import build_parser, main
 from kcomm2.serialize import (
     canonical_dumps,
     mat_from_json,
@@ -70,17 +71,6 @@ class TestKcommCommand:
         code, out = run_cli(capsys, ["kcomm", "--k", "3"], data, tmp_path=tmp_path)
         assert code == 0
         assert out["bracket"]["entries"] == [["0", "4"], ["-4", "0"]]
-
-    def test_methods_agree(self, capsys, tmp_path):
-        data = {"A": E["e12"], "B": E["e11"]}
-        outs = []
-        for method in ("recursive", "closed"):
-            code, out = run_cli(
-                capsys, ["kcomm", "--k", "4", "--method", method], data, tmp_path=tmp_path
-            )
-            assert code == 0
-            outs.append(out)
-        assert outs[0] == outs[1]
 
     def test_bad_json_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -245,14 +235,86 @@ class TestHostileInputs:
         text = self.table_text(lambda t: t["entries"].append(t["entries"][2]))
         self.run_text(capsys, tmp_path, ["decompose-map"], text)
 
-    @pytest.mark.parametrize("method", ["auto", "recursive"])
     @pytest.mark.parametrize("field", ["R64", "C64"])
-    def test_float_overflow_never_prints_nan(self, capsys, tmp_path, method, field):
+    def test_float_overflow_never_prints_nan(self, capsys, tmp_path, field):
         text = json.dumps({"A": {"field": field, "entries": [[1e10, 1.0], [0.0, 1.0]]},
                            "B": {"field": field, "entries": [[1e10, 3.0], [1.0, 0.0]]}})
-        self.run_text(capsys, tmp_path, ["kcomm", "--k", "201", "--method", method], text)
+        self.run_text(capsys, tmp_path, ["kcomm", "--k", "201"], text)
 
     def test_exact_result_too_large(self, capsys, tmp_path):
         text = json.dumps({"A": E["e12"], "B": {"field": "Q", "entries": [["3", "0"], ["0", "0"]]}})
         body = self.run_text(capsys, tmp_path, ["kcomm", "--k", "1000001"], text)
         assert body["error"] == "ResultTooLarge"
+
+    def test_exact_result_past_the_print_limit(self, capsys, tmp_path):
+        # under the kernel's size cap, but an entry has more than 4300 digits
+        text = json.dumps({"A": {"field": "Qi", "entries": [["1", "2"], ["3", "4"]]},
+                           "B": {"field": "Qi", "entries": [[{"re": "1/3", "im": "2/7"}, "2"],
+                                                            ["3", "5"]]}})
+        body = self.run_text(capsys, tmp_path, ["kcomm", "--k", "34001"], text)
+        assert body["error"] == "ResultTooLarge"
+
+    @pytest.mark.parametrize("argv", [
+        ["kcomm", "--method", "closed"],
+        ["kcomm", "--field", "Qi"],
+        ["verify-map", "--seed", "1"],
+        ["kcomm", "--k", "x"],
+        ["classify"],
+        ["no-such-command"],
+    ], ids=" ".join)
+    def test_usage_errors(self, capsys, argv):
+        code = main(argv)
+        body = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert code == 2
+        assert body["error"] == "input"
+
+    def test_canonical_dumps_refuses_non_finite(self):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                canonical_dumps({"x": value})
+
+
+# The flags each subcommand reads, besides the --input/--output paths.
+FLAGS = {
+    "kcomm": {"--k"},
+    "classify": {"--lemma", "--k", "--seed", "--trials", "--tolerance"},
+    "sandwich": {"--mode", "--tolerance"},
+    "gen-map": {"--field", "--tolerance", "--seed", "--k"},
+    "verify-map": {"--tolerance"},
+    "decompose-map": {"--tolerance"},
+    "campaign": {"--field", "--tolerance", "--seed", "--trials", "--k"},
+    "fixtures": {"--field", "--tolerance", "--kmax"},
+}
+
+
+class TestParser:
+    def test_each_subcommand_declares_only_the_flags_it_reads(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        declared = {
+            name: {opt for action in p._actions for opt in action.option_strings}
+            - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert declared == {name: flags | {"--input", "--output"} for name, flags in FLAGS.items()}
+        assert sum(len(flags) for flags in declared.values()) == 38
+
+
+class TestTolerance:
+    """--tolerance reaches the matrices read from input."""
+
+    NEAR_SCALAR = {"Z": {"field": "R64", "entries": [[1.0, 1e-7], [0.0, 1.0]]}}
+    EYE = {"field": "R64", "entries": [[1.0, 0.0], [0.0, 1.0]]}
+    NEAR_EYE = {"field": "R64", "entries": [[1.0 + 1e-7, 0.0], [0.0, 1.0]]}
+
+    @pytest.mark.parametrize("flags, code", [([], 1), (["--tolerance", "1e-3"], 0)])
+    def test_classify(self, capsys, tmp_path, flags, code):
+        argv = ["classify", "--lemma", "2.2", "--k", "1"] + flags
+        got, out = run_cli(capsys, argv, self.NEAR_SCALAR, tmp_path=tmp_path)
+        assert (got, out["holds"]) == (code, code == 0)
+
+    @pytest.mark.parametrize("flags, code", [([], 1), (["--tolerance", "1e-3"], 0)])
+    def test_sandwich(self, capsys, tmp_path, flags, code):
+        system = {"left": [[self.EYE, self.EYE]], "right": [[self.NEAR_EYE, self.EYE]]}
+        got, out = run_cli(capsys, ["sandwich"] + flags, system, tmp_path=tmp_path)
+        assert (got, out["identity"]) == (code, code == 0)

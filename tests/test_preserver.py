@@ -10,6 +10,8 @@ from kcomm2 import (
     Mat2,
     decompose,
     generate_map,
+    kcomm_recursive,
+    preserver,
     probe_campaign,
     probe_set,
     roots_of_unity,
@@ -56,6 +58,11 @@ class TestGenerateMap:
     def test_order_zero_rejected(self):
         with pytest.raises(InvalidOrder):
             generate_map(Fraction(1), h_zero, [Mat2.unit(RATIONAL_Q, 1, 1)], 0)
+
+    @pytest.mark.parametrize("k", [True, 1.0])
+    def test_non_integer_order_rejected(self, k):
+        with pytest.raises(InvalidOrder):
+            generate_map(Fraction(1), h_zero, [Mat2.unit(RATIONAL_Q, 1, 1)], k)
 
     def test_duplicate_inputs_rejected(self):
         e11 = Mat2.unit(RATIONAL_Q, 1, 1)
@@ -200,3 +207,12 @@ class TestCampaign:
     def test_order_zero_rejected(self):
         with pytest.raises(InvalidOrder):
             probe_campaign(0, RATIONAL_Q, trials=1, seed=0)
+
+    def test_preservation_failure_is_an_anomaly(self, monkeypatch):
+        def wrong_bracket(A, B, k, method="recursive"):
+            return kcomm_recursive(A, B, k) + Mat2.unit(A.field, 1, 2)
+
+        monkeypatch.setattr(preserver, "kcomm", wrong_bracket)
+        report = probe_campaign(1, RATIONAL_Q, trials=10, seed=3)
+        assert not report.clean
+        assert report.valid_ok == 0
