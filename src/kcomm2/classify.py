@@ -168,12 +168,6 @@ def sandwich_operator(pairs) -> list:
     return [[columns[c][r] for c in range(4)] for r in range(4)]
 
 
-def apply_operator(field: FieldTag, op, T: Mat2) -> Mat2:
-    v = vec(T)
-    out = [sum((op[r][c] * v[c] for c in range(4)), field.zero()) for r in range(4)]
-    return unvec(field, out)
-
-
 def _pivot_row(field: FieldTag, aug, col, start):
     """Row index of the pivot for this column, or None. Floats pick max magnitude."""
     if field.is_exact:

@@ -136,15 +136,33 @@ class GaussianRational:
         return o * self.inverse()
 
     def __pow__(self, n: int):
+        """Square-and-multiply on the Gaussian integer a + b i, then one reduction.
+
+        gcd(a, b, den) = 1, so no odd prime p dividing den divides
+        (a + b i)**n in Z[i]: an inert p would divide a + b i, and a split
+        p = pi * conj(pi) would need both (non-associate) factors to divide
+        it.  The common factor of the result and den**n is therefore a power
+        of two, read from trailing zero bits instead of a gcd of n-fold sized
+        integers.
+        """
         if n < 0:
             return self.inverse() ** (-n)
-        result = GaussianRational(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        a, b = 1, 0
+        x, y = self.a, self.b
+        e = n
+        while e:
+            if e & 1:
+                a, b = a * x - b * y, a * y + b * x
+            e >>= 1
+            if e:
+                x, y = x * x - y * y, 2 * x * y
+        den = self.den**n
+        low = a | b | den
+        shift = (low & -low).bit_length() - 1
+        result = object.__new__(GaussianRational)
+        result.a = a >> shift
+        result.b = b >> shift
+        result.den = den >> shift
         return result
 
     def conjugate(self) -> "GaussianRational":

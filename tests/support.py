@@ -3,7 +3,7 @@
 from random import Random
 
 from kcomm2 import Mat2, SandwichSystem
-from kcomm2.classify import matrix_rank, vec
+from kcomm2.classify import matrix_rank, unvec, vec
 from kcomm2.randgen import random_mat, random_scalar
 
 
@@ -32,6 +32,13 @@ def span_system(field, rng: Random, n: int, m: int) -> SandwichSystem:
             acc = acc + A[i].scale(coeffs[i][j])
         C.append(acc)
     return SandwichSystem(left=list(zip(A, B)), right=list(zip(C, D)))
+
+
+def apply_operator(field, op, T: Mat2) -> Mat2:
+    """The 4x4 operator op applied to vec(T), as a matrix."""
+    v = vec(T)
+    out = [sum((op[r][c] * v[c] for c in range(4)), field.zero()) for r in range(4)]
+    return unvec(field, out)
 
 
 def random_complex_pair_real_matrix(field, rng: Random) -> Mat2:

@@ -17,7 +17,9 @@ from kcomm2 import (
     kcomm_idempotent_fast,
     kcomm_nilpotent_fast,
     kcomm_recursive,
+    outer,
 )
+from kcomm2 import brackets as brackets_module
 from kcomm2.errors import (
     InvalidOrder,
     KTooSmall,
@@ -228,6 +230,23 @@ class TestIdempotentFast:
             for k in range(1, 8):
                 assert kcomm_idempotent_fast(A, Q, k).eq(kcomm_recursive(A, Q, k))
 
+    def test_runs_through_the_kernel(self, monkeypatch, exact_field):
+        calls = []
+        kernel = brackets_module._kcomm_cayley_hamilton
+        monkeypatch.setattr(brackets_module, "_kcomm_cayley_hamilton",
+                            lambda A, B, k: calls.append(k) or kernel(A, B, k))
+        e11, e12, _, _ = units(exact_field)
+        assert kcomm_idempotent_fast(e12, e11, 7).eq(-e12)
+        assert calls == [1]
+
+    def test_float_rounding_does_not_drift_at_huge_order(self):
+        # delta(Q) = 1 + 1.7e-12 here: delta**m drifts, then overflows
+        Q = outer(FLOAT_R, (1.0, 0.3), (1 / 1.09, 0.3 / 1.09 * (1 + 1e-11)))
+        A = Mat2.from_rows(FLOAT_R, [[1, 2], [3, 4]])
+        for k in (10**12 + 1, 10**30 + 1):
+            assert kcomm_idempotent_fast(A, Q, k).entries == kcomm_recursive(A, Q, 1).entries
+        assert kcomm_idempotent_fast(A, Q, 10**30).entries == kcomm_recursive(A, Q, 2).entries
+
     def test_rejects_non_idempotent(self, exact_field):
         with pytest.raises(NotIdempotent):
             kcomm_idempotent_fast(Mat2.identity(exact_field), Mat2.unit(exact_field, 1, 2), 3)
@@ -287,7 +306,6 @@ class TestEigenpair:
 
     def test_agrees_with_oracle_on_random_diagonalizable(self):
         from kcomm2.randgen import random_diagonalizable
-        from kcomm2 import outer
 
         rng = Random(55)
         for _ in range(20):

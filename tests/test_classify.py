@@ -17,12 +17,11 @@ from kcomm2 import (
     scalar_plus_nilpotent_spectral,
     scalar_witness_test,
 )
-from kcomm2.classify import apply_operator
 from kcomm2.errors import EmptySystem, InvalidOrder, KTooSmall, SingularSystem
 from kcomm2.randgen import random_mat, random_scalar_plus_nilpotent
 
 from conftest import units
-from support import span_system as _span_system
+from support import apply_operator, span_system as _span_system
 
 
 class TestScalarWitness:

@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -105,6 +107,25 @@ class TestGaussianRational:
         z = GaussianRational(0, 1)
         assert z**-1 == GaussianRational(0, -1)
         assert z**-4 == GaussianRational(1)
+
+    def test_pow_matches_repeated_multiplication(self):
+        rng = Random(17)
+        values = [GaussianRational(0), GaussianRational(1), GaussianRational(0, 1)]
+        values += [GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                                    Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+                   for _ in range(40)]
+        for z in values:
+            for n in range(-5, 41):
+                if n < 0 and not z:
+                    with pytest.raises(ZeroDivisionError):
+                        z**n
+                    continue
+                base, want = z if n >= 0 else z.inverse(), GaussianRational(1)
+                for _ in range(abs(n)):
+                    want = want * base
+                got = z**n
+                assert (got.a, got.b, got.den) == (want.a, want.b, want.den), (z, n)
+                assert got.den > 0 and math.gcd(got.a, got.b, got.den) == 1
 
     def test_int_interop(self):
         z = GaussianRational(1, 2)

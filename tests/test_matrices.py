@@ -2,6 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from kcomm2 import (
     GAUSSIAN_QI,
@@ -163,3 +164,140 @@ class TestSpectralSplit:
             eye = Mat2.identity(exact_field)
             assert (eye.scale(split.lam) + split.nilpotent).eq(S)
             assert (split.nilpotent @ split.nilpotent).is_zero()
+
+
+# -- the integer form under exact matrices -----------------------------------
+
+small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def _scalars(field):
+    if field.variant == "Q":
+        return small_fractions
+    return st.builds(GaussianRational, small_fractions, small_fractions)
+
+
+def _exact_case(field):
+    mat = st.tuples(*[_scalars(field)] * 4).map(lambda e: Mat2(field, e))
+    return st.tuples(st.just(field), mat, mat, _scalars(field))
+
+
+exact_cases = st.sampled_from([RATIONAL_Q, GAUSSIAN_QI]).flatmap(_exact_case)
+
+
+def _parts(x):
+    """The stored canonical parts of an exact scalar, with its type."""
+    if isinstance(x, GaussianRational):
+        return type(x), x.a, x.b, x.den
+    return type(x), x.numerator, x.denominator
+
+
+def _same(got, want):
+    """Entrywise identical canonical parts (Mat2 against a tuple of scalars)."""
+    assert [_parts(x) for x in got.entries] == [_parts(x) for x in want]
+
+
+def _expected(field, a, b, c):
+    """Every exact operation, written entrywise with Fraction / GaussianRational."""
+    co = field.coerce
+    a, b, c = tuple(co(x) for x in a), tuple(co(x) for x in b), co(c)
+    a11, a12, a21, a22 = a
+    b11, b12, b21, b22 = b
+    return {
+        "matmul": (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+                   a21 * b11 + a22 * b21, a21 * b12 + a22 * b22),
+        "add": tuple(x + y for x, y in zip(a, b)),
+        "sub": tuple(x - y for x, y in zip(a, b)),
+        "neg": tuple(-x for x in a),
+        "scale": tuple(c * x for x in a),
+        "conj_t": tuple(x.conjugate() for x in (a11, a21, a12, a22)),
+        "trace": a11 + a22,
+        "det": a11 * a22 - a12 * a21,
+        "discriminant": (a11 - a22) * (a11 - a22) + 4 * a12 * a21,
+    }
+
+
+def _check_against_scalars(field, A, B, c):
+    want = _expected(field, A.entries, B.entries, c)
+    _same(A @ B, want["matmul"])
+    _same(A + B, want["add"])
+    _same(A - B, want["sub"])
+    _same(-A, want["neg"])
+    _same(A.scale(c), want["scale"])
+    _same(A.conj_t(), want["conj_t"])
+    for name in ("trace", "det", "discriminant"):
+        assert _parts(getattr(A, name)()) == _parts(want[name]), name
+
+
+class TestIntegerForm:
+    """Exact Mat2 operations run on integer forms; their answers must be the
+    entrywise Fraction / GaussianRational answers, canonical parts included."""
+
+    def test_operations_match_scalar_formulas_seeded(self, exact_field):
+        rng = Random(41)
+        for _ in range(60):
+            A = random_mat(exact_field, rng, denominators=True)
+            B = random_mat(exact_field, rng, denominators=True)
+            c = random_mat(exact_field, rng, denominators=True).entries[rng.randrange(4)]
+            _check_against_scalars(exact_field, A, B, c)
+            # results of operations as inputs (form only, entries built lazily)
+            _check_against_scalars(exact_field, A @ B - B, B.scale(c) + A, c)
+
+    @given(exact_cases)
+    def test_operations_match_scalar_formulas(self, case):
+        _check_against_scalars(*case)
+
+    @pytest.mark.parametrize("c", [3, Fraction(-2, 9), 0, Fraction(5, 2)])
+    def test_scale_by_int_and_fraction(self, exact_field, c):
+        # the second matrix has numerators sharing 2, and denominator 5
+        for A in (random_mat(exact_field, Random(2), denominators=True),
+                  Mat2(exact_field, (2, 4, Fraction(6, 5), 8))):
+            _same(A.scale(c), tuple(exact_field.coerce(c) * x for x in A.entries))
+
+    @given(exact_cases)
+    def test_built_and_computed_values_agree(self, case):
+        field, A, B, _ = case
+        eye = Mat2.identity(field)
+        for built, computed in ((A, A @ eye), (A, eye @ A), (A, (A + B) - B), (B, -(-B))):
+            assert built == computed and computed == built
+            assert hash(built) == hash(computed)
+            assert built.eq(computed) and computed.eq(built)
+        assert (A == A + eye) is False
+
+    def test_predicates_on_computed_values(self, exact_field):
+        A = random_mat(exact_field, Random(8), denominators=True)
+        assert (A - A).is_zero() and not (A - A + Mat2.identity(exact_field)).is_zero()
+        third = Mat2.identity(exact_field).scale(Fraction(1, 3))
+        ninth = Fraction(1, 9)
+        assert (third @ third).is_scalar() and (third @ third).eq(Mat2.diag(exact_field, ninth, ninth))
+        assert not (third + Mat2.unit(exact_field, 1, 2)).is_scalar()
+
+    def test_equal_values_in_different_fields_differ(self):
+        assert Mat2.identity(RATIONAL_Q) != Mat2.identity(GAUSSIAN_QI)
+
+    def test_entries_and_field_are_read_only(self, any_field):
+        A = Mat2.identity(any_field)
+        B = A @ A
+        for M in (A, B):
+            with pytest.raises(AttributeError):
+                M.entries = (1, 2, 3, 4)
+            with pytest.raises(AttributeError):
+                M.field = RATIONAL_Q
+        assert B.eq(A)
+
+    def test_int_entries(self, exact_field):
+        A = Mat2(exact_field, (1, 2, 3, 4))
+        assert A.entries == (1, 2, 3, 4)
+        assert A == Mat2.from_rows(exact_field, [[1, 2], [3, 4]])
+        assert (A @ A).eq(Mat2.from_rows(exact_field, [[7, 10], [15, 22]]))
+        assert A.det() == -2 and A.trace() == 5 and A.discriminant() == 33
+
+    def test_float_discriminant(self, any_field):
+        A = Mat2.from_rows(any_field, [[1, 2], [3, 4]])
+        assert any_field.eq(A.discriminant(), any_field.coerce(33))
+
+    def test_wrong_scalar_type_rejected(self):
+        with pytest.raises(FieldMismatch):
+            Mat2.identity(RATIONAL_Q).scale(GaussianRational(0, 1))
+        with pytest.raises(FieldMismatch):
+            Mat2.identity(GAUSSIAN_QI).scale(0.5)
