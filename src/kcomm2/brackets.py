@@ -27,9 +27,9 @@ from .matrices import Mat2, RankOneFactor, is_idempotent, outer
 MAX_POWER_BITS = 1 << 18
 
 
-def _check_order(k, minimum=0):
+def _check_order(k, minimum=0, name="bracket order"):
     if not isinstance(k, int) or isinstance(k, bool) or k < minimum:
-        raise InvalidOrder(f"bracket order must be an integer >= {minimum}, got {k!r}")
+        raise InvalidOrder(f"{name} must be an integer >= {minimum}, got {k!r}")
 
 
 def kcomm_recursive(A: Mat2, B: Mat2, k: int) -> Mat2:

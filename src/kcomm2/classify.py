@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 
 from .brackets import _check_order, kcomm
@@ -74,17 +75,35 @@ class Coefficients:
     coeffs: list
 
 
-def _witness_idempotents(field: FieldTag):
+@lru_cache(maxsize=8)
+def _witness_idempotents(field: FieldTag) -> tuple:
     """Rank-one idempotent probe set; the first two already force scalarity."""
     half = field.coerce(Fraction(1, 2))
     one, zero = field.one(), field.zero()
-    return [
+    return (
         Mat2.unit(field, 1, 1),
         Mat2.from_rows(field, [[one, one], [zero, zero]]),
         Mat2.unit(field, 2, 2),
         Mat2.from_rows(field, [[one, zero], [one, zero]]),
         Mat2(field, (half, half, half, half)),
-    ]
+    )
+
+
+@lru_cache(maxsize=8)
+def _matrix_units(field: FieldTag) -> tuple:
+    """E11, E12, E21, E22."""
+    return tuple(Mat2.unit(field, i, j) for i in (1, 2) for j in (1, 2))
+
+
+def _certifier_probes(field: FieldTag, trials: int, seed: int):
+    """The matrix units, then ``trials`` rank-one matrices drawn from Random(seed).
+
+    A generator: each random probe is drawn only when the caller asks for it.
+    """
+    yield from _matrix_units(field)
+    rng = Random(seed)
+    for _ in range(trials):
+        yield random_rank_one(field, rng)
 
 
 def scalar_witness_test(Z: Mat2, k: int) -> Verdict:
@@ -117,18 +136,18 @@ def scalar_plus_nilpotent_spectral(S: Mat2) -> SpectralVerdict:
 def scalar_plus_nilpotent_kcomm(S: Mat2, k: int, trials: int = 32, seed: int = 0) -> Verdict:
     """Sampled certifier: order-k brackets of rank-one matrices against S.
 
-    Probes the four matrix units plus ``trials`` seeded-random rank-one
-    matrices.  The spectral test is the authoritative classifier; agreement of
-    the two is a tested property, not an assumption.
+    Probes the four matrix units, then ``trials`` seeded-random rank-one
+    matrices, and stops at the first bracket that does not vanish.  A -> [A, S]_k
+    is linear, so the units alone decide the verdict; the random probes
+    cross-check the kernel on non-unit inputs.  The spectral test is the
+    authoritative classifier; agreement of the two is a tested property, not an
+    assumption.
     """
     _check_order(k, minimum=1)
     if k < 3:
         raise KTooSmall(f"the vanishing criterion needs k >= 3, got {k}")
-    field = S.field
-    probes = [Mat2.unit(field, i, j) for i in (1, 2) for j in (1, 2)]
-    rng = Random(seed)
-    probes += [random_rank_one(field, rng) for _ in range(trials)]
-    for A in probes:
+    _check_order(trials, name="trials")
+    for A in _certifier_probes(S.field, trials, seed):
         bracket = kcomm(A, S, k, method="auto")
         if not bracket.is_zero():
             return Verdict(holds=False, witness=A, detail=bracket)

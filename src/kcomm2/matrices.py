@@ -406,7 +406,27 @@ class RankOneFactor:
 
 
 def outer(field: FieldTag, x, f) -> Mat2:
-    """Rank-(at most)-one matrix x f*; entry (p, q) is x_p * conj(f_q)."""
+    """Rank-(at most)-one matrix x f*; entry (p, q) is x_p * conj(f_q).
+
+    Over Q and Q(i), x and f are each written over one denominator and the
+    integer parts multiplied, with one gcd for the product.
+    """
+    v = field.variant
+    if v == "Q":
+        d, x0, x1 = _integer_form(v, x)
+        e, f0, f1 = _integer_form(v, f)
+        return _normalised(field, (d * e, x0 * f0, x0 * f1, x1 * f0, x1 * f1))
+    if v == "Qi":
+        # (a + b i) * conj(c + d i) = (a c + b d) + (b c - a d) i
+        d, a0, b0, a1, b1 = _integer_form(v, x)
+        e, c0, d0, c1, d1 = _integer_form(v, f)
+        return _normalised(field, (
+            d * e,
+            a0 * c0 + b0 * d0, b0 * c0 - a0 * d0,
+            a0 * c1 + b0 * d1, b0 * c1 - a0 * d1,
+            a1 * c0 + b1 * d0, b1 * c0 - a1 * d0,
+            a1 * c1 + b1 * d1, b1 * c1 - a1 * d1,
+        ))
     c = field.conj
     f0, f1 = c(f[0]), c(f[1])
     return Mat2(field, (x[0] * f0, x[0] * f1, x[1] * f0, x[1] * f1))

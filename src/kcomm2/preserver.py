@@ -5,6 +5,7 @@ decomposition into the canonical form lam*A + h(A)*I with lam**(k+1) = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from random import Random
 
 from .brackets import _check_order, kcomm, kcomm_recursive
@@ -12,29 +13,33 @@ from .errors import (
     DuplicateInput,
     InputNotInTable,
     InvariantViolation,
-    InvalidOrder,
     LambdaNotRootOfUnity,
     NotTheoremForm,
     PreservationFailed,
     ProbeSetIncomplete,
 )
-from .fields import FieldTag, roots_of_unity
+from .fields import FieldTag, require_same_field, roots_of_unity
 from .matrices import Mat2
 from .randgen import random_scalar
 
 
-def probe_set(field: FieldTag):
-    """The fixed probe inputs a table must cover for decomposition."""
+@lru_cache(maxsize=8)
+def probe_set(field: FieldTag) -> tuple:
+    """The fixed probe inputs a table must cover for decomposition (built once per field)."""
     e11 = Mat2.unit(field, 1, 1)
     e22 = Mat2.unit(field, 2, 2)
     e12 = Mat2.unit(field, 1, 2)
     e21 = Mat2.unit(field, 2, 1)
-    return [e11, e22, e12, e21, e11 + e12, e12 + e21]
+    return (e11, e22, e12, e21, e11 + e12, e12 + e21)
 
 
 @dataclass(frozen=True)
 class MapTable:
-    """A finite sampled map: (input, output) matrix pairs plus field/k metadata."""
+    """A finite sampled map: (input, output) matrix pairs plus field/k metadata.
+
+    Exact tables index their outputs by input value (``Mat2`` hashes its
+    canonical integer form); float tables scan with the field tolerance.
+    """
 
     field: FieldTag
     k: int
@@ -42,20 +47,35 @@ class MapTable:
     label: str = ""
 
     def __post_init__(self):
-        ins = [a for a, _ in self.entries]
-        for i in range(len(ins)):
-            for j in range(i + 1, len(ins)):
-                if ins[i].eq(ins[j]):
-                    raise DuplicateInput("map table inputs must be pairwise distinct")
+        index = None
+        if self.field.is_exact:
+            index = dict(self.entries)
+            if len(index) != len(self.entries):
+                raise DuplicateInput("map table inputs must be pairwise distinct")
+        else:
+            ins = [a for a, _ in self.entries]
+            for i in range(len(ins)):
+                for j in range(i + 1, len(ins)):
+                    if ins[i].eq(ins[j]):
+                        raise DuplicateInput("map table inputs must be pairwise distinct")
+        object.__setattr__(self, "_index", index)
+
+    def _find(self, A: Mat2):
+        """The output for input A, or None."""
+        if self._index is None:
+            return next((out for inp, out in self.entries if inp.eq(A)), None)
+        if A.field is not self.field:
+            require_same_field(self.field, A.field)
+        return self._index.get(A)
 
     def lookup(self, A: Mat2) -> Mat2:
-        for inp, out in self.entries:
-            if inp.eq(A):
-                return out
-        raise InputNotInTable(f"{A} is not a table input")
+        out = self._find(A)
+        if out is None:
+            raise InputNotInTable(f"{A} is not a table input")
+        return out
 
     def has_input(self, A: Mat2) -> bool:
-        return any(inp.eq(A) for inp, _ in self.entries)
+        return self._find(A) is not None
 
     def inputs(self):
         return [a for a, _ in self.entries]
@@ -265,8 +285,7 @@ def probe_campaign(k: int, field: FieldTag, trials: int, seed: int) -> CampaignR
     witness.  Every deviation is recorded as an anomaly.
     """
     _check_order(k, minimum=1)
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
-        raise InvalidOrder(f"campaign needs trials >= 0, got {trials!r}")
+    _check_order(trials, name="campaign trials")
     rng = Random(seed)
     report = CampaignReport(field=field, k=k, trials=trials)
     probes = probe_set(field)

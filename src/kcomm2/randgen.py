@@ -25,7 +25,9 @@ def random_scalar(field: FieldTag, rng: Random, span: int = 9, denominators: boo
     if v == "Q":
         return q()
     if v == "Qi":
-        return GaussianRational(q(), q())
+        if denominators:
+            return GaussianRational(q(), q())
+        return GaussianRational._raw(rng.randint(-span, span), rng.randint(-span, span), 1)
     if v == "R64":
         return rng.uniform(-1.0, 1.0)
     return complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from random import Random
 
@@ -7,9 +8,11 @@ from kcomm2 import (
     GAUSSIAN_QI,
     RATIONAL_Q,
     Coefficients,
+    GaussianRational,
     Mat2,
     NotAnIdentity,
     SandwichSystem,
+    classify,
     kcomm_recursive,
     rank_one_identity_solve,
     sandwich_operator,
@@ -18,7 +21,7 @@ from kcomm2 import (
     scalar_witness_test,
 )
 from kcomm2.errors import EmptySystem, InvalidOrder, KTooSmall, SingularSystem
-from kcomm2.randgen import random_mat, random_scalar_plus_nilpotent
+from kcomm2.randgen import random_mat, random_rank_one, random_scalar_plus_nilpotent
 
 from conftest import units
 from support import apply_operator, span_system as _span_system
@@ -107,6 +110,11 @@ class TestScalarPlusNilpotent:
     def test_non_integer_order_rejected(self, k):
         with pytest.raises(InvalidOrder):
             scalar_plus_nilpotent_kcomm(Mat2.identity(RATIONAL_Q), k)
+
+    @pytest.mark.parametrize("trials", [-1, True, 2.0])
+    def test_bad_trials_rejected(self, trials):
+        with pytest.raises(InvalidOrder):
+            scalar_plus_nilpotent_kcomm(Mat2.identity(RATIONAL_Q), 3, trials=trials)
 
     def test_agreement_of_both_classifiers(self):
         rng = Random(202)
@@ -236,3 +244,92 @@ class TestIdentitySolver:
                 lhs = left[0][0] @ result.witness @ left[0][1]
                 rhs = right[0][0] @ result.witness @ right[0][1]
                 assert not lhs.eq(rhs)
+
+
+# -- the certifier's probe stream --------------------------------------------
+
+_F, _G = Fraction, GaussianRational
+_CERTIFIER_INPUTS = {
+    "Q-jordan": (RATIONAL_Q, [[_F(1, 2), 3], [0, _F(1, 2)]]),
+    "Q-nilpotent": (RATIONAL_Q, [[6, -4], [9, -6]]),
+    "Q-diag": (RATIONAL_Q, [[1, 0], [0, 2]]),
+    "Q-rotation": (RATIONAL_Q, [[0, 1], [-1, 0]]),
+    "Q-lower": (RATIONAL_Q, [[_F(2, 3), 0], [5, _F(-1, 4)]]),
+    "Qi-jordan": (GAUSSIAN_QI, [[_G(1, 1), 0], [_G(2, _F(-1, 3)), _G(1, 1)]]),
+    "Qi-refuted": (GAUSSIAN_QI, [[_G(0, 1), 1], [0, 2]]),
+    "Qi-upper": (GAUSSIAN_QI, [[_G(_F(1, 2)), _G(0, _F(2, 3))], [0, _G(0, -1)]]),
+}
+# (input, k, witness, detail) of every refuted case at seed 7; a unit refutes each
+# one, so none may draw a random probe
+_REFUTED = [
+    ("Q-diag", 3, "[[0, 1], [0, 0]]", "[[0, 1], [0, 0]]"),
+    ("Q-diag", 4, "[[0, 1], [0, 0]]", "[[0, 1], [0, 0]]"),
+    ("Q-diag", 5, "[[0, 1], [0, 0]]", "[[0, 1], [0, 0]]"),
+    ("Q-rotation", 3, "[[1, 0], [0, 0]]", "[[0, -4], [-4, 0]]"),
+    ("Q-rotation", 4, "[[1, 0], [0, 0]]", "[[8, 0], [0, -8]]"),
+    ("Q-rotation", 5, "[[1, 0], [0, 0]]", "[[0, 16], [16, 0]]"),
+    ("Q-lower", 3, "[[1, 0], [0, 0]]", "[[0, 0], [-605/144, 0]]"),
+    ("Q-lower", 4, "[[1, 0], [0, 0]]", "[[0, 0], [-6655/1728, 0]]"),
+    ("Q-lower", 5, "[[1, 0], [0, 0]]", "[[0, 0], [-73205/20736, 0]]"),
+    ("Qi-refuted", 3, "[[1, 0], [0, 0]]", "[[0, 3+-4i], [0, 0]]"),
+    ("Qi-refuted", 4, "[[1, 0], [0, 0]]", "[[0, 2+-11i], [0, 0]]"),
+    ("Qi-refuted", 5, "[[1, 0], [0, 0]]", "[[0, -7+-24i], [0, 0]]"),
+    ("Qi-upper", 3, "[[1, 0], [0, 0]]", "[[0, -2/3+-1/2i], [0, 0]]"),
+    ("Qi-upper", 4, "[[1, 0], [0, 0]]", "[[0, -1/6+11/12i], [0, 0]]"),
+    ("Qi-upper", 5, "[[1, 0], [0, 0]]", "[[0, 1+-7/24i], [0, 0]]"),
+]
+# (field, seed): first probe and SHA-256 prefix of the 32 random rank-one
+# probes drawn from Random(seed), one str(Mat2) per line
+_STREAMS = {
+    ("Q", 7): ("[[3, -8], [-15, 40]]", "2fa79bc94a2474e1"),
+    ("Qi", 7): ("[[-47+27i, -16+28i], [-85+32i, -34+42i]]", "c84a24fd1e950d48"),
+    ("Q", 0): ("[[-24, -3], [-32, -4]]", "ee9afe8141294797"),
+    ("Qi", 0): ("[[45+10i, 9+12i], [-62+41i, -24+-3i]]", "3111323c6e3ffb23"),
+}
+
+
+def _certifier_input(name):
+    field, rows = _CERTIFIER_INPUTS[name]
+    return Mat2.from_rows(field, rows)
+
+
+def _digest(probes):
+    return hashlib.sha256("\n".join(str(p) for p in probes).encode()).hexdigest()[:16]
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """Every random probe the certifier draws, in order."""
+    probes = []
+
+    def counting(*args, **kwargs):
+        probes.append(random_rank_one(*args, **kwargs))
+        return probes[-1]
+
+    monkeypatch.setattr(classify, "random_rank_one", counting)
+    return probes
+
+
+class TestCertifierStream:
+    @pytest.mark.parametrize("name, k, witness, detail", _REFUTED,
+                             ids=[f"{name}-k{k}" for name, k, _, _ in _REFUTED])
+    def test_refuted_cases_are_pinned_and_draw_nothing(self, drawn, name, k, witness, detail):
+        v = scalar_plus_nilpotent_kcomm(_certifier_input(name), k, seed=7)
+        assert (v.holds, str(v.witness), str(v.detail)) == (False, witness, detail)
+        assert drawn == []
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("name", ["Q-jordan", "Q-nilpotent", "Qi-jordan"])
+    def test_positive_cases_draw_the_pinned_stream(self, drawn, name, k):
+        S = _certifier_input(name)
+        v = scalar_plus_nilpotent_kcomm(S, k, seed=7)
+        assert (v.holds, v.witness, v.detail) == (True, None, None)
+        first, digest = _STREAMS[(S.field.variant, 7)]
+        assert len(drawn) == 32 and str(drawn[0]) == first and _digest(drawn) == digest
+
+    @pytest.mark.parametrize("variant, seed", sorted(_STREAMS))
+    def test_random_rank_one_stream(self, variant, seed):
+        field = RATIONAL_Q if variant == "Q" else GAUSSIAN_QI
+        rng = Random(seed)
+        probes = [random_rank_one(field, rng) for _ in range(32)]
+        assert (str(probes[0]), _digest(probes)) == _STREAMS[(variant, seed)]

@@ -227,6 +227,10 @@ class TestHostileInputs:
     def test_negative_trials(self, capsys, tmp_path):
         self.run_text(capsys, tmp_path, ["campaign", "--k", "1", "--trials", "-1"], "")
 
+    def test_negative_certifier_trials(self, capsys, tmp_path):
+        text = json.dumps({"S": {"field": "Q", "entries": [["1", "0"], ["0", "1"]]}})
+        self.run_text(capsys, tmp_path, ["classify", "--lemma", "2.3-kcomm", "--trials", "-1"], text)
+
     def test_boolean_table_order(self, capsys, tmp_path):
         text = self.table_text(lambda t: t.update(k=True))
         self.run_text(capsys, tmp_path, ["verify-map"], text)

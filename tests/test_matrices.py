@@ -182,7 +182,12 @@ def _exact_case(field):
     return st.tuples(st.just(field), mat, mat, _scalars(field))
 
 
-exact_cases = st.sampled_from([RATIONAL_Q, GAUSSIAN_QI]).flatmap(_exact_case)
+exact_fields = st.sampled_from([RATIONAL_Q, GAUSSIAN_QI])
+exact_cases = exact_fields.flatmap(_exact_case)
+
+
+def _vectors(field):
+    return st.tuples(_scalars(field), _scalars(field))
 
 
 def _parts(x):
@@ -296,8 +301,21 @@ class TestIntegerForm:
         A = Mat2.from_rows(any_field, [[1, 2], [3, 4]])
         assert any_field.eq(A.discriminant(), any_field.coerce(33))
 
+    @given(exact_fields.flatmap(lambda f: st.tuples(st.just(f), _vectors(f), _vectors(f))))
+    def test_outer_matches_scalar_formula(self, case):
+        field, x, f = case
+        want = tuple(p * q.conjugate() for p in x for q in f)
+        A = outer(field, x, f)
+        _same(A, want)
+        assert A == Mat2(field, want) and hash(A) == hash(Mat2(field, want))
+
     def test_wrong_scalar_type_rejected(self):
         with pytest.raises(FieldMismatch):
             Mat2.identity(RATIONAL_Q).scale(GaussianRational(0, 1))
         with pytest.raises(FieldMismatch):
             Mat2.identity(GAUSSIAN_QI).scale(0.5)
+        for field in (RATIONAL_Q, GAUSSIAN_QI):
+            with pytest.raises(FieldMismatch):
+                outer(field, (Fraction(1, 2), 0.5), (1, 0))
+            with pytest.raises(FieldMismatch):
+                outer(field, (1, 0), (Fraction(1, 3), 0.25))

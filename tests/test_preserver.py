@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from kcomm2 import (
+    FLOAT_R,
     GAUSSIAN_QI,
     RATIONAL_Q,
     GaussianRational,
@@ -19,6 +20,9 @@ from kcomm2 import (
     verify_preserving,
 )
 from kcomm2.errors import (
+    DuplicateInput,
+    FieldMismatch,
+    InputNotInTable,
     InvalidOrder,
     LambdaNotRootOfUnity,
     NotTheoremForm,
@@ -68,6 +72,24 @@ class TestGenerateMap:
         e11 = Mat2.unit(RATIONAL_Q, 1, 1)
         with pytest.raises(ValueError):
             MapTable(RATIONAL_Q, 1, ((e11, e11), (e11, e11)))
+
+    @pytest.mark.parametrize("field", [GAUSSIAN_QI, FLOAT_R], ids=lambda f: f.variant)
+    def test_lookup_and_duplicates_by_value(self, field):
+        # Qi tables index inputs by value, R64 tables scan within the tolerance
+        e11, e12 = Mat2.unit(field, 1, 1), Mat2.unit(field, 1, 2)
+        if field.is_exact:
+            twin = e12 @ Mat2.unit(field, 2, 1)  # E11, computed
+        else:
+            twin = Mat2(field, (1.0 + 1e-12, 0.0, 0.0, 0.0))
+        table = MapTable(field, 1, ((e11, e12), (e12, e11)))
+        assert table.lookup(twin).eq(e12) and table.lookup(e12).eq(e11)
+        assert table.has_input(twin) and not table.has_input(Mat2.identity(field))
+        with pytest.raises(InputNotInTable):
+            table.lookup(Mat2.identity(field))
+        with pytest.raises(FieldMismatch):
+            table.lookup(Mat2.unit(RATIONAL_Q, 1, 1))
+        with pytest.raises(DuplicateInput):
+            MapTable(field, 1, ((e11, e12), (twin, e11)))
 
 
 class TestVerifyPreserving:
@@ -166,7 +188,8 @@ class TestDecompose:
 
     def test_canonical_images_track_structure(self):
         # scalar inputs map to scalars; scalar+nilpotent inputs stay in that set
-        probes = probe_set(GAUSSIAN_QI) + [
+        probes = [
+            *probe_set(GAUSSIAN_QI),
             Mat2.identity(GAUSSIAN_QI).scale(GaussianRational(3)),
             Mat2.identity(GAUSSIAN_QI) + Mat2.unit(GAUSSIAN_QI, 1, 2),
         ]
