@@ -28,7 +28,6 @@ from .fields import (
     FieldTag,
     GaussianRational,
     roots_of_unity,
-    scalar_eq,
 )
 from .matrices import (
     Mat2,

@@ -26,10 +26,17 @@ from .matrices import Mat2, RankOneFactor, is_idempotent, outer
 # 0.4 s on a 2-vCPU x86 box, most of it in the gcds that reduce its entries).
 MAX_POWER_BITS = 1 << 18
 
+# Trial counts of the sampled certifier and the probe campaign are capped so
+# that a hostile count has bounded cost: 10**4 campaign trials take about 10 s
+# on a 2-vCPU x86 box, and 10**4 certifier probes under half a second.
+MAX_TRIALS = 10_000
 
-def _check_order(k, minimum=0, name="bracket order"):
+
+def _check_order(k, minimum=0, name="bracket order", maximum=None):
     if not isinstance(k, int) or isinstance(k, bool) or k < minimum:
         raise InvalidOrder(f"{name} must be an integer >= {minimum}, got {k!r}")
+    if maximum is not None and k > maximum:
+        raise InvalidOrder(f"{name} must be at most {maximum}, got {k}")
 
 
 def kcomm_recursive(A: Mat2, B: Mat2, k: int) -> Mat2:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from random import Random
 
-from .brackets import _check_order, kcomm
+from .brackets import MAX_TRIALS, _check_order, kcomm
 from .errors import (
     EmptySystem,
     InvariantViolation,
@@ -146,7 +146,7 @@ def scalar_plus_nilpotent_kcomm(S: Mat2, k: int, trials: int = 32, seed: int = 0
     _check_order(k, minimum=1)
     if k < 3:
         raise KTooSmall(f"the vanishing criterion needs k >= 3, got {k}")
-    _check_order(trials, name="trials")
+    _check_order(trials, name="trials", maximum=MAX_TRIALS)
     for A in _certifier_probes(S.field, trials, seed):
         bracket = kcomm(A, S, k, method="auto")
         if not bracket.is_zero():

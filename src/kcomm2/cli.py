@@ -22,6 +22,7 @@ from .errors import (
     NotTheoremForm,
     PreservationFailed,
 )
+from .fields import FIELD_CODES, FieldTag
 from .identities import golden_identities
 from .preserver import (
     all_pairs,
@@ -112,7 +113,7 @@ _H_RULES = {"zero": lambda f, s: h_zero, "trace": lambda f, s: h_trace,
 
 def cmd_gen_map(args) -> int:
     data = _read_input(args)
-    field = ser.field_from_code(args.field, args.tolerance)
+    field = FieldTag(args.field, args.tolerance)
     lam = field.parse(_require(data, "lambda"))
     rule_name = data.get("h", "zero")
     if rule_name not in _H_RULES:
@@ -164,14 +165,14 @@ def cmd_decompose_map(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    field = ser.field_from_code(args.field, args.tolerance)
+    field = FieldTag(args.field, args.tolerance)
     report = probe_campaign(args.k, field, args.trials, args.seed)
     _emit(args, ser.campaign_to_json(report))
     return 0 if report.clean else 1
 
 
 def cmd_fixtures(args) -> int:
-    field = ser.field_from_code(args.field, args.tolerance)
+    field = FieldTag(args.field, args.tolerance)
     items = []
     for k in range(1, args.kmax + 1):
         for ident in golden_identities(field, k):
@@ -200,7 +201,7 @@ class _Parser(argparse.ArgumentParser):
 
 # The flags some subcommands share; each subcommand declares the ones it reads.
 _FLAGS = {
-    "field": dict(default="Q", choices=("Q", "Qi", "R64", "C64")),
+    "field": dict(default="Q", choices=FIELD_CODES),
     "tolerance": dict(type=float, default=1e-9,
                       help="comparison tolerance of the float fields R64 and C64"),
     "seed": dict(type=int, default=0),

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FieldMismatch, InvalidOrder, InputError, ResultTooLarge
@@ -194,30 +193,47 @@ class GaussianRational:
 _I = GaussianRational(0, 1)
 
 
-@dataclass(frozen=True)
-class FieldTag:
-    """Field selector carried as data.
+FIELD_CODES = ("Q", "Qi", "R64", "C64")
 
-    variant is one of "Q", "Qi", "R64", "C64".  tolerance is only consulted by
-    the float variants; exact variants compare by strict equality.
+
+class FieldTag:
+    """Field selector carried as data: ``FieldTag(variant, tolerance=1e-9)``.
+
+    variant is one of ``FIELD_CODES``.  ``is_exact`` (Q, Qi) and ``is_complex``
+    (Qi, C64) are decided here, once; every other module reads them instead
+    of the code.  tolerance must be finite and >= 0 and is read only by the
+    float variants R64 and C64, so exact tags compare and hash by variant
+    alone, whatever tolerance they were given.
     """
 
-    variant: str
-    tolerance: float = 1e-9
+    __slots__ = ("variant", "tolerance", "is_exact", "is_complex")
 
-    def __post_init__(self):
-        if self.variant not in ("Q", "Qi", "R64", "C64"):
-            raise InputError(f"unknown field variant {self.variant!r}")
-        if self.tolerance < 0:
-            raise InputError("tolerance must be nonnegative")
+    def __init__(self, variant: str, tolerance: float = 1e-9):
+        if variant not in FIELD_CODES:
+            raise InputError(f"unknown field code {variant!r}; expected one of {FIELD_CODES}")
+        if not 0 <= tolerance < math.inf:
+            raise InputError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+        for name, value in (("variant", variant), ("tolerance", tolerance),
+                            ("is_exact", variant in ("Q", "Qi")),
+                            ("is_complex", variant in ("Qi", "C64"))):
+            object.__setattr__(self, name, value)
 
-    @property
-    def is_exact(self) -> bool:
-        return self.variant in ("Q", "Qi")
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FieldTag is immutable; cannot set {name!r}")
 
-    @property
-    def is_complex(self) -> bool:
-        return self.variant in ("Qi", "C64")
+    def __eq__(self, other):
+        if not isinstance(other, FieldTag):
+            return NotImplemented
+        return self.variant == other.variant and (self.is_exact or self.tolerance == other.tolerance)
+
+    def __hash__(self):
+        return hash(self.variant if self.is_exact else (self.variant, self.tolerance))
+
+    def __repr__(self):
+        return f"FieldTag(variant={self.variant!r}, tolerance={self.tolerance!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return FieldTag, (self.variant, self.tolerance)
 
     def zero(self):
         return self.coerce(0)
@@ -227,8 +243,13 @@ class FieldTag:
 
     def coerce(self, x):
         """Bring an int/Fraction/native value into this field's scalar type."""
-        v = self.variant
-        if v == "Q":
+        if self.is_exact:
+            if self.is_complex:
+                if isinstance(x, GaussianRational):
+                    return x
+                if isinstance(x, (int, Fraction)):
+                    return GaussianRational._raw(x.numerator, 0, x.denominator)
+                raise FieldMismatch(f"cannot coerce {type(x).__name__} into Q(i)")
             if isinstance(x, Fraction):
                 return x
             if isinstance(x, int):
@@ -238,22 +259,13 @@ class FieldTag:
                     raise FieldMismatch("imaginary value in rational field")
                 return x.re
             raise FieldMismatch(f"cannot coerce {type(x).__name__} into Q")
-        if v == "Qi":
+        if self.is_complex:
             if isinstance(x, GaussianRational):
-                return x
-            if isinstance(x, int):
-                return GaussianRational._raw(x, 0, 1)
-            if isinstance(x, Fraction):
-                return GaussianRational._raw(x.numerator, 0, x.denominator)
-            raise FieldMismatch(f"cannot coerce {type(x).__name__} into Q(i)")
-        if v == "R64":
-            if isinstance(x, complex):
-                raise FieldMismatch("complex value in real float field")
-            return float(x)
-        # C64
-        if isinstance(x, GaussianRational):
-            return complex(float(x.re), float(x.im))
-        return complex(x)
+                return complex(float(x.re), float(x.im))
+            return complex(x)
+        if isinstance(x, complex):
+            raise FieldMismatch("complex value in real float field")
+        return float(x)
 
     def eq(self, a, b) -> bool:
         """Field equality: strict for exact variants, |a-b| <= tol for floats."""
@@ -262,61 +274,46 @@ class FieldTag:
         return abs(a - b) <= self.tolerance
 
     def is_zero(self, a) -> bool:
-        return self.eq(a, self.zero())
+        if self.is_exact:
+            return a == 0
+        return abs(a) <= self.tolerance
 
     def conj(self, z):
         return z.conjugate()
 
     def abs2(self, z) -> float:
-        """Magnitude proxy used only for float pivoting/diagnostics."""
-        if self.variant == "Q":
-            return abs(float(z))
-        if self.variant == "Qi":
-            return abs(float(z.re)) + abs(float(z.im))
+        """Magnitude of a float scalar, for pivoting and the rank-one test."""
         return abs(z)
 
     # -- JSON scalar encoding (see the schemas in serialize.py) --------------
 
     def encode(self, z):
-        v = self.variant
+        if not self.is_exact:
+            return {"re": z.real, "im": z.imag} if self.is_complex else z
         try:
-            if v == "Q":
-                return str(z)
-            if v == "Qi":
-                return {"re": str(z.re), "im": str(z.im)}
+            return {"re": str(z.re), "im": str(z.im)} if self.is_complex else str(z)
         except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
             raise ResultTooLarge(f"exact value too large to print: {exc}") from exc
-        if v == "R64":
-            return z
-        return {"re": z.real, "im": z.imag}
 
     def parse(self, obj):
         """Decode one JSON scalar; booleans and non-finite floats are refused."""
-        v = self.variant
         value = None
         try:
             if isinstance(obj, bool):
                 pass
-            elif v == "Q":
+            elif self.is_exact:
                 if isinstance(obj, (str, int)):
-                    value = Fraction(obj)
-            elif v == "Qi":
-                if isinstance(obj, dict):
+                    value = self.coerce(Fraction(obj))
+                elif self.is_complex and isinstance(obj, dict):
                     value = GaussianRational(Fraction(obj["re"]), Fraction(obj["im"]))
-                elif isinstance(obj, (str, int)):
-                    value = GaussianRational(Fraction(obj))
-            elif v == "R64":
-                if isinstance(obj, (int, float)):
-                    value = float(obj)
-            else:
-                if isinstance(obj, dict):
-                    value = complex(float(obj["re"]), float(obj["im"]))
-                elif isinstance(obj, (int, float)):
-                    value = complex(obj)
+            elif self.is_complex and isinstance(obj, dict):
+                value = complex(float(obj["re"]), float(obj["im"]))
+            elif isinstance(obj, (int, float)):
+                value = self.coerce(obj)
         except (ValueError, TypeError, KeyError, ZeroDivisionError, OverflowError) as exc:
-            raise InputError(f"bad scalar {obj!r} for field {v}: {exc}") from exc
+            raise InputError(f"bad scalar {obj!r} for field {self.variant}: {exc}") from exc
         if value is None or (not self.is_exact and not cmath.isfinite(value)):
-            raise InputError(f"bad scalar {obj!r} for field {v}")
+            raise InputError(f"bad scalar {obj!r} for field {self.variant}")
         return value
 
 
@@ -331,11 +328,6 @@ def require_same_field(a: FieldTag, b: FieldTag):
         raise FieldMismatch(f"{a.variant} vs {b.variant}")
 
 
-def scalar_eq(a, b, field: FieldTag) -> bool:
-    """Equality of two scalars of the same field under the field's policy."""
-    return field.eq(a, b)
-
-
 def roots_of_unity(field: FieldTag, m: int):
     """All solutions of z**m = 1 inside the field, ascending by argument.
 
@@ -344,15 +336,11 @@ def roots_of_unity(field: FieldTag, m: int):
     """
     if not isinstance(m, int) or m < 1:
         raise InvalidOrder(f"root order must be a positive integer, got {m!r}")
-    v = field.variant
-    if v == "Q":
-        return [Fraction(1)] if m % 2 else [Fraction(1), Fraction(-1)]
-    if v == "R64":
-        return [1.0] if m % 2 else [1.0, -1.0]
-    if v == "Qi":
-        if m % 4 == 0:
-            return [GaussianRational(1), _I, GaussianRational(-1), -_I]
-        if m % 2 == 0:
-            return [GaussianRational(1), GaussianRational(-1)]
-        return [GaussianRational(1)]
-    return [cmath.rect(1.0, 2.0 * math.pi * j / m) for j in range(m)]
+    if field.is_complex and not field.is_exact:
+        return [cmath.rect(1.0, 2.0 * math.pi * j / m) for j in range(m)]
+    one = field.one()
+    if m % 2:
+        return [one]
+    if field.is_complex and m % 4 == 0:
+        return [one, _I, -one, -_I]
+    return [one, -one]

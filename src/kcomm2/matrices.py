@@ -24,41 +24,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import FieldMismatch, InvariantViolation, NotScalarPlusNilpotent, RankNotOne
+from .errors import InvariantViolation, NotScalarPlusNilpotent, RankNotOne
 from .fields import FieldTag, GaussianRational, require_same_field
 
-def _rational_parts(x):
-    """(numerator, denominator) of a Q scalar."""
-    if isinstance(x, (int, Fraction)):
-        return x.numerator, x.denominator
-    if isinstance(x, GaussianRational) and not x.b:
-        return x.a, x.den
-    raise FieldMismatch(f"cannot use {x!r} as a Q scalar")
-
-
-def _gaussian_parts(x):
-    """(re numerator, im numerator, denominator) of a Q(i) scalar."""
-    if isinstance(x, GaussianRational):
-        return x.a, x.b, x.den
-    if isinstance(x, (int, Fraction)):
-        return x.numerator, 0, x.denominator
-    raise FieldMismatch(f"cannot use {x!r} as a Q(i) scalar")
-
-
-def _integer_form(variant: str, entries) -> tuple:
+def _integer_form(field: FieldTag, entries) -> tuple:
     """Canonical integer form of exact entries, over the lcm of their denominators.
 
     No gcd is needed: each entry is in lowest terms, so for every prime power
     p**e exactly dividing the lcm, the entry whose denominator holds p**e keeps
     a numerator that p does not divide.
     """
-    if variant == "Q":
-        parts = [_rational_parts(x) for x in entries]
-        den = lcm(*[d for _, d in parts])
-        return (den, *[n * (den // d) for n, d in parts])
-    parts = [_gaussian_parts(x) for x in entries]
-    den = lcm(*[d for _, _, d in parts])
-    return (den, *[v for a, b, d in parts for v in (a * (den // d), b * (den // d))])
+    parts = [field.coerce(x) for x in entries]
+    if field.is_complex:
+        den = lcm(*[x.den for x in parts])
+        return (den, *[v for x in parts for v in (x.a * (den // x.den), x.b * (den // x.den))])
+    den = lcm(*[x.denominator for x in parts])
+    return (den, *[x.numerator * (den // x.denominator) for x in parts])
 
 
 def _from_form(field: FieldTag, z: tuple) -> "Mat2":
@@ -130,8 +111,8 @@ class Mat2:
     def _form(self):
         """The integer form (None over float fields), derived on first use."""
         z = self._z
-        if z is None and self._f.variant in ("Q", "Qi"):
-            z = self._z = _integer_form(self._f.variant, self._e)
+        if z is None and self._f.is_exact:
+            z = self._z = _integer_form(self._f, self._e)
         return z
 
     # -- constructors --------------------------------------------------------
@@ -172,7 +153,7 @@ class Mat2:
             return NotImplemented
         if self._f != other._f:
             return False
-        if self._f.variant in ("Q", "Qi"):
+        if self._f.is_exact:
             return (self._z or self._form()) == (other._z or other._form())
         return self._e == other._e
 
@@ -188,7 +169,7 @@ class Mat2:
         f = self._f
         if other._f is not f:
             require_same_field(f, other._f)
-        if f.variant in ("Q", "Qi"):
+        if f.is_exact:
             return _combine(f, self._z or self._form(), other._z or other._form(), False)
         a, b = self._e, other._e
         return Mat2(f, (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]))
@@ -197,14 +178,14 @@ class Mat2:
         f = self._f
         if other._f is not f:
             require_same_field(f, other._f)
-        if f.variant in ("Q", "Qi"):
+        if f.is_exact:
             return _combine(f, self._z or self._form(), other._z or other._form(), True)
         a, b = self._e, other._e
         return Mat2(f, (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]))
 
     def __neg__(self) -> "Mat2":
         f = self._f
-        if f.variant in ("Q", "Qi"):
+        if f.is_exact:
             z = self._z or self._form()
             return _from_form(f, (z[0], *[-v for v in z[1:]]))
         a = self._e
@@ -214,18 +195,16 @@ class Mat2:
         f = self._f
         if other._f is not f:
             require_same_field(f, other._f)
-        v = f.variant
-        if v == "Q":
-            d, a11, a12, a21, a22 = self._z or self._form()
-            e, b11, b12, b21, b22 = other._z or other._form()
-            return _normalised(f, (
-                d * e,
+        if not f.is_exact:
+            a11, a12, a21, a22 = self._e
+            b11, b12, b21, b22 = other._e
+            return Mat2(f, (
                 a11 * b11 + a12 * b21,
                 a11 * b12 + a12 * b22,
                 a21 * b11 + a22 * b21,
                 a21 * b12 + a22 * b22,
             ))
-        if v == "Qi":
+        if f.is_complex:
             # entry (p + q i) of self times entry (r + s i) of other
             d, p11, q11, p12, q12, p21, q21, p22, q22 = self._z or self._form()
             e, r11, s11, r12, s12, r21, s21, r22, s22 = other._z or other._form()
@@ -240,39 +219,37 @@ class Mat2:
                 p21 * r12 - q21 * s12 + p22 * r22 - q22 * s22,
                 p21 * s12 + q21 * r12 + p22 * s22 + q22 * r22,
             ))
-        a11, a12, a21, a22 = self._e
-        b11, b12, b21, b22 = other._e
-        return Mat2(
-            f,
-            (
-                a11 * b11 + a12 * b21,
-                a11 * b12 + a12 * b22,
-                a21 * b11 + a22 * b21,
-                a21 * b12 + a22 * b22,
-            ),
-        )
+        d, a11, a12, a21, a22 = self._z or self._form()
+        e, b11, b12, b21, b22 = other._z or other._form()
+        return _normalised(f, (
+            d * e,
+            a11 * b11 + a12 * b21,
+            a11 * b12 + a12 * b22,
+            a21 * b11 + a22 * b21,
+            a21 * b12 + a22 * b22,
+        ))
 
     def scale(self, c) -> "Mat2":
         f = self._f
-        v = f.variant
-        if v == "Q":
-            # as in Fraction.__mul__: the only common factors are gcd(p, d) and
-            # gcd(q, numerators), so no gcd of the (possibly huge) products
-            p, q = _rational_parts(c)
-            d, n11, n12, n21, n22 = self._z or self._form()
-            g, h = gcd(p, d), gcd(q, n11, n12, n21, n22)
-            p, d, q = p // g, d // g, q // h
-            return _from_form(f, (d * q, n11 // h * p, n12 // h * p, n21 // h * p, n22 // h * p))
-        if v == "Qi":
+        if not f.is_exact:
+            a = self._e
+            return Mat2(f, (c * a[0], c * a[1], c * a[2], c * a[3]))
+        c = f.coerce(c)
+        if f.is_complex:
             # each entry (a + b i) times c = (p + q i) / r
-            p, q, r = _gaussian_parts(c)
+            p, q, r = c.a, c.b, c.den
             z = self._z or self._form()
             form = [z[0] * r]
             for a, b in zip(z[1::2], z[2::2]):
                 form += (a * p - b * q, a * q + b * p)
             return _normalised(f, tuple(form))
-        a = self._e
-        return Mat2(f, (c * a[0], c * a[1], c * a[2], c * a[3]))
+        # as in Fraction.__mul__: the only common factors are gcd(p, d) and
+        # gcd(q, numerators), so no gcd of the (possibly huge) products
+        p, q = c.numerator, c.denominator
+        d, n11, n12, n21, n22 = self._z or self._form()
+        g, h = gcd(p, d), gcd(q, n11, n12, n21, n22)
+        p, d, q = p // g, d // g, q // h
+        return _from_form(f, (d * q, n11 // h * p, n12 // h * p, n21 // h * p, n22 // h * p))
 
     def __rmul__(self, c) -> "Mat2":
         if isinstance(c, Mat2):
@@ -290,52 +267,51 @@ class Mat2:
     def conj_t(self) -> "Mat2":
         """Conjugate transpose (field conjugation entrywise, then transpose)."""
         f = self._f
-        v = f.variant
-        if v == "Q":
-            d, n11, n12, n21, n22 = self._z or self._form()
-            return _from_form(f, (d, n11, n21, n12, n22))
-        if v == "Qi":
+        if not f.is_exact:
+            a11, a12, a21, a22 = self._e
+            c = f.conj
+            return Mat2(f, (c(a11), c(a21), c(a12), c(a22)))
+        if f.is_complex:
             d, p11, q11, p12, q12, p21, q21, p22, q22 = self._z or self._form()
             return _from_form(f, (d, p11, -q11, p21, -q21, p12, -q12, p22, -q22))
-        a11, a12, a21, a22 = self._e
-        c = f.conj
-        return Mat2(f, (c(a11), c(a21), c(a12), c(a22)))
+        d, n11, n12, n21, n22 = self._z or self._form()
+        return _from_form(f, (d, n11, n21, n12, n22))
 
     # -- scalar invariants and predicates ------------------------------------
 
     def trace(self):
-        v = self._f.variant
-        if v == "Q":
-            d, n11, _, _, n22 = self._z or self._form()
-            return Fraction(n11 + n22, d)
-        if v == "Qi":
+        f = self._f
+        if not f.is_exact:
+            return self._e[0] + self._e[3]
+        if f.is_complex:
             z = self._z or self._form()
             return GaussianRational._raw(z[1] + z[7], z[2] + z[8], z[0])
-        return self._e[0] + self._e[3]
+        d, n11, _, _, n22 = self._z or self._form()
+        return Fraction(n11 + n22, d)
 
     def det(self):
-        v = self._f.variant
-        if v == "Q":
-            d, n11, n12, n21, n22 = self._z or self._form()
-            return Fraction(n11 * n22 - n12 * n21, d * d)
-        if v == "Qi":
+        f = self._f
+        if not f.is_exact:
+            a11, a12, a21, a22 = self._e
+            return a11 * a22 - a12 * a21
+        if f.is_complex:
             d, p11, q11, p12, q12, p21, q21, p22, q22 = self._z or self._form()
             return GaussianRational._raw(
                 p11 * p22 - q11 * q22 - p12 * p21 + q12 * q21,
                 p11 * q22 + q11 * p22 - p12 * q21 - q12 * p21,
                 d * d,
             )
-        a11, a12, a21, a22 = self._e
-        return a11 * a22 - a12 * a21
+        d, n11, n12, n21, n22 = self._z or self._form()
+        return Fraction(n11 * n22 - n12 * n21, d * d)
 
     def discriminant(self):
         """(a11 - a22)^2 + 4 a12 a21, which is tr^2 - 4 det without its cancellation."""
-        v = self._f.variant
-        if v == "Q":
-            d, n11, n12, n21, n22 = self._z or self._form()
-            u = n11 - n22
-            return Fraction(u * u + 4 * n12 * n21, d * d)
-        if v == "Qi":
+        f = self._f
+        if not f.is_exact:
+            a11, a12, a21, a22 = self._e
+            u = a11 - a22
+            return u * u + 4 * a12 * a21
+        if f.is_complex:
             d, p11, q11, p12, q12, p21, q21, p22, q22 = self._z or self._form()
             u, w = p11 - p22, q11 - q22
             return GaussianRational._raw(
@@ -343,41 +319,40 @@ class Mat2:
                 2 * u * w + 4 * (p12 * q21 + q12 * p21),
                 d * d,
             )
-        a11, a12, a21, a22 = self._e
-        u = a11 - a22
-        return u * u + 4 * a12 * a21
+        d, n11, n12, n21, n22 = self._z or self._form()
+        u = n11 - n22
+        return Fraction(u * u + 4 * n12 * n21, d * d)
 
     def eq(self, other: "Mat2") -> bool:
         f = self._f
         if other._f is not f:
             require_same_field(f, other._f)
-        if f.variant in ("Q", "Qi"):
+        if f.is_exact:
             return (self._z or self._form()) == (other._z or other._form())
         eq = f.eq
         return all(eq(a, b) for a, b in zip(self._e, other._e))
 
     def is_zero(self) -> bool:
         f = self._f
-        if f.variant in ("Q", "Qi"):
+        if f.is_exact:
             return not any((self._z or self._form())[1:])
-        z = f.zero()
-        eq = f.eq
-        return all(eq(a, z) for a in self._e)
+        is_zero = f.is_zero
+        return all(is_zero(a) for a in self._e)
 
     def is_scalar(self) -> bool:
         """Zero off-diagonals and equal diagonal entries."""
         f = self._f
-        v = f.variant
-        if v == "Q":
-            _, n11, n12, n21, n22 = self._z or self._form()
-            return n12 == 0 and n21 == 0 and n11 == n22
-        if v == "Qi":
+        if not f.is_exact:
+            a11, a12, a21, a22 = self._e
+            return f.is_zero(a12) and f.is_zero(a21) and f.eq(a11, a22)
+        if f.is_complex:
             _, p11, q11, p12, q12, p21, q21, p22, q22 = self._z or self._form()
             return p12 == q12 == p21 == q21 == 0 and p11 == p22 and q11 == q22
-        a11, a12, a21, a22 = self._e
-        return f.is_zero(a12) and f.is_zero(a21) and f.eq(a11, a22)
+        _, n11, n12, n21, n22 = self._z or self._form()
+        return n12 == 0 and n21 == 0 and n11 == n22
 
     def max_abs(self) -> float:
+        """Largest entry magnitude of a float matrix."""
         return max(self._f.abs2(a) for a in self.entries)
 
     def row(self, i: int):
@@ -411,15 +386,14 @@ def outer(field: FieldTag, x, f) -> Mat2:
     Over Q and Q(i), x and f are each written over one denominator and the
     integer parts multiplied, with one gcd for the product.
     """
-    v = field.variant
-    if v == "Q":
-        d, x0, x1 = _integer_form(v, x)
-        e, f0, f1 = _integer_form(v, f)
-        return _normalised(field, (d * e, x0 * f0, x0 * f1, x1 * f0, x1 * f1))
-    if v == "Qi":
+    if not field.is_exact:
+        c = field.conj
+        f0, f1 = c(f[0]), c(f[1])
+        return Mat2(field, (x[0] * f0, x[0] * f1, x[1] * f0, x[1] * f1))
+    if field.is_complex:
         # (a + b i) * conj(c + d i) = (a c + b d) + (b c - a d) i
-        d, a0, b0, a1, b1 = _integer_form(v, x)
-        e, c0, d0, c1, d1 = _integer_form(v, f)
+        d, a0, b0, a1, b1 = _integer_form(field, x)
+        e, c0, d0, c1, d1 = _integer_form(field, f)
         return _normalised(field, (
             d * e,
             a0 * c0 + b0 * d0, b0 * c0 - a0 * d0,
@@ -427,9 +401,9 @@ def outer(field: FieldTag, x, f) -> Mat2:
             a1 * c0 + b1 * d0, b1 * c0 - a1 * d0,
             a1 * c1 + b1 * d1, b1 * c1 - a1 * d1,
         ))
-    c = field.conj
-    f0, f1 = c(f[0]), c(f[1])
-    return Mat2(field, (x[0] * f0, x[0] * f1, x[1] * f0, x[1] * f1))
+    d, x0, x1 = _integer_form(field, x)
+    e, f0, f1 = _integer_form(field, f)
+    return _normalised(field, (d * e, x0 * f0, x0 * f1, x1 * f0, x1 * f1))
 
 
 @dataclass(frozen=True)
@@ -501,14 +475,16 @@ def rank_one_factor(A: Mat2) -> RankOneFactor:
 def spectral_split(S: Mat2) -> SpectralSplit:
     """Split S = lam*I + N when the discriminant tr^2 - 4 det vanishes.
 
+    The discriminant is ``S.discriminant()``, which avoids the cancellation of
+    tr^2 - 4 det on floats.
+
     Raises NotScalarPlusNilpotent (carrying the discriminant) otherwise; float
     fields compare the discriminant to zero under the field tolerance.
     """
     f = S.field
-    tr = S.trace()
-    disc = tr * tr - 4 * S.det()
+    disc = S.discriminant()
     if not f.is_zero(disc):
         raise NotScalarPlusNilpotent(disc)
-    lam = tr / 2
+    lam = S.trace() / 2
     N = S - Mat2.identity(f).scale(lam)
     return SpectralSplit(lam=lam, nilpotent=N, discriminant=disc)

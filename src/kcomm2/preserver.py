@@ -5,10 +5,10 @@ decomposition into the canonical form lam*A + h(A)*I with lam**(k+1) = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from random import Random
 
-from .brackets import _check_order, kcomm, kcomm_recursive
+from .brackets import MAX_TRIALS, _check_order, kcomm, kcomm_recursive
 from .errors import (
     DuplicateInput,
     InputNotInTable,
@@ -18,7 +18,7 @@ from .errors import (
     PreservationFailed,
     ProbeSetIncomplete,
 )
-from .fields import FieldTag, require_same_field, roots_of_unity
+from .fields import FieldTag, GaussianRational, require_same_field, roots_of_unity
 from .matrices import Mat2
 from .randgen import random_scalar
 
@@ -33,13 +33,40 @@ def probe_set(field: FieldTag) -> tuple:
     return (e11, e22, e12, e21, e11 + e12, e12 + e21)
 
 
+class _InputIndex:
+    """Values keyed by input matrix.
+
+    Exact inputs are dict keys (``Mat2`` hashes its canonical integer form);
+    float inputs are scanned with the field tolerance.
+    """
+
+    __slots__ = ("_exact", "_scan")
+
+    def __init__(self, pairs=()):
+        self._exact = {}
+        self._scan = []
+        for A, value in pairs:
+            self.add(A, value)
+
+    def __len__(self):
+        return len(self._exact) + len(self._scan)
+
+    def get(self, A: Mat2):
+        """The value stored for A, or None."""
+        if A.field.is_exact:
+            return self._exact.get(A)
+        return next((value for inp, value in self._scan if inp.eq(A)), None)
+
+    def add(self, A: Mat2, value):
+        if A.field.is_exact:
+            self._exact[A] = value
+        else:
+            self._scan.append((A, value))
+
+
 @dataclass(frozen=True)
 class MapTable:
-    """A finite sampled map: (input, output) matrix pairs plus field/k metadata.
-
-    Exact tables index their outputs by input value (``Mat2`` hashes its
-    canonical integer form); float tables scan with the field tolerance.
-    """
+    """A finite sampled map: (input, output) matrix pairs plus field/k metadata."""
 
     field: FieldTag
     k: int
@@ -47,23 +74,15 @@ class MapTable:
     label: str = ""
 
     def __post_init__(self):
-        index = None
-        if self.field.is_exact:
-            index = dict(self.entries)
-            if len(index) != len(self.entries):
+        index = _InputIndex()
+        for A, out in self.entries:
+            if index.get(A) is not None:
                 raise DuplicateInput("map table inputs must be pairwise distinct")
-        else:
-            ins = [a for a, _ in self.entries]
-            for i in range(len(ins)):
-                for j in range(i + 1, len(ins)):
-                    if ins[i].eq(ins[j]):
-                        raise DuplicateInput("map table inputs must be pairwise distinct")
+            index.add(A, out)
         object.__setattr__(self, "_index", index)
 
     def _find(self, A: Mat2):
         """The output for input A, or None."""
-        if self._index is None:
-            return next((out for inp, out in self.entries if inp.eq(A)), None)
         if A.field is not self.field:
             require_same_field(self.field, A.field)
         return self._index.get(A)
@@ -87,11 +106,15 @@ class Decomposition:
     h_table: tuple  # ((input, scalar), ...)
     verified_pairs: int
 
+    @cached_property
+    def _h_index(self):
+        return _InputIndex(self.h_table)
+
     def h_of(self, A: Mat2):
-        for inp, value in self.h_table:
-            if inp.eq(A):
-                return value
-        raise InputNotInTable(f"{A} has no extracted h value")
+        value = self._h_index.get(A)
+        if value is None:
+            raise InputNotInTable(f"{A} has no extracted h value")
+        return value
 
 
 @dataclass(frozen=True)
@@ -127,15 +150,14 @@ def h_det(A: Mat2):
 
 def h_random(field: FieldTag, seed: int):
     """A per-input random scalar rule, stable across calls for equal inputs."""
-    cache = []
+    cache = _InputIndex()
 
     def rule(A: Mat2):
-        for inp, value in cache:
-            if inp.eq(A):
-                return value
-        rng = Random(seed * 1000003 + len(cache))
-        value = random_scalar(field, rng, denominators=field.is_exact)
-        cache.append((A, value))
+        value = cache.get(A)
+        if value is None:
+            rng = Random(seed * 1000003 + len(cache))
+            value = random_scalar(field, rng, denominators=field.is_exact)
+            cache.add(A, value)
         return value
 
     return rule
@@ -257,12 +279,8 @@ class CampaignReport:
 
 def _bad_lambda(field: FieldTag, k: int, rng: Random):
     candidates = [field.coerce(c) for c in (2, 3, 5, -2, -1)]
-    if field.variant == "Qi":
-        from .fields import GaussianRational
-
+    if field.is_complex:
         candidates.append(field.coerce(GaussianRational(0, 1)))
-    if field.variant == "C64":
-        candidates.append(complex(0.0, 1.0))
     usable = []
     for lam in candidates:
         power = lam ** (k + 1)
@@ -285,7 +303,7 @@ def probe_campaign(k: int, field: FieldTag, trials: int, seed: int) -> CampaignR
     witness.  Every deviation is recorded as an anomaly.
     """
     _check_order(k, minimum=1)
-    _check_order(trials, name="campaign trials")
+    _check_order(trials, name="campaign trials", maximum=MAX_TRIALS)
     rng = Random(seed)
     report = CampaignReport(field=field, k=k, trials=trials)
     probes = probe_set(field)

@@ -21,16 +21,15 @@ def random_scalar(field: FieldTag, rng: Random, span: int = 9, denominators: boo
             return Fraction(rng.randint(-span, span), rng.randint(1, 4))
         return Fraction(rng.randint(-span, span))
 
-    v = field.variant
-    if v == "Q":
-        return q()
-    if v == "Qi":
-        if denominators:
-            return GaussianRational(q(), q())
-        return GaussianRational._raw(rng.randint(-span, span), rng.randint(-span, span), 1)
-    if v == "R64":
+    if not field.is_exact:
+        if field.is_complex:
+            return complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
         return rng.uniform(-1.0, 1.0)
-    return complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+    if not field.is_complex:
+        return q()
+    if denominators:
+        return GaussianRational(q(), q())
+    return GaussianRational._raw(rng.randint(-span, span), rng.randint(-span, span), 1)
 
 
 def random_mat(field: FieldTag, rng: Random, **kw) -> Mat2:

@@ -15,14 +15,6 @@ from .fields import FieldTag
 from .matrices import Mat2
 from .preserver import CampaignReport, Decomposition, MapTable, PreservationVerdict
 
-_FIELD_CODES = ("Q", "Qi", "R64", "C64")
-
-
-def field_from_code(code: str, tolerance: float = 1e-9) -> FieldTag:
-    if code not in _FIELD_CODES:
-        raise InputError(f"unknown field code {code!r}; expected one of {_FIELD_CODES}")
-    return FieldTag(code, tolerance)
-
 
 def mat_to_json(M: Mat2) -> dict:
     enc = M.field.encode
@@ -39,7 +31,7 @@ def mat_from_json(obj, field: FieldTag | None = None, tolerance: float = 1e-9) -
     if not isinstance(obj, dict) or "entries" not in obj:
         raise InputError(f"matrix JSON must be an object with 'entries', got {obj!r}")
     if field is None:
-        field = field_from_code(obj.get("field", "Q"), tolerance)
+        field = FieldTag(obj.get("field", "Q"), tolerance)
     elif "field" in obj and obj["field"] != field.variant:
         raise InputError(f"matrix declares field {obj['field']!r}, expected {field.variant!r}")
     rows = obj["entries"]
@@ -61,7 +53,7 @@ def maptable_to_json(table: MapTable) -> dict:
 
 def maptable_from_json(obj, tolerance: float = 1e-9) -> MapTable:
     try:
-        field = field_from_code(obj["field"], tolerance)
+        field = FieldTag(obj["field"], tolerance)
         k = obj["k"]
         entries = tuple(
             (mat_from_json(e["in"], field), mat_from_json(e["out"], field))

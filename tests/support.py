@@ -48,3 +48,76 @@ def random_complex_pair_real_matrix(field, rng: Random) -> Mat2:
         tr = S.trace()
         if tr * tr < 4 * S.det():
             return S
+
+
+class Poly:
+    """Polynomial with integer coefficients over named variables.
+
+    A monomial is the sorted tuple of its variable names, each repeated by its
+    power; ``terms`` maps monomials to nonzero coefficients, so equal
+    polynomials have equal ``terms``.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {m: c for m, c in (terms or {}).items() if c}
+
+    @classmethod
+    def var(cls, name):
+        return cls({(name,): 1})
+
+    @staticmethod
+    def _lift(x):
+        return x if isinstance(x, Poly) else Poly({(): x})
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for m, c in Poly._lift(other).terms.items():
+            terms[m] = terms.get(m, 0) + c
+        return Poly(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -Poly._lift(other)
+
+    def __rsub__(self, other):
+        return Poly._lift(other) - self
+
+    def __mul__(self, other):
+        terms = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in Poly._lift(other).terms.items():
+                m = tuple(sorted(m1 + m2))
+                terms[m] = terms.get(m, 0) + c1 * c2
+        return Poly(terms)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        out = Poly({(): 1})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        return self.terms == Poly._lift(other).terms
+
+
+def poly_matrix(prefix: str) -> tuple:
+    """Generic 2x2 matrix (x11, x12, x21, x22) of fresh variables, row-major."""
+    return tuple(Poly.var(f"{prefix}{i}{j}") for i in (1, 2) for j in (1, 2))
+
+
+def poly_matmul(X, Y) -> tuple:
+    return (X[0] * Y[0] + X[1] * Y[2], X[0] * Y[1] + X[1] * Y[3],
+            X[2] * Y[0] + X[3] * Y[2], X[2] * Y[1] + X[3] * Y[3])
+
+
+def poly_bracket(R, B) -> tuple:
+    """RB - BR on row-major polynomial matrices."""
+    return tuple(p - q for p, q in zip(poly_matmul(R, B), poly_matmul(B, R)))

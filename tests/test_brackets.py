@@ -32,6 +32,7 @@ from kcomm2.identities import golden_identities
 from kcomm2.randgen import random_mat, random_scalar
 
 from conftest import units
+from support import Poly, poly_bracket, poly_matrix
 
 
 class TestRecursive:
@@ -89,16 +90,25 @@ def _as_complex(x):
 
 class TestCayleyHamilton:
     def test_cubic_identity_symbolic(self):
-        sp = pytest.importorskip("sympy")
-        R = sp.Matrix(2, 2, sp.symbols("r11 r12 r21 r22"))
-        B = sp.Matrix(2, 2, sp.symbols("b11 b12 b21 b22"))
+        R, B = poly_matrix("r"), poly_matrix("b")
+        b11, b12, b21, b22 = B
+        delta = (b11 + b22) ** 2 - 4 * (b11 * b22 - b12 * b21)  # tr^2 - 4 det
+        assert delta == (b11 - b22) ** 2 + 4 * b12 * b21
+        T = poly_bracket(R, B)
+        assert poly_bracket(poly_bracket(T, B), B) == tuple(delta * t for t in T)
 
-        def T(X):
-            return X * B - B * X
+    def test_scaled_and_translated_brackets_symbolic(self):
+        """[lam A + a I, lam B + b I]_k = lam^(k+1) [A, B]_k, by expansion."""
+        A, B = poly_matrix("a"), poly_matrix("b")
+        lam, a, b = Poly.var("lam"), Poly.var("a"), Poly.var("b")
 
-        delta = B.trace() ** 2 - 4 * B.det()
-        assert (T(T(T(R))) - delta * T(R)).expand() == sp.zeros(2, 2)
-        assert sp.expand(delta - ((B[0, 0] - B[1, 1]) ** 2 + 4 * B[0, 1] * B[1, 0])) == 0
+        def shifted(X, c):
+            return (lam * X[0] + c, lam * X[1], lam * X[2], lam * X[3] + c)
+
+        left, right = shifted(A, a), A
+        for k in range(1, 7):
+            left, right = poly_bracket(left, shifted(B, b)), poly_bracket(right, B)
+            assert left == tuple(lam ** (k + 1) * r for r in right), k
 
     def test_auto_equals_oracle_exactly(self, exact_field):
         rng = Random(64)

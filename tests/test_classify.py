@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 from kcomm2 import (
+    FLOAT_R,
     GAUSSIAN_QI,
     RATIONAL_Q,
     Coefficients,
@@ -115,6 +116,21 @@ class TestScalarPlusNilpotent:
     def test_bad_trials_rejected(self, trials):
         with pytest.raises(InvalidOrder):
             scalar_plus_nilpotent_kcomm(Mat2.identity(RATIONAL_Q), 3, trials=trials)
+
+    def test_trials_past_the_cap_rejected(self):
+        from kcomm2.brackets import MAX_TRIALS
+
+        S = Mat2.from_rows(RATIONAL_Q, [[0, 1], [-1, 0]])  # refuted by the units
+        with pytest.raises(InvalidOrder):
+            scalar_plus_nilpotent_kcomm(S, 3, trials=10**9)
+        assert not scalar_plus_nilpotent_kcomm(S, 3, trials=MAX_TRIALS).holds
+
+    def test_float_spectral_verdict_agrees_with_certifier(self):
+        # a discriminant of 1 that tr^2 - 4 det would cancel to 0.0
+        S = Mat2.from_rows(FLOAT_R, [[1e8 + 1, 1], [0, 1e8]])
+        verdict = scalar_plus_nilpotent_spectral(S)
+        assert (verdict.holds, verdict.discriminant) == (False, 1.0)
+        assert not scalar_plus_nilpotent_kcomm(S, 3).holds
 
     def test_agreement_of_both_classifiers(self):
         rng = Random(202)

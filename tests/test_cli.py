@@ -12,6 +12,7 @@ from kcomm2.serialize import (
     maptable_from_json,
     maptable_to_json,
 )
+from kcomm2 import preserver
 from kcomm2.preserver import generate_map, h_det, probe_set
 
 from fractions import Fraction
@@ -238,6 +239,31 @@ class TestHostileInputs:
     def test_duplicate_table_inputs(self, capsys, tmp_path):
         text = self.table_text(lambda t: t["entries"].append(t["entries"][2]))
         self.run_text(capsys, tmp_path, ["decompose-map"], text)
+
+    @pytest.mark.parametrize("argv, text", [
+        (["classify", "--lemma", "2.2", "--tolerance", "nan"],
+         '{"Z":{"field":"R64","entries":[[3.0,0.0],[0.0,3.0]]}}'),
+        (["classify", "--lemma", "2.2", "--tolerance", "inf"],
+         '{"Z":{"field":"R64","entries":[[3.0,1.0],[0.0,5.0]]}}'),
+        (["campaign", "--field", "R64", "--tolerance", "nan"], ""),
+        (["campaign", "--field", "Q", "--tolerance", "inf"], ""),
+    ], ids=["classify-nan", "classify-inf", "campaign-R64-nan", "campaign-Q-inf"])
+    def test_non_finite_tolerance(self, capsys, tmp_path, argv, text):
+        body = self.run_text(capsys, tmp_path, argv, text)
+        assert body["error"] == "input"
+        assert "tolerance" in body["message"]
+
+    def test_trials_past_the_cap(self, capsys, tmp_path, monkeypatch):
+        text = json.dumps({"S": {"field": "Q", "entries": [["0", "1"], ["-1", "0"]]}})
+        argv = ["classify", "--lemma", "2.3-kcomm", "--trials", "1000000000"]
+        assert self.run_text(capsys, tmp_path, argv, text)["error"] == "InvalidOrder"
+
+        def no_trial(*args):
+            raise RuntimeError("a trial ran")
+
+        monkeypatch.setattr(preserver, "generate_map", no_trial)
+        argv = ["campaign", "--k", "1", "--trials", "1000000000"]
+        assert self.run_text(capsys, tmp_path, argv, "")["error"] == "InvalidOrder"
 
     @pytest.mark.parametrize("field", ["R64", "C64"])
     def test_float_overflow_never_prints_nan(self, capsys, tmp_path, field):

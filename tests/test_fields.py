@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 from random import Random
 
@@ -13,9 +14,11 @@ from kcomm2 import (
     FieldTag,
     GaussianRational,
     roots_of_unity,
-    scalar_eq,
 )
-from kcomm2.errors import FieldMismatch, InvalidOrder
+from kcomm2 import fields
+from kcomm2.errors import FieldMismatch, InputError, InvalidOrder
+
+CODES = ("Q", "Qi", "R64", "C64")
 
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=9)
@@ -48,7 +51,7 @@ class TestRootsOfUnity:
         one = field.one()
         assert any(field.eq(z, one) for z in roots)
         for z in roots:
-            assert scalar_eq(z**m, one, field)
+            assert field.eq(z**m, one)
         # duplicate-free
         for i, a in enumerate(roots):
             assert not any(field.eq(a, b) for b in roots[i + 1 :])
@@ -63,18 +66,51 @@ class TestRootsOfUnity:
 
 class TestScalarEq:
     def test_reduction_to_lowest_terms(self):
-        assert scalar_eq(Fraction(1, 2), Fraction(2, 4), RATIONAL_Q)
+        assert RATIONAL_Q.eq(Fraction(1, 2), Fraction(2, 4))
 
     def test_float_tolerance(self):
-        assert scalar_eq(0.1 + 0.2, 0.3, FLOAT_R)
+        assert FLOAT_R.eq(0.1 + 0.2, 0.3)
 
     def test_distinct_rationals(self):
-        assert not scalar_eq(Fraction(1), Fraction(-1), RATIONAL_Q)
+        assert not RATIONAL_Q.eq(Fraction(1), Fraction(-1))
 
     def test_tolerance_knob(self):
         loose = FieldTag("R64", 0.5)
-        assert scalar_eq(1.0, 1.3, loose)
-        assert not scalar_eq(1.0, 1.6, loose)
+        assert loose.eq(1.0, 1.3)
+        assert not loose.eq(1.0, 1.6)
+
+
+class TestFieldTag:
+    def test_codes_and_attributes(self):
+        assert fields.FIELD_CODES == CODES
+        tags = [FieldTag(code) for code in CODES]
+        assert [(t.is_exact, t.is_complex) for t in tags] == [
+            (True, False), (True, True), (False, False), (False, True)]
+        assert repr(FieldTag("R64", 0.5)) == "FieldTag(variant='R64', tolerance=0.5)"
+
+    def test_unknown_code(self):
+        with pytest.raises(InputError, match=r"unknown field code 'F7'; expected one of \("):
+            FieldTag("F7")
+
+    @pytest.mark.parametrize("tolerance", [-1e-9, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("code", CODES)
+    def test_non_finite_or_negative_tolerance_refused(self, code, tolerance):
+        with pytest.raises(InputError):
+            FieldTag(code, tolerance)
+
+    def test_exact_tags_equal_whatever_their_tolerance(self):
+        for code in ("Q", "Qi"):
+            loose = FieldTag(code, 1e-3)
+            assert loose == FieldTag(code) and hash(loose) == hash(FieldTag(code))
+        assert FieldTag("R64", 1e-3) != FLOAT_R
+        assert FieldTag("C64", 1e-3) != FLOAT_C
+        assert RATIONAL_Q != GAUSSIAN_QI
+
+    def test_immutable_and_picklable(self):
+        with pytest.raises(AttributeError):
+            RATIONAL_Q.tolerance = 0.5
+        tag = FieldTag("C64", 0.25)
+        assert pickle.loads(pickle.dumps(tag)) == tag
 
 
 class TestGaussianRational:

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kcomm2 import (
+    FLOAT_R,
     GAUSSIAN_QI,
     RATIONAL_Q,
+    FieldTag,
     GaussianRational,
     Mat2,
     is_idempotent,
@@ -154,6 +156,13 @@ class TestSpectralSplit:
             spectral_split(S)
         assert exc.value.discriminant == Fraction(-4)
 
+    def test_float_discriminant_without_cancellation(self):
+        # tr^2 - 4 det cancels to 0.0 here; the true discriminant is 1
+        S = Mat2.from_rows(FLOAT_R, [[1e8 + 1, 1], [0, 1e8]])
+        with pytest.raises(NotScalarPlusNilpotent) as exc:
+            spectral_split(S)
+        assert exc.value.discriminant == 1.0
+
     def test_reassembly_random(self, exact_field):
         rng = Random(9)
         from kcomm2.randgen import random_scalar_plus_nilpotent
@@ -279,6 +288,11 @@ class TestIntegerForm:
 
     def test_equal_values_in_different_fields_differ(self):
         assert Mat2.identity(RATIONAL_Q) != Mat2.identity(GAUSSIAN_QI)
+
+    def test_exact_tolerance_does_not_split_values(self, exact_field):
+        loose = FieldTag(exact_field.variant, 1e-3)
+        A, B = Mat2.unit(loose, 1, 2), Mat2.unit(exact_field, 1, 2)
+        assert A == B and hash(A) == hash(B) and A.eq(B)
 
     def test_entries_and_field_are_read_only(self, any_field):
         A = Mat2.identity(any_field)

@@ -7,6 +7,7 @@ from kcomm2 import (
     FLOAT_R,
     GAUSSIAN_QI,
     RATIONAL_Q,
+    FieldTag,
     GaussianRational,
     Mat2,
     decompose,
@@ -98,6 +99,14 @@ class TestVerifyPreserving:
         table = MapTable(exact_field, 3, tuple((p, p) for p in probes))
         assert verify_preserving(table, all_pairs(probes)).holds
 
+    def test_exact_tolerance_does_not_hide_inputs(self):
+        # a Q table whose tag carries a tolerance, checked on pairs over the plain tag
+        loose = FieldTag("Q", 1e-3)
+        inputs = [Mat2.unit(loose, i, j) for i in (1, 2) for j in (1, 2)]
+        table = generate_map(Fraction(-1), h_det, inputs, 3)
+        units = [Mat2.unit(RATIONAL_Q, i, j) for i in (1, 2) for j in (1, 2)]
+        assert verify_preserving(table, all_pairs(units)).holds
+
     def test_canonical_form_preserves(self):
         probes = probe_set(GAUSSIAN_QI)
         table = generate_map(GaussianRational(0, 1), h_trace, probes, 3)
@@ -186,6 +195,20 @@ class TestDecompose:
             for p in probes:
                 assert dec.h_of(p) == h(p)
 
+    def test_exact_h_lookups_by_value(self, monkeypatch):
+        probes = probe_set(GAUSSIAN_QI)
+        h = h_random(GAUSSIAN_QI, seed=5)
+        dec = decompose(generate_map(GaussianRational(0, 1), h, probes, 3))
+        twin = Mat2.unit(GAUSSIAN_QI, 1, 2) @ Mat2.unit(GAUSSIAN_QI, 2, 1)  # E11, computed
+
+        def no_scan(self, other):
+            raise AssertionError("exact lookups must not scan with Mat2.eq")
+
+        monkeypatch.setattr(Mat2, "eq", no_scan)
+        assert dec.h_of(twin) == dec.h_of(probes[0]) == h(twin) == h(probes[0])
+        with pytest.raises(InputNotInTable):
+            dec.h_of(Mat2.identity(GAUSSIAN_QI))
+
     def test_canonical_images_track_structure(self):
         # scalar inputs map to scalars; scalar+nilpotent inputs stay in that set
         probes = [
@@ -230,6 +253,18 @@ class TestCampaign:
     def test_order_zero_rejected(self):
         with pytest.raises(InvalidOrder):
             probe_campaign(0, RATIONAL_Q, trials=1, seed=0)
+
+    def test_trials_past_the_cap_rejected(self, monkeypatch):
+        from kcomm2.brackets import MAX_TRIALS
+
+        def no_trial(*args):
+            raise RuntimeError("a trial ran")
+
+        monkeypatch.setattr(preserver, "generate_map", no_trial)
+        with pytest.raises(InvalidOrder):
+            probe_campaign(1, RATIONAL_Q, trials=10**9, seed=0)
+        with pytest.raises(RuntimeError):
+            probe_campaign(1, RATIONAL_Q, trials=MAX_TRIALS, seed=0)
 
     def test_preservation_failure_is_an_anomaly(self, monkeypatch):
         def wrong_bracket(A, B, k, method="recursive"):
