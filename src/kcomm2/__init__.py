@@ -35,6 +35,7 @@ from .matrices import (
     SpectralSplit,
     is_idempotent,
     is_nilpotent,
+    matrix_units,
     outer,
     rank_one_factor,
     spectral_split,

@@ -31,6 +31,12 @@ MAX_POWER_BITS = 1 << 18
 # on a 2-vCPU x86 box, and 10**4 certifier probes under half a second.
 MAX_TRIALS = 10_000
 
+# Bracket orders read from outside the program (a map table's k, fixtures
+# --kmax) are capped where they drive the O(k) oracle: decompose-map on a Q
+# probe table takes about 1.3 s at k = 8000 on a 2-vCPU x86 box, and fixtures
+# --kmax 1000 about 12 s.
+MAX_ORDER = 1_000
+
 
 def _check_order(k, minimum=0, name="bracket order", maximum=None):
     if not isinstance(k, int) or isinstance(k, bool) or k < minimum:
@@ -120,10 +126,10 @@ def _kcomm_cayley_hamilton(A: Mat2, B: Mat2, k: int) -> Mat2:
     return R
 
 
-def kcomm(A: Mat2, B: Mat2, k: int, method: str = "recursive") -> Mat2:
+def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto") -> Mat2:
     """Order-k bracket by the named evaluator.
 
-    "auto" is the Cayley-Hamilton kernel, O(1) matrix products in k;
+    "auto", the default, is the Cayley-Hamilton kernel, O(1) matrix products in k;
     "recursive" is the oracle (2k products) and "closed" the paper's
     alternating binomial sum (3k + 2 products).
     """
@@ -147,7 +153,7 @@ def kcomm_idempotent_fast(A: Mat2, Q: Mat2, k: int) -> Mat2:
     require_same_field(A.field, Q.field)
     if not is_idempotent(Q):
         raise NotIdempotent(f"{Q} is not idempotent")
-    return kcomm(A, Q, 2 - k % 2, method="auto")
+    return kcomm(A, Q, 2 - k % 2)
 
 
 def kcomm_nilpotent_fast(A: Mat2, N: Mat2, k: int) -> Mat2:

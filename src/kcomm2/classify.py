@@ -21,7 +21,7 @@ from .errors import (
     SingularSystem,
 )
 from .fields import FieldTag, require_same_field
-from .matrices import Mat2, SpectralSplit, spectral_split
+from .matrices import Mat2, SpectralSplit, _settled, matrix_units, spectral_split
 from .randgen import random_rank_one
 
 
@@ -78,21 +78,8 @@ class Coefficients:
 @lru_cache(maxsize=8)
 def _witness_idempotents(field: FieldTag) -> tuple:
     """Rank-one idempotent probe set; the first two already force scalarity."""
-    half = field.coerce(Fraction(1, 2))
-    one, zero = field.one(), field.zero()
-    return (
-        Mat2.unit(field, 1, 1),
-        Mat2.from_rows(field, [[one, one], [zero, zero]]),
-        Mat2.unit(field, 2, 2),
-        Mat2.from_rows(field, [[one, zero], [one, zero]]),
-        Mat2(field, (half, half, half, half)),
-    )
-
-
-@lru_cache(maxsize=8)
-def _matrix_units(field: FieldTag) -> tuple:
-    """E11, E12, E21, E22."""
-    return tuple(Mat2.unit(field, i, j) for i in (1, 2) for j in (1, 2))
+    e11, e12, e21, e22 = matrix_units(field)
+    return _settled(e11, e11 + e12, e22, e11 + e21, (e11 + e12 + e21 + e22).scale(Fraction(1, 2)))
 
 
 def _certifier_probes(field: FieldTag, trials: int, seed: int):
@@ -100,7 +87,7 @@ def _certifier_probes(field: FieldTag, trials: int, seed: int):
 
     A generator: each random probe is drawn only when the caller asks for it.
     """
-    yield from _matrix_units(field)
+    yield from matrix_units(field)
     rng = Random(seed)
     for _ in range(trials):
         yield random_rank_one(field, rng)
@@ -115,7 +102,7 @@ def scalar_witness_test(Z: Mat2, k: int) -> Verdict:
     _check_order(k, minimum=1)
     verdict = Verdict(holds=True)
     for Q in _witness_idempotents(Z.field):
-        bracket = kcomm(Z, Q, k, method="auto")
+        bracket = kcomm(Z, Q, k)
         if not bracket.is_zero():
             verdict = Verdict(holds=False, witness=Q, detail=bracket)
             break
@@ -148,7 +135,7 @@ def scalar_plus_nilpotent_kcomm(S: Mat2, k: int, trials: int = 32, seed: int = 0
         raise KTooSmall(f"the vanishing criterion needs k >= 3, got {k}")
     _check_order(trials, name="trials", maximum=MAX_TRIALS)
     for A in _certifier_probes(S.field, trials, seed):
-        bracket = kcomm(A, S, k, method="auto")
+        bracket = kcomm(A, S, k)
         if not bracket.is_zero():
             return Verdict(holds=False, witness=A, detail=bracket)
     return Verdict(holds=True)
@@ -156,34 +143,34 @@ def scalar_plus_nilpotent_kcomm(S: Mat2, k: int, trials: int = 32, seed: int = 0
 
 # -- sandwich operators and the rank-one identity solver ---------------------
 
-_VEC_INDEX = [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-
 def vec(T: Mat2):
     """Row-major vectorization (t11, t12, t21, t22)."""
     return list(T.entries)
 
 
-def unvec(field: FieldTag, v) -> Mat2:
-    return Mat2(field, tuple(v))
-
-
-def sandwich_operator(pairs) -> list:
-    """4x4 matrix of T -> sum A_i T B_i over the unit basis, row-major vec."""
+def _unit_images(pairs) -> list:
+    """The images sum A_i E B_i of the matrix units E, in ``matrix_units`` order."""
     if not pairs:
         raise EmptySystem("need at least one (A, B) pair")
     field = pairs[0][0].field
     for A, B in pairs:
         require_same_field(field, A.field)
         require_same_field(field, B.field)
-    columns = []
-    for p, q in _VEC_INDEX:
-        T = Mat2.unit(field, p + 1, q + 1)
+    images = []
+    for E in matrix_units(field):
         acc = Mat2.zero(field)
         for A, B in pairs:
-            acc = acc + A @ T @ B
-        columns.append(vec(acc))
-    # columns[c][r] -> matrix[r][c]
+            acc = acc + A @ E @ B
+        images.append(acc)
+    return images
+
+
+def sandwich_operator(pairs) -> list:
+    """4x4 matrix of T -> sum A_i T B_i over the unit basis, row-major vec.
+
+    Column c is the vec of the image of the c-th matrix unit.
+    """
+    columns = [vec(image) for image in _unit_images(pairs)]
     return [[columns[c][r] for c in range(4)] for r in range(4)]
 
 
@@ -270,15 +257,10 @@ def rank_one_identity_solve(system: SandwichSystem, mode: str = "auto"):
       neither independence hypothesis holds.
     """
     field = system.field()
-    L = sandwich_operator(system.left)
-    R = sandwich_operator(system.right)
-    # column c of an operator is its value on the c-th unit matrix
-    for c, (p, q) in enumerate(_VEC_INDEX):
-        lv = [L[r][c] for r in range(4)]
-        rv = [R[r][c] for r in range(4)]
-        if not all(field.eq(a, b) for a, b in zip(lv, rv)):
-            return NotAnIdentity(witness=Mat2.unit(field, p + 1, q + 1),
-                                 left_value=unvec(field, lv), right_value=unvec(field, rv))
+    images = zip(matrix_units(field), _unit_images(system.left), _unit_images(system.right))
+    for E, left, right in images:
+        if not left.eq(right):
+            return NotAnIdentity(witness=E, left_value=left, right_value=right)
 
     def try_mode(m):
         if m == "b-in-d":

@@ -3,7 +3,7 @@
 One binary, subcommand style; matrices always arrive as JSON on stdin or via
 --input (rational entries are hostile to shell quoting).  Exit status: 0 on
 success/holds, 1 on a falsified property or structural rejection (with a JSON
-diagnostic), 2 on input errors.
+diagnostic), 2 on input or I/O errors, whose JSON body always goes to stdout.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import classify as cls
-from .brackets import kcomm, kcomm_recursive
+from .brackets import MAX_ORDER, _check_order, kcomm, kcomm_recursive
 from .errors import (
     InputError,
     InvariantViolation,
@@ -72,7 +72,7 @@ def cmd_kcomm(args) -> int:
     data = _read_input(args)
     A = ser.mat_from_json(_require(data, "A"))
     B = ser.mat_from_json(_require(data, "B"))
-    result = kcomm(A, B, args.k, method="auto")
+    result = kcomm(A, B, args.k)
     _emit(args, {"bracket": ser.mat_to_json(result)})
     return 0
 
@@ -123,7 +123,7 @@ def cmd_gen_map(args) -> int:
         inputs = [ser.mat_from_json(m, field) for m in data["inputs"]]
     else:
         inputs = probe_set(field)
-    table = generate_map(lam, h, inputs, args.k, label=rule_name)
+    table = generate_map(lam, h, inputs, args.k)
     _emit(args, ser.maptable_to_json(table))
     return 0
 
@@ -173,6 +173,7 @@ def cmd_campaign(args) -> int:
 
 def cmd_fixtures(args) -> int:
     field = FieldTag(args.field, args.tolerance)
+    _check_order(args.kmax, name="kmax", maximum=MAX_ORDER)
     items = []
     for k in range(1, args.kmax + 1):
         for ident in golden_identities(field, k):
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = None
+    """Run one subcommand; every error leaves as a JSON body on stdout with exit 2."""
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -252,10 +253,9 @@ def main(argv=None) -> int:
         body = {"error": type(exc).__name__, "message": str(exc)}
     except ValueError as exc:  # e.g. a non-finite float refused by canonical_dumps
         body = {"error": "value", "message": str(exc)}
-    except OSError as exc:
-        sys.stderr.write(f"i/o error: {exc}\n")
-        return 2
-    _emit(args, body)
+    except OSError as exc:  # --input or --output cannot be opened
+        body = {"error": "io", "message": str(exc)}
+    _emit(None, body)
     return 2
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import FieldTag
-from .matrices import Mat2
+from .matrices import Mat2, matrix_units
 
 
 @dataclass(frozen=True)
@@ -23,18 +23,9 @@ class BracketIdentity:
     expected: Mat2
 
 
-def _units(field: FieldTag):
-    return (
-        Mat2.unit(field, 1, 1),
-        Mat2.unit(field, 1, 2),
-        Mat2.unit(field, 2, 1),
-        Mat2.unit(field, 2, 2),
-    )
-
-
 def offdiagonal_scaling_identity(field: FieldTag, k: int, a) -> BracketIdentity:
     """[a*E12, E11]_k = (-1)^k * a * E12."""
-    e11, e12, _, _ = _units(field)
+    e11, e12, _, _ = matrix_units(field)
     a = field.coerce(a)
     sign = field.coerce(-1 if k % 2 else 1)
     return BracketIdentity(
@@ -48,7 +39,7 @@ def offdiagonal_scaling_identity(field: FieldTag, k: int, a) -> BracketIdentity:
 
 def symmetric_swap_identity(field: FieldTag, k: int) -> BracketIdentity:
     """[E11, E12+E21]_k = 2^(k-1)*(E12-E21) for odd k, 2^(k-1)*(E11-E22) even."""
-    e11, e12, e21, e22 = _units(field)
+    e11, e12, e21, e22 = matrix_units(field)
     if k < 1:
         raise ValueError("identity stated for k >= 1")
     c = field.coerce(2 ** (k - 1))
@@ -64,7 +55,7 @@ def symmetric_swap_identity(field: FieldTag, k: int) -> BracketIdentity:
 
 def corner_sum_identity(field: FieldTag, k: int) -> BracketIdentity:
     """[E21, E11+E12]_k = -E11 - (1+(-1)^k)*E12 + E21 + E22."""
-    e11, e12, e21, e22 = _units(field)
+    e11, e12, e21, e22 = matrix_units(field)
     par = field.coerce(0 if k % 2 else 2)
     return BracketIdentity(
         name="corner-sum",
@@ -75,12 +66,12 @@ def corner_sum_identity(field: FieldTag, k: int) -> BracketIdentity:
     )
 
 
-DEFAULT_OFFDIAG_SCALES = (1, 2, Fraction(-3, 5))
+OFFDIAG_SCALES = (1, 2, Fraction(-3, 5))
 
 
-def golden_identities(field: FieldTag, k: int, scales=DEFAULT_OFFDIAG_SCALES):
+def golden_identities(field: FieldTag, k: int):
     """All fixture families at one order k."""
-    out = [offdiagonal_scaling_identity(field, k, a) for a in scales]
+    out = [offdiagonal_scaling_identity(field, k, a) for a in OFFDIAG_SCALES]
     out.append(symmetric_swap_identity(field, k))
     out.append(corner_sum_identity(field, k))
     return out

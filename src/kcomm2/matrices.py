@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import InvariantViolation, NotScalarPlusNilpotent, RankNotOne
@@ -367,17 +368,34 @@ class Mat2:
         return f"[[{r[0][0]}, {r[0][1]}], [{r[1][0]}, {r[1][1]}]]"
 
 
+def _settled(*matrices) -> tuple:
+    """The matrices, with their entries and integer form both built now.
+
+    For matrices cached across calls: a part built lazily would be paid for by
+    whichever later call reads it first, so equal calls would do unequal work.
+    """
+    for M in matrices:
+        M.entries
+        M._form()
+    return matrices
+
+
+@lru_cache(maxsize=8)
+def matrix_units(field: FieldTag) -> tuple:
+    """(E11, E12, E21, E22) in the row-major order of ``.entries``, built once per field.
+
+    The units are rank one and span M2(F): a statement linear in T that holds
+    on them holds for every T, and they are the rank-one probes of every test.
+    """
+    return _settled(*[Mat2.unit(field, i, j) for i in (1, 2) for j in (1, 2)])
+
+
 @dataclass(frozen=True)
 class RankOneFactor:
     """Vectors x, f with A = x f* (f conjugated on pairing)."""
 
     x: tuple
     f: tuple
-
-    def pairing(self, field: FieldTag):
-        """<x, f> = f* x, the value deciding idempotency of x f*."""
-        c = field.conj
-        return c(self.f[0]) * self.x[0] + c(self.f[1]) * self.x[1]
 
 
 def outer(field: FieldTag, x, f) -> Mat2:

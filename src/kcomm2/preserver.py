@@ -8,7 +8,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 from random import Random
 
-from .brackets import MAX_TRIALS, _check_order, kcomm, kcomm_recursive
+from .brackets import MAX_ORDER, MAX_TRIALS, _check_order, kcomm, kcomm_recursive
 from .errors import (
     DuplicateInput,
     InputNotInTable,
@@ -19,18 +19,15 @@ from .errors import (
     ProbeSetIncomplete,
 )
 from .fields import FieldTag, GaussianRational, require_same_field, roots_of_unity
-from .matrices import Mat2
+from .matrices import Mat2, _settled, matrix_units
 from .randgen import random_scalar
 
 
 @lru_cache(maxsize=8)
 def probe_set(field: FieldTag) -> tuple:
     """The fixed probe inputs a table must cover for decomposition (built once per field)."""
-    e11 = Mat2.unit(field, 1, 1)
-    e22 = Mat2.unit(field, 2, 2)
-    e12 = Mat2.unit(field, 1, 2)
-    e21 = Mat2.unit(field, 2, 1)
-    return (e11, e22, e12, e21, e11 + e12, e12 + e21)
+    e11, e12, e21, e22 = matrix_units(field)
+    return _settled(e11, e22, e12, e21, e11 + e12, e12 + e21)
 
 
 class _InputIndex:
@@ -71,7 +68,6 @@ class MapTable:
     field: FieldTag
     k: int
     entries: tuple  # ((input, output), ...)
-    label: str = ""
 
     def __post_init__(self):
         index = _InputIndex()
@@ -169,9 +165,9 @@ def _check_root(field: FieldTag, lam, k: int):
         raise LambdaNotRootOfUnity(power)
 
 
-def generate_map(lam, h_spec, inputs, k: int, label: str = "") -> MapTable:
+def generate_map(lam, h_spec, inputs, k: int) -> MapTable:
     """Table of A -> lam*A + h(A)*I over the given inputs."""
-    _check_order(k, minimum=1)
+    _check_order(k, minimum=1, maximum=MAX_ORDER)
     if not inputs:
         raise ValueError("need at least one input matrix")
     field = inputs[0].field
@@ -179,7 +175,7 @@ def generate_map(lam, h_spec, inputs, k: int, label: str = "") -> MapTable:
     _check_root(field, lam, k)
     eye = Mat2.identity(field)
     entries = tuple((A, A.scale(lam) + eye.scale(field.coerce(h_spec(A)))) for A in inputs)
-    return MapTable(field=field, k=k, entries=entries, label=label)
+    return MapTable(field=field, k=k, entries=entries)
 
 
 def verify_preserving(table: MapTable, pairs) -> PreservationVerdict:
@@ -190,8 +186,9 @@ def verify_preserving(table: MapTable, pairs) -> PreservationVerdict:
     other.
     """
     k = table.k
+    _check_order(k, maximum=MAX_ORDER)
     for A, B in pairs:
-        left = kcomm(table.lookup(A), table.lookup(B), k, method="auto")
+        left = kcomm(table.lookup(A), table.lookup(B), k)
         right = kcomm_recursive(A, B, k)
         if not left.eq(right):
             return PreservationVerdict(holds=False, pair=(A, B), left=left, right=right)
@@ -224,7 +221,7 @@ def decompose(table: MapTable) -> Decomposition:
     """
     field = table.field
     k = table.k
-    _check_order(k, minimum=1)
+    _check_order(k, minimum=1, maximum=MAX_ORDER)
     probes = probe_set(field)
     missing = [p for p in probes if not table.has_input(p)]
     if missing:
@@ -336,12 +333,12 @@ def probe_campaign(k: int, field: FieldTag, trials: int, seed: int) -> CampaignR
             elif kind == "residue":
                 idx = rng.randrange(len(entries))
                 A, out = entries[idx]
-                entries[idx] = (A, out + Mat2.unit(field, 1, 2))
+                entries[idx] = (A, out + matrix_units(field)[1])
             else:
                 i, j = rng.sample(range(len(entries)), 2)
                 (Ai, Oi), (Aj, Oj) = entries[i], entries[j]
                 entries[i], entries[j] = (Ai, Oj), (Aj, Oi)
-            bad_table = MapTable(field=field, k=k, entries=tuple(entries), label=kind)
+            bad_table = MapTable(field=field, k=k, entries=tuple(entries))
             try:
                 decompose(bad_table)
             except (NotTheoremForm, LambdaNotRootOfUnity, PreservationFailed) as exc:

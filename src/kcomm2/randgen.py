@@ -65,8 +65,8 @@ def random_scalar_plus_nilpotent(field: FieldTag, rng: Random, **kw) -> Mat2:
     return Mat2.identity(field).scale(lam) + N
 
 
-def random_diagonalizable(field: FieldTag, rng: Random, distinct: bool = True):
-    """S = P diag(alpha, beta) P^-1 with exact inverse, plus eigendata.
+def random_diagonalizable(field: FieldTag, rng: Random):
+    """S = P diag(alpha, beta) P^-1 with exact inverse and alpha != beta, plus eigendata.
 
     Returns (S, alpha, beta, x, f) where S x = alpha x and S* f = conj(beta) f;
     x is the first column of P and f* is the second row of P^-1.
@@ -79,7 +79,7 @@ def random_diagonalizable(field: FieldTag, rng: Random, distinct: bool = True):
     alpha = random_scalar(field, rng)
     while True:
         beta = random_scalar(field, rng)
-        if not distinct or not field.eq(alpha, beta):
+        if not field.eq(alpha, beta):
             break
     P = Mat2(field, (p11, p12, p21, p22))
     Pinv = Mat2(field, (p22 / det, -p12 / det, -p21 / det, p11 / det))

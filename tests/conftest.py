@@ -1,20 +1,13 @@
 import pytest
 
-from kcomm2 import FLOAT_C, FLOAT_R, GAUSSIAN_QI, RATIONAL_Q, Mat2
+from kcomm2 import FLOAT_C, FLOAT_R, GAUSSIAN_QI, RATIONAL_Q, matrix_units
 
 
 ALL_FIELDS = [RATIONAL_Q, GAUSSIAN_QI, FLOAT_R, FLOAT_C]
 EXACT_FIELDS = [RATIONAL_Q, GAUSSIAN_QI]
 
 
-def units(field):
-    """(E11, E12, E21, E22) over the given field."""
-    return (
-        Mat2.unit(field, 1, 1),
-        Mat2.unit(field, 1, 2),
-        Mat2.unit(field, 2, 1),
-        Mat2.unit(field, 2, 2),
-    )
+units = matrix_units  # (E11, E12, E21, E22) over the given field
 
 
 @pytest.fixture(params=ALL_FIELDS, ids=lambda f: f.variant)

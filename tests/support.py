@@ -3,7 +3,7 @@
 from random import Random
 
 from kcomm2 import Mat2, SandwichSystem
-from kcomm2.classify import matrix_rank, unvec, vec
+from kcomm2.classify import matrix_rank, vec
 from kcomm2.randgen import random_mat, random_scalar
 
 
@@ -38,7 +38,7 @@ def apply_operator(field, op, T: Mat2) -> Mat2:
     """The 4x4 operator op applied to vec(T), as a matrix."""
     v = vec(T)
     out = [sum((op[r][c] * v[c] for c in range(4)), field.zero()) for r in range(4)]
-    return unvec(field, out)
+    return Mat2(field, tuple(out))
 
 
 def random_complex_pair_real_matrix(field, rng: Random) -> Mat2:

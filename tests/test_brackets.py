@@ -161,6 +161,17 @@ class TestCayleyHamilton:
         with pytest.raises(ResultTooLarge):
             kcomm(A, B, 201, method="auto")
 
+    def test_default_method_is_the_kernel(self, monkeypatch, any_field):
+        rng = Random(5)
+        A, B = random_mat(any_field, rng), random_mat(any_field, rng)
+        expected = kcomm_recursive(A, B, 5)
+
+        def no_oracle(*args):
+            raise RuntimeError("the oracle ran")
+
+        monkeypatch.setattr(brackets_module, "kcomm_recursive", no_oracle)
+        assert kcomm(A, B, 5).eq(expected)
+
     def test_boolean_order_rejected(self):
         eye = Mat2.identity(RATIONAL_Q)
         for method in ("auto", "recursive"):

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 from kcomm2 import (
+    FLOAT_C,
     FLOAT_R,
     GAUSSIAN_QI,
     RATIONAL_Q,
@@ -21,8 +22,9 @@ from kcomm2 import (
     scalar_plus_nilpotent_spectral,
     scalar_witness_test,
 )
-from kcomm2.errors import EmptySystem, InvalidOrder, KTooSmall, SingularSystem
+from kcomm2.errors import EmptySystem, FieldMismatch, InvalidOrder, KTooSmall, SingularSystem
 from kcomm2.randgen import random_mat, random_rank_one, random_scalar_plus_nilpotent
+from kcomm2.serialize import canonical_dumps, solver_result_to_json
 
 from conftest import units
 from support import apply_operator, span_system as _span_system
@@ -191,6 +193,15 @@ class TestSandwichOperator:
         with pytest.raises(EmptySystem):
             sandwich_operator([])
 
+    @pytest.mark.parametrize("other", [FLOAT_R, GAUSSIAN_QI], ids=lambda f: f.variant)
+    def test_mixed_fields_rejected(self, other):
+        eye = Mat2.identity(RATIONAL_Q)
+        for pairs in ([(eye, Mat2.identity(other))], [(eye, eye), (Mat2.identity(other), eye)]):
+            with pytest.raises(FieldMismatch):
+                sandwich_operator(pairs)
+            with pytest.raises(FieldMismatch):
+                rank_one_identity_solve(SandwichSystem(left=pairs, right=[(eye, eye)]))
+
 
 class TestIdentitySolver:
     def test_split_identity(self, exact_field):
@@ -243,6 +254,32 @@ class TestIdentitySolver:
         )
         with pytest.raises(SingularSystem):
             rank_one_identity_solve(system)
+
+    # A T B = (2A) T (B/2 + eps*E12) holds up to eps, inside the float
+    # tolerance for eps = 1e-12 and refuted on E11 for eps = 1.
+    @pytest.mark.parametrize("field, a, b, eps, expected", [
+        (FLOAT_R, [[1, 2], [0, 1]], [[0.5, 0], [1, 2]], 1e-12,
+         '{"coefficients":[[2.0]],"identity":true,"mode":"b-in-d"}'),
+        (FLOAT_R, [[1, 2], [0, 1]], [[0.5, 0], [1, 2]], 1.0,
+         '{"identity":false,"left_value":{"entries":[[0.5,0.0],[0.0,0.0]],"field":"R64"},'
+         '"right_value":{"entries":[[0.5,2.0],[0.0,0.0]],"field":"R64"},'
+         '"witness":{"entries":[[1.0,0.0],[0.0,0.0]],"field":"R64"}}'),
+        (FLOAT_C, [[1, 1j], [0, 1]], [[0.5, 0], [1 - 1j, 2]], 1e-12,
+         '{"coefficients":[[{"im":0.0,"re":2.0}]],"identity":true,"mode":"b-in-d"}'),
+        (FLOAT_C, [[1, 1j], [0, 1]], [[0.5, 0], [1 - 1j, 2]], 1.0,
+         '{"identity":false,"left_value":{"entries":[[{"im":0.0,"re":0.5},{"im":0.0,"re":0.0}],'
+         '[{"im":0.0,"re":0.0},{"im":0.0,"re":0.0}]],"field":"C64"},'
+         '"right_value":{"entries":[[{"im":0.0,"re":0.5},{"im":0.0,"re":2.0}],'
+         '[{"im":0.0,"re":0.0},{"im":0.0,"re":0.0}]],"field":"C64"},'
+         '"witness":{"entries":[[{"im":0.0,"re":1.0},{"im":0.0,"re":0.0}],'
+         '[{"im":0.0,"re":0.0},{"im":0.0,"re":0.0}]],"field":"C64"}}'),
+    ], ids=["R64-1e-12", "R64-1", "C64-1e-12", "C64-1"])
+    def test_float_systems_are_pinned(self, field, a, b, eps, expected):
+        A, B = Mat2.from_rows(field, a), Mat2.from_rows(field, b)
+        D = B.scale(0.5) + Mat2.from_rows(field, [[0, eps], [0, 0]])
+        system = SandwichSystem(left=[(A, B)], right=[(A.scale(2.0), D)])
+        result = rank_one_identity_solve(system)
+        assert canonical_dumps(solver_result_to_json(result, field)) == expected
 
     def test_witness_is_rank_one(self, exact_field):
         rng = Random(405)

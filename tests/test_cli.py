@@ -12,7 +12,8 @@ from kcomm2.serialize import (
     maptable_from_json,
     maptable_to_json,
 )
-from kcomm2 import preserver
+from kcomm2 import cli, preserver
+from kcomm2.brackets import MAX_ORDER
 from kcomm2.preserver import generate_map, h_det, probe_set
 
 from fractions import Fraction
@@ -297,6 +298,33 @@ class TestHostileInputs:
         body = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
         assert code == 2
         assert body["error"] == "input"
+
+    def test_missing_input_file(self, capsys, tmp_path):
+        code = main(["kcomm", "--input", str(tmp_path / "missing.json")])
+        body = json.loads(capsys.readouterr().out)
+        assert (code, body["error"]) == (2, "io")
+
+    def test_output_into_missing_directory(self, capsys, tmp_path):
+        text = json.dumps({"A": E["e12"], "B": E["e11"]})
+        argv = ["kcomm", "--output", str(tmp_path / "no-such-dir" / "out.json")]
+        assert self.run_text(capsys, tmp_path, argv, text)["error"] == "io"
+
+    @pytest.mark.parametrize("command", ["verify-map", "decompose-map", "gen-map", "fixtures"])
+    def test_order_past_the_cap(self, capsys, tmp_path, monkeypatch, command):
+        def no_bracket(*args, **kwargs):
+            raise RuntimeError("a bracket ran")
+
+        for module in (preserver, cli):
+            monkeypatch.setattr(module, "kcomm_recursive", no_bracket)
+        monkeypatch.setattr(preserver, "kcomm", no_bracket)
+        k = str(MAX_ORDER + 1)
+        if command == "fixtures":
+            argv, text = ["fixtures", "--kmax", k], ""
+        elif command == "gen-map":
+            argv, text = ["gen-map", "--k", k], json.dumps({"lambda": "1"})
+        else:
+            argv, text = [command], self.table_text(lambda t: t.update(k=MAX_ORDER + 1))
+        assert self.run_text(capsys, tmp_path, argv, text)["error"] == "InvalidOrder"
 
     def test_canonical_dumps_refuses_non_finite(self):
         for value in (float("nan"), float("inf"), -float("inf")):
