@@ -25,6 +25,7 @@ from .errors import (
 from .fields import FIELD_CODES, FieldTag
 from .identities import golden_identities
 from .preserver import (
+    MAX_TABLE_INPUTS,
     all_pairs,
     decompose,
     generate_map,
@@ -39,22 +40,25 @@ from .preserver import (
 from . import serialize as ser
 
 
-def _read_input(args):
+def _read_input(args) -> dict:
+    """The request body: a JSON object read from --input or stdin."""
     if args.input and args.input != "-":
         with open(args.input) as fh:
             text = fh.read()
     else:
         text = sys.stdin.read()
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"input is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"input must be a JSON object, got {type(data).__name__}")
+    return data
 
 
-def _emit(args, obj):
-    """Write obj as canonical JSON to --output or stdout (stdout when args is None)."""
+def _emit(path, obj):
+    """Write obj as canonical JSON to path, or to stdout when path is None or '-'."""
     text = ser.canonical_dumps(obj) + "\n"
-    path = args.output if args is not None else None
     if path and path != "-":
         with open(path, "w") as fh:
             fh.write(text)
@@ -62,28 +66,29 @@ def _emit(args, obj):
         sys.stdout.write(text)
 
 
-def _require(obj, key):
-    if not isinstance(obj, dict) or key not in obj:
+def _require(obj: dict, key):
+    if key not in obj:
         raise InputError(f"expected JSON object with key {key!r}")
     return obj[key]
 
 
-def cmd_kcomm(args) -> int:
+# Each handler returns its response as (JSON body, exit code); main writes it.
+
+
+def cmd_kcomm(args) -> tuple[dict, int]:
     data = _read_input(args)
     A = ser.mat_from_json(_require(data, "A"))
     B = ser.mat_from_json(_require(data, "B"))
     result = kcomm(A, B, args.k)
-    _emit(args, {"bracket": ser.mat_to_json(result)})
-    return 0
+    return {"bracket": ser.mat_to_json(result)}, 0
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple[dict, int]:
     data = _read_input(args)
     if args.lemma == "2.2":
         Z = ser.mat_from_json(_require(data, "Z"), tolerance=args.tolerance)
         verdict = cls.scalar_witness_test(Z, args.k)
-        _emit(args, ser.verdict_to_json(verdict))
-        return 0 if verdict.holds else 1
+        return ser.verdict_to_json(verdict), 0 if verdict.holds else 1
     S = ser.mat_from_json(_require(data, "S"), tolerance=args.tolerance)
     if args.lemma == "2.3-spectral":
         verdict = cls.scalar_plus_nilpotent_spectral(S)
@@ -91,87 +96,73 @@ def cmd_classify(args) -> int:
         if verdict.holds:
             out["lambda"] = S.field.encode(verdict.split.lam)
             out["nilpotent"] = ser.mat_to_json(verdict.split.nilpotent)
-        _emit(args, out)
-        return 0 if verdict.holds else 1
+        return out, 0 if verdict.holds else 1
     # 2.3-kcomm
     verdict = cls.scalar_plus_nilpotent_kcomm(S, args.k, trials=args.trials, seed=args.seed)
-    _emit(args, ser.verdict_to_json(verdict))
-    return 0 if verdict.holds else 1
+    return ser.verdict_to_json(verdict), 0 if verdict.holds else 1
 
 
-def cmd_sandwich(args) -> int:
-    data = _read_input(args)
-    system = ser.sandwich_from_json(data, tolerance=args.tolerance)
+def cmd_sandwich(args) -> tuple[dict, int]:
+    system = ser.sandwich_from_json(_read_input(args), tolerance=args.tolerance)
     result = cls.rank_one_identity_solve(system, mode=args.mode)
-    _emit(args, ser.solver_result_to_json(result, system.field()))
-    return 0 if isinstance(result, cls.Coefficients) else 1
+    code = 0 if isinstance(result, cls.Coefficients) else 1
+    return ser.solver_result_to_json(result, system.field()), code
 
 
 _H_RULES = {"zero": lambda f, s: h_zero, "trace": lambda f, s: h_trace,
             "det": lambda f, s: h_det, "random": h_random}
 
 
-def cmd_gen_map(args) -> int:
+def cmd_gen_map(args) -> tuple[dict, int]:
     data = _read_input(args)
     field = FieldTag(args.field, args.tolerance)
     lam = field.parse(_require(data, "lambda"))
     rule_name = data.get("h", "zero")
-    if rule_name not in _H_RULES:
+    if not (isinstance(rule_name, str) and rule_name in _H_RULES):
         raise InputError(f"unknown h rule {rule_name!r}; choose from {sorted(_H_RULES)}")
     h = _H_RULES[rule_name](field, args.seed)
     if "inputs" in data:
-        inputs = [ser.mat_from_json(m, field) for m in data["inputs"]]
+        listed = ser.array_from_json(data["inputs"], "inputs")
+        inputs = [ser.mat_from_json(m, field) for m in listed]
     else:
         inputs = probe_set(field)
-    table = generate_map(lam, h, inputs, args.k)
-    _emit(args, ser.maptable_to_json(table))
-    return 0
+    return ser.maptable_to_json(generate_map(lam, h, inputs, args.k)), 0
 
 
-def cmd_verify_map(args) -> int:
+def cmd_verify_map(args) -> tuple[dict, int]:
     data = _read_input(args)
-    table = ser.maptable_from_json(_require(data, "table") if "table" in data else data,
-                                   tolerance=args.tolerance)
-    if isinstance(data, dict) and "pairs" in data:
-        pairs = [
-            (ser.mat_from_json(p[0], table.field), ser.mat_from_json(p[1], table.field))
-            for p in data["pairs"]
-        ]
+    table = ser.maptable_from_json(data.get("table", data), tolerance=args.tolerance)
+    if "pairs" in data:
+        listed = ser.array_from_json(data["pairs"], "pairs")
+        _check_order(len(listed), name="verify-map pairs", maximum=MAX_TABLE_INPUTS ** 2)
+        pairs = [ser.pair_from_json(p, table.field, args.tolerance) for p in listed]
     else:
         pairs = all_pairs(table.inputs())
     verdict = verify_preserving(table, pairs)
-    _emit(args, ser.preservation_to_json(verdict))
-    return 0 if verdict.holds else 1
+    return ser.preservation_to_json(verdict), 0 if verdict.holds else 1
 
 
-def cmd_decompose_map(args) -> int:
-    data = _read_input(args)
-    table = ser.maptable_from_json(data, tolerance=args.tolerance)
+def cmd_decompose_map(args) -> tuple[dict, int]:
+    table = ser.maptable_from_json(_read_input(args), tolerance=args.tolerance)
     try:
-        dec = decompose(table)
+        return ser.decomposition_to_json(decompose(table), table.field), 0
     except NotTheoremForm as exc:
-        _emit(args, {"rejected": exc.stage, "residue": ser.mat_to_json(exc.residue)})
-        return 1
+        out = {"rejected": exc.stage, "residue": ser.mat_to_json(exc.residue)}
     except LambdaNotRootOfUnity as exc:
-        _emit(args, {"rejected": "lambda-not-root-of-unity",
-                     "power": table.field.encode(exc.power)})
-        return 1
+        out = {"rejected": "lambda-not-root-of-unity", "power": table.field.encode(exc.power)}
     except PreservationFailed as exc:
-        _emit(args, {"rejected": "preservation-failed",
-                     "pair": [ser.mat_to_json(exc.pair[0]), ser.mat_to_json(exc.pair[1])]})
-        return 1
-    _emit(args, ser.decomposition_to_json(dec, table.field))
-    return 0
+        out = {"rejected": "preservation-failed",
+               "pair": [ser.mat_to_json(exc.pair[0]), ser.mat_to_json(exc.pair[1])]}
+    return out, 1
 
 
-def cmd_campaign(args) -> int:
+def cmd_campaign(args) -> tuple[dict, int]:
     field = FieldTag(args.field, args.tolerance)
     report = probe_campaign(args.k, field, args.trials, args.seed)
-    _emit(args, ser.campaign_to_json(report))
-    return 0 if report.clean else 1
+    return ser.campaign_to_json(report), 0 if report.clean else 1
 
 
-def cmd_fixtures(args) -> int:
+def cmd_fixtures(args) -> tuple[dict, int]:
     field = FieldTag(args.field, args.tolerance)
     _check_order(args.kmax, name="kmax", maximum=MAX_ORDER)
     items = []
@@ -189,8 +180,7 @@ def cmd_fixtures(args) -> int:
                     "expected": ser.mat_to_json(ident.expected),
                 }
             )
-    _emit(args, {"field": field.variant, "identities": items})
-    return 0
+    return {"field": field.variant, "identities": items}, 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -246,7 +236,9 @@ def main(argv=None) -> int:
     """Run one subcommand; every error leaves as a JSON body on stdout with exit 2."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        body, code = args.func(args)
+        _emit(args.output, body)
+        return code
     except InputError as exc:
         body = {"error": "input", "message": str(exc)}
     except Kcomm2Error as exc:

@@ -4,6 +4,7 @@ decomposition into the canonical form lam*A + h(A)*I with lam**(k+1) = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 from random import Random
@@ -21,6 +22,17 @@ from .errors import (
 from .fields import FieldTag, GaussianRational, require_same_field, roots_of_unity
 from .matrices import Mat2, _settled, matrix_units
 from .randgen import random_scalar
+
+# A map table holds at most this many inputs, and verify-map checks at most
+# MAX_TABLE_INPUTS ** 2 pairs: at k = 1000 a pair of random integer Q inputs
+# costs about 7 ms on a 2-vCPU x86 box, so a full 36-input table (1,296
+# pairs) takes about 9 s.
+MAX_TABLE_INPUTS = 36
+
+# A campaign's cost is trials x k: a Qi trial takes about 240 ms at k = 1000
+# and about 2 ms at k = 6 on a 2-vCPU x86 box, so this bound keeps the worst
+# campaign near 15 s.
+MAX_CAMPAIGN_WORK = 60_000
 
 
 @lru_cache(maxsize=8)
@@ -70,6 +82,7 @@ class MapTable:
     entries: tuple  # ((input, output), ...)
 
     def __post_init__(self):
+        _check_order(len(self.entries), name="map table inputs", maximum=MAX_TABLE_INPUTS)
         index = _InputIndex()
         for A, out in self.entries:
             if index.get(A) is not None:
@@ -160,7 +173,10 @@ def h_random(field: FieldTag, seed: int):
 
 
 def _check_root(field: FieldTag, lam, k: int):
-    power = lam ** (k + 1)
+    try:
+        power = lam ** (k + 1)
+    except OverflowError:  # a float lam far off the unit circle
+        power = field.coerce(math.inf)
     if not field.eq(power, field.one()):
         raise LambdaNotRootOfUnity(power)
 
@@ -301,6 +317,7 @@ def probe_campaign(k: int, field: FieldTag, trials: int, seed: int) -> CampaignR
     """
     _check_order(k, minimum=1)
     _check_order(trials, name="campaign trials", maximum=MAX_TRIALS)
+    _check_order(trials * k, name="campaign trials x k", maximum=MAX_CAMPAIGN_WORK)
     rng = Random(seed)
     report = CampaignReport(field=field, k=k, trials=trials)
     probes = probe_set(field)

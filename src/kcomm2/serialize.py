@@ -66,14 +66,27 @@ def maptable_from_json(obj, tolerance: float = 1e-9) -> MapTable:
     return MapTable(field=field, k=k, entries=entries)
 
 
-def sandwich_from_json(obj, tolerance: float = 1e-9) -> SandwichSystem:
-    try:
-        left = [tuple(mat_from_json(m, tolerance=tolerance) for m in pair) for pair in obj["left"]]
-        right = [tuple(mat_from_json(m, tolerance=tolerance) for m in pair) for pair in obj["right"]]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"bad sandwich system JSON: {exc!r}") from exc
-    if any(len(p) != 2 for p in left + right):
-        raise InputError("sandwich sides must be lists of [A, B] pairs")
+def array_from_json(obj, what: str) -> list:
+    """obj if it is a JSON array; anything else is an InputError naming what."""
+    if not isinstance(obj, list):
+        raise InputError(f"{what} must be a JSON array, got {type(obj).__name__}")
+    return obj
+
+
+def pair_from_json(obj, field: FieldTag | None, tolerance: float) -> tuple:
+    """Decode an [A, B] array of two matrices, each as mat_from_json does."""
+    pair = array_from_json(obj, "a matrix pair")
+    if len(pair) != 2:
+        raise InputError(f"a matrix pair must hold 2 matrices, got {len(pair)}")
+    return mat_from_json(pair[0], field, tolerance), mat_from_json(pair[1], field, tolerance)
+
+
+def sandwich_from_json(obj: dict, tolerance: float = 1e-9) -> SandwichSystem:
+    """Decode {"left": [[A, B], ...], "right": [[C, D], ...]}."""
+    left, right = (
+        [pair_from_json(p, None, tolerance) for p in array_from_json(obj.get(side), side)]
+        for side in ("left", "right")
+    )
     return SandwichSystem(left=left, right=right)
 
 

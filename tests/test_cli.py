@@ -151,6 +151,64 @@ class TestMapCommands:
         assert "rejected" in out
 
 
+def _q(rows):
+    return {"field": "Q", "entries": rows}
+
+
+def _q_table(k, entries):
+    return {"field": "Q", "k": k, "entries": [{"in": a, "out": b} for a, b in entries]}
+
+
+_PROBES = [_q([["1", "0"], ["0", "0"]]), _q([["0", "0"], ["0", "1"]]),
+           _q([["0", "1"], ["0", "0"]]), _q([["0", "0"], ["1", "0"]]),
+           _q([["1", "1"], ["0", "0"]]), _q([["0", "1"], ["1", "0"]])]
+# A -> 2A on the probes at k = 1: lambda**2 = 4 != 1, so no preserver
+_IMPOSTOR = _q_table(1, [(p, _q([[str(2 * int(x)) for x in row] for row in p["entries"]]))
+                         for p in _PROBES])
+
+
+class TestPinnedBodies:
+    """Success and rejection bodies of the handlers, byte for byte."""
+
+    @pytest.mark.parametrize("argv, body, code, text", [
+        (["classify", "--lemma", "2.3-spectral"], {"S": _q([["1/2", "1/4"], ["-1/4", "1"]])}, 0,
+         '{"discriminant":"0","holds":true,"lambda":"3/4",'
+         '"nilpotent":{"entries":[["-1/4","1/4"],["-1/4","1/4"]],"field":"Q"}}'),
+        (["verify-map"], _IMPOSTOR, 1,
+         '{"holds":false,"left_bracket":{"entries":[["0","4"],["0","0"]],"field":"Q"},'
+         '"pair":[{"entries":[["1","0"],["0","0"]],"field":"Q"},'
+         '{"entries":[["0","1"],["0","0"]],"field":"Q"}],'
+         '"right_bracket":{"entries":[["0","1"],["0","0"]],"field":"Q"}}'),
+        (["verify-map"], {"table": _IMPOSTOR, "pairs": [_PROBES[:2], _PROBES[2:4]]}, 1,
+         '{"holds":false,"left_bracket":{"entries":[["4","0"],["0","-4"]],"field":"Q"},'
+         '"pair":[{"entries":[["0","1"],["0","0"]],"field":"Q"},'
+         '{"entries":[["0","0"],["1","0"]],"field":"Q"}],'
+         '"right_bracket":{"entries":[["1","0"],["0","-1"]],"field":"Q"}}'),
+        (["verify-map"], {"table": _IMPOSTOR, "pairs": [_PROBES[:2]]}, 0, '{"holds":true}'),
+        (["gen-map", "--k", "3"],
+         {"lambda": "-1", "h": "det",
+          "inputs": [_q([["1", "2"], ["3", "4"]]), _q([["0", "1/2"], ["1", "0"]])]}, 0,
+         '{"entries":[{"in":{"entries":[["1","2"],["3","4"]],"field":"Q"},'
+         '"out":{"entries":[["-3","-2"],["-3","-6"]],"field":"Q"}},'
+         '{"in":{"entries":[["0","1/2"],["1","0"]],"field":"Q"},'
+         '"out":{"entries":[["-1/2","-1/2"],["-1","-1/2"]],"field":"Q"}}],"field":"Q","k":3}'),
+        (["decompose-map"], _IMPOSTOR, 1, '{"power":"4","rejected":"lambda-not-root-of-unity"}'),
+    ], ids=["spectral-holds", "verify-refuted", "verify-pairs-refuted", "verify-pairs-hold",
+            "gen-map-inputs", "decompose-power"])
+    def test_body(self, capsys, tmp_path, argv, body, code, text):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(body))
+        assert main(argv + ["--input", str(path)]) == code
+        assert capsys.readouterr().out == text + "\n"
+
+    def test_output_file_gets_the_body(self, capsys, tmp_path):
+        path, out = tmp_path / "in.json", tmp_path / "out.json"
+        path.write_text(json.dumps(_IMPOSTOR))
+        assert main(["decompose-map", "--input", str(path), "--output", str(out)]) == 1
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == '{"power":"4","rejected":"lambda-not-root-of-unity"}\n'
+
+
 class TestCampaignAndFixtures:
     def test_campaign_clean(self, capsys):
         code, out = run_cli(
@@ -212,10 +270,47 @@ class TestHostileInputs:
         assert "error" in body
         return body
 
+    def table(self):
+        return maptable_to_json(generate_map(Fraction(1), h_det, probe_set(RATIONAL_Q), 1))
+
     def table_text(self, mutate):
-        table = maptable_to_json(generate_map(Fraction(1), h_det, probe_set(RATIONAL_Q), 1))
+        table = self.table()
         mutate(table)
         return json.dumps(table)
+
+    @pytest.mark.parametrize("argv, make_body", [
+        (["verify-map"], lambda t: 5),
+        (["verify-map"], lambda t: None),
+        (["kcomm"], lambda t: [E["e11"], E["e12"]]),
+        (["verify-map"], lambda t: {"table": t, "pairs": 5}),
+        (["verify-map"], lambda t: {"table": t, "pairs": [5]}),
+        (["verify-map"], lambda t: {"table": t, "pairs": [[E["e11"]]]}),
+        (["verify-map"], lambda t: {"table": t, "pairs": [[E["e11"], E["e12"], E["e11"]]]}),
+        (["gen-map"], lambda t: {"lambda": "1", "inputs": 5}),
+        (["gen-map"], lambda t: {"lambda": "1", "h": [1]}),
+        (["sandwich"], lambda t: {"left": [[E["e11"], E["e12"], E["e11"]]], "right": []}),
+        (["sandwich"], lambda t: {"right": []}),
+    ], ids=["number-body", "null-body", "array-body", "pairs-number", "pair-number",
+            "pair-of-one", "pair-of-three", "inputs-number", "h-array", "sandwich-triple",
+            "sandwich-no-left"])
+    def test_malformed_body(self, capsys, tmp_path, argv, make_body):
+        body = make_body(self.table())
+        assert self.run_text(capsys, tmp_path, argv, json.dumps(body))["error"] == "input"
+
+    @pytest.mark.parametrize("field, lam", [("R64", 1e300), ("C64", {"re": 1e300, "im": 1.0})])
+    def test_float_lambda_whose_power_overflows(self, capsys, tmp_path, field, lam):
+        argv = ["gen-map", "--field", field, "--k", "3"]
+        body = self.run_text(capsys, tmp_path, argv, json.dumps({"lambda": lam}))
+        assert body["error"] == "LambdaNotRootOfUnity"
+
+    def test_float_table_whose_lambda_power_overflows(self, capsys, tmp_path):
+        probes = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.0]],
+                  [[0.0, 0.0], [1.0, 0.0]], [[1.0, 1.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]]
+        entries = [{"in": {"field": "R64", "entries": p},
+                    "out": {"field": "R64", "entries": [[x * 1e300 for x in r] for r in p]}}
+                   for p in probes]
+        text = json.dumps({"field": "R64", "k": 3, "entries": entries})
+        self.run_text(capsys, tmp_path, ["decompose-map"], text)
 
     def test_entries_not_an_array(self, capsys, tmp_path):
         text = json.dumps({"A": {"field": "Q", "entries": 5}, "B": E["e11"]})
@@ -325,6 +420,35 @@ class TestHostileInputs:
         else:
             argv, text = [command], self.table_text(lambda t: t.update(k=MAX_ORDER + 1))
         assert self.run_text(capsys, tmp_path, argv, text)["error"] == "InvalidOrder"
+
+    @pytest.mark.parametrize("command", ["gen-map", "verify-map", "verify-map-pairs"])
+    def test_table_size_past_the_cap(self, capsys, tmp_path, monkeypatch, command):
+        def no_bracket(*args, **kwargs):
+            raise RuntimeError("a bracket ran")
+
+        monkeypatch.setattr(preserver, "kcomm_recursive", no_bracket)
+        monkeypatch.setattr(preserver, "kcomm", no_bracket)
+        cap = preserver.MAX_TABLE_INPUTS
+        inputs = [{"field": "Q", "entries": [[str(n), "0"], ["0", "0"]]} for n in range(cap + 1)]
+        if command == "gen-map":
+            argv, body = ["gen-map"], {"lambda": "1", "inputs": inputs}
+        elif command == "verify-map":
+            argv, body = ["verify-map"], {"field": "Q", "k": 1,
+                                          "entries": [{"in": m, "out": m} for m in inputs]}
+        else:
+            table = self.table()
+            argv, body = ["verify-map"], {"table": table, "pairs": [[E["e11"]] * 2] * (cap**2 + 1)}
+        text = json.dumps(body)
+        assert self.run_text(capsys, tmp_path, argv, text)["error"] == "InvalidOrder"
+
+    def test_campaign_work_past_the_cap(self, capsys, tmp_path, monkeypatch):
+        def no_trial(*args):
+            raise RuntimeError("a trial ran")
+
+        monkeypatch.setattr(preserver, "generate_map", no_trial)
+        argv = ["campaign", "--k", "1000", "--trials", "10000"]
+        body = self.run_text(capsys, tmp_path, argv, "")
+        assert body["error"] == "InvalidOrder" and "trials x k" in body["message"]
 
     def test_canonical_dumps_refuses_non_finite(self):
         for value in (float("nan"), float("inf"), -float("inf")):

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 from kcomm2 import (
+    FLOAT_C,
     FLOAT_R,
     GAUSSIAN_QI,
     RATIONAL_Q,
@@ -60,6 +62,11 @@ class TestGenerateMap:
             generate_map(Fraction(-1), h_zero, [e11], 2)
         assert exc.value.power == Fraction(-1)
 
+    def test_float_lambda_whose_power_overflows(self):
+        with pytest.raises(LambdaNotRootOfUnity) as exc:
+            generate_map(1e300, h_zero, [Mat2.unit(FLOAT_R, 1, 1)], 3)
+        assert exc.value.power == math.inf
+
     def test_order_zero_rejected(self):
         with pytest.raises(InvalidOrder):
             generate_map(Fraction(1), h_zero, [Mat2.unit(RATIONAL_Q, 1, 1)], 0)
@@ -73,6 +80,16 @@ class TestGenerateMap:
         e11 = Mat2.unit(RATIONAL_Q, 1, 1)
         with pytest.raises(ValueError):
             MapTable(RATIONAL_Q, 1, ((e11, e11), (e11, e11)))
+
+    @pytest.mark.parametrize("field", [RATIONAL_Q, FLOAT_R], ids=lambda f: f.variant)
+    def test_inputs_past_the_cap_rejected(self, field):
+        cap = preserver.MAX_TABLE_INPUTS
+        entries = tuple((Mat2.identity(field).scale(field.coerce(n)),) * 2 for n in range(cap + 1))
+        assert len(MapTable(field, 1, entries[:cap]).inputs()) == cap
+        with pytest.raises(InvalidOrder, match="map table inputs"):
+            MapTable(field, 1, entries)
+        with pytest.raises(InvalidOrder, match="map table inputs"):
+            generate_map(Fraction(1), h_zero, [A for A, _ in entries], 1)
 
     @pytest.mark.parametrize("field", [GAUSSIAN_QI, FLOAT_R], ids=lambda f: f.variant)
     def test_lookup_and_duplicates_by_value(self, field):
@@ -265,6 +282,28 @@ class TestCampaign:
             probe_campaign(1, RATIONAL_Q, trials=10**9, seed=0)
         with pytest.raises(RuntimeError):
             probe_campaign(1, RATIONAL_Q, trials=MAX_TRIALS, seed=0)
+
+    def test_work_past_the_cap_rejected(self, monkeypatch):
+        from kcomm2.brackets import MAX_ORDER
+
+        def no_trial(*args):
+            raise RuntimeError("a trial ran")
+
+        monkeypatch.setattr(preserver, "generate_map", no_trial)
+        trials = preserver.MAX_CAMPAIGN_WORK // MAX_ORDER
+        with pytest.raises(InvalidOrder, match="trials x k"):
+            probe_campaign(MAX_ORDER, RATIONAL_Q, trials=trials + 1, seed=0)
+        with pytest.raises(RuntimeError):
+            probe_campaign(MAX_ORDER, RATIONAL_Q, trials=trials, seed=0)
+
+    @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_float_campaign_clean(self, field, k):
+        report = probe_campaign(k, field, trials=60, seed=11)
+        assert report.clean
+        assert report.valid_ok + report.perturbed_rejected == 60
+        # the bad-lambda impostors, drawn by the float branch of _bad_lambda
+        assert report.rejection_kinds.get("LambdaNotRootOfUnity", 0) > 0
 
     def test_preservation_failure_is_an_anomaly(self, monkeypatch):
         def wrong_bracket(A, B, k, method="recursive"):
