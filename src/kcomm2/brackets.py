@@ -19,7 +19,7 @@ from .errors import (
     ResultTooLarge,
 )
 from .fields import GaussianRational, require_same_field
-from .matrices import Mat2, RankOneFactor, is_idempotent, outer
+from .matrices import Mat2, RankOneFactor, is_idempotent, is_nilpotent, outer
 
 # Exact powers whose estimated size passes this many bits are refused: their
 # cost grows faster than linearly (a Qi bracket at 1 << 18 bits takes about
@@ -164,7 +164,7 @@ def kcomm_nilpotent_fast(A: Mat2, N: Mat2, k: int) -> Mat2:
     """
     _check_order(k)
     require_same_field(A.field, N.field)
-    if not (N @ N).is_zero():
+    if not is_nilpotent(N):
         raise NotNilpotent(f"{N} does not square to zero")
     if k < 3:
         raise KTooSmall(f"vanishing only guaranteed for k >= 3, got {k}")
@@ -175,22 +175,22 @@ def kcomm_eigenpair(factor: RankOneFactor, S: Mat2, k: int, alpha, beta) -> Mat2
     """Bracket of x f* against S when S x = alpha x and S* f = conj(beta) f.
 
     Returns (beta - alpha)^k * (x f*); the eigen-relations are checked, not
-    assumed.
+    assumed.  A float power that overflows raises ResultTooLarge.
     """
     _check_order(k)
     f = S.field
     alpha = f.coerce(alpha)
     beta = f.coerce(beta)
     x, fv = factor.x, factor.f
-    a11, a12, a21, a22 = S.entries
-    sx = (a11 * x[0] + a12 * x[1], a21 * x[0] + a22 * x[1])
-    if not (f.eq(sx[0], alpha * x[0]) and f.eq(sx[1], alpha * x[1])):
+    e1 = (f.one(), f.zero())
+    X = outer(f, x, e1)  # x in the first column
+    if not (S @ X).eq(X.scale(alpha)):
         raise NotAnEigenpair("x is not an eigenvector of S for alpha")
-    St = S.conj_t()
-    b11, b12, b21, b22 = St.entries
-    sf = (b11 * fv[0] + b12 * fv[1], b21 * fv[0] + b22 * fv[1])
-    cb = f.conj(beta)
-    if not (f.eq(sf[0], cb * fv[0]) and f.eq(sf[1], cb * fv[1])):
+    F = outer(f, e1, fv)  # f* in the first row: F S = beta F is S* f = conj(beta) f
+    if not (F @ S).eq(F.scale(beta)):
         raise NotAnEigenpair("f is not an eigenvector of S* for conj(beta)")
-    coeff = (beta - alpha) ** k
+    try:
+        coeff = (beta - alpha) ** k
+    except OverflowError as exc:
+        raise ResultTooLarge(f"(beta - alpha)**{k} overflows {f.variant}") from exc
     return outer(f, x, fv).scale(coeff)

@@ -175,18 +175,13 @@ def sandwich_operator(pairs) -> list:
 
 
 def _pivot_row(field: FieldTag, aug, col, start):
-    """Row index of the pivot for this column, or None. Floats pick max magnitude."""
+    """Row index of the pivot for this column, or None: the first nonzero entry,
+    or over floats the first of largest magnitude unless the field calls it zero."""
+    rows = range(start, len(aug))
     if field.is_exact:
-        for r in range(start, len(aug)):
-            if not field.is_zero(aug[r][col]):
-                return r
-        return None
-    best, best_mag = None, field.tolerance
-    for r in range(start, len(aug)):
-        mag = field.abs2(aug[r][col])
-        if mag > best_mag:
-            best, best_mag = r, mag
-    return best
+        return next((r for r in rows if not field.is_zero(aug[r][col])), None)
+    best = max(rows, key=lambda r: field.abs2(aug[r][col]), default=None)
+    return None if best is None or field.is_zero(aug[best][col]) else best
 
 
 def _gauss_jordan(field: FieldTag, rows, n: int):

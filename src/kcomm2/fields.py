@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 from .errors import FieldMismatch, InvalidOrder, InputError, ResultTooLarge
@@ -25,20 +26,11 @@ class GaussianRational:
 
     __slots__ = ("a", "b", "den")
 
-    def __init__(self, re=0, im=0):
+    def __new__(cls, re=0, im=0):
         re = Fraction(re)
         im = Fraction(im)
-        den = re.denominator * im.denominator
-        a = re.numerator * im.denominator
-        b = im.numerator * re.denominator
-        g = math.gcd(a, b, den)
-        if g > 1:
-            a //= g
-            b //= g
-            den //= g
-        self.a = a
-        self.b = b
-        self.den = den
+        return cls._raw(re.numerator * im.denominator, im.numerator * re.denominator,
+                        re.denominator * im.denominator)
 
     @classmethod
     def _raw(cls, a, b, den):
@@ -193,6 +185,18 @@ class GaussianRational:
 _I = GaussianRational(0, 1)
 
 
+def _fraction(x) -> Fraction:
+    """Fraction(x), but a string exponent past the digit limit ``encode`` applies is refused."""
+    if isinstance(x, str):
+        try:
+            exponent = abs(int(x.lower().partition("e")[2]))
+        except ValueError:  # no exponent, or one Fraction refuses too
+            exponent = 0
+        if 0 < sys.get_int_max_str_digits() < exponent:
+            raise ValueError(f"exponent past the {sys.get_int_max_str_digits()}-digit limit")
+    return Fraction(x)
+
+
 FIELD_CODES = ("Q", "Qi", "R64", "C64")
 
 
@@ -303,9 +307,9 @@ class FieldTag:
                 pass
             elif self.is_exact:
                 if isinstance(obj, (str, int)):
-                    value = self.coerce(Fraction(obj))
+                    value = self.coerce(_fraction(obj))
                 elif self.is_complex and isinstance(obj, dict):
-                    value = GaussianRational(Fraction(obj["re"]), Fraction(obj["im"]))
+                    value = GaussianRational(_fraction(obj["re"]), _fraction(obj["im"]))
             elif self.is_complex and isinstance(obj, dict):
                 value = complex(float(obj["re"]), float(obj["im"]))
             elif isinstance(obj, (int, float)):

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from random import Random
 
 from .brackets import MAX_ORDER, MAX_TRIALS, _check_order, kcomm, kcomm_recursive
@@ -28,6 +28,7 @@ from .randgen import random_scalar
 # costs about 7 ms on a 2-vCPU x86 box, so a full 36-input table (1,296
 # pairs) takes about 9 s.
 MAX_TABLE_INPUTS = 36
+_check_table_size = partial(_check_order, name="map table inputs", maximum=MAX_TABLE_INPUTS)
 
 # A campaign's cost is trials x k: a Qi trial takes about 240 ms at k = 1000
 # and about 2 ms at k = 6 on a 2-vCPU x86 box, so this bound keeps the worst
@@ -82,7 +83,7 @@ class MapTable:
     entries: tuple  # ((input, output), ...)
 
     def __post_init__(self):
-        _check_order(len(self.entries), name="map table inputs", maximum=MAX_TABLE_INPUTS)
+        _check_table_size(len(self.entries))
         index = _InputIndex()
         for A, out in self.entries:
             if index.get(A) is not None:
@@ -172,13 +173,25 @@ def h_random(field: FieldTag, seed: int):
     return rule
 
 
-def _check_root(field: FieldTag, lam, k: int):
+def _root_power(field: FieldTag, lam, k: int):
+    """(lam**(k+1), whether it is 1 in the field); a float power that overflows is inf."""
     try:
         power = lam ** (k + 1)
     except OverflowError:  # a float lam far off the unit circle
         power = field.coerce(math.inf)
-    if not field.eq(power, field.one()):
+    return power, field.eq(power, field.one())
+
+
+def _check_root(field: FieldTag, lam, k: int):
+    power, is_root = _root_power(field, lam, k)
+    if not is_root:
         raise LambdaNotRootOfUnity(power)
+
+
+def _theorem_form(field: FieldTag, lam, h_spec, inputs) -> tuple:
+    """The entries (A, lam*A + h(A)*I) over the given inputs."""
+    eye = Mat2.identity(field)
+    return tuple((A, A.scale(lam) + eye.scale(field.coerce(h_spec(A)))) for A in inputs)
 
 
 def generate_map(lam, h_spec, inputs, k: int) -> MapTable:
@@ -189,9 +202,7 @@ def generate_map(lam, h_spec, inputs, k: int) -> MapTable:
     field = inputs[0].field
     lam = field.coerce(lam)
     _check_root(field, lam, k)
-    eye = Mat2.identity(field)
-    entries = tuple((A, A.scale(lam) + eye.scale(field.coerce(h_spec(A)))) for A in inputs)
-    return MapTable(field=field, k=k, entries=entries)
+    return MapTable(field=field, k=k, entries=_theorem_form(field, lam, h_spec, inputs))
 
 
 def verify_preserving(table: MapTable, pairs) -> PreservationVerdict:
@@ -291,18 +302,11 @@ class CampaignReport:
 
 
 def _bad_lambda(field: FieldTag, k: int, rng: Random):
+    """A lam from a fixed candidate list that ``_check_root`` refuses."""
     candidates = [field.coerce(c) for c in (2, 3, 5, -2, -1)]
     if field.is_complex:
         candidates.append(field.coerce(GaussianRational(0, 1)))
-    usable = []
-    for lam in candidates:
-        power = lam ** (k + 1)
-        if field.is_exact:
-            if not field.eq(power, field.one()):
-                usable.append(lam)
-        elif abs(power - field.one()) > 10 * field.tolerance:
-            usable.append(lam)
-    return rng.choice(usable)
+    return rng.choice([lam for lam in candidates if not _root_power(field, lam, k)[1]])
 
 
 def probe_campaign(k: int, field: FieldTag, trials: int, seed: int) -> CampaignReport:
@@ -322,7 +326,6 @@ def probe_campaign(k: int, field: FieldTag, trials: int, seed: int) -> CampaignR
     report = CampaignReport(field=field, k=k, trials=trials)
     probes = probe_set(field)
     roots = roots_of_unity(field, k + 1)
-    eye = Mat2.identity(field)
 
     for trial in range(trials):
         lam = rng.choice(roots)
@@ -345,8 +348,7 @@ def probe_campaign(k: int, field: FieldTag, trials: int, seed: int) -> CampaignR
             kind = rng.choice(("bad-lambda", "residue", "swap"))
             entries = list(table.entries)
             if kind == "bad-lambda":
-                bad = _bad_lambda(field, k, rng)
-                entries = [(A, A.scale(bad) + eye.scale(field.coerce(h(A)))) for A in probes]
+                entries = _theorem_form(field, _bad_lambda(field, k, rng), h, probes)
             elif kind == "residue":
                 idx = rng.randrange(len(entries))
                 A, out = entries[idx]

@@ -13,7 +13,8 @@ from .classify import Coefficients, NotAnIdentity, SandwichSystem, Verdict
 from .errors import InputError
 from .fields import FieldTag
 from .matrices import Mat2
-from .preserver import CampaignReport, Decomposition, MapTable, PreservationVerdict
+from .preserver import (CampaignReport, Decomposition, MapTable, PreservationVerdict,
+                        _check_table_size)
 
 
 def mat_to_json(M: Mat2) -> dict:
@@ -55,9 +56,10 @@ def maptable_from_json(obj, tolerance: float = 1e-9) -> MapTable:
     try:
         field = FieldTag(obj["field"], tolerance)
         k = obj["k"]
+        listed = list(obj["entries"])
+        _check_table_size(len(listed))
         entries = tuple(
-            (mat_from_json(e["in"], field), mat_from_json(e["out"], field))
-            for e in obj["entries"]
+            (mat_from_json(e["in"], field), mat_from_json(e["out"], field)) for e in listed
         )
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad map table JSON: {exc!r}") from exc

@@ -341,3 +341,27 @@ class TestEigenpair:
         S = Mat2.from_rows(exact_field, [[1, 1], [0, 2]])
         with pytest.raises(NotAnEigenpair):
             kcomm_eigenpair(fac, S, 1, 2, 1)
+
+    def test_bad_left_eigenvector_rejected(self, any_field):
+        # S x = 1 x holds for x = e1; S* f = 2 f for f = e2, so beta = 3 is wrong
+        fac = self.one_factor(any_field)
+        S = Mat2.diag(any_field, 1, 2)
+        assert kcomm_eigenpair(fac, S, 1, 1, 2).eq(Mat2.unit(any_field, 1, 2))
+        with pytest.raises(NotAnEigenpair, match="f is not"):
+            kcomm_eigenpair(fac, S, 1, 1, 3)
+
+    @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
+    def test_left_eigenvector_tolerance(self, field):
+        fac = self.one_factor(field)
+        S = Mat2.diag(field, 1, 2)
+        inside = 2 + field.tolerance / 2
+        assert kcomm_eigenpair(fac, S, 1, 1, inside).eq(Mat2.unit(field, 1, 2))
+        with pytest.raises(NotAnEigenpair, match="f is not"):
+            kcomm_eigenpair(fac, S, 1, 1, 2 + 2 * field.tolerance)
+
+    @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
+    def test_float_power_overflow_is_result_too_large(self, field):
+        fac = self.one_factor(field)
+        S = Mat2.diag(field, 0, 1e200)
+        with pytest.raises(ResultTooLarge):
+            kcomm_eigenpair(fac, S, 2, 0, 1e200)

@@ -299,6 +299,26 @@ class TestIdentitySolver:
                 assert not lhs.eq(rhs)
 
 
+class TestSolveLinear:
+    """Float pivoting: the first row of largest magnitude, none at or under tolerance.
+
+    The expected solutions are the ones the rule gave before it read
+    ``FieldTag.is_zero``, float for float.
+    """
+
+    def test_sub_tolerance_column_has_no_pivot(self):
+        # column 0 holds 4e-10 and -1e-9 = -tolerance: both zero, so x0 is free
+        rows = [[4e-10, 1.0], [-1e-9, 2.0]]
+        assert classify.solve_linear(FLOAT_R, rows, [[1.0, 2.0 + 4e-10]]) == [[0.0, 1.0000000002]]
+        assert classify.solve_linear(FLOAT_R, rows, [[1.0, 2.5]]) is None
+
+    def test_magnitude_tie_takes_the_first_row(self):
+        # taking row 1 instead gives [-0.14, 0.07999999999999999]
+        rows = [[1.0, 3.0], [-1.0, 7.0]]
+        got = classify.solve_linear(FLOAT_R, rows, [[0.1, 0.7]])
+        assert got == [[-0.13999999999999996, 0.07999999999999999]]
+
+
 # -- the certifier's probe stream --------------------------------------------
 
 _F, _G = Fraction, GaussianRational

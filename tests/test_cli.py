@@ -219,6 +219,16 @@ class TestCampaignAndFixtures:
         assert out["anomalies"] == []
         assert out["valid_ok"] + out["perturbed_rejected"] == 20
 
+    @pytest.mark.parametrize("k", [441, 500])
+    @pytest.mark.parametrize("field", ["R64", "C64"])
+    def test_float_campaign_where_a_bad_lambda_power_overflows(self, capsys, field, k):
+        # 5.0 ** (k + 1) overflows a float from k = 441 on
+        code = main(["campaign", "--field", field, "--k", str(k), "--trials", "8", "--seed", "3"])
+        body = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert code in (0, 1)
+        assert body["trials"] == 8
+        assert body["rejection_kinds"]["LambdaNotRootOfUnity"] > 0
+
     def test_fixtures_emit_and_self_check(self, capsys, tmp_path):
         out_path = tmp_path / "golden.json"
         code = main(["fixtures", "--kmax", "6", "--output", str(out_path)])
@@ -440,6 +450,27 @@ class TestHostileInputs:
             argv, body = ["verify-map"], {"table": table, "pairs": [[E["e11"]] * 2] * (cap**2 + 1)}
         text = json.dumps(body)
         assert self.run_text(capsys, tmp_path, argv, text)["error"] == "InvalidOrder"
+
+    def test_table_size_refused_before_any_matrix_is_decoded(self, capsys, tmp_path, monkeypatch):
+        def no_decode(*args, **kwargs):
+            raise RuntimeError("a matrix was decoded")
+
+        monkeypatch.setattr(cli.ser, "mat_from_json", no_decode)
+        cap = preserver.MAX_TABLE_INPUTS
+        table = {"field": "Q", "k": 1, "entries": [{"in": E["e11"], "out": E["e11"]}] * (cap + 1)}
+        for command in ("verify-map", "decompose-map"):
+            body = self.run_text(capsys, tmp_path, [command], json.dumps(table))
+            assert body == {"error": "InvalidOrder",
+                            "message": f"map table inputs must be at most {cap}, got {cap + 1}"}
+        table["entries"].pop()
+        with pytest.raises(RuntimeError, match="decoded"):
+            maptable_from_json(table)
+
+    def test_exponent_past_the_print_limit(self, capsys, tmp_path):
+        huge = {"field": "Q", "entries": [["1e1000000", "0"], ["0", "0"]]}
+        text = json.dumps({"A": huge, "B": E["e12"]})
+        body = self.run_text(capsys, tmp_path, ["kcomm"], text)
+        assert body["error"] == "input" and "exponent" in body["message"]
 
     def test_campaign_work_past_the_cap(self, capsys, tmp_path, monkeypatch):
         def no_trial(*args):

@@ -1,5 +1,6 @@
 import math
 import pickle
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -119,6 +120,13 @@ class TestGaussianRational:
         assert z.re == Fraction(1, 2)
         assert z.im == Fraction(-3, 4)
 
+    @given(fractions_st, fractions_st)
+    def test_constructor_reduces_as_raw_does(self, re, im):
+        z = GaussianRational(re, im)
+        assert (z.re, z.im) == (re, im)
+        assert z.den > 0 and math.gcd(z.a, z.b, z.den) == 1
+        assert pickle.loads(pickle.dumps(z)) == z
+
     @given(gaussians, gaussians)
     def test_conjugation_multiplicative(self, a, b):
         assert (a * b).conjugate() == a.conjugate() * b.conjugate()
@@ -188,3 +196,25 @@ class TestCoercion:
             assert any_field.eq(any_field.conj(z), z)  # real value, trivial conj
         else:
             assert any_field.conj(z) == z
+
+
+class TestParse:
+    LIMIT = sys.get_int_max_str_digits()
+
+    @pytest.mark.parametrize("field", [RATIONAL_Q, GAUSSIAN_QI], ids=lambda f: f.variant)
+    def test_exact_scalar_strings(self, field):
+        assert field.parse("1e3") == 1000
+        assert field.parse("-2.5e-1") == Fraction(-1, 4)
+        assert field.parse("3/4") == Fraction(3, 4)
+        assert field.parse(f"1e{self.LIMIT}") == 10**self.LIMIT  # at the limit: parsed
+
+    @pytest.mark.parametrize("text", ["1e1000000", "1e-300000", "1E1_000_000", "-2.5e-{over}",
+                                      "7e{over}", "1/2e{over}"])
+    @pytest.mark.parametrize("field", [RATIONAL_Q, GAUSSIAN_QI], ids=lambda f: f.variant)
+    def test_exponent_past_the_print_limit_refused(self, field, text):
+        text = text.format(over=self.LIMIT + 1)
+        with pytest.raises(InputError, match="exponent"):
+            field.parse(text)
+        if field.is_complex:
+            with pytest.raises(InputError, match="exponent"):
+                field.parse({"re": "1", "im": text})

@@ -302,8 +302,23 @@ class TestCampaign:
         report = probe_campaign(k, field, trials=60, seed=11)
         assert report.clean
         assert report.valid_ok + report.perturbed_rejected == 60
-        # the bad-lambda impostors, drawn by the float branch of _bad_lambda
+        # the bad-lambda impostors: _bad_lambda draws a candidate _check_root refuses
         assert report.rejection_kinds.get("LambdaNotRootOfUnity", 0) > 0
+
+    @pytest.mark.parametrize("k", [1, 3, 440, 441, 1000])
+    @pytest.mark.parametrize("field", [RATIONAL_Q, GAUSSIAN_QI, FLOAT_R, FLOAT_C],
+                             ids=lambda f: f.variant)
+    def test_bad_lambda_is_never_a_root(self, field, k):
+        # the candidates are 2, 3, 5, -2, -1 and, over a complex field, i; of
+        # those only -1 (order 2) and i (order 4) are roots of unity at all
+        orders = {-1: 2, 1j: 4}
+        drawn = set()
+        for seed in range(40):
+            lam = FLOAT_C.coerce(preserver._bad_lambda(field, k, Random(seed)))
+            order = orders.get(lam)
+            assert order is None or (k + 1) % order != 0, (lam, k)
+            drawn.add(lam)
+        assert len(drawn) >= 4
 
     def test_preservation_failure_is_an_anomaly(self, monkeypatch):
         def wrong_bracket(A, B, k, method="recursive"):
