@@ -5,8 +5,6 @@ from .brackets import (
     kcomm,
     kcomm_closed,
     kcomm_eigenpair,
-    kcomm_idempotent_fast,
-    kcomm_nilpotent_fast,
     kcomm_recursive,
 )
 from .classify import (

@@ -1,5 +1,5 @@
 """Iterated bracket evaluation: recursion, closed binomial form, the
-Cayley-Hamilton kernel, fast paths.
+Cayley-Hamilton kernel and the eigenpair formula.
 
 The recursion is the designated oracle; every other evaluator is tested
 against it.
@@ -10,16 +10,9 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import (
-    InvalidOrder,
-    KTooSmall,
-    NotAnEigenpair,
-    NotIdempotent,
-    NotNilpotent,
-    ResultTooLarge,
-)
+from .errors import InvalidOrder, NotAnEigenpair, ResultTooLarge
 from .fields import GaussianRational, require_same_field
-from .matrices import Mat2, RankOneFactor, is_idempotent, is_nilpotent, outer
+from .matrices import Mat2, RankOneFactor, outer
 
 # Exact powers whose estimated size passes this many bits are refused: their
 # cost grows faster than linearly (a Qi bracket at 1 << 18 bits takes about
@@ -79,7 +72,7 @@ def _growth_bits(x) -> int:
     return mag.bit_length() if mag > 1 else 0
 
 
-def _kcomm_cayley_hamilton(A: Mat2, B: Mat2, k: int) -> Mat2:
+def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto") -> Mat2:
     """Order-k bracket in O(1) matrix products: at most two commutators and one power.
 
     T(R) = RB - BR satisfies T^3 = delta*T on 2x2 matrices, where
@@ -91,18 +84,21 @@ def _kcomm_cayley_hamilton(A: Mat2, B: Mat2, k: int) -> Mat2:
     delta is ``B.discriminant()``, the second form, which avoids the
     cancellation of tr^2 - 4 det on floats.  Special cases:
 
-    - B a rank-one idempotent: delta = 1, so the brackets have period 2
-      (``kcomm_idempotent_fast``);
-    - B square-zero: delta = 0, so they vanish for k >= 3
-      (``kcomm_nilpotent_fast``);
+    - B a rank-one idempotent: delta = 1, so the brackets have period 2;
+    - B square-zero: delta = 0, so they vanish for k >= 3;
     - Lemma 2.3: the order-k >= 3 brackets of every A against S vanish iff
       delta(S) = 0, i.e. iff S is scalar plus square-zero;
     - x f* with S x = alpha x, S* f = conj(beta) f: delta = (alpha - beta)^2,
       giving (beta - alpha)^k x f* (``kcomm_eigenpair``).
 
+    ``method`` must be "auto"; the oracle and the binomial sum are called as
+    ``kcomm_recursive`` and ``kcomm_closed``.
+
     Raises ResultTooLarge when delta^((k-1)//2) would pass MAX_POWER_BITS over
     an exact field, or when a float result is not finite.
     """
+    if method != "auto":
+        raise ValueError(f"unknown bracket method {method!r}")
     _check_order(k)
     require_same_field(A.field, B.field)
     if k == 0:
@@ -124,51 +120,6 @@ def _kcomm_cayley_hamilton(A: Mat2, B: Mat2, k: int) -> Mat2:
     if not field.is_exact and not all(cmath.isfinite(x) for x in entries):
         raise ResultTooLarge(f"order-{k} bracket overflows {field.variant}")
     return R
-
-
-def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto") -> Mat2:
-    """Order-k bracket by the named evaluator.
-
-    "auto", the default, is the Cayley-Hamilton kernel, O(1) matrix products in k;
-    "recursive" is the oracle (2k products) and "closed" the paper's
-    alternating binomial sum (3k + 2 products).
-    """
-    if method == "recursive":
-        return kcomm_recursive(A, B, k)
-    if method == "closed":
-        return kcomm_closed(A, B, k)
-    if method == "auto":
-        return _kcomm_cayley_hamilton(A, B, k)
-    raise ValueError(f"unknown bracket method {method!r}")
-
-
-def kcomm_idempotent_fast(A: Mat2, Q: Mat2, k: int) -> Mat2:
-    """Bracket against a checked idempotent Q, k >= 1: the kernel at order 1 or 2.
-
-    delta(Q) is 1 (0 for Q = 0 or I), so the brackets have period 2.  The
-    order is reduced before the kernel runs: over floats delta is 1 only up
-    to rounding, and delta**((k - 1)//2) would drift or overflow for huge k.
-    """
-    _check_order(k, minimum=1)
-    require_same_field(A.field, Q.field)
-    if not is_idempotent(Q):
-        raise NotIdempotent(f"{Q} is not idempotent")
-    return kcomm(A, Q, 2 - k % 2)
-
-
-def kcomm_nilpotent_fast(A: Mat2, N: Mat2, k: int) -> Mat2:
-    """Zero without computation: every k >= 3 summand holds N to a power >= 2.
-
-    The vanishing is genuinely false below k = 3 (e.g. the order-2 bracket of
-    E_21 against E_12 is -2*E_12), hence the KTooSmall guard.
-    """
-    _check_order(k)
-    require_same_field(A.field, N.field)
-    if not is_nilpotent(N):
-        raise NotNilpotent(f"{N} does not square to zero")
-    if k < 3:
-        raise KTooSmall(f"vanishing only guaranteed for k >= 3, got {k}")
-    return Mat2.zero(A.field)
 
 
 def kcomm_eigenpair(factor: RankOneFactor, S: Mat2, k: int, alpha, beta) -> Mat2:

@@ -26,6 +26,7 @@ from .fields import FIELD_CODES, FieldTag
 from .identities import golden_identities
 from .preserver import (
     MAX_TABLE_INPUTS,
+    _check_table_size,
     all_pairs,
     decompose,
     generate_map,
@@ -123,6 +124,7 @@ def cmd_gen_map(args) -> tuple[dict, int]:
     h = _H_RULES[rule_name](field, args.seed)
     if "inputs" in data:
         listed = ser.array_from_json(data["inputs"], "inputs")
+        _check_table_size(len(listed))  # before any input is decoded
         inputs = [ser.mat_from_json(m, field) for m in listed]
     else:
         inputs = probe_set(field)
@@ -243,7 +245,7 @@ def main(argv=None) -> int:
         body = {"error": "input", "message": str(exc)}
     except Kcomm2Error as exc:
         body = {"error": type(exc).__name__, "message": str(exc)}
-    except ValueError as exc:  # e.g. a non-finite float refused by canonical_dumps
+    except ValueError as exc:  # a backstop, e.g. a non-finite float reaching canonical_dumps
         body = {"error": "value", "message": str(exc)}
     except OSError as exc:  # --input or --output cannot be opened
         body = {"error": "io", "message": str(exc)}

@@ -25,16 +25,8 @@ class NotScalarPlusNilpotent(Kcomm2Error):
         super().__init__(f"discriminant {discriminant!r} is nonzero")
 
 
-class NotIdempotent(Kcomm2Error):
-    pass
-
-
-class NotNilpotent(Kcomm2Error):
-    pass
-
-
 class KTooSmall(Kcomm2Error):
-    """The shortcut is only valid for k >= 3."""
+    """The Lemma 2.3 bracket certifier was asked for an order below 3."""
 
 
 class NotAnEigenpair(Kcomm2Error):
@@ -50,11 +42,15 @@ class SingularSystem(Kcomm2Error):
 
 
 class LambdaNotRootOfUnity(Kcomm2Error):
-    """lambda**(k+1) != 1; carries the offending power."""
+    """lambda**(k+1) != 1; carries the offending power.
+
+    The message leaves the power out: an exact power can have more digits
+    than ``str`` will print.
+    """
 
     def __init__(self, power):
         self.power = power
-        super().__init__(f"lambda**(k+1) evaluates to {power!r}, not 1")
+        super().__init__("lambda**(k+1) is not 1")
 
 
 class InputNotInTable(Kcomm2Error):

@@ -292,7 +292,10 @@ class FieldTag:
     # -- JSON scalar encoding (see the schemas in serialize.py) --------------
 
     def encode(self, z):
+        """JSON form of one scalar; a value JSON cannot carry raises ResultTooLarge."""
         if not self.is_exact:
+            if not cmath.isfinite(z):
+                raise ResultTooLarge(f"{self.variant} value {z!r} is not finite")
             return {"re": z.real, "im": z.imag} if self.is_complex else z
         try:
             return {"re": str(z.re), "im": str(z.im)} if self.is_complex else str(z)

@@ -8,14 +8,16 @@ shared denominator:
     Qi:  (den, a11, b11, a12, b12, a21, b21, a22, b22)      entry = (a + b i) / den
 
 The form is canonical (den > 0 and gcd(den, all numerators) = 1), so equal
-values have equal forms.  Every exact operation computes on these integers
-and normalises with one multi-argument gcd, where entrywise ``Fraction`` /
-``GaussianRational`` arithmetic would take one gcd per scalar operation.  A
-matrix built from entries derives its form on first use; the result of an
-operation holds only the form and builds its canonical entries the first
-time ``.entries`` is read.  The float fields (R64, C64) compute on the
-entries.  Matrix values are immutable; every operation returns a fresh
-``Mat2``.
+values have equal forms.  The hot exact operations (``@``, ``+``, ``-``,
+``scale``, ``discriminant``, equality, hashing, the zero and scalar tests and
+``outer``) compute on these integers and normalise with one multi-argument
+gcd, where entrywise ``Fraction`` / ``GaussianRational`` arithmetic would take
+one gcd per scalar operation.  The cold ones (``trace``, ``det``, ``conj_t``
+and negation) read ``.entries`` on every field.  A matrix built from entries
+derives its form on first use; the result of an operation holds only the
+form and builds its canonical entries the first time ``.entries`` is read.
+The float fields (R64, C64) compute on the entries.  Matrix values are
+immutable; every operation returns a fresh ``Mat2``.
 """
 
 from __future__ import annotations
@@ -79,8 +81,8 @@ def _normalised(field: FieldTag, z: tuple) -> "Mat2":
 class Mat2:
     """Immutable 2x2 matrix: ``Mat2(field, entries)`` with ``.field`` and ``.entries``.
 
-    Exact operations branch on the field once and then run on integer forms;
-    ``self._z or self._form()`` reads the form, deriving it if needed.
+    The hot exact operations branch on the field once and then run on integer
+    forms; ``self._z or self._form()`` reads the form, deriving it if needed.
     """
 
     __slots__ = ("_f", "_e", "_z")  # field, entries or None, integer form or None
@@ -185,12 +187,8 @@ class Mat2:
         return Mat2(f, (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]))
 
     def __neg__(self) -> "Mat2":
-        f = self._f
-        if f.is_exact:
-            z = self._z or self._form()
-            return _from_form(f, (z[0], *[-v for v in z[1:]]))
-        a = self._e
-        return Mat2(f, (-a[0], -a[1], -a[2], -a[3]))
+        a = self.entries
+        return Mat2(self._f, (-a[0], -a[1], -a[2], -a[3]))
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         f = self._f
@@ -267,43 +265,19 @@ class Mat2:
 
     def conj_t(self) -> "Mat2":
         """Conjugate transpose (field conjugation entrywise, then transpose)."""
-        f = self._f
-        if not f.is_exact:
-            a11, a12, a21, a22 = self._e
-            c = f.conj
-            return Mat2(f, (c(a11), c(a21), c(a12), c(a22)))
-        if f.is_complex:
-            d, p11, q11, p12, q12, p21, q21, p22, q22 = self._z or self._form()
-            return _from_form(f, (d, p11, -q11, p21, -q21, p12, -q12, p22, -q22))
-        d, n11, n12, n21, n22 = self._z or self._form()
-        return _from_form(f, (d, n11, n21, n12, n22))
+        a11, a12, a21, a22 = self.entries
+        c = self._f.conj
+        return Mat2(self._f, (c(a11), c(a21), c(a12), c(a22)))
 
     # -- scalar invariants and predicates ------------------------------------
 
     def trace(self):
-        f = self._f
-        if not f.is_exact:
-            return self._e[0] + self._e[3]
-        if f.is_complex:
-            z = self._z or self._form()
-            return GaussianRational._raw(z[1] + z[7], z[2] + z[8], z[0])
-        d, n11, _, _, n22 = self._z or self._form()
-        return Fraction(n11 + n22, d)
+        a = self.entries
+        return self._f.coerce(a[0] + a[3])
 
     def det(self):
-        f = self._f
-        if not f.is_exact:
-            a11, a12, a21, a22 = self._e
-            return a11 * a22 - a12 * a21
-        if f.is_complex:
-            d, p11, q11, p12, q12, p21, q21, p22, q22 = self._z or self._form()
-            return GaussianRational._raw(
-                p11 * p22 - q11 * q22 - p12 * p21 + q12 * q21,
-                p11 * q22 + q11 * p22 - p12 * q21 - q12 * p21,
-                d * d,
-            )
-        d, n11, n12, n21, n22 = self._z or self._form()
-        return Fraction(n11 * n22 - n12 * n21, d * d)
+        a11, a12, a21, a22 = self.entries
+        return self._f.coerce(a11 * a22 - a12 * a21)
 
     def discriminant(self):
         """(a11 - a22)^2 + 4 a12 a21, which is tr^2 - 4 det without its cancellation."""

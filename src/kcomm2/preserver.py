@@ -197,8 +197,7 @@ def _theorem_form(field: FieldTag, lam, h_spec, inputs) -> tuple:
 def generate_map(lam, h_spec, inputs, k: int) -> MapTable:
     """Table of A -> lam*A + h(A)*I over the given inputs."""
     _check_order(k, minimum=1, maximum=MAX_ORDER)
-    if not inputs:
-        raise ValueError("need at least one input matrix")
+    _check_table_size(len(inputs), minimum=1)
     field = inputs[0].field
     lam = field.coerce(lam)
     _check_root(field, lam, k)

@@ -14,20 +14,11 @@ from kcomm2 import (
     kcomm,
     kcomm_closed,
     kcomm_eigenpair,
-    kcomm_idempotent_fast,
-    kcomm_nilpotent_fast,
     kcomm_recursive,
     outer,
 )
 from kcomm2 import brackets as brackets_module
-from kcomm2.errors import (
-    InvalidOrder,
-    KTooSmall,
-    NotAnEigenpair,
-    NotIdempotent,
-    NotNilpotent,
-    ResultTooLarge,
-)
+from kcomm2.errors import InvalidOrder, NotAnEigenpair, ResultTooLarge
 from kcomm2.identities import golden_identities
 from kcomm2.randgen import random_mat, random_scalar
 
@@ -77,9 +68,15 @@ class TestClosedForm:
         A = random_mat(RATIONAL_Q, rng, denominators=True)
         B = random_mat(RATIONAL_Q, rng, denominators=True)
         for k in (0, 2, 5, 9):
-            r = kcomm(A, B, k, method="recursive")
-            assert kcomm(A, B, k, method="closed").eq(r)
+            r = kcomm_recursive(A, B, k)
+            assert kcomm_closed(A, B, k).eq(r)
             assert kcomm(A, B, k, method="auto").eq(r)
+
+    @pytest.mark.parametrize("method", ["recursive", "closed", "Auto", None])
+    def test_kcomm_refuses_other_methods(self, method):
+        eye = Mat2.identity(RATIONAL_Q)
+        with pytest.raises(ValueError, match="unknown bracket method"):
+            kcomm(eye, eye, 3, method=method)
 
 
 def _as_complex(x):
@@ -174,9 +171,9 @@ class TestCayleyHamilton:
 
     def test_boolean_order_rejected(self):
         eye = Mat2.identity(RATIONAL_Q)
-        for method in ("auto", "recursive"):
+        for evaluator in (kcomm, kcomm_recursive):
             with pytest.raises(InvalidOrder):
-                kcomm(eye, eye, True, method=method)
+                evaluator(eye, eye, True)
 
 
 class TestAlgebraicLaws:
@@ -218,21 +215,24 @@ class TestAlgebraicLaws:
 
 
 class TestIdempotentFast:
+    """The kernel against an idempotent Q: delta(Q) is 1 (0 for Q = 0 or I), so
+    the brackets have period 2 in k."""
+
     def test_periodicity_example(self, exact_field):
         e11, e12, _, _ = units(exact_field)
-        assert kcomm_idempotent_fast(e12, e11, 5).eq(kcomm_recursive(e12, e11, 1))
-        assert kcomm_idempotent_fast(e12, e11, 5).eq(-e12)
+        assert kcomm(e12, e11, 5).eq(kcomm_recursive(e12, e11, 1))
+        assert kcomm(e12, e11, 5).eq(-e12)
 
     def test_identity_commutes(self, any_field):
         rng = Random(8)
         A = random_mat(any_field, rng)
         eye = Mat2.identity(any_field)
         for k in (1, 2, 5):
-            assert kcomm_idempotent_fast(A, eye, k).is_zero()
+            assert kcomm(A, eye, k).is_zero()
 
     def test_even_order(self, exact_field):
         e11, _, e21, _ = units(exact_field)
-        result = kcomm_idempotent_fast(e21, e11, 4)
+        result = kcomm(e21, e11, 4)
         assert result.eq(kcomm_recursive(e21, e11, 2))
         assert result.eq(e21)
 
@@ -245,44 +245,37 @@ class TestIdempotentFast:
                 exact_field,
                 [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]],
             ),
+            Mat2.identity(exact_field),
         ]
         for Q in idempotents:
             A = random_mat(exact_field, rng)
             for k in range(1, 8):
-                assert kcomm_idempotent_fast(A, Q, k).eq(kcomm_recursive(A, Q, k))
+                assert kcomm(A, Q, k).eq(kcomm_recursive(A, Q, k))
+                assert kcomm(A, Q, k).eq(kcomm_recursive(A, Q, 2 - k % 2))
 
     def test_runs_through_the_kernel(self, monkeypatch, exact_field):
+        """The same number of matrix products at k = 7 and k = 10**30 + 1."""
         calls = []
-        kernel = brackets_module._kcomm_cayley_hamilton
-        monkeypatch.setattr(brackets_module, "_kcomm_cayley_hamilton",
-                            lambda A, B, k: calls.append(k) or kernel(A, B, k))
+        matmul = Mat2.__matmul__
+        monkeypatch.setattr(Mat2, "__matmul__", lambda X, Y: calls.append(1) or matmul(X, Y))
         e11, e12, _, _ = units(exact_field)
-        assert kcomm_idempotent_fast(e12, e11, 7).eq(-e12)
-        assert calls == [1]
-
-    def test_float_rounding_does_not_drift_at_huge_order(self):
-        # delta(Q) = 1 + 1.7e-12 here: delta**m drifts, then overflows
-        Q = outer(FLOAT_R, (1.0, 0.3), (1 / 1.09, 0.3 / 1.09 * (1 + 1e-11)))
-        A = Mat2.from_rows(FLOAT_R, [[1, 2], [3, 4]])
-        for k in (10**12 + 1, 10**30 + 1):
-            assert kcomm_idempotent_fast(A, Q, k).entries == kcomm_recursive(A, Q, 1).entries
-        assert kcomm_idempotent_fast(A, Q, 10**30).entries == kcomm_recursive(A, Q, 2).entries
-
-    def test_rejects_non_idempotent(self, exact_field):
-        with pytest.raises(NotIdempotent):
-            kcomm_idempotent_fast(Mat2.identity(exact_field), Mat2.unit(exact_field, 1, 2), 3)
-
-    def test_rejects_order_zero(self, exact_field):
-        with pytest.raises(InvalidOrder):
-            kcomm_idempotent_fast(Mat2.identity(exact_field), Mat2.unit(exact_field, 1, 1), 0)
+        assert kcomm(e12, e11, 7).eq(-e12)
+        products = len(calls)
+        assert kcomm(e12, e11, 10**30 + 1).eq(-e12)
+        assert len(calls) == 2 * products
 
 
 class TestNilpotentFast:
+    """The kernel against a square-zero N: delta(N) = 0, so the brackets vanish
+    from k = 3 on, and not before."""
+
     def test_vanishing(self, exact_field):
         e11, e12, _, _ = units(exact_field)
-        assert kcomm_nilpotent_fast(e11, e12, 3).is_zero()
+        assert kcomm(e11, e12, 3).is_zero()
         rng = Random(17)
-        assert kcomm_nilpotent_fast(random_mat(exact_field, rng), e12, 7).is_zero()
+        A = random_mat(exact_field, rng)
+        for k in (3, 4, 7):
+            assert kcomm(A, e12, k).is_zero()
 
     def test_agrees_with_oracle(self, exact_field):
         rng = Random(18)
@@ -293,18 +286,14 @@ class TestNilpotentFast:
             N = spectral_split(random_scalar_plus_nilpotent(exact_field, rng)).nilpotent
             A = random_mat(exact_field, rng)
             for k in (3, 4, 6):
-                assert kcomm_recursive(A, N, k).eq(kcomm_nilpotent_fast(A, N, k))
+                assert kcomm_recursive(A, N, k).eq(kcomm(A, N, k))
 
     def test_order_two_counterexample(self, exact_field):
+        # the vanishing starts at k = 3: the order-2 bracket of E21 against E12 is -2*E12
         _, e12, e21, _ = units(exact_field)
-        with pytest.raises(KTooSmall):
-            kcomm_nilpotent_fast(e21, e12, 2)
-        # the guard exists because the bracket genuinely fails to vanish there
-        assert kcomm_recursive(e21, e12, 2).eq(e12.scale(exact_field.coerce(-2)))
-
-    def test_rejects_non_nilpotent(self, exact_field):
-        with pytest.raises(NotNilpotent):
-            kcomm_nilpotent_fast(Mat2.identity(exact_field), Mat2.unit(exact_field, 1, 1), 3)
+        expected = e12.scale(exact_field.coerce(-2))
+        assert kcomm(e21, e12, 2).eq(expected)
+        assert kcomm_recursive(e21, e12, 2).eq(expected)
 
 
 class TestEigenpair:

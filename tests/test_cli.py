@@ -320,7 +320,21 @@ class TestHostileInputs:
                     "out": {"field": "R64", "entries": [[x * 1e300 for x in r] for r in p]}}
                    for p in probes]
         text = json.dumps({"field": "R64", "k": 3, "entries": entries})
-        self.run_text(capsys, tmp_path, ["decompose-map"], text)
+        body = self.run_text(capsys, tmp_path, ["decompose-map"], text)
+        assert body["error"] == "ResultTooLarge"
+
+    def test_exact_table_whose_lambda_power_passes_the_print_limit(self, capsys, tmp_path):
+        probes = probe_set(RATIONAL_Q)
+        table = preserver.MapTable(RATIONAL_Q, 1000, tuple((p, p.scale(10**10)) for p in probes))
+        text = json.dumps(maptable_to_json(table))
+        body = self.run_text(capsys, tmp_path, ["decompose-map"], text)
+        assert body["error"] == "ResultTooLarge"
+
+    def test_gen_map_without_inputs(self, capsys, tmp_path):
+        text = json.dumps({"lambda": "1", "inputs": []})
+        body = self.run_text(capsys, tmp_path, ["gen-map"], text)
+        assert body == {"error": "InvalidOrder",
+                        "message": "map table inputs must be an integer >= 1, got 0"}
 
     def test_entries_not_an_array(self, capsys, tmp_path):
         text = json.dumps({"A": {"field": "Q", "entries": 5}, "B": E["e11"]})
@@ -462,6 +476,10 @@ class TestHostileInputs:
             body = self.run_text(capsys, tmp_path, [command], json.dumps(table))
             assert body == {"error": "InvalidOrder",
                             "message": f"map table inputs must be at most {cap}, got {cap + 1}"}
+        inputs = [E["e11"]] * (cap + 1)
+        body = self.run_text(capsys, tmp_path, ["gen-map"], json.dumps({"lambda": "1", "inputs": inputs}))
+        assert body == {"error": "InvalidOrder",
+                        "message": f"map table inputs must be at most {cap}, got {cap + 1}"}
         table["entries"].pop()
         with pytest.raises(RuntimeError, match="decoded"):
             maptable_from_json(table)

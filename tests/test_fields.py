@@ -17,7 +17,7 @@ from kcomm2 import (
     roots_of_unity,
 )
 from kcomm2 import fields
-from kcomm2.errors import FieldMismatch, InputError, InvalidOrder
+from kcomm2.errors import FieldMismatch, InputError, InvalidOrder, ResultTooLarge
 
 CODES = ("Q", "Qi", "R64", "C64")
 
@@ -106,6 +106,15 @@ class TestFieldTag:
         assert FieldTag("R64", 1e-3) != FLOAT_R
         assert FieldTag("C64", 1e-3) != FLOAT_C
         assert RATIONAL_Q != GAUSSIAN_QI
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, complex(math.inf, 0),
+                                       complex(0, math.nan)])
+    def test_encode_refuses_non_finite_floats(self, value):
+        field = FLOAT_C if isinstance(value, complex) else FLOAT_R
+        with pytest.raises(ResultTooLarge, match="not finite"):
+            field.encode(value)
+        assert FLOAT_R.encode(1e300) == 1e300
+        assert FLOAT_C.encode(complex(1.5, -2)) == {"re": 1.5, "im": -2.0}
 
     def test_immutable_and_picklable(self):
         with pytest.raises(AttributeError):

@@ -311,6 +311,16 @@ class TestIntegerForm:
         assert (A @ A).eq(Mat2.from_rows(exact_field, [[7, 10], [15, 22]]))
         assert A.det() == -2 and A.trace() == 5 and A.discriminant() == 33
 
+    def test_int_entry_invariants_are_field_scalars(self, exact_field):
+        # trace and det read the entries, which may be ints; spectral_split halves the trace
+        scalar = type(exact_field.one())
+        A = Mat2(exact_field, (1, 1, 0, 1))
+        assert type(A.trace()) is scalar and A.trace() == 2
+        assert type(A.det()) is scalar and A.det() == 1
+        split = spectral_split(A)
+        assert type(split.lam) is scalar and split.lam == 1
+        assert split.nilpotent.eq(Mat2.unit(exact_field, 1, 2))
+
     def test_float_discriminant(self, any_field):
         A = Mat2.from_rows(any_field, [[1, 2], [3, 4]])
         assert any_field.eq(A.discriminant(), any_field.coerce(33))

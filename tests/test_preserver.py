@@ -71,6 +71,10 @@ class TestGenerateMap:
         with pytest.raises(InvalidOrder):
             generate_map(Fraction(1), h_zero, [Mat2.unit(RATIONAL_Q, 1, 1)], 0)
 
+    def test_no_inputs_rejected(self):
+        with pytest.raises(InvalidOrder, match="map table inputs must be an integer >= 1, got 0"):
+            generate_map(Fraction(1), h_zero, [], 1)
+
     @pytest.mark.parametrize("k", [True, 1.0])
     def test_non_integer_order_rejected(self, k):
         with pytest.raises(InvalidOrder):
@@ -194,6 +198,15 @@ class TestDecompose:
         with pytest.raises(NotTheoremForm) as exc:
             decompose(table)
         assert exc.value.residue.eq(probes[2])
+
+    def test_power_past_the_print_limit_is_typed(self):
+        # lambda = 10**10 at k = 1000: lambda**(k+1) has 10,011 digits, more than str prints
+        probes = probe_set(RATIONAL_Q)
+        table = MapTable(RATIONAL_Q, 1000, tuple((p, p.scale(10**10)) for p in probes))
+        with pytest.raises(LambdaNotRootOfUnity) as exc:
+            decompose(table)
+        assert exc.value.power == 10**10010
+        assert str(exc.value) == "lambda**(k+1) is not 1"
 
     def test_probe_coverage_checked(self, exact_field):
         e11 = Mat2.unit(exact_field, 1, 1)

@@ -5,15 +5,51 @@ from pathlib import Path
 
 import kcomm2
 
+SOURCES = sorted(Path(kcomm2.__file__).parent.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+
 
 def test_library_raises_instead_of_asserting():
     """``python -O`` strips ``assert``, so library invariants must raise."""
-    sources = sorted(Path(kcomm2.__file__).parent.glob("*.py"))
-    assert len(sources) > 1
+    assert len(SOURCES) > 1
     asserts = [
-        f"{path.name}:{node.lineno}"
-        for path in sources
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def _raised_name(node: ast.Raise):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    if isinstance(exc, ast.Name):
+        return exc.id
+    if isinstance(exc, ast.Attribute):
+        return exc.attr
+    return None
+
+
+def test_every_error_class_is_raised():
+    """An error class whose last raiser was deleted goes with it."""
+    classes = {node.name for node in TREES["errors.py"].body if isinstance(node, ast.ClassDef)}
+    assert "Kcomm2Error" in classes and len(classes) > 1
+    raised = {
+        _raised_name(node)
+        for tree in TREES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+    }
+    assert sorted(classes - raised - {"Kcomm2Error"}) == []
+
+
+def test_only_matrices_reads_the_integer_form():
+    """``Mat2._e``, ``._z`` and ``._form()`` are private to ``matrices.py``."""
+    reads = [
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        if name != "matrices.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("_e", "_z", "_form")
+    ]
+    assert reads == []
