@@ -18,11 +18,12 @@ class RankNotOne(Kcomm2Error):
 
 
 class NotScalarPlusNilpotent(Kcomm2Error):
-    """Discriminant is nonzero: the matrix is not scalar + nilpotent."""
+    """Discriminant is nonzero: not scalar + nilpotent.  The message leaves the
+    discriminant out, which can have more digits than ``repr`` will print."""
 
     def __init__(self, discriminant):
         self.discriminant = discriminant
-        super().__init__(f"discriminant {discriminant!r} is nonzero")
+        super().__init__("discriminant is nonzero")
 
 
 class KTooSmall(Kcomm2Error):

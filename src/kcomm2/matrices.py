@@ -13,11 +13,13 @@ values have equal forms.  The hot exact operations (``@``, ``+``, ``-``,
 ``outer``) compute on these integers and normalise with one multi-argument
 gcd, where entrywise ``Fraction`` / ``GaussianRational`` arithmetic would take
 one gcd per scalar operation.  The cold ones (``trace``, ``det``, ``conj_t``
-and negation) read ``.entries`` on every field.  A matrix built from entries
-derives its form on first use; the result of an operation holds only the
-form and builds its canonical entries the first time ``.entries`` is read.
-The float fields (R64, C64) compute on the entries.  Matrix values are
-immutable; every operation returns a fresh ``Mat2``.
+and negation) read ``.entries`` on every field.
+
+``Mat2(field, entries)`` is the one checked constructor: exactly four entries,
+each coerced into the field (a wrong kind raises FieldMismatch), and over Q
+and Q(i) the form derived at once.  An operation result is built unchecked
+from canonical parts: an exact one from its form, its entries built on first
+read; a float (R64, C64) one from its entries.  Values are immutable.
 """
 
 from __future__ import annotations
@@ -30,14 +32,13 @@ from math import gcd, lcm
 from .errors import InvariantViolation, NotScalarPlusNilpotent, RankNotOne
 from .fields import FieldTag, GaussianRational, require_same_field
 
-def _integer_form(field: FieldTag, entries) -> tuple:
-    """Canonical integer form of exact entries, over the lcm of their denominators.
+def _integer_form(field: FieldTag, parts) -> tuple:
+    """Canonical integer form of exact field scalars, over the lcm of their denominators.
 
-    No gcd is needed: each entry is in lowest terms, so for every prime power
-    p**e exactly dividing the lcm, the entry whose denominator holds p**e keeps
-    a numerator that p does not divide.
+    No gcd is needed: each scalar is in lowest terms, so for every prime power
+    p**e exactly dividing the lcm, the scalar whose denominator holds p**e
+    keeps a numerator that p does not divide.
     """
-    parts = [field.coerce(x) for x in entries]
     if field.is_complex:
         den = lcm(*[x.den for x in parts])
         return (den, *[v for x in parts for v in (x.a * (den // x.den), x.b * (den // x.den))])
@@ -45,12 +46,10 @@ def _integer_form(field: FieldTag, entries) -> tuple:
     return (den, *[x.numerator * (den // x.denominator) for x in parts])
 
 
-def _from_form(field: FieldTag, z: tuple) -> "Mat2":
-    """Matrix holding only the canonical integer form z."""
+def _built(field: FieldTag, entries, form) -> "Mat2":
+    """Operation result from canonical parts: exact (None, form) or float (entries, None)."""
     m = object.__new__(Mat2)
-    m._f = field
-    m._e = None
-    m._z = z
+    m._f, m._e, m._z = field, entries, form
     return m
 
 
@@ -75,22 +74,24 @@ def _normalised(field: FieldTag, z: tuple) -> "Mat2":
         g = gcd(*z)
         if g != 1:
             z = tuple([v // g for v in z])
-    return _from_form(field, z)
+    return _built(field, None, z)
 
 
 class Mat2:
     """Immutable 2x2 matrix: ``Mat2(field, entries)`` with ``.field`` and ``.entries``.
 
-    The hot exact operations branch on the field once and then run on integer
-    forms; ``self._z or self._form()`` reads the form, deriving it if needed.
+    The constructor takes exactly four entries, coerces each into the field
+    and, over Q and Q(i), derives the integer form; the hot exact operations
+    branch on the field once and then run on ``self._z``.
     """
 
-    __slots__ = ("_f", "_e", "_z")  # field, entries or None, integer form or None
+    __slots__ = ("_f", "_e", "_z")  # field, entries or None, integer form or None (floats)
 
     def __init__(self, field: FieldTag, entries):
-        self._f = field
-        self._e = tuple(entries)
-        self._z = None
+        a, b, c, d = entries
+        co = field.coerce
+        self._f, self._e = field, (co(a), co(b), co(c), co(d))
+        self._z = _integer_form(field, self._e) if field.is_exact else None
 
     @property
     def field(self) -> FieldTag:
@@ -98,7 +99,7 @@ class Mat2:
 
     @property
     def entries(self) -> tuple:
-        """(a11, a12, a21, a22); built from the integer form on first read."""
+        """(a11, a12, a21, a22); an exact result builds them from its form on first read."""
         e = self._e
         if e is None:
             z = self._z
@@ -111,43 +112,31 @@ class Mat2:
             self._e = e
         return e
 
-    def _form(self):
-        """The integer form (None over float fields), derived on first use."""
-        z = self._z
-        if z is None and self._f.is_exact:
-            z = self._z = _integer_form(self._f, self._e)
-        return z
-
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_rows(cls, field: FieldTag, rows) -> "Mat2":
         (a, b), (c, d) = rows
-        co = field.coerce
-        return cls(field, (co(a), co(b), co(c), co(d)))
+        return cls(field, (a, b, c, d))
 
     @classmethod
     def zero(cls, field: FieldTag) -> "Mat2":
-        z = field.zero()
-        return cls(field, (z, z, z, z))
+        return cls(field, (0, 0, 0, 0))
 
     @classmethod
     def identity(cls, field: FieldTag) -> "Mat2":
-        z, o = field.zero(), field.one()
-        return cls(field, (o, z, z, o))
+        return cls(field, (1, 0, 0, 1))
 
     @classmethod
     def unit(cls, field: FieldTag, i: int, j: int) -> "Mat2":
         """Matrix unit E_ij, 1-based indices."""
-        z, o = field.zero(), field.one()
-        e = [z, z, z, z]
-        e[(i - 1) * 2 + (j - 1)] = o
-        return cls(field, tuple(e))
+        e = [0, 0, 0, 0]
+        e[(i - 1) * 2 + (j - 1)] = 1
+        return cls(field, e)
 
     @classmethod
     def diag(cls, field: FieldTag, a, b) -> "Mat2":
-        z = field.zero()
-        return cls(field, (field.coerce(a), z, z, field.coerce(b)))
+        return cls(field, (a, 0, 0, b))
 
     # -- value semantics -----------------------------------------------------
 
@@ -157,11 +146,11 @@ class Mat2:
         if self._f != other._f:
             return False
         if self._f.is_exact:
-            return (self._z or self._form()) == (other._z or other._form())
+            return self._z == other._z
         return self._e == other._e
 
     def __hash__(self):
-        return hash((self._f, self._form() or self._e))
+        return hash((self._f, self._z or self._e))
 
     def __repr__(self):
         return f"Mat2(field={self._f!r}, entries={self.entries!r})"
@@ -173,18 +162,18 @@ class Mat2:
         if other._f is not f:
             require_same_field(f, other._f)
         if f.is_exact:
-            return _combine(f, self._z or self._form(), other._z or other._form(), False)
+            return _combine(f, self._z, other._z, False)
         a, b = self._e, other._e
-        return Mat2(f, (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]))
+        return _built(f, (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]), None)
 
     def __sub__(self, other: "Mat2") -> "Mat2":
         f = self._f
         if other._f is not f:
             require_same_field(f, other._f)
         if f.is_exact:
-            return _combine(f, self._z or self._form(), other._z or other._form(), True)
+            return _combine(f, self._z, other._z, True)
         a, b = self._e, other._e
-        return Mat2(f, (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]))
+        return _built(f, (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]), None)
 
     def __neg__(self) -> "Mat2":
         a = self.entries
@@ -197,16 +186,16 @@ class Mat2:
         if not f.is_exact:
             a11, a12, a21, a22 = self._e
             b11, b12, b21, b22 = other._e
-            return Mat2(f, (
+            return _built(f, (
                 a11 * b11 + a12 * b21,
                 a11 * b12 + a12 * b22,
                 a21 * b11 + a22 * b21,
                 a21 * b12 + a22 * b22,
-            ))
+            ), None)
         if f.is_complex:
             # entry (p + q i) of self times entry (r + s i) of other
-            d, p11, q11, p12, q12, p21, q21, p22, q22 = self._z or self._form()
-            e, r11, s11, r12, s12, r21, s21, r22, s22 = other._z or other._form()
+            d, p11, q11, p12, q12, p21, q21, p22, q22 = self._z
+            e, r11, s11, r12, s12, r21, s21, r22, s22 = other._z
             return _normalised(f, (
                 d * e,
                 p11 * r11 - q11 * s11 + p12 * r21 - q12 * s21,
@@ -218,8 +207,8 @@ class Mat2:
                 p21 * r12 - q21 * s12 + p22 * r22 - q22 * s22,
                 p21 * s12 + q21 * r12 + p22 * s22 + q22 * r22,
             ))
-        d, a11, a12, a21, a22 = self._z or self._form()
-        e, b11, b12, b21, b22 = other._z or other._form()
+        d, a11, a12, a21, a22 = self._z
+        e, b11, b12, b21, b22 = other._z
         return _normalised(f, (
             d * e,
             a11 * b11 + a12 * b21,
@@ -232,12 +221,12 @@ class Mat2:
         f = self._f
         if not f.is_exact:
             a = self._e
-            return Mat2(f, (c * a[0], c * a[1], c * a[2], c * a[3]))
+            return _built(f, (c * a[0], c * a[1], c * a[2], c * a[3]), None)
         c = f.coerce(c)
         if f.is_complex:
             # each entry (a + b i) times c = (p + q i) / r
             p, q, r = c.a, c.b, c.den
-            z = self._z or self._form()
+            z = self._z
             form = [z[0] * r]
             for a, b in zip(z[1::2], z[2::2]):
                 form += (a * p - b * q, a * q + b * p)
@@ -245,10 +234,10 @@ class Mat2:
         # as in Fraction.__mul__: the only common factors are gcd(p, d) and
         # gcd(q, numerators), so no gcd of the (possibly huge) products
         p, q = c.numerator, c.denominator
-        d, n11, n12, n21, n22 = self._z or self._form()
+        d, n11, n12, n21, n22 = self._z
         g, h = gcd(p, d), gcd(q, n11, n12, n21, n22)
         p, d, q = p // g, d // g, q // h
-        return _from_form(f, (d * q, n11 // h * p, n12 // h * p, n21 // h * p, n22 // h * p))
+        return _built(f, None, (d * q, n11 // h * p, n12 // h * p, n21 // h * p, n22 // h * p))
 
     def __rmul__(self, c) -> "Mat2":
         if isinstance(c, Mat2):
@@ -273,11 +262,11 @@ class Mat2:
 
     def trace(self):
         a = self.entries
-        return self._f.coerce(a[0] + a[3])
+        return a[0] + a[3]
 
     def det(self):
         a11, a12, a21, a22 = self.entries
-        return self._f.coerce(a11 * a22 - a12 * a21)
+        return a11 * a22 - a12 * a21
 
     def discriminant(self):
         """(a11 - a22)^2 + 4 a12 a21, which is tr^2 - 4 det without its cancellation."""
@@ -287,14 +276,14 @@ class Mat2:
             u = a11 - a22
             return u * u + 4 * a12 * a21
         if f.is_complex:
-            d, p11, q11, p12, q12, p21, q21, p22, q22 = self._z or self._form()
+            d, p11, q11, p12, q12, p21, q21, p22, q22 = self._z
             u, w = p11 - p22, q11 - q22
             return GaussianRational._raw(
                 u * u - w * w + 4 * (p12 * p21 - q12 * q21),
                 2 * u * w + 4 * (p12 * q21 + q12 * p21),
                 d * d,
             )
-        d, n11, n12, n21, n22 = self._z or self._form()
+        d, n11, n12, n21, n22 = self._z
         u = n11 - n22
         return Fraction(u * u + 4 * n12 * n21, d * d)
 
@@ -303,14 +292,14 @@ class Mat2:
         if other._f is not f:
             require_same_field(f, other._f)
         if f.is_exact:
-            return (self._z or self._form()) == (other._z or other._form())
+            return self._z == other._z
         eq = f.eq
         return all(eq(a, b) for a, b in zip(self._e, other._e))
 
     def is_zero(self) -> bool:
         f = self._f
         if f.is_exact:
-            return not any((self._z or self._form())[1:])
+            return not any(self._z[1:])
         is_zero = f.is_zero
         return all(is_zero(a) for a in self._e)
 
@@ -321,9 +310,9 @@ class Mat2:
             a11, a12, a21, a22 = self._e
             return f.is_zero(a12) and f.is_zero(a21) and f.eq(a11, a22)
         if f.is_complex:
-            _, p11, q11, p12, q12, p21, q21, p22, q22 = self._z or self._form()
+            _, p11, q11, p12, q12, p21, q21, p22, q22 = self._z
             return p12 == q12 == p21 == q21 == 0 and p11 == p22 and q11 == q22
-        _, n11, n12, n21, n22 = self._z or self._form()
+        _, n11, n12, n21, n22 = self._z
         return n12 == 0 and n21 == 0 and n11 == n22
 
     def max_abs(self) -> float:
@@ -343,14 +332,14 @@ class Mat2:
 
 
 def _settled(*matrices) -> tuple:
-    """The matrices, with their entries and integer form both built now.
+    """The matrices, with their entries built now.
 
-    For matrices cached across calls: a part built lazily would be paid for by
-    whichever later call reads it first, so equal calls would do unequal work.
+    For operation results cached across calls: entries built on first read
+    would be paid for by whichever later call reads them first, so equal calls
+    would do unequal work.
     """
     for M in matrices:
         M.entries
-        M._form()
     return matrices
 
 
@@ -361,7 +350,7 @@ def matrix_units(field: FieldTag) -> tuple:
     The units are rank one and span M2(F): a statement linear in T that holds
     on them holds for every T, and they are the rank-one probes of every test.
     """
-    return _settled(*[Mat2.unit(field, i, j) for i in (1, 2) for j in (1, 2)])
+    return tuple(Mat2.unit(field, i, j) for i in (1, 2) for j in (1, 2))
 
 
 @dataclass(frozen=True)
@@ -381,7 +370,8 @@ def outer(field: FieldTag, x, f) -> Mat2:
     if not field.is_exact:
         c = field.conj
         f0, f1 = c(f[0]), c(f[1])
-        return Mat2(field, (x[0] * f0, x[0] * f1, x[1] * f0, x[1] * f1))
+        return _built(field, (x[0] * f0, x[0] * f1, x[1] * f0, x[1] * f1), None)
+    x, f = [field.coerce(v) for v in x], [field.coerce(v) for v in f]
     if field.is_complex:
         # (a + b i) * conj(c + d i) = (a c + b d) + (b c - a d) i
         d, a0, b0, a1, b1 = _integer_form(field, x)
@@ -446,7 +436,7 @@ def rank_one_factor(A: Mat2) -> RankOneFactor:
     normalized to 1; all scale is absorbed into f.
     """
     if not _is_rank_one(A):
-        raise RankNotOne(f"matrix {A} is not rank one")
+        raise RankNotOne("matrix is not rank one")
     f = A.field
     a11, a12, a21, a22 = A.entries
     cols = [(a11, a21), (a12, a22)]

@@ -100,7 +100,7 @@ class MapTable:
     def lookup(self, A: Mat2) -> Mat2:
         out = self._find(A)
         if out is None:
-            raise InputNotInTable(f"{A} is not a table input")
+            raise InputNotInTable("matrix is not a table input")
         return out
 
     def has_input(self, A: Mat2) -> bool:
@@ -123,7 +123,7 @@ class Decomposition:
     def h_of(self, A: Mat2):
         value = self._h_index.get(A)
         if value is None:
-            raise InputNotInTable(f"{A} has no extracted h value")
+            raise InputNotInTable("matrix has no extracted h value")
         return value
 
 
@@ -263,7 +263,7 @@ def decompose(table: MapTable) -> Decomposition:
     _check_root(field, lam, k)
     # lam**(k+1) = 1 makes lam**(-k) = lam; keep the implied identity honest
     if not field.eq(lam ** (-k), lam):
-        raise InvariantViolation(f"lambda**(k+1) = 1 but lambda**(-k) != lambda for {lam!r}")
+        raise InvariantViolation("lambda**(k+1) = 1 but lambda**(-k) != lambda")
 
     h_table = []
     for A, out in table.entries:

@@ -58,7 +58,7 @@ def random_scalar_plus_nilpotent(field: FieldTag, rng: Random, **kw) -> Mat2:
     a = random_scalar(field, rng, **kw)
     b = random_scalar(field, rng, **kw)
     if field.is_zero(b):
-        N = Mat2(field, (field.zero(), a, field.zero(), field.zero()))
+        N = Mat2(field, (0, a, 0, 0))
     else:
         # [[a*b, -a*a], [b*b, -a*b]] squares to zero for any a, b
         N = Mat2(field, (a * b, -(a * a), b * b, -(a * b)))

@@ -88,6 +88,13 @@ class TestScalarPlusNilpotent:
         v = scalar_plus_nilpotent_spectral(Mat2.from_rows(RATIONAL_Q, [[0, 1], [-1, 0]]))
         assert not v.holds
 
+    def test_discriminant_past_the_print_limit_is_a_verdict(self):
+        # the discriminant a**2 has 5,000 digits, more than repr will print
+        a = int("7" * 2500)
+        v = scalar_plus_nilpotent_spectral(Mat2.from_rows(RATIONAL_Q, [[a, 1], [0, 0]]))
+        assert not v.holds
+        assert v.discriminant == a * a
+
     def test_kcomm_accepts_shifted_nilpotent(self, exact_field):
         S = Mat2.identity(exact_field).scale(exact_field.coerce(5)) + Mat2.unit(exact_field, 1, 2)
         assert scalar_plus_nilpotent_kcomm(S, 3).holds

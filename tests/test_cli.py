@@ -330,6 +330,11 @@ class TestHostileInputs:
         body = self.run_text(capsys, tmp_path, ["decompose-map"], text)
         assert body["error"] == "ResultTooLarge"
 
+    def test_spectral_discriminant_past_the_print_limit(self, capsys, tmp_path):
+        text = json.dumps({"S": {"field": "Q", "entries": [["7" * 2500, "1"], ["0", "0"]]}})
+        body = self.run_text(capsys, tmp_path, ["classify", "--lemma", "2.3-spectral"], text)
+        assert body["error"] == "ResultTooLarge"
+
     def test_gen_map_without_inputs(self, capsys, tmp_path):
         text = json.dumps({"lambda": "1", "inputs": []})
         body = self.run_text(capsys, tmp_path, ["gen-map"], text)

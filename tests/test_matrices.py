@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kcomm2 import (
+    FLOAT_C,
     FLOAT_R,
     GAUSSIAN_QI,
     RATIONAL_Q,
@@ -17,8 +18,10 @@ from kcomm2 import (
     rank_one_factor,
     spectral_split,
 )
+from kcomm2 import matrices
 from kcomm2.errors import FieldMismatch, NotScalarPlusNilpotent, RankNotOne
 from kcomm2.randgen import random_mat, random_nonzero_vec
+from kcomm2.serialize import mat_from_json, mat_to_json
 
 from conftest import units
 
@@ -119,6 +122,11 @@ class TestRankOneFactor:
     def test_zero_rejected(self, any_field):
         with pytest.raises(RankNotOne):
             rank_one_factor(Mat2.zero(any_field))
+
+    def test_entry_past_the_print_limit_is_typed(self):
+        # 10**4400 has more digits than str will print
+        with pytest.raises(RankNotOne):
+            rank_one_factor(Mat2.diag(RATIONAL_Q, 10**4400, 1))
 
     def test_roundtrip_random(self, exact_field):
         rng = Random(5)
@@ -307,12 +315,14 @@ class TestIntegerForm:
     def test_int_entries(self, exact_field):
         A = Mat2(exact_field, (1, 2, 3, 4))
         assert A.entries == (1, 2, 3, 4)
+        assert all(type(x) is type(exact_field.one()) for x in A.entries)
+        assert mat_from_json(mat_to_json(A)) == A
         assert A == Mat2.from_rows(exact_field, [[1, 2], [3, 4]])
         assert (A @ A).eq(Mat2.from_rows(exact_field, [[7, 10], [15, 22]]))
         assert A.det() == -2 and A.trace() == 5 and A.discriminant() == 33
 
     def test_int_entry_invariants_are_field_scalars(self, exact_field):
-        # trace and det read the entries, which may be ints; spectral_split halves the trace
+        # trace and det read the entries; spectral_split halves the trace
         scalar = type(exact_field.one())
         A = Mat2(exact_field, (1, 1, 0, 1))
         assert type(A.trace()) is scalar and A.trace() == 2
@@ -343,3 +353,63 @@ class TestIntegerForm:
                 outer(field, (Fraction(1, 2), 0.5), (1, 0))
             with pytest.raises(FieldMismatch):
                 outer(field, (1, 0), (Fraction(1, 3), 0.25))
+
+
+# -- construction ------------------------------------------------------------
+
+def _raw_scalars(field):
+    """int / Fraction inputs, plus the GaussianRationals the field can hold."""
+    options = [st.integers(-50, 50), small_fractions]
+    if field.is_complex:
+        options.append(st.builds(GaussianRational, small_fractions, small_fractions))
+    elif field.is_exact:
+        options.append(st.builds(GaussianRational, small_fractions))
+    return st.one_of(*options)
+
+
+def _constructed(field, s):
+    """Every public way to make a matrix, fed the raw scalars s."""
+    yield Mat2(field, s)
+    yield Mat2.from_rows(field, [s[:2], s[2:]])
+    yield Mat2.zero(field)
+    yield Mat2.identity(field)
+    for i in (1, 2):
+        for j in (1, 2):
+            yield Mat2.unit(field, i, j)
+    yield Mat2.diag(field, s[0], s[3])
+    # float outer multiplies the field scalars it is given, unchecked
+    v = s if field.is_exact else [field.coerce(x) for x in s]
+    yield outer(field, v[:2], v[2:])
+    yield mat_from_json(mat_to_json(Mat2(field, s)))
+
+
+class TestConstruction:
+    """``Mat2(field, entries)`` checks and coerces; every matrix is canonical."""
+
+    @pytest.mark.parametrize("entries", [(1, 2, 3), (1, 2, 3, 4, 5), ()],
+                             ids=["three", "five", "none"])
+    def test_entry_count_checked(self, any_field, entries):
+        with pytest.raises(ValueError):
+            Mat2(any_field, entries)
+
+    @pytest.mark.parametrize("field, entries", [
+        (RATIONAL_Q, (0.5, 1, 1, 1)),
+        (RATIONAL_Q, (GaussianRational(0, 1), 1, 1, 1)),
+        (GAUSSIAN_QI, (1, 2, 3, 0.5)),
+        (FLOAT_R, (1j, 2, 3, 4)),
+    ], ids=["Q-float", "Q-imaginary", "Qi-float", "R64-complex"])
+    def test_wrong_scalar_kind_refused(self, field, entries):
+        with pytest.raises(FieldMismatch):
+            Mat2(field, entries)
+
+    @given(st.sampled_from([RATIONAL_Q, GAUSSIAN_QI, FLOAT_R, FLOAT_C]).flatmap(
+        lambda f: st.tuples(st.just(f), st.tuples(*[_raw_scalars(f)] * 4))))
+    def test_every_constructor_yields_canonical_matrices(self, case):
+        field, s = case
+        scalar = type(field.one())
+        for M in _constructed(field, s):
+            assert all(type(x) is scalar for x in M.entries)
+            if field.is_exact:
+                assert M._z == matrices._integer_form(field, M.entries)
+            again = Mat2(field, M.entries)
+            assert again == M and hash(again) == hash(M)

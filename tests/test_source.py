@@ -43,13 +43,29 @@ def test_every_error_class_is_raised():
     assert sorted(classes - raised - {"Kcomm2Error"}) == []
 
 
+# Parts of Mat2 that only matrices.py may touch: the stored entries and
+# integer form, and the helpers that build a matrix without the checks of
+# ``Mat2(field, entries)``.  Every matrix made elsewhere is therefore checked.
+MATRICES_PRIVATE = ("_e", "_z", "_built", "_normalised", "_integer_form")
+
+
+def _used_name(node):
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
 def test_only_matrices_reads_the_integer_form():
-    """``Mat2._e``, ``._z`` and ``._form()`` are private to ``matrices.py``."""
-    reads = [
+    """``Mat2._e``, ``._z`` and the unchecked builders are private to ``matrices.py``."""
+    uses = [
         f"{name}:{node.lineno}"
         for name, tree in TREES.items()
         if name != "matrices.py"
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in ("_e", "_z", "_form")
+        if _used_name(node) in MATRICES_PRIVATE
     ]
-    assert reads == []
+    assert uses == []
