@@ -7,10 +7,10 @@ matrices use that convention on both axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
+from typing import NamedTuple
 
 from .brackets import MAX_TRIALS, _check_order, kcomm
 from .errors import (
@@ -25,8 +25,7 @@ from .matrices import Mat2, SpectralSplit, _settled, matrix_units, spectral_spli
 from .randgen import random_rank_one
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a vanishing test; a failing witness carries its bracket."""
 
     holds: bool
@@ -34,15 +33,13 @@ class Verdict:
     detail: Mat2 | None = None
 
 
-@dataclass(frozen=True)
-class SpectralVerdict:
+class SpectralVerdict(NamedTuple):
     holds: bool
     split: SpectralSplit | None
     discriminant: object
 
 
-@dataclass(frozen=True)
-class SandwichSystem:
+class SandwichSystem(NamedTuple):
     """Two sums of sandwich terms compared on all rank-one inputs."""
 
     left: list  # [(A_i, B_i), ...]
@@ -58,8 +55,7 @@ class SandwichSystem:
         return f
 
 
-@dataclass(frozen=True)
-class NotAnIdentity:
+class NotAnIdentity(NamedTuple):
     """The two sandwich sums differ; witness is rank one."""
 
     witness: Mat2
@@ -67,8 +63,7 @@ class NotAnIdentity:
     right_value: Mat2
 
 
-@dataclass(frozen=True)
-class Coefficients:
+class Coefficients(NamedTuple):
     """coeffs[i][j] expresses target i in the span of the opposite side."""
 
     mode: str  # "b-in-d" or "a-in-c"

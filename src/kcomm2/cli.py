@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 
-from . import classify as cls
 from .brackets import MAX_ORDER, _check_order, kcomm, kcomm_recursive
 from .errors import (
     InputError,
@@ -23,22 +22,10 @@ from .errors import (
     PreservationFailed,
 )
 from .fields import FIELD_CODES, FieldTag
-from .identities import golden_identities
-from .preserver import (
-    MAX_TABLE_INPUTS,
-    _check_table_size,
-    all_pairs,
-    decompose,
-    generate_map,
-    h_det,
-    h_random,
-    h_trace,
-    h_zero,
-    probe_campaign,
-    probe_set,
-    verify_preserving,
-)
 from . import serialize as ser
+
+# The handlers import classify, preserver and identities themselves, so a
+# request loads only the modules its subcommand runs.
 
 
 def _read_input(args) -> dict:
@@ -85,6 +72,8 @@ def cmd_kcomm(args) -> tuple[dict, int]:
 
 
 def cmd_classify(args) -> tuple[dict, int]:
+    from . import classify as cls
+
     data = _read_input(args)
     if args.lemma == "2.2":
         Z = ser.mat_from_json(_require(data, "Z"), tolerance=args.tolerance)
@@ -104,24 +93,27 @@ def cmd_classify(args) -> tuple[dict, int]:
 
 
 def cmd_sandwich(args) -> tuple[dict, int]:
+    from . import classify as cls
+
     system = ser.sandwich_from_json(_read_input(args), tolerance=args.tolerance)
     result = cls.rank_one_identity_solve(system, mode=args.mode)
     code = 0 if isinstance(result, cls.Coefficients) else 1
     return ser.solver_result_to_json(result, system.field()), code
 
 
-_H_RULES = {"zero": lambda f, s: h_zero, "trace": lambda f, s: h_trace,
-            "det": lambda f, s: h_det, "random": h_random}
-
-
 def cmd_gen_map(args) -> tuple[dict, int]:
+    from .preserver import (_check_table_size, generate_map, h_det, h_random, h_trace, h_zero,
+                            probe_set)
+
+    rules = {"zero": lambda f, s: h_zero, "trace": lambda f, s: h_trace,
+             "det": lambda f, s: h_det, "random": h_random}
     data = _read_input(args)
     field = FieldTag(args.field, args.tolerance)
     lam = field.parse(_require(data, "lambda"))
     rule_name = data.get("h", "zero")
-    if not (isinstance(rule_name, str) and rule_name in _H_RULES):
-        raise InputError(f"unknown h rule {rule_name!r}; choose from {sorted(_H_RULES)}")
-    h = _H_RULES[rule_name](field, args.seed)
+    if not (isinstance(rule_name, str) and rule_name in rules):
+        raise InputError(f"unknown h rule {rule_name!r}; choose from {sorted(rules)}")
+    h = rules[rule_name](field, args.seed)
     if "inputs" in data:
         listed = ser.array_from_json(data["inputs"], "inputs")
         _check_table_size(len(listed))  # before any input is decoded
@@ -132,6 +124,8 @@ def cmd_gen_map(args) -> tuple[dict, int]:
 
 
 def cmd_verify_map(args) -> tuple[dict, int]:
+    from .preserver import MAX_TABLE_INPUTS, all_pairs, verify_preserving
+
     data = _read_input(args)
     table = ser.maptable_from_json(data.get("table", data), tolerance=args.tolerance)
     if "pairs" in data:
@@ -145,6 +139,8 @@ def cmd_verify_map(args) -> tuple[dict, int]:
 
 
 def cmd_decompose_map(args) -> tuple[dict, int]:
+    from .preserver import decompose
+
     table = ser.maptable_from_json(_read_input(args), tolerance=args.tolerance)
     try:
         return ser.decomposition_to_json(decompose(table), table.field), 0
@@ -159,12 +155,16 @@ def cmd_decompose_map(args) -> tuple[dict, int]:
 
 
 def cmd_campaign(args) -> tuple[dict, int]:
+    from .preserver import probe_campaign
+
     field = FieldTag(args.field, args.tolerance)
     report = probe_campaign(args.k, field, args.trials, args.seed)
     return ser.campaign_to_json(report), 0 if report.clean else 1
 
 
 def cmd_fixtures(args) -> tuple[dict, int]:
+    from .identities import golden_identities
+
     field = FieldTag(args.field, args.tolerance)
     _check_order(args.kmax, name="kmax", maximum=MAX_ORDER)
     items = []

@@ -246,7 +246,11 @@ class FieldTag:
         return self.coerce(1)
 
     def coerce(self, x):
-        """Bring an int/Fraction/native value into this field's scalar type."""
+        """Bring a scalar into this field's type; a kind the field cannot hold raises FieldMismatch.
+
+        Every field takes int and Fraction, and a GaussianRational whose value
+        it contains; R64 also takes float, and C64 float and complex.
+        """
         if self.is_exact:
             if self.is_complex:
                 if isinstance(x, GaussianRational):
@@ -263,13 +267,17 @@ class FieldTag:
                     raise FieldMismatch("imaginary value in rational field")
                 return x.re
             raise FieldMismatch(f"cannot coerce {type(x).__name__} into Q")
-        if self.is_complex:
-            if isinstance(x, GaussianRational):
+        if isinstance(x, (int, float, Fraction)):
+            return complex(x) if self.is_complex else float(x)
+        if isinstance(x, GaussianRational):
+            if self.is_complex:
                 return complex(float(x.re), float(x.im))
-            return complex(x)
-        if isinstance(x, complex):
-            raise FieldMismatch("complex value in real float field")
-        return float(x)
+            if x.b != 0:
+                raise FieldMismatch("imaginary value in real float field")
+            return float(x.re)
+        if self.is_complex and isinstance(x, complex):
+            return x
+        raise FieldMismatch(f"cannot coerce {type(x).__name__} into {self.variant}")
 
     def eq(self, a, b) -> bool:
         """Field equality: strict for exact variants, |a-b| <= tol for floats."""

@@ -7,15 +7,14 @@ hand formulas rather than against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .fields import FieldTag
 from .matrices import Mat2, matrix_units
 
 
-@dataclass(frozen=True)
-class BracketIdentity:
+class BracketIdentity(NamedTuple):
     name: str
     A: Mat2
     B: Mat2

@@ -24,10 +24,10 @@ read; a float (R64, C64) one from its entries.  Values are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import InvariantViolation, NotScalarPlusNilpotent, RankNotOne
 from .fields import FieldTag, GaussianRational, require_same_field
@@ -353,8 +353,7 @@ def matrix_units(field: FieldTag) -> tuple:
     return tuple(Mat2.unit(field, i, j) for i in (1, 2) for j in (1, 2))
 
 
-@dataclass(frozen=True)
-class RankOneFactor:
+class RankOneFactor(NamedTuple):
     """Vectors x, f with A = x f* (f conjugated on pairing)."""
 
     x: tuple
@@ -367,11 +366,11 @@ def outer(field: FieldTag, x, f) -> Mat2:
     Over Q and Q(i), x and f are each written over one denominator and the
     integer parts multiplied, with one gcd for the product.
     """
+    x, f = [field.coerce(v) for v in x], [field.coerce(v) for v in f]
     if not field.is_exact:
         c = field.conj
         f0, f1 = c(f[0]), c(f[1])
         return _built(field, (x[0] * f0, x[0] * f1, x[1] * f0, x[1] * f1), None)
-    x, f = [field.coerce(v) for v in x], [field.coerce(v) for v in f]
     if field.is_complex:
         # (a + b i) * conj(c + d i) = (a c + b d) + (b c - a d) i
         d, a0, b0, a1, b1 = _integer_form(field, x)
@@ -388,8 +387,7 @@ def outer(field: FieldTag, x, f) -> Mat2:
     return _normalised(field, (d * e, x0 * f0, x0 * f1, x1 * f0, x1 * f1))
 
 
-@dataclass(frozen=True)
-class SpectralSplit:
+class SpectralSplit(NamedTuple):
     """Normal form S = lam*I + N with N^2 = 0, valid when the discriminant vanishes."""
 
     lam: object

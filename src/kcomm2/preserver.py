@@ -5,9 +5,9 @@ decomposition into the canonical form lam*A + h(A)*I with lam**(k+1) = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from random import Random
+from typing import NamedTuple
 
 from .brackets import MAX_ORDER, MAX_TRIALS, _check_order, kcomm, kcomm_recursive
 from .errors import (
@@ -74,22 +74,28 @@ class _InputIndex:
             self._scan.append((A, value))
 
 
-@dataclass(frozen=True)
 class MapTable:
-    """A finite sampled map: (input, output) matrix pairs plus field/k metadata."""
+    """A finite sampled map: (input, output) matrix pairs plus field/k metadata.
 
-    field: FieldTag
-    k: int
-    entries: tuple  # ((input, output), ...)
+    ``MapTable(field, k, entries)`` with entries ((input, output), ...); the
+    inputs must be pairwise distinct.  Tables compare by value.
+    """
 
-    def __post_init__(self):
-        _check_table_size(len(self.entries))
+    __slots__ = ("field", "k", "entries", "_index")
+
+    def __init__(self, field: FieldTag, k: int, entries: tuple):
+        _check_table_size(len(entries))
         index = _InputIndex()
-        for A, out in self.entries:
+        for A, out in entries:
             if index.get(A) is not None:
                 raise DuplicateInput("map table inputs must be pairwise distinct")
             index.add(A, out)
-        object.__setattr__(self, "_index", index)
+        self.field, self.k, self.entries, self._index = field, k, entries, index
+
+    def __eq__(self, other):
+        if not isinstance(other, MapTable):
+            return NotImplemented
+        return (self.field, self.k, self.entries) == (other.field, other.k, other.entries)
 
     def _find(self, A: Mat2):
         """The output for input A, or None."""
@@ -110,15 +116,20 @@ class MapTable:
         return [a for a, _ in self.entries]
 
 
-@dataclass(frozen=True)
 class Decomposition:
-    lam: object
-    h_table: tuple  # ((input, scalar), ...)
-    verified_pairs: int
+    """lam and the h values ((input, scalar), ...) of a table in the theorem's form."""
 
-    @cached_property
-    def _h_index(self):
-        return _InputIndex(self.h_table)
+    __slots__ = ("lam", "h_table", "verified_pairs", "_h_index")
+
+    def __init__(self, lam, h_table: tuple, verified_pairs: int):
+        self.lam, self.h_table, self.verified_pairs = lam, h_table, verified_pairs
+        self._h_index = _InputIndex(h_table)
+
+    def __eq__(self, other):
+        if not isinstance(other, Decomposition):
+            return NotImplemented
+        return ((self.lam, self.h_table, self.verified_pairs)
+                == (other.lam, other.h_table, other.verified_pairs))
 
     def h_of(self, A: Mat2):
         value = self._h_index.get(A)
@@ -127,16 +138,14 @@ class Decomposition:
         return value
 
 
-@dataclass(frozen=True)
-class PreservationVerdict:
+class PreservationVerdict(NamedTuple):
     holds: bool
     pair: tuple | None = None
     left: Mat2 | None = None
     right: Mat2 | None = None
 
 
-@dataclass(frozen=True)
-class ShiftVerdict:
+class ShiftVerdict(NamedTuple):
     holds: bool
     triple: tuple | None = None
     residue: Mat2 | None = None
@@ -285,15 +294,19 @@ def decompose(table: MapTable) -> Decomposition:
 # -- randomized exercise of the equivalence ----------------------------------
 
 
-@dataclass
 class CampaignReport:
-    field: FieldTag
-    k: int
-    trials: int
-    valid_ok: int = 0
-    perturbed_rejected: int = 0
-    anomalies: list = dc_field(default_factory=list)
-    rejection_kinds: dict = dc_field(default_factory=dict)
+    """Counts and anomalies of one probe campaign, filled in as it runs."""
+
+    def __init__(self, field: FieldTag, k: int, trials: int):
+        self.field, self.k, self.trials = field, k, trials
+        self.valid_ok = self.perturbed_rejected = 0
+        self.anomalies = []
+        self.rejection_kinds = {}
+
+    def __eq__(self, other):
+        if not isinstance(other, CampaignReport):
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def clean(self) -> bool:

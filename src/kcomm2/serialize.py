@@ -8,13 +8,17 @@ identical value (byte-stable for exact fields).
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-from .classify import Coefficients, NotAnIdentity, SandwichSystem, Verdict
 from .errors import InputError
 from .fields import FieldTag
 from .matrices import Mat2
-from .preserver import (CampaignReport, Decomposition, MapTable, PreservationVerdict,
-                        _check_table_size)
+
+# classify and preserver are imported by the functions that build or test
+# their types, so that decoding a matrix loads neither.
+if TYPE_CHECKING:
+    from .classify import SandwichSystem, Verdict
+    from .preserver import CampaignReport, Decomposition, MapTable, PreservationVerdict
 
 
 def mat_to_json(M: Mat2) -> dict:
@@ -53,6 +57,8 @@ def maptable_to_json(table: MapTable) -> dict:
 
 
 def maptable_from_json(obj, tolerance: float = 1e-9) -> MapTable:
+    from .preserver import MapTable, _check_table_size
+
     try:
         field = FieldTag(obj["field"], tolerance)
         k = obj["k"]
@@ -85,6 +91,8 @@ def pair_from_json(obj, field: FieldTag | None, tolerance: float) -> tuple:
 
 def sandwich_from_json(obj: dict, tolerance: float = 1e-9) -> SandwichSystem:
     """Decode {"left": [[A, B], ...], "right": [[C, D], ...]}."""
+    from .classify import SandwichSystem
+
     left, right = (
         [pair_from_json(p, None, tolerance) for p in array_from_json(obj.get(side), side)]
         for side in ("left", "right")
@@ -119,6 +127,8 @@ def decomposition_to_json(dec: Decomposition, field: FieldTag) -> dict:
 
 
 def solver_result_to_json(result, field: FieldTag) -> dict:
+    from .classify import Coefficients, NotAnIdentity
+
     if isinstance(result, NotAnIdentity):
         return {
             "identity": False,

@@ -36,14 +36,10 @@ from kcomm2 import (
 from kcomm2.classify import sandwich_operator
 from kcomm2.identities import golden_identities
 from kcomm2.preserver import all_pairs, h_random
-from kcomm2.randgen import (
-    random_diagonalizable,
-    random_mat,
-    random_scalar,
-    random_scalar_plus_nilpotent,
-)
+from kcomm2.randgen import random_scalar
 
-from support import random_complex_pair_real_matrix, span_system
+from support import (random_complex_pair_real_matrix, random_diagonalizable, random_mat,
+                     random_scalar_plus_nilpotent, span_system)
 
 
 def _report(num, name, ok, extra=""):

@@ -20,10 +20,11 @@ from kcomm2 import (
 from kcomm2 import brackets as brackets_module
 from kcomm2.errors import InvalidOrder, NotAnEigenpair, ResultTooLarge
 from kcomm2.identities import golden_identities
-from kcomm2.randgen import random_mat, random_scalar
+from kcomm2.randgen import random_scalar
 
 from conftest import units
-from support import Poly, poly_bracket, poly_matrix
+from support import (Poly, poly_bracket, poly_matrix, random_diagonalizable, random_mat,
+                     random_scalar_plus_nilpotent)
 
 
 class TestRecursive:
@@ -279,7 +280,6 @@ class TestNilpotentFast:
 
     def test_agrees_with_oracle(self, exact_field):
         rng = Random(18)
-        from kcomm2.randgen import random_scalar_plus_nilpotent
         from kcomm2 import spectral_split
 
         for _ in range(20):
@@ -315,7 +315,6 @@ class TestEigenpair:
         assert kcomm_eigenpair(fac, S, 2, 1, 1).is_zero()
 
     def test_agrees_with_oracle_on_random_diagonalizable(self):
-        from kcomm2.randgen import random_diagonalizable
 
         rng = Random(55)
         for _ in range(20):

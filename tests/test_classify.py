@@ -23,11 +23,12 @@ from kcomm2 import (
     scalar_witness_test,
 )
 from kcomm2.errors import EmptySystem, FieldMismatch, InvalidOrder, KTooSmall, SingularSystem
-from kcomm2.randgen import random_mat, random_rank_one, random_scalar_plus_nilpotent
+from kcomm2.randgen import random_rank_one
 from kcomm2.serialize import canonical_dumps, solver_result_to_json
 
 from conftest import units
-from support import apply_operator, span_system as _span_system
+from support import (apply_operator, random_mat, random_scalar_plus_nilpotent,
+                     span_system as _span_system)
 
 
 class TestScalarWitness:

@@ -1,8 +1,13 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kcomm2
 from kcomm2 import GAUSSIAN_QI, RATIONAL_Q, Mat2
 from kcomm2.cli import build_parser, main
 from kcomm2.serialize import (
@@ -554,3 +559,67 @@ class TestTolerance:
         system = {"left": [[self.EYE, self.EYE]], "right": [[self.NEAR_EYE, self.EYE]]}
         got, out = run_cli(capsys, ["sandwich"] + flags, system, tmp_path=tmp_path)
         assert (got, out["identity"]) == (code, code == 0)
+
+
+# The names ``kcomm2`` exported when it still imported every submodule eagerly.
+PACKAGE_NAMES = [
+    "Coefficients", "Decomposition", "FLOAT_C", "FLOAT_R", "FieldTag", "GAUSSIAN_QI",
+    "GaussianRational", "MapTable", "Mat2", "NotAnIdentity", "RATIONAL_Q", "RankOneFactor",
+    "SandwichSystem", "SpectralSplit", "Verdict", "brackets", "central_shift_check", "classify",
+    "decompose", "errors", "fields", "generate_map", "is_idempotent", "is_nilpotent", "kcomm",
+    "kcomm_closed", "kcomm_eigenpair", "kcomm_recursive", "matrices", "matrix_units", "outer",
+    "preserver", "probe_campaign", "probe_set", "randgen", "rank_one_factor",
+    "rank_one_identity_solve", "roots_of_unity", "sandwich_operator",
+    "scalar_plus_nilpotent_kcomm", "scalar_plus_nilpotent_spectral", "scalar_witness_test",
+    "spectral_split", "verify_preserving",
+]
+
+# What every subcommand loads: the parser, the codec and the bracket kernel.
+_CORE = {"kcomm2", "kcomm2.brackets", "kcomm2.cli", "kcomm2.errors", "kcomm2.fields",
+         "kcomm2.matrices", "kcomm2.serialize"}
+_PRESERVER = _CORE | {"kcomm2.preserver", "kcomm2.randgen"}
+_CHILD = ("import json, sys\n"
+          "from kcomm2 import cli\n"
+          "code = cli.main(sys.argv[1:])\n"
+          "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('kcomm2', 'dataclasses'))\n"
+          "print(json.dumps([code, loaded]))\n")
+
+
+def _valid_table():
+    return maptable_to_json(generate_map(Fraction(1), h_det, probe_set(RATIONAL_Q), 1))
+
+
+class TestColdStart:
+    """A fresh interpreter loads only the modules its subcommand runs."""
+
+    @pytest.mark.parametrize("argv, body, loaded", [
+        (["kcomm"], {"A": E["e12"], "B": E["e11"]}, _CORE),
+        (["classify", "--lemma", "2.2"], {"Z": _q([["2", "0"], ["0", "2"]])},
+         _CORE | {"kcomm2.classify", "kcomm2.randgen"}),
+        (["sandwich"], {"left": [[E["e11"], E["e12"]]], "right": [[E["e11"], E["e12"]]]},
+         _CORE | {"kcomm2.classify", "kcomm2.randgen"}),
+        (["gen-map"], {"lambda": "1"}, _PRESERVER),
+        (["verify-map"], _valid_table(), _PRESERVER),
+        (["decompose-map"], _valid_table(), _PRESERVER),
+        (["campaign", "--k", "1", "--trials", "2"], {}, _PRESERVER),
+        (["fixtures", "--kmax", "1"], {}, _CORE | {"kcomm2.identities"}),
+    ], ids=["kcomm", "classify", "sandwich", "gen-map", "verify-map", "decompose-map", "campaign",
+            "fixtures"])
+    def test_subcommand_loads_only_its_modules(self, argv, body, loaded):
+        src = str(Path(kcomm2.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", _CHILD, *argv], input=json.dumps(body),
+                             capture_output=True, text=True, env=env, timeout=60, check=True)
+        code, modules = json.loads(out.stdout.splitlines()[-1])
+        assert code == 0
+        assert set(modules) == loaded  # and never dataclasses
+
+    def test_package_names(self):
+        assert kcomm2.__all__ == PACKAGE_NAMES
+        namespace = {}
+        exec("from kcomm2 import *", namespace)
+        for name in PACKAGE_NAMES:
+            assert namespace[name] is getattr(kcomm2, name)
+        assert kcomm2.Mat2 is Mat2 and kcomm2.decompose is preserver.decompose
+        with pytest.raises(AttributeError):
+            kcomm2.no_such_name

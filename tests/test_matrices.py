@@ -20,10 +20,11 @@ from kcomm2 import (
 )
 from kcomm2 import matrices
 from kcomm2.errors import FieldMismatch, NotScalarPlusNilpotent, RankNotOne
-from kcomm2.randgen import random_mat, random_nonzero_vec
-from kcomm2.serialize import mat_from_json, mat_to_json
+from kcomm2.randgen import random_nonzero_vec
+from kcomm2.serialize import canonical_dumps, mat_from_json, mat_to_json
 
 from conftest import units
+from support import random_mat, random_scalar_plus_nilpotent
 
 
 class TestRingOps:
@@ -173,8 +174,6 @@ class TestSpectralSplit:
 
     def test_reassembly_random(self, exact_field):
         rng = Random(9)
-        from kcomm2.randgen import random_scalar_plus_nilpotent
-
         for _ in range(50):
             S = random_scalar_plus_nilpotent(exact_field, rng)
             split = spectral_split(S)
@@ -377,9 +376,7 @@ def _constructed(field, s):
         for j in (1, 2):
             yield Mat2.unit(field, i, j)
     yield Mat2.diag(field, s[0], s[3])
-    # float outer multiplies the field scalars it is given, unchecked
-    v = s if field.is_exact else [field.coerce(x) for x in s]
-    yield outer(field, v[:2], v[2:])
+    yield outer(field, s[:2], s[2:])
     yield mat_from_json(mat_to_json(Mat2(field, s)))
 
 
@@ -397,10 +394,32 @@ class TestConstruction:
         (RATIONAL_Q, (GaussianRational(0, 1), 1, 1, 1)),
         (GAUSSIAN_QI, (1, 2, 3, 0.5)),
         (FLOAT_R, (1j, 2, 3, 4)),
-    ], ids=["Q-float", "Q-imaginary", "Qi-float", "R64-complex"])
+        (FLOAT_R, ("1", 0, 0, 0)),
+        (FLOAT_C, ("1+2j", 0, 0, 0)),
+        (FLOAT_R, (GaussianRational(1, 1), 0, 0, 0)),
+        (FLOAT_R, (None, 0, 0, 0)),
+        (FLOAT_C, (None, 0, 0, 0)),
+    ], ids=["Q-float", "Q-imaginary", "Qi-float", "R64-complex", "R64-string", "C64-string",
+            "R64-imaginary", "R64-none", "C64-none"])
     def test_wrong_scalar_kind_refused(self, field, entries):
         with pytest.raises(FieldMismatch):
             Mat2(field, entries)
+
+    def test_float_fields_take_every_kind_they_hold(self):
+        kinds = (1, 0.5, Fraction(1, 4), GaussianRational(3))
+        assert Mat2(FLOAT_R, kinds).entries == (1.0, 0.5, 0.25, 3.0)
+        assert all(type(x) is float for x in Mat2(FLOAT_R, kinds).entries)
+        M = Mat2(FLOAT_C, (1, Fraction(1, 2), 2 - 1j, GaussianRational(1, 2)))
+        assert M.entries == (1, 0.5, 2 - 1j, 1 + 2j)
+        assert all(type(x) is complex for x in M.entries)
+
+    def test_float_outer_coerces_its_vectors(self):
+        for field in (FLOAT_R, FLOAT_C):
+            A = outer(field, (1, 2), (3, 4))
+            assert A.entries == (3, 4, 6, 8)
+            assert all(type(x) is type(field.one()) for x in A.entries)
+        text = canonical_dumps(mat_to_json(outer(FLOAT_R, (1, 2), (3, 4))))
+        assert text == '{"entries":[[3.0,4.0],[6.0,8.0]],"field":"R64"}'
 
     @given(st.sampled_from([RATIONAL_Q, GAUSSIAN_QI, FLOAT_R, FLOAT_C]).flatmap(
         lambda f: st.tuples(st.just(f), st.tuples(*[_raw_scalars(f)] * 4))))

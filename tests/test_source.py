@@ -69,3 +69,50 @@ def test_only_matrices_reads_the_integer_form():
         if _used_name(node) in MATRICES_PRIVATE
     ]
     assert uses == []
+
+
+def _imported(node) -> list:
+    """Dotted names an import statement loads or reads: ``from .x import y`` gives x and x.y."""
+    if isinstance(node, ast.Import) or node.module is None:  # import x, from . import x
+        return [alias.name for alias in node.names]
+    return [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+
+
+def _imports_run_on_import(nodes):
+    """The import statements among nodes that run when their module is imported:
+    not in a function body, nor under ``if TYPE_CHECKING:``."""
+    for node in nodes:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            yield from _imports_run_on_import(node.orelse)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _imports_run_on_import(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_dataclasses():
+    """``dataclasses`` (with the ``inspect`` it imports) added about 10 ms to every CLI request."""
+    uses = [
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(m.split(".")[0] == "dataclasses" for m in _imported(node))
+    ]
+    assert uses == []
+
+
+# Modules every CLI request imports, and the modules only some subcommands run:
+# those are imported inside the functions that use them.
+EAGER = ("__init__.py", "cli.py", "serialize.py")
+LAZY = ("classify", "preserver", "identities", "randgen")
+
+
+def test_every_request_imports_no_subcommand_module():
+    uses = [
+        f"{name}:{node.lineno}"
+        for name in EAGER
+        for node in _imports_run_on_import(TREES[name].body)
+        if any(m.split(".")[-1] in LAZY for m in _imported(node))
+    ]
+    assert uses == []
