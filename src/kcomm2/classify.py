@@ -183,7 +183,9 @@ def _gauss_jordan(field: FieldTag, rows, n: int):
     """Reduced row echelon form of rows, pivoting on the first n columns only.
 
     Columns past n (right-hand sides) are carried through the row operations.
-    Returns the reduced rows and their pivot columns.
+    Returns the reduced rows and their pivot columns.  Each pivot's row
+    operations start at its column: left of it the pivot row is zero (over
+    floats, zero to the field) and no column there is read again.
     """
     work = [list(r) for r in rows]
     pivots = []
@@ -196,11 +198,11 @@ def _gauss_jordan(field: FieldTag, rows, n: int):
             continue
         work[row], work[p] = work[p], work[row]
         piv = work[row][col]
-        work[row] = [a / piv for a in work[row]]
+        reduced = work[row][col:] = [a / piv for a in work[row][col:]]
         for r in range(len(work)):
             if r != row and not field.is_zero(work[r][col]):
                 factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[row])]
+                work[r][col:] = [a - factor * b for a, b in zip(work[r][col:], reduced)]
         pivots.append(col)
     return work, pivots
 

@@ -311,20 +311,22 @@ class FieldTag:
             raise ResultTooLarge(f"exact value too large to print: {exc}") from exc
 
     def parse(self, obj):
-        """Decode one JSON scalar; booleans and non-finite floats are refused."""
+        """Decode one JSON scalar, or over Qi and C64 an object {"re", "im"} of two.
+
+        An exact scalar is a string or an integer, a float one an integer or a
+        float; booleans and non-finite floats are refused, alone or as parts.
+        """
         value = None
+        kinds = (str, int) if self.is_exact else (int, float)
         try:
-            if isinstance(obj, bool):
-                pass
-            elif self.is_exact:
-                if isinstance(obj, (str, int)):
-                    value = self.coerce(_fraction(obj))
-                elif self.is_complex and isinstance(obj, dict):
-                    value = GaussianRational(_fraction(obj["re"]), _fraction(obj["im"]))
-            elif self.is_complex and isinstance(obj, dict):
-                value = complex(float(obj["re"]), float(obj["im"]))
-            elif isinstance(obj, (int, float)):
-                value = self.coerce(obj)
+            pair = self.is_complex and isinstance(obj, dict)
+            parts = [obj["re"], obj["im"]] if pair else [obj]
+            if all(isinstance(x, kinds) and not isinstance(x, bool) for x in parts):
+                if self.is_exact:
+                    parts = [_fraction(x) for x in parts]
+                    value = GaussianRational(*parts) if pair else self.coerce(parts[0])
+                else:
+                    value = complex(float(parts[0]), float(parts[1])) if pair else self.coerce(obj)
         except (ValueError, TypeError, KeyError, ZeroDivisionError, OverflowError) as exc:
             raise InputError(f"bad scalar {obj!r} for field {self.variant}: {exc}") from exc
         if value is None or (not self.is_exact and not cmath.isfinite(value)):

@@ -120,11 +120,15 @@ class Mat2:
         return cls(field, (a, b, c, d))
 
     @classmethod
+    @lru_cache(maxsize=8)
     def zero(cls, field: FieldTag) -> "Mat2":
+        """Built once per field, like ``matrix_units``: values are immutable."""
         return cls(field, (0, 0, 0, 0))
 
     @classmethod
+    @lru_cache(maxsize=8)
     def identity(cls, field: FieldTag) -> "Mat2":
+        """Built once per field, like ``zero``."""
         return cls(field, (1, 0, 0, 1))
 
     @classmethod
@@ -364,9 +368,13 @@ def outer(field: FieldTag, x, f) -> Mat2:
     """Rank-(at most)-one matrix x f*; entry (p, q) is x_p * conj(f_q).
 
     Over Q and Q(i), x and f are each written over one denominator and the
-    integer parts multiplied, with one gcd for the product.
+    integer parts multiplied, with one gcd for the product.  An exact
+    coordinate the integer form reads as it is (int or Fraction over Q, a
+    GaussianRational over Q(i)) is not coerced first.
     """
-    x, f = [field.coerce(v) for v in x], [field.coerce(v) for v in f]
+    held = () if not field.is_exact else GaussianRational if field.is_complex else (int, Fraction)
+    x = [v if isinstance(v, held) else field.coerce(v) for v in x]
+    f = [v if isinstance(v, held) else field.coerce(v) for v in f]
     if not field.is_exact:
         c = field.conj
         f0, f1 = c(f[0]), c(f[1])

@@ -13,13 +13,13 @@ from .fields import FieldTag, GaussianRational
 from .matrices import Mat2, outer
 
 
-def random_scalar(field: FieldTag, rng: Random, span: int = 9, denominators: bool = False):
-    """Uniform small scalar; integer-valued unless ``denominators`` is set."""
+def _draw(field: FieldTag, rng: Random, span: int = 9, denominators: bool = False):
+    """The draw of ``random_scalar``, except that an integer draw over Q stays an int."""
 
     def q():
         if denominators:
             return Fraction(rng.randint(-span, span), rng.randint(1, 4))
-        return Fraction(rng.randint(-span, span))
+        return rng.randint(-span, span)
 
     if not field.is_exact:
         if field.is_complex:
@@ -32,9 +32,16 @@ def random_scalar(field: FieldTag, rng: Random, span: int = 9, denominators: boo
     return GaussianRational._raw(rng.randint(-span, span), rng.randint(-span, span), 1)
 
 
+def random_scalar(field: FieldTag, rng: Random, span: int = 9, denominators: bool = False):
+    """Uniform small scalar of the field; integer-valued unless ``denominators`` is set."""
+    x = _draw(field, rng, span, denominators)
+    return Fraction(x) if type(x) is int else x
+
+
 def random_nonzero_vec(field: FieldTag, rng: Random, **kw):
+    """Two coordinates, not both zero; over Q an integer draw stays an int for ``outer``."""
     while True:
-        v = (random_scalar(field, rng, **kw), random_scalar(field, rng, **kw))
+        v = (_draw(field, rng, **kw), _draw(field, rng, **kw))
         if not (field.is_zero(v[0]) and field.is_zero(v[1])):
             return v
 

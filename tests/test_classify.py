@@ -414,3 +414,40 @@ class TestCertifierStream:
         rng = Random(seed)
         probes = [random_rank_one(field, rng) for _ in range(32)]
         assert (str(probes[0]), _digest(probes)) == _STREAMS[(variant, seed)]
+
+
+@pytest.fixture
+def constructed(monkeypatch):
+    """The field of every matrix built through the checked constructor."""
+    fields = []
+    init = Mat2.__init__
+
+    def counting(self, field, entries):
+        fields.append(field)
+        init(self, field, entries)
+
+    monkeypatch.setattr(Mat2, "__init__", counting)
+    return fields
+
+
+class TestHotLoopsConstructNoMatrix:
+    """Once a field's constant matrices exist, the solver and a positive
+    certifier make every matrix as an operation result."""
+
+    def test_sandwich_solve(self, any_field, request):
+        system = _span_system(any_field, Random(8), 2, 2)
+        (A, B), other = system.left  # A != 0, so adding E12 to B breaks the identity
+        broken = SandwichSystem(left=[(A, B + units(any_field)[1]), other], right=system.right)
+        rank_one_identity_solve(system)  # warm-up
+        built = request.getfixturevalue("constructed")
+        assert isinstance(rank_one_identity_solve(system), Coefficients)
+        assert isinstance(rank_one_identity_solve(broken), NotAnIdentity)
+        assert built == []
+
+    def test_positive_certifier(self, any_field, request):
+        S = random_scalar_plus_nilpotent(any_field, Random(9))
+        assert scalar_plus_nilpotent_kcomm(S, 3, seed=1).holds  # warm-up
+        built = request.getfixturevalue("constructed")
+        assert scalar_plus_nilpotent_kcomm(S, 3, seed=2).holds
+        assert scalar_plus_nilpotent_kcomm(S, 4, seed=3).holds
+        assert built == []

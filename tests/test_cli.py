@@ -172,6 +172,27 @@ _IMPOSTOR = _q_table(1, [(p, _q([[str(2 * int(x)) for x in row] for row in p["en
                          for p in _PROBES])
 
 
+def _r64(rows):
+    return {"field": "R64", "entries": rows}
+
+
+def _c64(entries):
+    z = [{"re": x.real, "im": x.imag} for x in map(complex, entries)]
+    return {"field": "C64", "entries": [z[:2], z[2:]]}
+
+
+def _c64_identity():
+    """B_i = sum_j c_ij D_j and C_j = sum_i c_ij A_i, so the sums agree for every T;
+    the coefficients c_ij come back through float row reduction, rounding included."""
+    A = [(1, 1j, 0, 1), (0.5, 0, 1 - 1j, 2)]
+    D = [(1 + 1j, 0, 0.1, -1), (0, 3, 1j, 0.7)]
+    c = [[0.1 + 0.2j, -1], [0.3j, 2 - 0.7j]]
+    B = [[c[i][0] * D[0][t] + c[i][1] * D[1][t] for t in range(4)] for i in range(2)]
+    C = [[c[0][j] * A[0][t] + c[1][j] * A[1][t] for t in range(4)] for j in range(2)]
+    return {"left": [[_c64(A[i]), _c64(B[i])] for i in range(2)],
+            "right": [[_c64(C[j]), _c64(D[j])] for j in range(2)]}
+
+
 class TestPinnedBodies:
     """Success and rejection bodies of the handlers, byte for byte."""
 
@@ -198,8 +219,20 @@ class TestPinnedBodies:
          '{"in":{"entries":[["0","1/2"],["1","0"]],"field":"Q"},'
          '"out":{"entries":[["-1/2","-1/2"],["-1","-1/2"]],"field":"Q"}}],"field":"Q","k":3}'),
         (["decompose-map"], _IMPOSTOR, 1, '{"power":"4","rejected":"lambda-not-root-of-unity"}'),
+        # each sum starts from the zero matrix: started from its first term instead,
+        # left_value would print as [[-0.0, 0.0], [-0.0, 0.0]]
+        (["sandwich"], {"left": [[_r64([[-1, -1], [-1, -2]]), _r64([[0, 0], [0, -1]])]],
+                        "right": [[_r64([[1, 0.5], [-2, 0.5]]), _r64([[1, -2], [1, 1]])]]}, 1,
+         '{"identity":false,"left_value":{"entries":[[0.0,0.0],[0.0,0.0]],"field":"R64"},'
+         '"right_value":{"entries":[[1.0,-2.0],[-2.0,4.0]],"field":"R64"},'
+         '"witness":{"entries":[[1.0,0.0],[0.0,0.0]],"field":"R64"}}'),
+        (["sandwich"], _c64_identity(), 0,
+         '{"coefficients":[[{"im":0.2,"re":0.10000000000000002},{"im":0.0,"re":-1.0}],'
+         '[{"im":0.3,"re":0.0},{"im":-0.6999999999999998,"re":2.0}]],'
+         '"identity":true,"mode":"b-in-d"}'),
     ], ids=["spectral-holds", "verify-refuted", "verify-pairs-refuted", "verify-pairs-hold",
-            "gen-map-inputs", "decompose-power"])
+            "gen-map-inputs", "decompose-power", "sandwich-R64-signed-zeros",
+            "sandwich-C64-coefficients"])
     def test_body(self, capsys, tmp_path, argv, body, code, text):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(body))
@@ -345,6 +378,15 @@ class TestHostileInputs:
         body = self.run_text(capsys, tmp_path, ["gen-map"], text)
         assert body == {"error": "InvalidOrder",
                         "message": "map table inputs must be an integer >= 1, got 0"}
+
+    @pytest.mark.parametrize("field, part", [("Qi", {"re": True, "im": 0}),
+                                             ("C64", {"re": "1", "im": "2"})],
+                             ids=["Qi-boolean-part", "C64-string-parts"])
+    def test_complex_scalar_part_of_the_wrong_kind(self, capsys, tmp_path, field, part):
+        # a part follows the rule of the real scalar: Q refuses true, R64 refuses "1"
+        text = json.dumps({"A": {"field": field, "entries": [[part, 0], [0, 1]]},
+                           "B": {"field": field, "entries": [[1, 2], [3, 4]]}})
+        assert self.run_text(capsys, tmp_path, ["kcomm"], text)["error"] == "input"
 
     def test_entries_not_an_array(self, capsys, tmp_path):
         text = json.dumps({"A": {"field": "Q", "entries": 5}, "B": E["e11"]})

@@ -217,6 +217,25 @@ class TestParse:
         assert field.parse("3/4") == Fraction(3, 4)
         assert field.parse(f"1e{self.LIMIT}") == 10**self.LIMIT  # at the limit: parsed
 
+    @pytest.mark.parametrize("field, obj", [
+        (GAUSSIAN_QI, {"re": True, "im": 0}),
+        (GAUSSIAN_QI, {"re": 0, "im": False}),
+        (GAUSSIAN_QI, {"re": 0.5, "im": 0}),
+        (FLOAT_C, {"re": "1", "im": "2"}),
+        (FLOAT_C, {"re": True, "im": 0.0}),
+        (FLOAT_C, {"re": 1.0, "im": False}),
+    ], ids=["Qi-true", "Qi-false", "Qi-float", "C64-strings", "C64-true", "C64-false"])
+    def test_complex_parts_follow_the_real_scalar_rule(self, field, obj):
+        """A Qi part is what Q takes (a string or an integer), a C64 part what R64
+        takes (an integer or a float); neither takes a boolean."""
+        with pytest.raises(InputError, match="bad scalar"):
+            field.parse(obj)
+
+    def test_complex_parts_of_the_right_kind(self):
+        assert GAUSSIAN_QI.parse({"re": "1/2", "im": -3}) == GaussianRational(Fraction(1, 2), -3)
+        assert FLOAT_C.parse({"re": 1, "im": -2.5}) == complex(1, -2.5)
+        assert GAUSSIAN_QI.parse(4) == GaussianRational(4) and FLOAT_C.parse(0.5) == 0.5
+
     @pytest.mark.parametrize("text", ["1e1000000", "1e-300000", "1E1_000_000", "-2.5e-{over}",
                                       "7e{over}", "1/2e{over}"])
     @pytest.mark.parametrize("field", [RATIONAL_Q, GAUSSIAN_QI], ids=lambda f: f.variant)

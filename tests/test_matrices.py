@@ -421,6 +421,31 @@ class TestConstruction:
         text = canonical_dumps(mat_to_json(outer(FLOAT_R, (1, 2), (3, 4))))
         assert text == '{"entries":[[3.0,4.0],[6.0,8.0]],"field":"R64"}'
 
+    @pytest.mark.parametrize("field", [RATIONAL_Q, GAUSSIAN_QI], ids=lambda f: f.variant)
+    def test_exact_outer_reads_every_kind_the_field_holds(self, field):
+        kinds = [0, -3, Fraction(2, 3), Fraction(-5, 4), GaussianRational(Fraction(7, 6))]
+        if field.is_complex:
+            kinds += [GaussianRational(1, -2), GaussianRational(Fraction(1, 2), Fraction(1, 3))]
+        scalar, c = type(field.one()), field.conj
+        for x in zip(kinds, kinds[1:] + kinds[:1]):
+            for f in zip(kinds[::-1], kinds[-2::-1] + kinds[-1:]):
+                A = outer(field, x, f)
+                x_, f_ = [field.coerce(v) for v in x], [field.coerce(v) for v in f]
+                want = Mat2(field, [p * c(q) for p in x_ for q in f_])
+                assert A == want and hash(A) == hash(want) and A.entries == want.entries
+                assert A == outer(field, x_, f_)
+                assert all(type(e) is scalar for e in A.entries)
+                assert A._z == matrices._integer_form(field, A.entries)
+
+    @pytest.mark.parametrize("field, bad", [
+        (RATIONAL_Q, 0.5), (GAUSSIAN_QI, 0.5), (RATIONAL_Q, GaussianRational(0, 1)),
+        (GAUSSIAN_QI, 1j),
+    ], ids=["Q-float", "Qi-float", "Q-imaginary", "Qi-complex"])
+    def test_exact_outer_refuses_what_the_field_cannot_hold(self, field, bad):
+        for x, f in (((bad, 1), (1, 1)), ((1, 1), (1, bad))):
+            with pytest.raises(FieldMismatch):
+                outer(field, x, f)
+
     @given(st.sampled_from([RATIONAL_Q, GAUSSIAN_QI, FLOAT_R, FLOAT_C]).flatmap(
         lambda f: st.tuples(st.just(f), st.tuples(*[_raw_scalars(f)] * 4))))
     def test_every_constructor_yields_canonical_matrices(self, case):
