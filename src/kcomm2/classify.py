@@ -144,13 +144,13 @@ def vec(T: Mat2):
 
 
 def _unit_images(pairs) -> list:
-    """The images sum A_i E B_i of the matrix units E, in ``matrix_units`` order."""
+    """The images sum A_i E B_i of the matrix units E, in ``matrix_units`` order.
+
+    The fields are not checked here: ``@`` and ``+`` raise FieldMismatch.
+    """
     if not pairs:
         raise EmptySystem("need at least one (A, B) pair")
     field = pairs[0][0].field
-    for A, B in pairs:
-        require_same_field(field, A.field)
-        require_same_field(field, B.field)
     images = []
     for E in matrix_units(field):
         acc = Mat2.zero(field)
@@ -254,33 +254,20 @@ def rank_one_identity_solve(system: SandwichSystem, mode: str = "auto"):
         if not left.eq(right):
             return NotAnIdentity(witness=E, left_value=left, right_value=right)
 
-    def try_mode(m):
-        if m == "b-in-d":
-            indep = [vec(A) for A, _ in system.left]
-            targets = [vec(B) for _, B in system.left]
-            span = [vec(D) for _, D in system.right]
-        else:
-            indep = [vec(B) for _, B in system.left]
-            targets = [vec(A) for A, _ in system.left]
-            span = [vec(C) for C, _ in system.right]
+    if mode not in ("auto", "b-in-d", "a-in-c"):
+        raise ValueError(f"unknown mode {mode!r}")
+    for m in ("b-in-d", "a-in-c") if mode == "auto" else (mode,):
+        i = m == "a-in-c"  # pair member that must be independent; the other is solved for
+        indep = [vec(pair[i]) for pair in system.left]
         if matrix_rank(field, indep) != len(indep):
-            return None
+            continue
+        span = [vec(pair[1 - i]) for pair in system.right]
         cols = [[span[j][r] for j in range(len(span))] for r in range(4)]
-        out = solve_linear(field, cols, targets)
+        out = solve_linear(field, cols, [vec(pair[1 - i]) for pair in system.left])
         if out is None:
             # cannot happen when the identity holds and independence does
             raise InvariantViolation("span extraction failed on a valid identity")
         return Coefficients(mode=m, coeffs=out)
-
-    if mode in ("b-in-d", "a-in-c"):
-        result = try_mode(mode)
-        if result is None:
-            raise SingularSystem(f"independence hypothesis for mode {mode!r} fails")
-        return result
-    if mode != "auto":
-        raise ValueError(f"unknown mode {mode!r}")
-    for m in ("b-in-d", "a-in-c"):
-        result = try_mode(m)
-        if result is not None:
-            return result
-    raise SingularSystem("identity holds but neither side is linearly independent")
+    if mode == "auto":
+        raise SingularSystem("identity holds but neither side is linearly independent")
+    raise SingularSystem(f"independence hypothesis for mode {mode!r} fails")

@@ -287,7 +287,7 @@ class FieldTag:
 
     def is_zero(self, a) -> bool:
         if self.is_exact:
-            return a == 0
+            return not a
         return abs(a) <= self.tolerance
 
     def conj(self, z):

@@ -9,11 +9,11 @@ shared denominator:
 
 The form is canonical (den > 0 and gcd(den, all numerators) = 1), so equal
 values have equal forms.  The hot exact operations (``@``, ``+``, ``-``,
-``scale``, ``discriminant``, equality, hashing, the zero and scalar tests and
-``outer``) compute on these integers and normalise with one multi-argument
-gcd, where entrywise ``Fraction`` / ``GaussianRational`` arithmetic would take
-one gcd per scalar operation.  The cold ones (``trace``, ``det``, ``conj_t``
-and negation) read ``.entries`` on every field.
+``scale``, ``discriminant``, equality, hashing, the zero test and ``outer``)
+compute on these integers and normalise with one multi-argument gcd, where
+entrywise ``Fraction`` / ``GaussianRational`` arithmetic would take one gcd
+per scalar operation.  The cold ones (``trace``, ``det``, ``conj_t``,
+negation and the scalar test) read ``.entries`` on every field.
 
 ``Mat2(field, entries)`` is the one checked constructor: exactly four entries,
 each coerced into the field (a wrong kind raises FieldMismatch), and over Q
@@ -309,30 +309,17 @@ class Mat2:
 
     def is_scalar(self) -> bool:
         """Zero off-diagonals and equal diagonal entries."""
+        a11, a12, a21, a22 = self.entries
         f = self._f
-        if not f.is_exact:
-            a11, a12, a21, a22 = self._e
-            return f.is_zero(a12) and f.is_zero(a21) and f.eq(a11, a22)
-        if f.is_complex:
-            _, p11, q11, p12, q12, p21, q21, p22, q22 = self._z
-            return p12 == q12 == p21 == q21 == 0 and p11 == p22 and q11 == q22
-        _, n11, n12, n21, n22 = self._z
-        return n12 == 0 and n21 == 0 and n11 == n22
+        return f.is_zero(a12) and f.is_zero(a21) and f.eq(a11, a22)
 
     def max_abs(self) -> float:
         """Largest entry magnitude of a float matrix."""
         return max(self._f.abs2(a) for a in self.entries)
 
-    def row(self, i: int):
-        return self.entries[2 * i : 2 * i + 2]
-
-    def rows(self):
-        e = self.entries
-        return [list(e[:2]), list(e[2:])]
-
     def __str__(self):
-        r = self.rows()
-        return f"[[{r[0][0]}, {r[0][1]}], [{r[1][0]}, {r[1][1]}]]"
+        a11, a12, a21, a22 = self.entries
+        return f"[[{a11}, {a12}], [{a21}, {a22}]]"
 
 
 def _settled(*matrices) -> tuple:
@@ -445,19 +432,16 @@ def rank_one_factor(A: Mat2) -> RankOneFactor:
         raise RankNotOne("matrix is not rank one")
     f = A.field
     a11, a12, a21, a22 = A.entries
-    cols = [(a11, a21), (a12, a22)]
-    for col in cols:
+    for col in ((a11, a21), (a12, a22)):
         nz = [i for i in range(2) if not f.is_zero(col[i])]
         if nz:
             lead = col[nz[0]]
             x = (col[0] / lead, col[1] / lead)
             break
     # row of the leading coordinate gives f (up to conjugation)
-    p0 = nz[0]
-    row = A.row(p0)
+    row = (a11, a12) if nz[0] == 0 else (a21, a22)
     c = f.conj
-    fvec = (c(row[0]), c(row[1]))
-    return RankOneFactor(x=x, f=fvec)
+    return RankOneFactor(x=x, f=(c(row[0]), c(row[1])))
 
 
 def spectral_split(S: Mat2) -> SpectralSplit:

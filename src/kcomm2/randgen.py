@@ -46,9 +46,9 @@ def random_nonzero_vec(field: FieldTag, rng: Random, **kw):
             return v
 
 
-def random_rank_one(field: FieldTag, rng: Random, **kw) -> Mat2:
+def random_rank_one(field: FieldTag, rng: Random) -> Mat2:
     """x f* for random nonzero x, f; rank exactly one by construction."""
     while True:
-        A = outer(field, random_nonzero_vec(field, rng, **kw), random_nonzero_vec(field, rng, **kw))
+        A = outer(field, random_nonzero_vec(field, rng), random_nonzero_vec(field, rng))
         if not A.is_zero():
             return A

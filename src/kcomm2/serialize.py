@@ -23,11 +23,8 @@ if TYPE_CHECKING:
 
 def mat_to_json(M: Mat2) -> dict:
     enc = M.field.encode
-    r = M.rows()
-    return {
-        "field": M.field.variant,
-        "entries": [[enc(r[0][0]), enc(r[0][1])], [enc(r[1][0]), enc(r[1][1])]],
-    }
+    a11, a12, a21, a22 = M.entries
+    return {"field": M.field.variant, "entries": [[enc(a11), enc(a12)], [enc(a21), enc(a22)]]}
 
 
 def mat_from_json(obj, field: FieldTag | None = None, tolerance: float = 1e-9) -> Mat2:

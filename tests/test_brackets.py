@@ -56,6 +56,11 @@ class TestClosedForm:
             for ident in golden_identities(exact_field, k):
                 assert kcomm_closed(ident.A, ident.B, k).eq(ident.expected), ident.name
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_golden_identities_stated_from_order_one(self, k):
+        with pytest.raises(ValueError, match="k >= 1"):
+            golden_identities(RATIONAL_Q, k)
+
     def test_matches_recursive_on_random_input(self):
         rng = Random(21)
         for _ in range(40):

@@ -23,6 +23,8 @@ from kcomm2.preserver import generate_map, h_det, probe_set
 
 from fractions import Fraction
 
+PINNED = Path(__file__).parent / "pinned"  # stdout of CLI requests, byte for byte
+
 
 def run_cli(capsys, argv, stdin_obj=None, monkeypatch=None, tmp_path=None):
     if stdin_obj is not None:
@@ -239,6 +241,19 @@ class TestPinnedBodies:
         assert main(argv + ["--input", str(path)]) == code
         assert capsys.readouterr().out == text + "\n"
 
+    @pytest.mark.parametrize("field", ["Q", "Qi", "R64", "C64"])
+    def test_fixtures(self, capsys, field):
+        # the five fixture families at k = 1..3, float signed zeros included
+        assert main(["fixtures", "--kmax", "3", "--field", field]) == 0
+        assert capsys.readouterr().out == (PINNED / f"fixtures-kmax3-{field}.json").read_text()
+
+    @pytest.mark.parametrize("field", ["R64", "C64"])
+    def test_low_order_float_campaign(self, capsys, field):
+        assert main(["campaign", "--field", field, "--k", "3", "--trials", "8"]) == 0
+        assert capsys.readouterr().out == (
+            f'{{"anomalies":[],"field":"{field}","k":3,"perturbed_rejected":3,'
+            '"rejection_kinds":{"NotTheoremForm":3},"trials":8,"valid_ok":5}\n')
+
     def test_output_file_gets_the_body(self, capsys, tmp_path):
         path, out = tmp_path / "in.json", tmp_path / "out.json"
         path.write_text(json.dumps(_IMPOSTOR))
@@ -367,6 +382,20 @@ class TestHostileInputs:
         text = json.dumps(maptable_to_json(table))
         body = self.run_text(capsys, tmp_path, ["decompose-map"], text)
         assert body["error"] == "ResultTooLarge"
+
+    @pytest.mark.parametrize("command", ["gen-map", "decompose-map"])
+    def test_exact_lambda_whose_power_passes_the_size_cap(self, capsys, tmp_path, command):
+        # refused before lambda**1001, about 13 million bits, is computed
+        lam = Fraction("7" * 4000)
+        if command == "gen-map":
+            argv, text = ["gen-map", "--k", "1000"], json.dumps({"lambda": str(lam)})
+        else:
+            probes = probe_set(RATIONAL_Q)
+            table = preserver.MapTable(RATIONAL_Q, 1000, tuple((p, p.scale(lam)) for p in probes))
+            argv, text = ["decompose-map"], json.dumps(maptable_to_json(table))
+        body = self.run_text(capsys, tmp_path, argv, text)
+        assert body == {"error": "ResultTooLarge",
+                        "message": "lambda**1001 would need more than 262144 bits"}
 
     def test_spectral_discriminant_past_the_print_limit(self, capsys, tmp_path):
         text = json.dumps({"S": {"field": "Q", "entries": [["7" * 2500, "1"], ["0", "0"]]}})

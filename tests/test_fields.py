@@ -80,6 +80,16 @@ class TestScalarEq:
         assert loose.eq(1.0, 1.3)
         assert not loose.eq(1.0, 1.6)
 
+    def test_exact_zero_test_reads_the_truth_value(self, monkeypatch):
+        # no GaussianRational is built from the 0 to compare against
+        def no_coerce(self, other):
+            raise AssertionError("is_zero coerced its argument")
+
+        monkeypatch.setattr(GaussianRational, "_coerce", no_coerce)
+        zero, i = GaussianRational._raw(0, 0, 1), GaussianRational._raw(0, 1, 3)
+        assert GAUSSIAN_QI.is_zero(zero) and not GAUSSIAN_QI.is_zero(i)
+        assert RATIONAL_Q.is_zero(Fraction(0)) and not RATIONAL_Q.is_zero(Fraction(-1, 7))
+
 
 class TestFieldTag:
     def test_codes_and_attributes(self):

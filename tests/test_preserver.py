@@ -30,6 +30,7 @@ from kcomm2.errors import (
     LambdaNotRootOfUnity,
     NotTheoremForm,
     ProbeSetIncomplete,
+    ResultTooLarge,
 )
 from kcomm2.preserver import (
     MapTable,
@@ -66,6 +67,20 @@ class TestGenerateMap:
         with pytest.raises(LambdaNotRootOfUnity) as exc:
             generate_map(1e300, h_zero, [Mat2.unit(FLOAT_R, 1, 1)], 3)
         assert exc.value.power == math.inf
+
+    @pytest.mark.parametrize("field", [RATIONAL_Q, GAUSSIAN_QI], ids=lambda f: f.variant)
+    def test_exact_lambda_power_past_the_size_cap(self, field):
+        # 2**262 adds 263 bits per factor: lambda**996 fits the kernel's
+        # 2**18-bit cap and is computed, lambda**1001 does not and is refused
+        e11 = Mat2.unit(field, 1, 1)
+        with pytest.raises(LambdaNotRootOfUnity) as exc:
+            generate_map(2**262, h_zero, [e11], 995)
+        assert exc.value.power == 2 ** (262 * 996)
+        with pytest.raises(ResultTooLarge, match="lambda"):
+            generate_map(2**262, h_zero, [e11], 1000)
+        table = MapTable(field, 1000, tuple((p, p.scale(2**262)) for p in probe_set(field)))
+        with pytest.raises(ResultTooLarge, match="lambda"):
+            decompose(table)
 
     def test_order_zero_rejected(self):
         with pytest.raises(InvalidOrder):
@@ -132,6 +147,16 @@ class TestVerifyPreserving:
         probes = probe_set(GAUSSIAN_QI)
         table = generate_map(GaussianRational(0, 1), h_trace, probes, 3)
         assert verify_preserving(table, all_pairs(probes)).holds
+
+    @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
+    def test_float_brackets_compared_relative_to_their_size(self, field):
+        # at k = 41 the probe brackets reach 2**40 ~ 1.1e12: a relative error
+        # of 1e-13 per output is far below one part in 1e9 of them, 1e-6 is not
+        probes = probe_set(field)
+        pairs = all_pairs(probes)
+        for c, holds in ((1 + 1e-13, True), (1 + 1e-6, False)):
+            table = MapTable(field, 41, tuple((p, p.scale(c)) for p in probes))
+            assert verify_preserving(table, pairs).holds is holds
 
     def test_plain_doubling_fails(self, exact_field):
         probes = probe_set(exact_field)
@@ -317,6 +342,13 @@ class TestCampaign:
         assert report.valid_ok + report.perturbed_rejected == 60
         # the bad-lambda impostors: _bad_lambda draws a candidate _check_root refuses
         assert report.rejection_kinds.get("LambdaNotRootOfUnity", 0) > 0
+
+    @pytest.mark.parametrize("field, k", [(FLOAT_C, 20), (FLOAT_R, 40)], ids=["C64-20", "R64-40"])
+    def test_high_order_float_campaign_clean(self, field, k):
+        # float brackets grow like 2**k; an absolute tolerance rejected valid maps here
+        report = probe_campaign(k, field, trials=60, seed=1)
+        assert report.anomalies == []
+        assert report.valid_ok + report.perturbed_rejected == 60
 
     @pytest.mark.parametrize("k", [1, 3, 440, 441, 1000])
     @pytest.mark.parametrize("field", [RATIONAL_Q, GAUSSIAN_QI, FLOAT_R, FLOAT_C],
