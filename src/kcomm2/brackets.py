@@ -11,7 +11,7 @@ import cmath
 import math
 
 from .errors import InvalidOrder, NotAnEigenpair, ResultTooLarge
-from .fields import GaussianRational, require_same_field
+from .fields import FieldTag, GaussianRational, require_same_field
 from .matrices import Mat2, RankOneFactor, outer
 
 # Exact powers whose estimated size passes this many bits are refused: their
@@ -72,6 +72,20 @@ def _growth_bits(x) -> int:
     return mag.bit_length() if mag > 1 else 0
 
 
+def _power(field: FieldTag, x, n: int, name: str):
+    """x**n for an exponent that grows with the bracket order; the one such power.
+
+    Over Q and Q(i) a power past MAX_POWER_BITS raises ResultTooLarge before
+    it is computed; over R64 and C64 an overflowing one raises it after.
+    """
+    if field.is_exact and n * _growth_bits(x) > MAX_POWER_BITS:
+        raise ResultTooLarge(f"{name}**{n} would need more than {MAX_POWER_BITS} bits")
+    try:
+        return x**n
+    except OverflowError as exc:
+        raise ResultTooLarge(f"{name}**{n} overflows {field.variant}") from exc
+
+
 def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto") -> Mat2:
     """Order-k bracket in O(1) matrix products: at most two commutators and one power.
 
@@ -109,13 +123,7 @@ def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto") -> Mat2:
         R = R @ B - B @ R
     m = (k - 1) // 2
     if m:
-        delta = B.discriminant()
-        if field.is_exact and m * _growth_bits(delta) > MAX_POWER_BITS:
-            raise ResultTooLarge(f"discriminant**{m} would need more than {MAX_POWER_BITS} bits")
-        try:
-            R = R.scale(delta**m)
-        except OverflowError as exc:
-            raise ResultTooLarge(f"discriminant**{m} overflows {field.variant}") from exc
+        R = R.scale(_power(field, B.discriminant(), m, "discriminant"))
     entries = R.entries  # built here, not left to the caller
     if not field.is_exact and not all(cmath.isfinite(x) for x in entries):
         raise ResultTooLarge(f"order-{k} bracket overflows {field.variant}")
@@ -126,7 +134,7 @@ def kcomm_eigenpair(factor: RankOneFactor, S: Mat2, k: int, alpha, beta) -> Mat2
     """Bracket of x f* against S when S x = alpha x and S* f = conj(beta) f.
 
     Returns (beta - alpha)^k * (x f*); the eigen-relations are checked, not
-    assumed.  A float power that overflows raises ResultTooLarge.
+    assumed.  The power is refused where ``kcomm``'s is (ResultTooLarge).
     """
     _check_order(k)
     f = S.field
@@ -140,8 +148,4 @@ def kcomm_eigenpair(factor: RankOneFactor, S: Mat2, k: int, alpha, beta) -> Mat2
     F = outer(f, e1, fv)  # f* in the first row: F S = beta F is S* f = conj(beta) f
     if not (F @ S).eq(F.scale(beta)):
         raise NotAnEigenpair("f is not an eigenvector of S* for conj(beta)")
-    try:
-        coeff = (beta - alpha) ** k
-    except OverflowError as exc:
-        raise ResultTooLarge(f"(beta - alpha)**{k} overflows {f.variant}") from exc
-    return outer(f, x, fv).scale(coeff)
+    return outer(f, x, fv).scale(_power(f, beta - alpha, k, "(beta - alpha)"))

@@ -246,10 +246,12 @@ class FieldTag:
         return self.coerce(1)
 
     def coerce(self, x):
-        """Bring a scalar into this field's type; a kind the field cannot hold raises FieldMismatch.
+        """Bring a scalar into this field's type by its kind, or raise FieldMismatch.
 
-        Every field takes int and Fraction, and a GaussianRational whose value
-        it contains; R64 also takes float, and C64 float and complex.
+        Exact fields take int and Fraction; float fields int, float and
+        Fraction, and C64 complex too.  A GaussianRational is kept over Q(i),
+        made complex over C64, and over Q and R64 taken by its real part when
+        it has no imaginary one.  Each field tests its own scalar type first.
         """
         if self.is_exact:
             if self.is_complex:
@@ -257,26 +259,14 @@ class FieldTag:
                     return x
                 if isinstance(x, (int, Fraction)):
                     return GaussianRational._raw(x.numerator, 0, x.denominator)
-                raise FieldMismatch(f"cannot coerce {type(x).__name__} into Q(i)")
-            if isinstance(x, Fraction):
+            elif isinstance(x, Fraction):
                 return x
-            if isinstance(x, int):
+            elif isinstance(x, int):
                 return Fraction(x)
-            if isinstance(x, GaussianRational):
-                if x.b != 0:
-                    raise FieldMismatch("imaginary value in rational field")
-                return x.re
-            raise FieldMismatch(f"cannot coerce {type(x).__name__} into Q")
-        if isinstance(x, (int, float, Fraction)):
+        elif isinstance(x, (complex if self.is_complex else float, float, int, Fraction)):
             return complex(x) if self.is_complex else float(x)
-        if isinstance(x, GaussianRational):
-            if self.is_complex:
-                return complex(float(x.re), float(x.im))
-            if x.b != 0:
-                raise FieldMismatch("imaginary value in real float field")
-            return float(x.re)
-        if self.is_complex and isinstance(x, complex):
-            return x
+        if isinstance(x, GaussianRational) and (self.is_complex or not x.b):
+            return complex(float(x.re), float(x.im)) if self.is_complex else self.coerce(x.re)
         raise FieldMismatch(f"cannot coerce {type(x).__name__} into {self.variant}")
 
     def eq(self, a, b) -> bool:

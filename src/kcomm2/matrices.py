@@ -223,10 +223,11 @@ class Mat2:
 
     def scale(self, c) -> "Mat2":
         f = self._f
+        if f.is_exact or type(c) is not (complex if f.is_complex else float):
+            c = f.coerce(c)
         if not f.is_exact:
             a = self._e
             return _built(f, (c * a[0], c * a[1], c * a[2], c * a[3]), None)
-        c = f.coerce(c)
         if f.is_complex:
             # each entry (a + b i) times c = (p + q i) / r
             p, q, r = c.a, c.b, c.den
@@ -244,9 +245,7 @@ class Mat2:
         return _built(f, None, (d * q, n11 // h * p, n12 // h * p, n21 // h * p, n22 // h * p))
 
     def __rmul__(self, c) -> "Mat2":
-        if isinstance(c, Mat2):
-            return NotImplemented
-        return self.scale(c)
+        return self.scale(c)  # M * M never gets here: Python reflects only across types
 
     def power(self, n: int) -> "Mat2":
         if n < 0:

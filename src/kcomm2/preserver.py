@@ -9,8 +9,7 @@ from functools import lru_cache, partial
 from random import Random
 from typing import NamedTuple
 
-from .brackets import (MAX_ORDER, MAX_POWER_BITS, MAX_TRIALS, _check_order, _growth_bits, kcomm,
-                       kcomm_recursive)
+from .brackets import MAX_ORDER, MAX_TRIALS, _check_order, _power, kcomm, kcomm_recursive
 from .errors import (
     DuplicateInput,
     InputNotInTable,
@@ -187,15 +186,14 @@ def h_random(field: FieldTag, seed: int):
 def _root_power(field: FieldTag, lam, k: int):
     """(lam**(k+1), whether it is 1 in the field); a float power that overflows is inf.
 
-    An exact power past MAX_POWER_BITS, the kernel's cap on delta**m, raises
-    ResultTooLarge before it is computed.
+    An exact power too large for ``brackets._power`` raises ResultTooLarge.
     """
-    if field.is_exact and (k + 1) * _growth_bits(lam) > MAX_POWER_BITS:
-        raise ResultTooLarge(f"lambda**{k + 1} would need more than {MAX_POWER_BITS} bits")
     try:
-        power = lam ** (k + 1)
-    except OverflowError:  # a float lam far off the unit circle
-        power = field.coerce(math.inf)
+        power = _power(field, lam, k + 1, "lambda")
+    except ResultTooLarge:
+        if field.is_exact:
+            raise
+        power = field.coerce(math.inf)  # a float lam far off the unit circle
     return power, field.eq(power, field.one())
 
 
@@ -345,6 +343,7 @@ def probe_campaign(k: int, field: FieldTag, trials: int, seed: int) -> CampaignR
     _check_order(k, minimum=1)
     _check_order(trials, name="campaign trials", maximum=MAX_TRIALS)
     _check_order(trials * k, name="campaign trials x k", maximum=MAX_CAMPAIGN_WORK)
+    _check_order(k, maximum=MAX_ORDER)  # before the k + 1 roots are listed
     rng = Random(seed)
     report = CampaignReport(field=field, k=k, trials=trials)
     probes = probe_set(field)

@@ -356,5 +356,19 @@ class TestEigenpair:
     def test_float_power_overflow_is_result_too_large(self, field):
         fac = self.one_factor(field)
         S = Mat2.diag(field, 0, 1e200)
-        with pytest.raises(ResultTooLarge):
+        with pytest.raises(ResultTooLarge, match=rf"^\(beta - alpha\)\*\*2 overflows {field.variant}$"):
             kcomm_eigenpair(fac, S, 2, 0, 1e200)
+
+    def test_exact_power_capped_as_in_kcomm(self, monkeypatch):
+        # 3 adds two bits per factor, so 3**131072 is the largest power the cap allows
+        fac = self.one_factor(RATIONAL_Q)
+        S = Mat2.diag(RATIONAL_Q, 0, 3)
+        k = brackets_module.MAX_POWER_BITS // 2
+        assert kcomm_eigenpair(fac, S, k, 0, 3).entries[1] == 3**k
+
+        def no_power(self, n):
+            raise RuntimeError("the power was taken")
+
+        monkeypatch.setattr(Fraction, "__pow__", no_power)
+        with pytest.raises(ResultTooLarge, match=rf"^\(beta - alpha\)\*\*{k + 1} would need more than"):
+            kcomm_eigenpair(fac, S, k + 1, 0, 3)

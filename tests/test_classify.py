@@ -263,6 +263,12 @@ class TestIdentitySolver:
         with pytest.raises(SingularSystem):
             rank_one_identity_solve(system)
 
+    def test_unknown_mode_rejected(self, exact_field):
+        e11 = Mat2.unit(exact_field, 1, 1)
+        system = SandwichSystem(left=[(e11, e11)], right=[(e11, e11)])
+        with pytest.raises(ValueError, match="unknown mode 'x'"):
+            rank_one_identity_solve(system, mode="x")
+
     # A T B = (2A) T (B/2 + eps*E12) holds up to eps, inside the float
     # tolerance for eps = 1e-12 and refuted on E11 for eps = 1.
     @pytest.mark.parametrize("field, a, b, eps, expected", [

@@ -221,6 +221,15 @@ class TestPinnedBodies:
          '{"in":{"entries":[["0","1/2"],["1","0"]],"field":"Q"},'
          '"out":{"entries":[["-1/2","-1/2"],["-1","-1/2"]],"field":"Q"}}],"field":"Q","k":3}'),
         (["decompose-map"], _IMPOSTOR, 1, '{"power":"4","rejected":"lambda-not-root-of-unity"}'),
+        (["decompose-map"], _q_table(1, [(p, _q([["0", "0"], ["0", "0"]])) for p in _PROBES]), 1,
+         '{"rejected":"lambda-zero","residue":{"entries":[["0","0"],["0","0"]],"field":"Q"}}'),
+        (["sandwich"], {"left": [], "right": [[_PROBES[0], _PROBES[0]]]}, 2,
+         '{"error":"EmptySystem","message":"both sides need at least one pair"}'),
+        # the identity holds, but the left first components are dependent
+        (["sandwich", "--mode", "b-in-d"],
+         {"left": [[_PROBES[0], _PROBES[0]]] * 2,
+          "right": [[_PROBES[0], _q([["2", "0"], ["0", "0"]])]]}, 2,
+         '{"error":"SingularSystem","message":"independence hypothesis for mode \'b-in-d\' fails"}'),
         # each sum starts from the zero matrix: started from its first term instead,
         # left_value would print as [[-0.0, 0.0], [-0.0, 0.0]]
         (["sandwich"], {"left": [[_r64([[-1, -1], [-1, -2]]), _r64([[0, 0], [0, -1]])]],
@@ -233,13 +242,24 @@ class TestPinnedBodies:
          '[{"im":0.3,"re":0.0},{"im":-0.6999999999999998,"re":2.0}]],'
          '"identity":true,"mode":"b-in-d"}'),
     ], ids=["spectral-holds", "verify-refuted", "verify-pairs-refuted", "verify-pairs-hold",
-            "gen-map-inputs", "decompose-power", "sandwich-R64-signed-zeros",
+            "gen-map-inputs", "decompose-power", "decompose-lambda-zero", "sandwich-empty-left",
+            "sandwich-b-in-d-dependent", "sandwich-R64-signed-zeros",
             "sandwich-C64-coefficients"])
     def test_body(self, capsys, tmp_path, argv, body, code, text):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(body))
         assert main(argv + ["--input", str(path)]) == code
         assert capsys.readouterr().out == text + "\n"
+
+    def test_decompose_preservation_failed(self, capsys, tmp_path, monkeypatch):
+        # a correct kernel never reaches this body: the table is the identity map
+        monkeypatch.setattr(preserver, "kcomm", lambda A, B, k: Mat2.zero(A.field))
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(_q_table(1, [(p, p) for p in _PROBES])))
+        assert main(["decompose-map", "--input", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            '{"pair":[{"entries":[["1","0"],["0","0"]],"field":"Q"},'
+            '{"entries":[["0","1"],["0","0"]],"field":"Q"}],"rejected":"preservation-failed"}\n')
 
     @pytest.mark.parametrize("field", ["Q", "Qi", "R64", "C64"])
     def test_fixtures(self, capsys, field):
@@ -579,6 +599,20 @@ class TestHostileInputs:
         argv = ["campaign", "--k", "1000", "--trials", "10000"]
         body = self.run_text(capsys, tmp_path, argv, "")
         assert body["error"] == "InvalidOrder" and "trials x k" in body["message"]
+
+    @pytest.mark.parametrize("trials, message", [
+        (0, "bracket order must be at most 1000, got 5000"),
+        (1, "bracket order must be at most 1000, got 5000"),
+        (100, "campaign trials x k must be at most 60000, got 500000"),
+    ])
+    def test_campaign_order_past_the_cap(self, capsys, tmp_path, monkeypatch, trials, message):
+        def no_roots(*args):
+            raise RuntimeError("the roots were listed")
+
+        monkeypatch.setattr(preserver, "roots_of_unity", no_roots)
+        argv = ["campaign", "--field", "C64", "--k", "5000", "--trials", str(trials)]
+        body = self.run_text(capsys, tmp_path, argv, "")
+        assert body == {"error": "InvalidOrder", "message": message}
 
     def test_canonical_dumps_refuses_non_finite(self):
         for value in (float("nan"), float("inf"), -float("inf")):

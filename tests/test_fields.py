@@ -195,6 +195,7 @@ class TestGaussianRational:
         assert 2 * z == GaussianRational(2, 4)
         assert z + 1 == GaussianRational(2, 2)
         assert 1 - z == GaussianRational(0, -2)
+        assert 1 / GaussianRational(0, 1) == GaussianRational(0, -1)
 
 
 class TestCoercion:

@@ -48,6 +48,12 @@ class TestRingOps:
         with pytest.raises(FieldMismatch):
             Mat2.identity(RATIONAL_Q) @ Mat2.identity(GAUSSIAN_QI)
 
+    def test_scalar_on_the_left(self, any_field):
+        M = Mat2(any_field, (1, 2, 3, 4))
+        assert 2 * M == M.scale(2)
+        with pytest.raises(TypeError):
+            M * M
+
     def test_trace_det_against_expansion(self, exact_field):
         rng = Random(7)
         for _ in range(25):
@@ -343,10 +349,10 @@ class TestIntegerForm:
         assert A == Mat2(field, want) and hash(A) == hash(Mat2(field, want))
 
     def test_wrong_scalar_type_rejected(self):
-        with pytest.raises(FieldMismatch):
-            Mat2.identity(RATIONAL_Q).scale(GaussianRational(0, 1))
-        with pytest.raises(FieldMismatch):
-            Mat2.identity(GAUSSIAN_QI).scale(0.5)
+        for field, c in ((RATIONAL_Q, GaussianRational(0, 1)), (GAUSSIAN_QI, 0.5),
+                         (FLOAT_R, 1j), (FLOAT_R, GaussianRational(0, 1))):
+            with pytest.raises(FieldMismatch):
+                Mat2.identity(field).scale(c)
         for field in (RATIONAL_Q, GAUSSIAN_QI):
             with pytest.raises(FieldMismatch):
                 outer(field, (Fraction(1, 2), 0.5), (1, 0))
@@ -412,6 +418,14 @@ class TestConstruction:
         M = Mat2(FLOAT_C, (1, Fraction(1, 2), 2 - 1j, GaussianRational(1, 2)))
         assert M.entries == (1, 0.5, 2 - 1j, 1 + 2j)
         assert all(type(x) is complex for x in M.entries)
+
+    def test_float_scale_takes_every_kind_the_field_holds(self):
+        scaled = Mat2(FLOAT_R, (1, 2, 3, 4)).scale(GaussianRational(2))
+        assert scaled.entries == (2.0, 4.0, 6.0, 8.0)
+        assert all(type(x) is float for x in scaled.entries)
+        scaled = Mat2(FLOAT_C, (1, 2, 3, 4)).scale(Fraction(1, 2))
+        assert scaled.entries == (0.5, 1, 1.5, 2)
+        assert all(type(x) is complex for x in scaled.entries)
 
     def test_float_outer_coerces_its_vectors(self):
         for field in (FLOAT_R, FLOAT_C):

@@ -116,3 +116,37 @@ def test_every_request_imports_no_subcommand_module():
         if any(m.split(".")[-1] in LAZY for m in _imported(node))
     ]
     assert uses == []
+
+
+def _owners(tree, match):
+    """(top-level definition holding the node, '' at module level, line) of each match."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if match(node):
+                yield getattr(top, "name", ""), node.lineno
+
+
+def _reads_power_cap(node):
+    return (_used_name(node) in ("MAX_POWER_BITS", "_growth_bits")
+            and not isinstance(getattr(node, "ctx", None), ast.Store))
+
+
+def _catches_overflow(node):
+    return (isinstance(node, ast.ExceptHandler) and node.type is not None
+            and any(_used_name(t) == "OverflowError" for t in ast.walk(node.type)))
+
+
+def test_one_owner_of_order_sized_powers():
+    """``brackets._power`` alone bounds a power whose exponent grows with k: it
+    reads the exact-size cap and turns a float overflow into ResultTooLarge."""
+    reads = [f"{name}:{line} in {owner or 'module'}"
+             for name, tree in TREES.items()
+             for owner, line in _owners(tree, _reads_power_cap)
+             if (name, owner) != ("brackets.py", "_power")]
+    assert reads == []
+    handlers = [f"{name}:{line} in {owner or 'module'}"
+                for name in ("brackets.py", "preserver.py")
+                for owner, line in _owners(TREES[name], _catches_overflow)
+                if owner != "_power"]
+    assert handlers == []
+    assert list(_owners(TREES["brackets.py"], _catches_overflow)) != []
