@@ -11,15 +11,14 @@ from importlib import import_module as _import_module
 # Each public name, by the submodule that defines it.
 _EXPORTS = {
     "brackets": ("kcomm", "kcomm_closed", "kcomm_eigenpair", "kcomm_recursive"),
-    "classify": ("Coefficients", "NotAnIdentity", "SandwichSystem", "Verdict",
+    "classify": ("Coefficients", "NotAnIdentity", "SandwichSystem", "SpectralSplit", "Verdict",
                  "rank_one_identity_solve", "sandwich_operator", "scalar_plus_nilpotent_kcomm",
                  "scalar_plus_nilpotent_spectral", "scalar_witness_test"),
     "fields": ("FLOAT_C", "FLOAT_R", "GAUSSIAN_QI", "RATIONAL_Q", "FieldTag",
                "GaussianRational", "roots_of_unity"),
-    "matrices": ("Mat2", "RankOneFactor", "SpectralSplit", "is_idempotent", "is_nilpotent",
-                 "matrix_units", "outer", "rank_one_factor", "spectral_split"),
-    "preserver": ("Decomposition", "MapTable", "central_shift_check", "decompose",
-                  "generate_map", "probe_campaign", "probe_set", "verify_preserving"),
+    "matrices": ("Mat2", "RankOneFactor", "matrix_units", "outer", "rank_one_factor"),
+    "preserver": ("Decomposition", "MapTable", "decompose", "generate_map", "probe_campaign",
+                  "probe_set", "verify_preserving"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -13,15 +13,9 @@ from random import Random
 from typing import NamedTuple
 
 from .brackets import MAX_TRIALS, _check_order, kcomm
-from .errors import (
-    EmptySystem,
-    InvariantViolation,
-    KTooSmall,
-    NotScalarPlusNilpotent,
-    SingularSystem,
-)
+from .errors import EmptySystem, InvariantViolation, KTooSmall, SingularSystem
 from .fields import FieldTag, require_same_field
-from .matrices import Mat2, SpectralSplit, _settled, matrix_units, spectral_split
+from .matrices import Mat2, _settled, matrix_units
 from .randgen import random_rank_one
 
 
@@ -31,6 +25,13 @@ class Verdict(NamedTuple):
     holds: bool
     witness: Mat2 | None = None
     detail: Mat2 | None = None
+
+
+class SpectralSplit(NamedTuple):
+    """Normal form S = lam*I + N with N^2 = 0."""
+
+    lam: object
+    nilpotent: Mat2
 
 
 class SpectralVerdict(NamedTuple):
@@ -107,12 +108,19 @@ def scalar_witness_test(Z: Mat2, k: int) -> Verdict:
 
 
 def scalar_plus_nilpotent_spectral(S: Mat2) -> SpectralVerdict:
-    """Exact classifier: S = lam*I + N iff the discriminant vanishes."""
-    try:
-        split = spectral_split(S)
-    except NotScalarPlusNilpotent as exc:
-        return SpectralVerdict(holds=False, split=None, discriminant=exc.discriminant)
-    return SpectralVerdict(holds=True, split=split, discriminant=split.discriminant)
+    """Lemma 2.3: S = lam*I + N with N^2 = 0 iff the discriminant vanishes.
+
+    The discriminant is ``S.discriminant()``, which avoids the cancellation of
+    tr^2 - 4 det on floats; float fields compare it to zero under the field
+    tolerance.  When it vanishes, lam = tr/2 and N = S - lam*I.
+    """
+    f = S.field
+    disc = S.discriminant()
+    if not f.is_zero(disc):
+        return SpectralVerdict(holds=False, split=None, discriminant=disc)
+    lam = S.trace() / 2
+    split = SpectralSplit(lam=lam, nilpotent=S - Mat2.identity(f).scale(lam))
+    return SpectralVerdict(holds=True, split=split, discriminant=disc)
 
 
 def scalar_plus_nilpotent_kcomm(S: Mat2, k: int, trials: int = 32, seed: int = 0) -> Verdict:
@@ -248,14 +256,14 @@ def rank_one_identity_solve(system: SandwichSystem, mode: str = "auto"):
     - "auto": tries "b-in-d" first, then "a-in-c"; raises SingularSystem if
       neither independence hypothesis holds.
     """
+    if mode not in ("auto", "b-in-d", "a-in-c"):
+        raise ValueError(f"unknown mode {mode!r}")
     field = system.field()
     images = zip(matrix_units(field), _unit_images(system.left), _unit_images(system.right))
     for E, left, right in images:
         if not left.eq(right):
             return NotAnIdentity(witness=E, left_value=left, right_value=right)
 
-    if mode not in ("auto", "b-in-d", "a-in-c"):
-        raise ValueError(f"unknown mode {mode!r}")
     for m in ("b-in-d", "a-in-c") if mode == "auto" else (mode,):
         i = m == "a-in-c"  # pair member that must be independent; the other is solved for
         indep = [vec(pair[i]) for pair in system.left]

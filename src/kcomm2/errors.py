@@ -17,15 +17,6 @@ class RankNotOne(Kcomm2Error):
     """Matrix is zero or invertible, so no rank-one factorization exists."""
 
 
-class NotScalarPlusNilpotent(Kcomm2Error):
-    """Discriminant is nonzero: not scalar + nilpotent.  The message leaves the
-    discriminant out, which can have more digits than ``repr`` will print."""
-
-    def __init__(self, discriminant):
-        self.discriminant = discriminant
-        super().__init__("discriminant is nonzero")
-
-
 class KTooSmall(Kcomm2Error):
     """The Lemma 2.3 bracket certifier was asked for an order below 3."""
 

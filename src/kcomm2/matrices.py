@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .errors import InvariantViolation, NotScalarPlusNilpotent, RankNotOne
+from .errors import RankNotOne
 from .fields import FieldTag, GaussianRational, require_same_field
 
 def _integer_form(field: FieldTag, parts) -> tuple:
@@ -381,35 +381,6 @@ def outer(field: FieldTag, x, f) -> Mat2:
     return _normalised(field, (d * e, x0 * f0, x0 * f1, x1 * f0, x1 * f1))
 
 
-class SpectralSplit(NamedTuple):
-    """Normal form S = lam*I + N with N^2 = 0, valid when the discriminant vanishes."""
-
-    lam: object
-    nilpotent: Mat2
-    discriminant: object
-
-
-def is_nilpotent(A: Mat2) -> bool:
-    """True iff A^2 = 0; at 2x2 this is trace = 0 and det = 0.
-
-    For exact fields both characterizations are computed and must agree; float
-    fields use the squared test alone (the two can diverge inside the
-    tolerance band).
-    """
-    f = A.field
-    square_zero = (A @ A).is_zero()
-    if f.is_exact:
-        char_zero = f.is_zero(A.trace()) and f.is_zero(A.det())
-        if square_zero != char_zero:
-            raise InvariantViolation("nilpotency characterizations disagree")
-    return square_zero
-
-
-def is_idempotent(A: Mat2) -> bool:
-    """True iff A^2 = A."""
-    return (A @ A).eq(A)
-
-
 def _is_rank_one(A: Mat2) -> bool:
     f = A.field
     if A.is_zero():
@@ -441,21 +412,3 @@ def rank_one_factor(A: Mat2) -> RankOneFactor:
     row = (a11, a12) if nz[0] == 0 else (a21, a22)
     c = f.conj
     return RankOneFactor(x=x, f=(c(row[0]), c(row[1])))
-
-
-def spectral_split(S: Mat2) -> SpectralSplit:
-    """Split S = lam*I + N when the discriminant tr^2 - 4 det vanishes.
-
-    The discriminant is ``S.discriminant()``, which avoids the cancellation of
-    tr^2 - 4 det on floats.
-
-    Raises NotScalarPlusNilpotent (carrying the discriminant) otherwise; float
-    fields compare the discriminant to zero under the field tolerance.
-    """
-    f = S.field
-    disc = S.discriminant()
-    if not f.is_zero(disc):
-        raise NotScalarPlusNilpotent(disc)
-    lam = S.trace() / 2
-    N = S - Mat2.identity(f).scale(lam)
-    return SpectralSplit(lam=lam, nilpotent=N, discriminant=disc)

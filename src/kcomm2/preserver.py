@@ -13,7 +13,6 @@ from .brackets import MAX_ORDER, MAX_TRIALS, _check_order, _power, kcomm, kcomm_
 from .errors import (
     DuplicateInput,
     InputNotInTable,
-    InvariantViolation,
     LambdaNotRootOfUnity,
     NotTheoremForm,
     PreservationFailed,
@@ -146,13 +145,6 @@ class PreservationVerdict(NamedTuple):
     right: Mat2 | None = None
 
 
-class ShiftVerdict(NamedTuple):
-    holds: bool
-    triple: tuple | None = None
-    residue: Mat2 | None = None
-    residues: tuple = ()
-
-
 # -- built-in h rules --------------------------------------------------------
 
 
@@ -242,19 +234,6 @@ def verify_preserving(table: MapTable, pairs) -> PreservationVerdict:
     return PreservationVerdict(holds=True)
 
 
-def central_shift_check(table: MapTable, triples) -> ShiftVerdict:
-    """Additivity up to a central shift: Phi(A+B) - Phi(A) - Phi(B) scalar."""
-    residues = []
-    for A, B, C in triples:
-        if not (A + B).eq(C):
-            raise ValueError("triple third member must equal the sum of the first two")
-        residue = table.lookup(C) - table.lookup(A) - table.lookup(B)
-        if not residue.is_scalar():
-            return ShiftVerdict(holds=False, triple=(A, B, C), residue=residue)
-        residues.append(residue)
-    return ShiftVerdict(holds=True, residues=tuple(residues))
-
-
 def all_pairs(inputs):
     return [(A, B) for A in inputs for B in inputs]
 
@@ -282,9 +261,6 @@ def decompose(table: MapTable) -> Decomposition:
     if field.is_zero(lam):
         raise NotTheoremForm("lambda-zero", D)
     _check_root(field, lam, k)
-    # lam**(k+1) = 1 makes lam**(-k) = lam; keep the implied identity honest
-    if not field.eq(lam ** (-k), lam):
-        raise InvariantViolation("lambda**(k+1) = 1 but lambda**(-k) != lambda")
 
     h_table = []
     for A, out in table.entries:

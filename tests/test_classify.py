@@ -269,6 +269,13 @@ class TestIdentitySolver:
         with pytest.raises(ValueError, match="unknown mode 'x'"):
             rank_one_identity_solve(system, mode="x")
 
+    @pytest.mark.parametrize("holds", [True, False])
+    def test_unknown_mode_rejected_before_the_identity_is_decided(self, exact_field, holds):
+        e11, e12, _, _ = units(exact_field)
+        system = SandwichSystem(left=[(e11, e11)], right=[(e11, e11 if holds else e12)])
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            rank_one_identity_solve(system, mode="bogus")
+
     # A T B = (2A) T (B/2 + eps*E12) holds up to eps, inside the float
     # tolerance for eps = 1e-12 and refuted on E11 for eps = 1.
     @pytest.mark.parametrize("field, a, b, eps, expected", [

@@ -134,6 +134,19 @@ class TestMapCommands:
         assert code == 0
         assert dec["lambda"] == {"re": "0", "im": "1"}
 
+    def test_float_root_within_the_tolerance_decomposes(self, capsys, tmp_path):
+        # lam**2 = 0.5 is 1 within the tolerance 0.5, though lam**(-1) is not lam within it
+        lam = 0.7071067811865476
+        flags = ["--tolerance", "0.5"]
+        argv = ["gen-map", "--field", "R64", "--k", "1"] + flags
+        code, table = run_cli(capsys, argv, {"lambda": lam}, tmp_path=tmp_path)
+        assert code == 0
+        code, verdict = run_cli(capsys, ["verify-map"] + flags, table, tmp_path=tmp_path)
+        assert code == 0 and verdict["holds"] is True
+        code, dec = run_cli(capsys, ["decompose-map"] + flags, table, tmp_path=tmp_path)
+        assert code == 0
+        assert (dec["lambda"], dec["verified_pairs"]) == (lam, 36)
+
     def test_identity_table_decomposition(self, capsys, tmp_path):
         probes = probe_set(RATIONAL_Q)
         table = {
@@ -670,13 +683,12 @@ class TestTolerance:
 PACKAGE_NAMES = [
     "Coefficients", "Decomposition", "FLOAT_C", "FLOAT_R", "FieldTag", "GAUSSIAN_QI",
     "GaussianRational", "MapTable", "Mat2", "NotAnIdentity", "RATIONAL_Q", "RankOneFactor",
-    "SandwichSystem", "SpectralSplit", "Verdict", "brackets", "central_shift_check", "classify",
-    "decompose", "errors", "fields", "generate_map", "is_idempotent", "is_nilpotent", "kcomm",
-    "kcomm_closed", "kcomm_eigenpair", "kcomm_recursive", "matrices", "matrix_units", "outer",
-    "preserver", "probe_campaign", "probe_set", "randgen", "rank_one_factor",
-    "rank_one_identity_solve", "roots_of_unity", "sandwich_operator",
+    "SandwichSystem", "SpectralSplit", "Verdict", "brackets", "classify", "decompose", "errors",
+    "fields", "generate_map", "kcomm", "kcomm_closed", "kcomm_eigenpair", "kcomm_recursive",
+    "matrices", "matrix_units", "outer", "preserver", "probe_campaign", "probe_set", "randgen",
+    "rank_one_factor", "rank_one_identity_solve", "roots_of_unity", "sandwich_operator",
     "scalar_plus_nilpotent_kcomm", "scalar_plus_nilpotent_spectral", "scalar_witness_test",
-    "spectral_split", "verify_preserving",
+    "verify_preserving",
 ]
 
 # What every subcommand loads: the parser, the codec and the bracket kernel.

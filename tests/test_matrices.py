@@ -12,14 +12,12 @@ from kcomm2 import (
     FieldTag,
     GaussianRational,
     Mat2,
-    is_idempotent,
-    is_nilpotent,
     outer,
     rank_one_factor,
-    spectral_split,
+    scalar_plus_nilpotent_spectral,
 )
 from kcomm2 import matrices
-from kcomm2.errors import FieldMismatch, NotScalarPlusNilpotent, RankNotOne
+from kcomm2.errors import FieldMismatch, RankNotOne
 from kcomm2.randgen import random_nonzero_vec
 from kcomm2.serialize import canonical_dumps, mat_from_json, mat_to_json
 
@@ -79,18 +77,19 @@ class TestRingOps:
 class TestPredicates:
     def test_nilpotent_units(self, any_field):
         _, e12, _, _ = units(any_field)
-        assert is_nilpotent(e12)
-        assert is_nilpotent(Mat2.zero(any_field))
+        Z = Mat2.zero(any_field)
+        assert (e12 @ e12).is_zero()
+        assert (Z @ Z).is_zero()
 
     def test_nilpotent_derived_example(self, exact_field):
         A = Mat2.from_rows(exact_field, [[1, 1], [-1, -1]])
         assert (A @ A).is_zero()
-        assert is_nilpotent(A)
+        assert exact_field.is_zero(A.trace()) and exact_field.is_zero(A.det())
 
     def test_idempotent_not_nilpotent(self, any_field):
         e11 = Mat2.unit(any_field, 1, 1)
-        assert not is_nilpotent(e11)
-        assert is_idempotent(e11)
+        assert not (e11 @ e11).is_zero()
+        assert (e11 @ e11).eq(e11)
 
     @pytest.mark.parametrize(
         "rows", [[[1, 1], [0, 0]], [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]]]
@@ -98,7 +97,6 @@ class TestPredicates:
     def test_idempotent_examples(self, rows):
         A = Mat2.from_rows(RATIONAL_Q, rows)
         assert (A @ A).eq(A)
-        assert is_idempotent(A)
 
     def test_idempotent_iff_unit_pairing(self, exact_field):
         rng = Random(3)
@@ -108,7 +106,7 @@ class TestPredicates:
             A = outer(exact_field, x, f)
             c = exact_field.conj
             pairing = c(f[0]) * x[0] + c(f[1]) * x[1]
-            assert is_idempotent(A) == exact_field.eq(pairing, exact_field.one())
+            assert (A @ A).eq(A) == exact_field.eq(pairing, exact_field.one())
 
 
 class TestRankOneFactor:
@@ -151,15 +149,17 @@ class TestRankOneFactor:
 
 
 class TestSpectralSplit:
+    """The split S = lam*I + N that the Lemma 2.3 classifier returns."""
+
     def test_jordan_block(self, any_field):
         S = Mat2.from_rows(any_field, [[1, 1], [0, 1]])
-        split = spectral_split(S)
+        split = scalar_plus_nilpotent_spectral(S).split
         assert any_field.eq(split.lam, any_field.one())
         assert split.nilpotent.eq(Mat2.unit(any_field, 1, 2))
 
     def test_derived_example(self):
         S = Mat2.from_rows(RATIONAL_Q, [[2, 1], [-1, 0]])
-        split = spectral_split(S)
+        split = scalar_plus_nilpotent_spectral(S).split
         assert split.lam == Fraction(1)
         N = split.nilpotent
         assert N.eq(Mat2.from_rows(RATIONAL_Q, [[1, 1], [-1, -1]]))
@@ -167,22 +167,18 @@ class TestSpectralSplit:
 
     def test_rotation_rejected_with_discriminant(self):
         S = Mat2.from_rows(RATIONAL_Q, [[0, 1], [-1, 0]])
-        with pytest.raises(NotScalarPlusNilpotent) as exc:
-            spectral_split(S)
-        assert exc.value.discriminant == Fraction(-4)
+        assert scalar_plus_nilpotent_spectral(S) == (False, None, Fraction(-4))
 
     def test_float_discriminant_without_cancellation(self):
         # tr^2 - 4 det cancels to 0.0 here; the true discriminant is 1
         S = Mat2.from_rows(FLOAT_R, [[1e8 + 1, 1], [0, 1e8]])
-        with pytest.raises(NotScalarPlusNilpotent) as exc:
-            spectral_split(S)
-        assert exc.value.discriminant == 1.0
+        assert scalar_plus_nilpotent_spectral(S) == (False, None, 1.0)
 
     def test_reassembly_random(self, exact_field):
         rng = Random(9)
         for _ in range(50):
             S = random_scalar_plus_nilpotent(exact_field, rng)
-            split = spectral_split(S)
+            split = scalar_plus_nilpotent_spectral(S).split
             eye = Mat2.identity(exact_field)
             assert (eye.scale(split.lam) + split.nilpotent).eq(S)
             assert (split.nilpotent @ split.nilpotent).is_zero()
@@ -327,12 +323,12 @@ class TestIntegerForm:
         assert A.det() == -2 and A.trace() == 5 and A.discriminant() == 33
 
     def test_int_entry_invariants_are_field_scalars(self, exact_field):
-        # trace and det read the entries; spectral_split halves the trace
+        # trace and det read the entries; the spectral classifier halves the trace
         scalar = type(exact_field.one())
         A = Mat2(exact_field, (1, 1, 0, 1))
         assert type(A.trace()) is scalar and A.trace() == 2
         assert type(A.det()) is scalar and A.det() == 1
-        split = spectral_split(A)
+        split = scalar_plus_nilpotent_spectral(A).split
         assert type(split.lam) is scalar and split.lam == 1
         assert split.nilpotent.eq(Mat2.unit(exact_field, 1, 2))
 

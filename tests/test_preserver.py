@@ -35,7 +35,6 @@ from kcomm2.errors import (
 from kcomm2.preserver import (
     MapTable,
     all_pairs,
-    central_shift_check,
     h_det,
     h_random,
     h_trace,
@@ -167,34 +166,6 @@ class TestVerifyPreserving:
         assert not verdict.holds
         # scaling law: the left bracket is 2 * 2^3 = 16 times the right one
         assert verdict.left.eq(verdict.right.scale(exact_field.coerce(16)))
-
-
-class TestCentralShift:
-    def test_canonical_form_shifts_centrally(self):
-        probes = probe_set(RATIONAL_Q)
-        table = generate_map(Fraction(-1), h_det, probes, 3)
-        e11, e12 = probes[0], probes[2]
-        verdict = central_shift_check(table, [(e11, e12, e11 + e12)])
-        assert verdict.holds
-        assert all(r.is_scalar() for r in verdict.residues)
-
-    def test_identity_map_zero_residue(self, exact_field):
-        probes = probe_set(exact_field)
-        table = MapTable(exact_field, 2, tuple((p, p) for p in probes))
-        e11, e12 = probes[0], probes[2]
-        verdict = central_shift_check(table, [(e11, e12, e11 + e12)])
-        assert verdict.holds
-        assert verdict.residues[0].is_zero()
-
-    def test_broken_additivity_detected(self, exact_field):
-        probes = probe_set(exact_field)
-        entries = [(p, p) for p in probes]
-        e11, e12 = probes[0], probes[2]
-        entries[4] = (e11 + e12, Mat2.zero(exact_field))  # clobber the sum image
-        table = MapTable(exact_field, 2, tuple(entries))
-        verdict = central_shift_check(table, [(e11, e12, e11 + e12)])
-        assert not verdict.holds
-        assert verdict.residue.eq(-(e11 + e12))
 
 
 class TestDecompose:

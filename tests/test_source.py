@@ -136,9 +136,21 @@ def _catches_overflow(node):
             and any(_used_name(t) == "OverflowError" for t in ast.walk(node.type)))
 
 
+def _raises_to_a_variable(node):
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and not isinstance(node.right, ast.Constant))
+
+
 def test_one_owner_of_order_sized_powers():
     """``brackets._power`` alone bounds a power whose exponent grows with k: it
-    reads the exact-size cap and turns a float overflow into ResultTooLarge."""
+    reads the exact-size cap, turns a float overflow into ResultTooLarge, and is
+    the only ``**`` whose exponent is not a constant."""
+    powers = [f"{name}:{line} in {owner or 'module'}"
+              for name in ("brackets.py", "preserver.py", "classify.py")
+              for owner, line in _owners(TREES[name], _raises_to_a_variable)
+              if (name, owner) != ("brackets.py", "_power")]
+    assert powers == []
+    assert list(_owners(TREES["brackets.py"], _raises_to_a_variable)) != []
     reads = [f"{name}:{line} in {owner or 'module'}"
              for name, tree in TREES.items()
              for owner, line in _owners(tree, _reads_power_cap)
