@@ -93,18 +93,14 @@ def scalar_witness_test(Z: Mat2, k: int) -> Verdict:
     """Vanishing of order-k brackets against rank-one idempotents.
 
     For exact fields the result provably coincides with Z being a scalar
-    matrix, and that equivalence is checked here.
+    matrix; the tests check that equivalence.
     """
     _check_order(k, minimum=1)
-    verdict = Verdict(holds=True)
     for Q in _witness_idempotents(Z.field):
         bracket = kcomm(Z, Q, k)
         if not bracket.is_zero():
-            verdict = Verdict(holds=False, witness=Q, detail=bracket)
-            break
-    if Z.field.is_exact and verdict.holds != Z.is_scalar():
-        raise InvariantViolation("witness set failed to decide scalarity")
-    return verdict
+            return Verdict(holds=False, witness=Q, detail=bracket)
+    return Verdict(holds=True)
 
 
 def scalar_plus_nilpotent_spectral(S: Mat2) -> SpectralVerdict:

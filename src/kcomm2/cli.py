@@ -37,7 +37,7 @@ def _read_input(args) -> dict:
         text = sys.stdin.read()
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, an oversized int, deep nesting
         raise InputError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"input must be a JSON object, got {type(data).__name__}")

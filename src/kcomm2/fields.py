@@ -34,10 +34,9 @@ class GaussianRational:
 
     @classmethod
     def _raw(cls, a, b, den):
+        """(a + b*i)/den reduced by gcd(a, b, den); every caller passes den > 0."""
         if den != 1:
             g = math.gcd(a, b, den)
-            if den < 0:
-                g = -g
             if g != 1:
                 a //= g
                 b //= g

@@ -78,7 +78,7 @@ class MapTable:
     """A finite sampled map: (input, output) matrix pairs plus field/k metadata.
 
     ``MapTable(field, k, entries)`` with entries ((input, output), ...); the
-    inputs must be pairwise distinct.  Tables compare by value.
+    inputs must be pairwise distinct.
     """
 
     __slots__ = ("field", "k", "entries", "_index")
@@ -91,11 +91,6 @@ class MapTable:
                 raise DuplicateInput("map table inputs must be pairwise distinct")
             index.add(A, out)
         self.field, self.k, self.entries, self._index = field, k, entries, index
-
-    def __eq__(self, other):
-        if not isinstance(other, MapTable):
-            return NotImplemented
-        return (self.field, self.k, self.entries) == (other.field, other.k, other.entries)
 
     def _find(self, A: Mat2):
         """The output for input A, or None."""
@@ -116,23 +111,15 @@ class MapTable:
         return [a for a, _ in self.entries]
 
 
-class Decomposition:
+class Decomposition(NamedTuple):
     """lam and the h values ((input, scalar), ...) of a table in the theorem's form."""
 
-    __slots__ = ("lam", "h_table", "verified_pairs", "_h_index")
-
-    def __init__(self, lam, h_table: tuple, verified_pairs: int):
-        self.lam, self.h_table, self.verified_pairs = lam, h_table, verified_pairs
-        self._h_index = _InputIndex(h_table)
-
-    def __eq__(self, other):
-        if not isinstance(other, Decomposition):
-            return NotImplemented
-        return ((self.lam, self.h_table, self.verified_pairs)
-                == (other.lam, other.h_table, other.verified_pairs))
+    lam: object
+    h_table: tuple
+    verified_pairs: int
 
     def h_of(self, A: Mat2):
-        value = self._h_index.get(A)
+        value = _InputIndex(self.h_table).get(A)
         if value is None:
             raise InputNotInTable("matrix has no extracted h value")
         return value
@@ -243,7 +230,8 @@ def decompose(table: MapTable) -> Decomposition:
 
     lam comes from the image of E_11 alone (diagonal difference); every entry
     is then required to leave a scalar residue, and the preservation identity
-    is re-checked on all probe pairs as cross-validation.
+    is re-checked on all probe pairs as cross-validation.  The h table lists
+    every table input, in table order.
     """
     field = table.field
     k = table.k
@@ -279,19 +267,16 @@ def decompose(table: MapTable) -> Decomposition:
 # -- randomized exercise of the equivalence ----------------------------------
 
 
-class CampaignReport:
-    """Counts and anomalies of one probe campaign, filled in as it runs."""
+class CampaignReport(NamedTuple):
+    """Counts and anomalies of one probe campaign."""
 
-    def __init__(self, field: FieldTag, k: int, trials: int):
-        self.field, self.k, self.trials = field, k, trials
-        self.valid_ok = self.perturbed_rejected = 0
-        self.anomalies = []
-        self.rejection_kinds = {}
-
-    def __eq__(self, other):
-        if not isinstance(other, CampaignReport):
-            return NotImplemented
-        return vars(self) == vars(other)
+    field: FieldTag
+    k: int
+    trials: int
+    valid_ok: int
+    perturbed_rejected: int
+    anomalies: list
+    rejection_kinds: dict
 
     @property
     def clean(self) -> bool:
@@ -321,7 +306,9 @@ def probe_campaign(k: int, field: FieldTag, trials: int, seed: int) -> CampaignR
     _check_order(trials * k, name="campaign trials x k", maximum=MAX_CAMPAIGN_WORK)
     _check_order(k, maximum=MAX_ORDER)  # before the k + 1 roots are listed
     rng = Random(seed)
-    report = CampaignReport(field=field, k=k, trials=trials)
+    valid_ok = perturbed_rejected = 0
+    anomalies = []
+    rejection_kinds = {}
     probes = probe_set(field)
     roots = roots_of_unity(field, k + 1)
 
@@ -333,15 +320,14 @@ def probe_campaign(k: int, field: FieldTag, trials: int, seed: int) -> CampaignR
             try:
                 dec = decompose(table)
             except Exception as exc:  # noqa: BLE001 - any rejection is an anomaly here
-                report.anomalies.append(f"trial {trial}: valid map rejected: {exc!r}")
+                anomalies.append(f"trial {trial}: valid map rejected: {exc!r}")
                 continue
-            ok = field.eq(dec.lam, table.field.coerce(lam))
-            for A, _ in table.entries:
-                ok = ok and field.eq(dec.h_of(A), field.coerce(h(A)))
-            if ok:
-                report.valid_ok += 1
+            if field.eq(dec.lam, field.coerce(lam)) and all(
+                field.eq(value, field.coerce(h(A))) for A, value in dec.h_table
+            ):
+                valid_ok += 1
             else:
-                report.anomalies.append(f"trial {trial}: round-trip mismatch")
+                anomalies.append(f"trial {trial}: round-trip mismatch")
         else:
             kind = rng.choice(("bad-lambda", "residue", "swap"))
             entries = list(table.entries)
@@ -359,9 +345,9 @@ def probe_campaign(k: int, field: FieldTag, trials: int, seed: int) -> CampaignR
             try:
                 decompose(bad_table)
             except (NotTheoremForm, LambdaNotRootOfUnity, PreservationFailed) as exc:
-                report.perturbed_rejected += 1
+                perturbed_rejected += 1
                 name = type(exc).__name__
-                report.rejection_kinds[name] = report.rejection_kinds.get(name, 0) + 1
+                rejection_kinds[name] = rejection_kinds.get(name, 0) + 1
             else:
-                report.anomalies.append(f"trial {trial}: impostor ({kind}) was accepted")
-    return report
+                anomalies.append(f"trial {trial}: impostor ({kind}) was accepted")
+    return CampaignReport(field, k, trials, valid_ok, perturbed_rejected, anomalies, rejection_kinds)

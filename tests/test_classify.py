@@ -59,7 +59,7 @@ class TestScalarWitness:
         for _ in range(150):
             Z = random_mat(exact_field, rng, span=3)
             for k in (1, 2, 3, 5):
-                # scalar_witness_test asserts the equivalence internally
+                # the witness set decides scalarity over exact fields
                 assert scalar_witness_test(Z, k).holds == Z.is_scalar()
 
     def test_failing_witness_brackets_recompute(self, exact_field):

@@ -83,11 +83,14 @@ class TestKcommCommand:
 
     def test_bad_json_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        code = main(["kcomm", "--k", "1", "--input", str(path)])
-        out = json.loads(capsys.readouterr().out)
-        assert code == 2
-        assert out["error"] == "input"
+        nested = '{"A":' + "[" * 1000 + "]" * 1000 + "}"  # json.loads raises RecursionError
+        long_int = '{"A":' + "7" * 5000 + "}"  # past the int-to-string digit limit
+        for text in ("{not json", nested, long_int):
+            path.write_text(text)
+            code = main(["kcomm", "--k", "1", "--input", str(path)])
+            out = json.loads(capsys.readouterr().out)
+            assert code == 2
+            assert out["error"] == "input"
 
 
 class TestClassifyCommand:

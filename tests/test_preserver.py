@@ -29,6 +29,7 @@ from kcomm2.errors import (
     InvalidOrder,
     LambdaNotRootOfUnity,
     NotTheoremForm,
+    PreservationFailed,
     ProbeSetIncomplete,
     ResultTooLarge,
 )
@@ -235,6 +236,11 @@ class TestDecompose:
         with pytest.raises(InputNotInTable):
             dec.h_of(Mat2.identity(GAUSSIAN_QI))
 
+    def test_h_table_lists_the_table_inputs_in_order(self, exact_field):
+        inputs = [*reversed(probe_set(exact_field)), Mat2.identity(exact_field)]
+        table = generate_map(exact_field.one(), h_trace, inputs, 3)
+        assert [A for A, _ in decompose(table).h_table] == table.inputs()
+
     def test_canonical_images_track_structure(self):
         # scalar inputs map to scalars; scalar+nilpotent inputs stay in that set
         probes = [
@@ -270,11 +276,7 @@ class TestCampaign:
     def test_reproducible(self):
         a = probe_campaign(3, GAUSSIAN_QI, trials=30, seed=42)
         b = probe_campaign(3, GAUSSIAN_QI, trials=30, seed=42)
-        assert (a.valid_ok, a.perturbed_rejected, a.rejection_kinds) == (
-            b.valid_ok,
-            b.perturbed_rejected,
-            b.rejection_kinds,
-        )
+        assert a == b
 
     def test_order_zero_rejected(self):
         with pytest.raises(InvalidOrder):
@@ -335,6 +337,37 @@ class TestCampaign:
             assert order is None or (k + 1) % order != 0, (lam, k)
             drawn.add(lam)
         assert len(drawn) >= 4
+
+    def test_round_trip_mismatch_is_an_anomaly(self, monkeypatch):
+        real = preserver.decompose
+
+        def one_wrong_h(table):
+            dec = real(table)
+            (A, value), *rest = dec.h_table
+            return dec._replace(h_table=((A, value + 1), *rest))
+
+        monkeypatch.setattr(preserver, "decompose", one_wrong_h)
+        report = probe_campaign(1, RATIONAL_Q, trials=10, seed=3)
+        assert report.valid_ok == 0
+        assert report.anomalies != []
+        assert all(a.endswith(": round-trip mismatch") for a in report.anomalies)
+        assert report.perturbed_rejected == 10 - len(report.anomalies)
+
+    def test_accepted_impostor_is_an_anomaly(self, monkeypatch):
+        real = preserver.decompose
+
+        def accept_all(table):
+            try:
+                return real(table)
+            except (NotTheoremForm, LambdaNotRootOfUnity, PreservationFailed):
+                return preserver.Decomposition(table.field.one(), (), 0)
+
+        monkeypatch.setattr(preserver, "decompose", accept_all)
+        report = probe_campaign(1, RATIONAL_Q, trials=10, seed=3)
+        assert report.perturbed_rejected == 0
+        assert report.valid_ok > 0
+        assert len(report.anomalies) == 10 - report.valid_ok
+        assert all(" was accepted" in a and ": impostor (" in a for a in report.anomalies)
 
     def test_preservation_failure_is_an_anomaly(self, monkeypatch):
         def wrong_bracket(A, B, k, method="recursive"):

@@ -43,6 +43,19 @@ def test_every_error_class_is_raised():
     assert sorted(classes - raised - {"Kcomm2Error"}) == []
 
 
+def test_only_value_types_define_eq():
+    """Scalars and matrices compare by value; results are NamedTuples, so no
+    other module writes an ``__eq__``."""
+    defined = [
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        if name not in ("fields.py", "matrices.py")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "__eq__"
+    ]
+    assert defined == []
+
+
 # Parts of Mat2 that only matrices.py may touch: the stored entries and
 # integer form, and the helpers that build a matrix without the checks of
 # ``Mat2(field, entries)``.  Every matrix made elsewhere is therefore checked.
