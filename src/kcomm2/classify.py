@@ -1,6 +1,11 @@
 """Executable structure tests: scalar witnesses, scalar-plus-nilpotent
 detection, and the rank-one sandwich-identity solver.
 
+The solver reads the images of the matrix units from ``matrices.unit_images``,
+fused on the integer form over Q and Q(i).  Its row reduction is fraction-free
+on integers over Q and Q(i) (Bareiss), pivoting on the first nonzero entry,
+and Gauss-Jordan with magnitude pivoting over R64 and C64.
+
 vec ordering is row-major (t11, t12, t21, t22) everywhere; the 4x4 sandwich
 matrices use that convention on both axes.
 """
@@ -9,13 +14,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from random import Random
 from typing import NamedTuple
 
 from .brackets import MAX_TRIALS, _check_order, kcomm
 from .errors import EmptySystem, InvariantViolation, KTooSmall, SingularSystem
-from .fields import FieldTag, require_same_field
-from .matrices import Mat2, _settled, matrix_units
+from .fields import FieldTag, GaussianRational, require_same_field
+from .matrices import Mat2, _settled, matrix_units, unit_images
 from .randgen import random_rank_one
 
 
@@ -147,49 +153,23 @@ def vec(T: Mat2):
     return list(T.entries)
 
 
-def _unit_images(pairs) -> list:
-    """The images sum A_i E B_i of the matrix units E, in ``matrix_units`` order.
-
-    The fields are not checked here: ``@`` and ``+`` raise FieldMismatch.
-    """
-    if not pairs:
-        raise EmptySystem("need at least one (A, B) pair")
-    field = pairs[0][0].field
-    images = []
-    for E in matrix_units(field):
-        acc = Mat2.zero(field)
-        for A, B in pairs:
-            acc = acc + A @ E @ B
-        images.append(acc)
-    return images
-
-
 def sandwich_operator(pairs) -> list:
     """4x4 matrix of T -> sum A_i T B_i over the unit basis, row-major vec.
 
     Column c is the vec of the image of the c-th matrix unit.
     """
-    columns = [vec(image) for image in _unit_images(pairs)]
+    columns = [vec(image) for image in unit_images(pairs)]
     return [[columns[c][r] for c in range(4)] for r in range(4)]
 
 
-def _pivot_row(field: FieldTag, aug, col, start):
-    """Row index of the pivot for this column, or None: the first nonzero entry,
-    or over floats the first of largest magnitude unless the field calls it zero."""
-    rows = range(start, len(aug))
-    if field.is_exact:
-        return next((r for r in rows if not field.is_zero(aug[r][col])), None)
-    best = max(rows, key=lambda r: field.abs2(aug[r][col]), default=None)
-    return None if best is None or field.is_zero(aug[best][col]) else best
-
-
 def _gauss_jordan(field: FieldTag, rows, n: int):
-    """Reduced row echelon form of rows, pivoting on the first n columns only.
+    """Reduced row echelon form of float rows, pivoting on the first n columns only.
 
-    Columns past n (right-hand sides) are carried through the row operations.
-    Returns the reduced rows and their pivot columns.  Each pivot's row
-    operations start at its column: left of it the pivot row is zero (over
-    floats, zero to the field) and no column there is read again.
+    Each column pivots on the first of its largest magnitudes, unless the field
+    calls that zero.  Columns past n (right-hand sides) are carried through the
+    row operations.  Returns the reduced rows and their pivot columns.  Each
+    pivot's row operations start at its column: left of it the pivot row is zero
+    to the field and no column there is read again.
     """
     work = [list(r) for r in rows]
     pivots = []
@@ -197,8 +177,8 @@ def _gauss_jordan(field: FieldTag, rows, n: int):
         row = len(pivots)
         if row == len(work):
             break
-        p = _pivot_row(field, work, col, row)
-        if p is None:
+        p = max(range(row, len(work)), key=lambda r: field.abs2(work[r][col]))
+        if field.is_zero(work[p][col]):
             continue
         work[row], work[p] = work[p], work[row]
         piv = work[row][col]
@@ -211,30 +191,112 @@ def _gauss_jordan(field: FieldTag, rows, n: int):
     return work, pivots
 
 
+def _integer_rows(field: FieldTag, rows) -> list:
+    """Exact rows as integers, each scaled by the lcm of its denominators: ints
+    over Q, Gaussian integers (re, im) over Q(i)."""
+    out = []
+    if field.is_complex:
+        for row in rows:
+            d = lcm(*[x.den for x in row])
+            out.append([(x.a * (d // x.den), x.b * (d // x.den)) for x in row])
+    else:
+        for row in rows:
+            d = lcm(*[x.denominator for x in row])
+            out.append([x.numerator * (d // x.denominator) for x in row])
+    return out
+
+
+def _int_update(p, f, q, row, top):
+    """(p * row - f * top) / q on integers; the division is exact."""
+    return [(p * a - f * b) // q for a, b in zip(row, top)]
+
+
+def _gaussian_update(p, f, q, row, top):
+    """(p * row - f * top) / q on Gaussian integers (re, im), dividing by q as
+    conj(q) / |q|**2; the division is exact."""
+    (pr, pi), (fr, fi), (qr, qi) = p, f, q
+    n = qr * qr + qi * qi
+    out = []
+    for (ar, ai), (br, bi) in zip(row, top):
+        ur = pr * ar - pi * ai - fr * br + fi * bi
+        ui = pr * ai + pi * ar - fr * bi - fi * br
+        out.append(((ur * qr + ui * qi) // n, (ui * qr - ur * qi) // n))
+    return out
+
+
+def _fraction_free(field: FieldTag, rows, n: int):
+    """Gauss-Jordan on the integer rows of an exact system (Bareiss 1968),
+    pivoting on the first nonzero entry of each of the first n columns.
+
+    Each pivot p replaces every other row r by (p * r - r[col] * pivot row) / q,
+    q the previous pivot (1 at first); by Sylvester's identity every entry is
+    then a minor of the input, so the division is exact.  At the end each pivot
+    row is the last pivot times its reduced row.  Returns the rows, their pivot
+    columns and the last pivot.  As in ``_gauss_jordan``, columns left of a
+    pivot are not updated again.
+    """
+    update, zero, last = (_gaussian_update, (0, 0), (1, 0)) if field.is_complex else (_int_update, 0, 1)
+    work = _integer_rows(field, rows)
+    pivots = []
+    for col in range(n):
+        row = len(pivots)
+        if row == len(work):
+            break
+        for p in range(row, len(work)):
+            if work[p][col] != zero:
+                break
+        else:
+            continue
+        work[row], work[p] = work[p], work[row]
+        top = work[row][col:]
+        for r in range(len(work)):
+            if r != row:
+                work[r][col:] = update(top[0], work[r][col], last, work[r][col:], top)
+        last = top[0]
+        pivots.append(col)
+    return work, pivots, last
+
+
+def _quotient(field: FieldTag, last):
+    """The map from an entry z of ``_fraction_free``'s rows to the scalar z / last."""
+    if not field.is_complex:
+        return lambda z: Fraction(z, last)
+    qr, qi = last  # z / q = z * conj(q) / |q|**2
+    n, raw = qr * qr + qi * qi, GaussianRational._raw
+    return lambda z: raw(z[0] * qr + z[1] * qi, z[1] * qr - z[0] * qi, n)
+
+
 def solve_linear(field: FieldTag, rows, rhs_list):
     """One solution of rows * x = rhs for every rhs in rhs_list, or None if
     any of them is inconsistent.
 
-    One Gauss-Jordan pass serves all right-hand sides; free variables are set
-    to zero.  Float fields pivot on magnitude and treat sub-tolerance values
-    as zero.
+    One elimination serves all right-hand sides; free variables are set to
+    zero.  Q and Q(i) eliminate fraction-free on integers, pivoting on the
+    first nonzero entry; R64 and C64 pivot on magnitude and treat sub-tolerance
+    values as zero.
     """
     n = len(rows[0]) if rows else 0
     aug = [list(row) + [rhs[r] for rhs in rhs_list] for r, row in enumerate(rows)]
-    work, pivots = _gauss_jordan(field, aug, n)
-    if any(not field.is_zero(v) for row in work[len(pivots):] for v in row[n:]):
+    if field.is_exact:
+        work, pivots, last = _fraction_free(field, aug, n)
+        scalar = _quotient(field, last)
+    else:
+        work, pivots = _gauss_jordan(field, aug, n)
+        scalar = lambda v: v  # the reduced rows hold the solution
+    if any(not field.is_zero(scalar(v)) for row in work[len(pivots):] for v in row[n:]):
         return None
     solutions = []
     for j in range(n, n + len(rhs_list)):
         x = [field.zero()] * n
         for i, col in enumerate(pivots):
-            x[col] = work[i][j]
+            x[col] = scalar(work[i][j])
         solutions.append(x)
     return solutions
 
 
 def matrix_rank(field: FieldTag, rows) -> int:
-    return len(_gauss_jordan(field, rows, len(rows[0]) if rows else 0)[1])
+    n = len(rows[0]) if rows else 0
+    return len((_fraction_free if field.is_exact else _gauss_jordan)(field, rows, n)[1])
 
 
 def rank_one_identity_solve(system: SandwichSystem, mode: str = "auto"):
@@ -255,7 +317,7 @@ def rank_one_identity_solve(system: SandwichSystem, mode: str = "auto"):
     if mode not in ("auto", "b-in-d", "a-in-c"):
         raise ValueError(f"unknown mode {mode!r}")
     field = system.field()
-    images = zip(matrix_units(field), _unit_images(system.left), _unit_images(system.right))
+    images = zip(matrix_units(field), unit_images(system.left), unit_images(system.right))
     for E, left, right in images:
         if not left.eq(right):
             return NotAnIdentity(witness=E, left_value=left, right_value=right)

@@ -9,10 +9,10 @@ shared denominator:
 
 The form is canonical (den > 0 and gcd(den, all numerators) = 1), so equal
 values have equal forms.  The hot exact operations (``@``, ``+``, ``-``,
-``scale``, ``discriminant``, equality, hashing, the zero test and ``outer``)
-compute on these integers and normalise with one multi-argument gcd, where
-entrywise ``Fraction`` / ``GaussianRational`` arithmetic would take one gcd
-per scalar operation.  The cold ones (``trace``, ``det``, ``conj_t``,
+``scale``, ``discriminant``, equality, hashing, the zero test, ``outer`` and
+the sandwich images ``unit_images``) compute on these integers and normalise
+with one multi-argument gcd, where entrywise ``Fraction`` /
+``GaussianRational`` arithmetic would take one gcd per scalar operation.  The cold ones (``trace``, ``det``, ``conj_t``,
 negation and the scalar test) read ``.entries`` on every field.
 
 ``Mat2(field, entries)`` is the one checked constructor: exactly four entries,
@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .errors import RankNotOne
+from .errors import EmptySystem, RankNotOne
 from .fields import FieldTag, GaussianRational, require_same_field
 
 def _integer_form(field: FieldTag, parts) -> tuple:
@@ -341,6 +341,67 @@ def matrix_units(field: FieldTag) -> tuple:
     on them holds for every T, and they are the rank-one probes of every test.
     """
     return tuple(Mat2.unit(field, i, j) for i in (1, 2) for j in (1, 2))
+
+
+def _unit_products(a, b) -> list:
+    """Row-major entries of A E B for the matrix units E in ``matrix_units``
+    order, from the row-major entries a of A and b of B.
+
+    E_ij = e_i e_j*, so A E_ij B is column i of A times row j of B.
+    """
+    a11, a12, a21, a22 = a
+    b11, b12, b21, b22 = b
+    out = []
+    for x, X in ((a11, a21), (a12, a22)):
+        for u, U in ((b11, b12), (b21, b22)):
+            out += (x * u, x * U, X * u, X * U)
+    return out
+
+
+def _gaussian_unit_products(a, b) -> list:
+    """``_unit_products`` on Gaussian integers interleaved as (re, im), as in the
+    Q(i) integer form: (x + y i)(u + v i) = (xu - yv) + (xv + yu) i."""
+    p11, q11, p12, q12, p21, q21, p22, q22 = a
+    r11, s11, r12, s12, r21, s21, r22, s22 = b
+    out = []
+    for x, y, X, Y in ((p11, q11, p21, q21), (p12, q12, p22, q22)):
+        for u, v, U, V in ((r11, s11, r12, s12), (r21, s21, r22, s22)):
+            out += (x * u - y * v, x * v + y * u, x * U - y * V, x * V + y * U,
+                    X * u - Y * v, X * v + Y * u, X * U - Y * V, X * V + Y * U)
+    return out
+
+
+def unit_images(pairs) -> list:
+    """The images sum A E B over the (A, B) pairs of the four matrix units E, in
+    ``matrix_units`` order: the columns of the sandwich operator T -> sum A T B.
+
+    Over Q and Q(i) each side is written over one common denominator, the
+    integer products are summed, and each image is reduced by one gcd.  Over
+    R64 and C64 the sums start from ``Mat2.zero``, so that a sum of zeros is
+    +0.0, never -0.0, as when A @ E @ B is added to the zero matrix.
+    """
+    if not pairs:
+        raise EmptySystem("need at least one (A, B) pair")
+    f = pairs[0][0]._f
+    for A, B in pairs:
+        require_same_field(f, A._f)
+        require_same_field(f, B._f)
+    if not f.is_exact:
+        sums = [Mat2.zero(f).entries[0]] * 16
+        for A, B in pairs:
+            sums = [s + t for s, t in zip(sums, _unit_products(A._e, B._e))]
+        return [_built(f, tuple(sums[c:c + 4]), None) for c in range(0, 16, 4)]
+    products = _gaussian_unit_products if f.is_complex else _unit_products
+    den_a = lcm(*[A._z[0] for A, _ in pairs])
+    den_b = lcm(*[B._z[0] for _, B in pairs])
+    sums = None
+    for A, B in pairs:
+        a, b = A._z, B._z
+        s = den_a // a[0] * (den_b // b[0])
+        terms = products(a[1:] if s == 1 else [v * s for v in a[1:]], b[1:])
+        sums = terms if sums is None else [s + t for s, t in zip(sums, terms)]
+    den, n = den_a * den_b, len(sums) // 4
+    return [_normalised(f, (den, *sums[c:c + n])) for c in range(0, 4 * n, n)]
 
 
 class RankOneFactor(NamedTuple):

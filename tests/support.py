@@ -165,3 +165,73 @@ def poly_matmul(X, Y) -> tuple:
 def poly_bracket(R, B) -> tuple:
     """RB - BR on row-major polynomial matrices."""
     return tuple(p - q for p, q in zip(poly_matmul(R, B), poly_matmul(B, R)))
+
+
+def reference_gauss_jordan(rows, n: int):
+    """Gauss-Jordan on exact field scalars, one gcd per scalar operation: the
+    row reduction ``classify`` ran over Q and Q(i) before its fraction-free one.
+
+    Each of the first n columns pivots on its first nonzero entry at or under
+    the current row.  Returns the reduced rows and their pivot columns.
+    """
+    work = [list(r) for r in rows]
+    pivots = []
+    for col in range(n):
+        row = len(pivots)
+        p = next((r for r in range(row, len(work)) if work[r][col]), None)
+        if p is None:
+            continue
+        work[row], work[p] = work[p], work[row]
+        piv = work[row][col]
+        work[row] = [a / piv for a in work[row]]
+        for r in range(len(work)):
+            if r != row and work[r][col]:
+                factor = work[r][col]
+                work[r] = [a - factor * b for a, b in zip(work[r], work[row])]
+        pivots.append(col)
+    return work, pivots
+
+
+def reference_solve(field, rows, rhs_list):
+    """``solve_linear`` on ``reference_gauss_jordan``: free unknowns are zero, and an
+    inconsistent right-hand side gives None."""
+    n = len(rows[0]) if rows else 0
+    aug = [list(row) + [rhs[r] for rhs in rhs_list] for r, row in enumerate(rows)]
+    work, pivots = reference_gauss_jordan(aug, n)
+    if any(v for row in work[len(pivots):] for v in row[n:]):
+        return None
+    solutions = []
+    for j in range(n, n + len(rhs_list)):
+        x = [field.zero()] * n
+        for i, col in enumerate(pivots):
+            x[col] = work[i][j]
+        solutions.append(x)
+    return solutions
+
+
+def random_linear_system(field, rng: Random):
+    """(rows, rhs_list) of a random exact system with 1-5 rows and unknowns.
+
+    Some columns are combinations of earlier ones, some rows are zero, and the
+    right-hand sides are both rows * x for a random x (consistent) and random
+    vectors (inconsistent when the rows are rank deficient).
+    """
+    m, n = rng.randint(1, 5), rng.randint(1, 5)
+    kw = dict(span=rng.choice((2, 9, 1000)), denominators=rng.random() < 0.7)
+    columns = []
+    for _ in range(n):
+        if columns and rng.random() < 0.4:  # a dependent column
+            picks = [(random_scalar(field, rng, **kw), c) for c in rng.sample(columns, rng.randint(1, len(columns)))]
+            columns.append([sum((k * c[r] for k, c in picks), field.zero()) for r in range(m)])
+        else:
+            columns.append([random_scalar(field, rng, **kw) for _ in range(m)])
+    rows = [[c[r] for c in columns] for r in range(m)]
+    for r in range(m):
+        if rng.random() < 0.15:
+            rows[r] = [field.zero()] * n
+    x = [random_scalar(field, rng, **kw) for _ in range(n)]
+    consistent = [sum((a * b for a, b in zip(row, x)), field.zero()) for row in rows]
+    rhs_list = [consistent] + [[random_scalar(field, rng, **kw) for _ in range(m)]
+                               for _ in range(rng.randint(0, 2))]
+    rng.shuffle(rhs_list)
+    return rows, rhs_list

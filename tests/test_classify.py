@@ -27,7 +27,8 @@ from kcomm2.randgen import random_rank_one
 from kcomm2.serialize import canonical_dumps, solver_result_to_json
 
 from conftest import units
-from support import (apply_operator, random_mat, random_scalar_plus_nilpotent,
+from support import (apply_operator, random_linear_system, random_mat,
+                     random_scalar_plus_nilpotent, reference_gauss_jordan, reference_solve,
                      span_system as _span_system)
 
 
@@ -197,6 +198,28 @@ class TestSandwichOperator:
                 direct = direct + A @ T @ B
             assert apply_operator(exact_field, op, T).eq(direct)
 
+    @pytest.mark.parametrize("field", [RATIONAL_Q, GAUSSIAN_QI, FLOAT_R, FLOAT_C],
+                             ids=lambda f: f.variant)
+    def test_equals_the_sum_of_products(self, field):
+        # signed zeros included: R64/C64 entries of either sign, compared by repr
+        rng = Random(41)
+        for _ in range(60):
+            pairs = [(random_mat(field, rng, span=3, denominators=True),
+                      random_mat(field, rng, span=3, denominators=True))
+                     for _ in range(rng.randint(1, 3))]
+            if not field.is_exact:
+                pairs = [tuple(Mat2(field, [x if rng.random() < 0.6 else -0.0 * x for x in M.entries])
+                               for M in pair) for pair in pairs]
+            columns = []
+            for E in units(field):
+                acc = Mat2.zero(field)
+                for A, B in pairs:
+                    acc = acc + A @ E @ B
+                columns.append(acc.entries)
+            expected = [[columns[c][r] for c in range(4)] for r in range(4)]
+            got = sandwich_operator(pairs)
+            assert got == expected and repr(got) == repr(expected)
+
     def test_empty_rejected(self):
         with pytest.raises(EmptySystem):
             sandwich_operator([])
@@ -318,6 +341,37 @@ class TestIdentitySolver:
                 lhs = left[0][0] @ result.witness @ left[0][1]
                 rhs = right[0][0] @ result.witness @ right[0][1]
                 assert not lhs.eq(rhs)
+
+
+class TestExactElimination:
+    """The fraction-free elimination against ``support.reference_gauss_jordan``,
+    Gauss-Jordan on field scalars: the same solutions and ranks, scalar type included."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_scalar_reference(self, exact_field, seed):
+        rng = Random(f"elimination/{exact_field.variant}/{seed}")
+        inconsistent = deficient = 0
+        for _ in range(150):
+            rows, rhs_list = random_linear_system(exact_field, rng)
+            want = reference_solve(exact_field, rows, rhs_list)
+            got = classify.solve_linear(exact_field, rows, rhs_list)
+            assert got == want
+            if want is None:
+                inconsistent += 1
+            else:
+                assert [[type(v) for v in x] for x in got] == [[type(v) for v in x] for x in want]
+            rank = len(reference_gauss_jordan(rows, len(rows[0]))[1])
+            assert classify.matrix_rank(exact_field, rows) == rank
+            deficient += rank < min(len(rows), len(rows[0]))
+        assert inconsistent > 10 and deficient > 30
+
+    def test_rank_reads_columns_in_order(self, exact_field):
+        # column 1 is twice column 0, so the pivots are columns 0 and 2
+        f = exact_field.coerce
+        rows = [[f(1), f(2), f(0)], [f(3), f(6), f(1)], [f(0), f(0), f(0)]]
+        assert classify.matrix_rank(exact_field, rows) == 2
+        assert classify.solve_linear(exact_field, rows, [[f(1), f(4), f(0)]]) == [[f(1), f(0), f(1)]]
+        assert classify.solve_linear(exact_field, rows, [[f(1), f(4), f(1)]]) is None
 
 
 class TestSolveLinear:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import kcomm2
-from kcomm2 import GAUSSIAN_QI, RATIONAL_Q, Mat2
+from kcomm2 import GAUSSIAN_QI, RATIONAL_Q, GaussianRational, Mat2
 from kcomm2.cli import build_parser, main
 from kcomm2.serialize import (
     canonical_dumps,
@@ -17,7 +17,7 @@ from kcomm2.serialize import (
     maptable_from_json,
     maptable_to_json,
 )
-from kcomm2 import cli, preserver
+from kcomm2 import brackets, cli, preserver
 from kcomm2.brackets import MAX_ORDER
 from kcomm2.preserver import generate_map, h_det, probe_set
 
@@ -211,6 +211,56 @@ def _c64_identity():
             "right": [[_c64(C[j]), _c64(D[j])] for j in range(2)]}
 
 
+def _exact_span_identity(field, A, D, c, mirrored=False):
+    """An exact identity built like ``_c64_identity``, on scalars written as strings
+    or (re, im) string pairs.  The second members of D are dependent, so the solved
+    coefficients have a free variable, which the solver sets to zero.
+
+    Mirrored, D lists the right first components instead: A_i = sum_j c_ij D_j and
+    the right second components are sum_i c_ij A_i, which is what "a-in-c" solves."""
+    def scalar(x):
+        return GaussianRational(*map(Fraction, x)) if isinstance(x, tuple) else GaussianRational(Fraction(x))
+
+    def matrix(entries):
+        return [scalar(x) for x in entries]
+
+    def combine(coeffs, mats):
+        return [sum((k * M[t] for k, M in zip(coeffs, mats)), GaussianRational()) for t in range(4)]
+
+    def encode(entries):
+        z = [str(x.re) if not x.b else {"re": str(x.re), "im": str(x.im)} for x in entries]
+        return {"field": field, "entries": [z[:2], z[2:]]}
+
+    A, D = [matrix(m) for m in A], [matrix(m) for m in D]
+    c = [[scalar(x) for x in row] for row in c]
+    B = [combine(c[i], D) for i in range(len(A))]
+    C = [combine([row[j] for row in c], A) for j in range(len(D))]
+    left, right = ([(B[i], A[i]) for i in range(len(A))], [(D[j], C[j]) for j in range(len(D))]) \
+        if mirrored else ([(A[i], B[i]) for i in range(len(A))], [(C[j], D[j]) for j in range(len(D))])
+    return {"left": [[encode(X), encode(Y)] for X, Y in left],
+            "right": [[encode(X), encode(Y)] for X, Y in right]}
+
+
+# D_2 = 2 D_1 over Q, D_2 = (1 + i) D_1 over Q(i); the left first components are independent
+_Q_SPAN = dict(A=[("1", "2", "0", "1"), ("0", "1/2", "3", "0")],
+               D=[("1", "0", "1", "-1"), ("2", "0", "2", "-2")],
+               c=[["1/3", "-2"], ["5", "1/7"]])
+_QI_SPAN = dict(A=[("1", ("0", "1"), "0", "1"), ("1/2", "0", ("1", "1"), "2")],
+                D=[("1", "0", ("0", "1"), "-1"), (("1", "1"), "0", ("-1", "1"), ("-1", "-1"))],
+                c=[[("0", "1/3"), "-2"], ["5", ("1/7", "-1")]])
+
+
+def _c64_dependent_identity():
+    """``_c64_identity`` with D_2 = 2i D_1: float pivoting leaves a free variable at zero."""
+    A = [(1, 1j, 0, 1), (0.5, 0, 1 - 1j, 2)]
+    D = [(1 + 1j, 0, 0.1, -1), (2j - 2, 0, 0.2j, -2j)]
+    c = [[0.1 + 0.2j, -1], [0.3j, 2 - 0.7j]]
+    B = [[c[i][0] * D[0][t] + c[i][1] * D[1][t] for t in range(4)] for i in range(2)]
+    C = [[c[0][j] * A[0][t] + c[1][j] * A[1][t] for t in range(4)] for j in range(2)]
+    return {"left": [[_c64(A[i]), _c64(B[i])] for i in range(2)],
+            "right": [[_c64(C[j]), _c64(D[j])] for j in range(2)]}
+
+
 class TestPinnedBodies:
     """Success and rejection bodies of the handlers, byte for byte."""
 
@@ -257,10 +307,32 @@ class TestPinnedBodies:
          '{"coefficients":[[{"im":0.2,"re":0.10000000000000002},{"im":0.0,"re":-1.0}],'
          '[{"im":0.3,"re":0.0},{"im":-0.6999999999999998,"re":2.0}]],'
          '"identity":true,"mode":"b-in-d"}'),
+        # dependent right second (or, mirrored, first) components: one free variable, set to zero
+        (["sandwich", "--mode", "b-in-d"], _exact_span_identity("Q", **_Q_SPAN), 0,
+         '{"coefficients":[["-11/3","0"],["37/7","0"]],"identity":true,"mode":"b-in-d"}'),
+        (["sandwich", "--mode", "a-in-c"], _exact_span_identity("Q", **_Q_SPAN, mirrored=True), 0,
+         '{"coefficients":[["-11/3","0"],["37/7","0"]],"identity":true,"mode":"a-in-c"}'),
+        # mirrored, the left first components are dependent, so "auto" falls through to "a-in-c"
+        (["sandwich"], _exact_span_identity("Q", **_Q_SPAN, mirrored=True), 0,
+         '{"coefficients":[["-11/3","0"],["37/7","0"]],"identity":true,"mode":"a-in-c"}'),
+        (["sandwich", "--mode", "b-in-d"], _exact_span_identity("Qi", **_QI_SPAN), 0,
+         '{"coefficients":[[{"im":"-5/3","re":"-2"},{"im":"0","re":"0"}],'
+         '[{"im":"-6/7","re":"43/7"},{"im":"0","re":"0"}]],"identity":true,"mode":"b-in-d"}'),
+        (["sandwich", "--mode", "a-in-c"], _exact_span_identity("Qi", **_QI_SPAN, mirrored=True), 0,
+         '{"coefficients":[[{"im":"-5/3","re":"-2"},{"im":"0","re":"0"}],'
+         '[{"im":"-6/7","re":"43/7"},{"im":"0","re":"0"}]],"identity":true,"mode":"a-in-c"}'),
+        (["sandwich"], _exact_span_identity("Qi", **_QI_SPAN), 0,
+         '{"coefficients":[[{"im":"-5/3","re":"-2"},{"im":"0","re":"0"}],'
+         '[{"im":"-6/7","re":"43/7"},{"im":"0","re":"0"}]],"identity":true,"mode":"b-in-d"}'),
+        (["sandwich"], _c64_dependent_identity(), 0,
+         '{"coefficients":[[{"im":-1.7999999999999998,"re":0.09999999999999998},{"im":0.0,"re":0.0}],'
+         '[{"im":4.3,"re":1.4000000000000001},{"im":0.0,"re":0.0}]],"identity":true,"mode":"b-in-d"}'),
     ], ids=["spectral-holds", "verify-refuted", "verify-pairs-refuted", "verify-pairs-hold",
             "gen-map-inputs", "decompose-power", "decompose-lambda-zero", "sandwich-empty-left",
             "sandwich-b-in-d-dependent", "sandwich-R64-signed-zeros",
-            "sandwich-C64-coefficients"])
+            "sandwich-C64-coefficients", "sandwich-Q-b-in-d-free", "sandwich-Q-a-in-c-free",
+            "sandwich-Q-auto-a-in-c", "sandwich-Qi-b-in-d-free", "sandwich-Qi-a-in-c-free",
+            "sandwich-Qi-auto-b-in-d", "sandwich-C64-free"])
     def test_body(self, capsys, tmp_path, argv, body, code, text):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(body))
@@ -342,6 +414,25 @@ class TestCampaignAndFixtures:
 
 
 class TestStdin:
+    NOT_UTF8 = b'{"A": "\xff"}'
+
+    def test_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "in.json"
+        path.write_bytes(self.NOT_UTF8)
+        assert main(["kcomm", "--input", str(path)]) == 2
+        body = json.loads(capsys.readouterr().out)
+        assert body["error"] == "input" and "can't decode byte 0xff" in body["message"]
+
+    def test_stdin_that_is_not_utf8(self, capsys, monkeypatch):
+        import io
+
+        # as the interpreter opens stdin: undecodable bytes become surrogate escapes
+        stdin = io.TextIOWrapper(io.BytesIO(self.NOT_UTF8), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["kcomm"]) == 2
+        body = json.loads(capsys.readouterr().out)
+        assert body["error"] == "input" and "can't decode byte 0xff" in body["message"]
+
     def test_reads_stdin_by_default(self, capsys, monkeypatch):
         import io
 
@@ -520,6 +611,42 @@ class TestHostileInputs:
                                                             ["3", "5"]]}})
         body = self.run_text(capsys, tmp_path, ["kcomm", "--k", "34001"], text)
         assert body["error"] == "ResultTooLarge"
+
+    # the reproducer above: kcomm prints its answer up to k = 1997, and k = 1999
+    # passes the limit in the numerators, so the 1 bit of the bound is only
+    # slack; the bound refuses up front from k = 3999 on
+    _PAST_THE_LIMIT = json.dumps({"A": {"field": "Qi", "entries": [["1", "2"], ["3", "4"]]},
+                                  "B": {"field": "Qi", "entries": [[{"re": "1/3", "im": "2/7"}, "2"],
+                                                                   ["3", "5"]]}})
+
+    @pytest.fixture
+    def default_digit_limit(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("k", [3999, 34001])
+    def test_print_limit_refused_before_the_power(self, capsys, tmp_path, monkeypatch,
+                                                  default_digit_limit, k):
+        def no_power(*args):
+            raise AssertionError("the power was computed")
+
+        monkeypatch.setattr(brackets, "_power", no_power)
+        body = self.run_text(capsys, tmp_path, ["kcomm", "--k", str(k)], self._PAST_THE_LIMIT)
+        assert body == {"error": "ResultTooLarge",
+                        "message": f"order-{k} bracket would print an integer past the 4300-digit limit"}
+
+    def test_last_order_under_the_print_limit_prints(self, capsys, tmp_path, default_digit_limit):
+        path = tmp_path / "in.json"
+        path.write_text(self._PAST_THE_LIMIT)
+        assert main(["kcomm", "--k", "1997", "--input", str(path)]) == 0
+        entries = json.loads(capsys.readouterr().out)["bracket"]["entries"]
+        digits = [len(n.lstrip("-")) for row in entries for z in row for part in z.values()
+                  for n in part.split("/")]
+        assert 4200 < max(digits) <= 4300
+        body = self.run_text(capsys, tmp_path, ["kcomm", "--k", "1999"], self._PAST_THE_LIMIT)
+        assert body["error"] == "ResultTooLarge" and "Exceeds the limit" in body["message"]
 
     @pytest.mark.parametrize("argv", [
         ["kcomm", "--method", "closed"],

@@ -175,3 +175,11 @@ def test_one_owner_of_order_sized_powers():
                 if owner != "_power"]
     assert handlers == []
     assert list(_owners(TREES["brackets.py"], _catches_overflow)) != []
+
+
+def test_sandwich_images_are_fused():
+    """``matrices.unit_images`` computes every A E B as column times row on the
+    integer form; the classifiers and the solver multiply no matrices themselves."""
+    products = [f"classify.py:{node.lineno}" for node in ast.walk(TREES["classify.py"])
+                if isinstance(getattr(node, "op", None), ast.MatMult)]
+    assert products == []
