@@ -105,6 +105,12 @@ def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto") -> Mat2:
     - x f* with S x = alpha x, S* f = conj(beta) f: delta = (alpha - beta)^2,
       giving (beta - alpha)^k x f* (``kcomm_eigenpair``).
 
+    The factor delta^m, m = (k-1)//2, is settled first.  Over Q and Q(i) an
+    exact zero returns the zero matrix before any product, so a
+    scalar-plus-square-zero B costs one discriminant; over R64 and C64 the
+    products are always made, so signed zeros and 0*inf come out as they would
+    from the scaled bracket.
+
     ``method`` must be "auto"; the oracle and the binomial sum are called as
     ``kcomm_recursive`` and ``kcomm_closed``.
 
@@ -118,12 +124,16 @@ def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto") -> Mat2:
     if k == 0:
         return A
     field = A.field
+    m = (k - 1) // 2
+    if m:
+        c = _power(field, B.discriminant(), m, "discriminant")
+        if field.is_exact and field.is_zero(c):
+            return Mat2.zero(field)
     R = A @ B - B @ A
     if k % 2 == 0:
         R = R @ B - B @ R
-    m = (k - 1) // 2
     if m:
-        R = R.scale(_power(field, B.discriminant(), m, "discriminant"))
+        R = R.scale(c)
     entries = R.entries  # built here, not left to the caller
     if not field.is_exact and not all(cmath.isfinite(x) for x in entries):
         raise ResultTooLarge(f"order-{k} bracket overflows {field.variant}")

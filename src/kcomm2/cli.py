@@ -208,7 +208,8 @@ def cmd_decompose_map(args) -> tuple[dict, int]:
     try:
         return ser.decomposition_to_json(decompose(table), table.field), 0
     except NotTheoremForm as exc:
-        out = {"rejected": exc.stage, "residue": ser.mat_to_json(exc.residue)}
+        out = {"rejected": exc.stage, "input": ser.mat_to_json(exc.input),
+               "residue": ser.mat_to_json(exc.residue)}
     except LambdaNotRootOfUnity as exc:
         out = {"rejected": "lambda-not-root-of-unity", "power": table.field.encode(exc.power)}
     except PreservationFailed as exc:

@@ -58,10 +58,12 @@ class ProbeSetIncomplete(Kcomm2Error):
 
 
 class NotTheoremForm(Kcomm2Error):
-    """Decomposition failed a structural requirement; carries the residue."""
+    """Decomposition failed a structural requirement; carries the table input
+    whose image failed it and the residue."""
 
-    def __init__(self, stage, residue):
+    def __init__(self, stage, input, residue):
         self.stage = stage
+        self.input = input
         self.residue = residue
         super().__init__(f"rejected at {stage}")
 

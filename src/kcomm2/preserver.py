@@ -244,17 +244,17 @@ def decompose(table: MapTable) -> Decomposition:
     D = table.lookup(probes[0])  # image of E_11
     d11, d12, d21, d22 = D.entries
     if not (field.is_zero(d12) and field.is_zero(d21)):
-        raise NotTheoremForm("image-of-E11-not-diagonal", D)
+        raise NotTheoremForm("image-of-E11-not-diagonal", probes[0], D)
     lam = d11 - d22
     if field.is_zero(lam):
-        raise NotTheoremForm("lambda-zero", D)
+        raise NotTheoremForm("lambda-zero", probes[0], D)
     _check_root(field, lam, k)
 
     h_table = []
     for A, out in table.entries:
         residue = out - A.scale(lam)
         if not residue.is_scalar():
-            raise NotTheoremForm("nonscalar-residue", residue)
+            raise NotTheoremForm("nonscalar-residue", A, residue)
         h_table.append((A, residue.entries[0]))
 
     pairs = all_pairs(probes)

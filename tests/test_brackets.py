@@ -302,6 +302,48 @@ class TestNilpotentFast:
         assert kcomm_recursive(e21, e12, 2).eq(expected)
 
 
+class TestZeroFactor:
+    """delta(B)^m is settled before the commutators: over Q and Qi an exact zero
+    returns the zero matrix at once; over R64 and C64 the products still run."""
+
+    def test_agrees_with_oracle(self, exact_field):
+        rng = Random(19)
+        _, e12, e21, _ = units(exact_field)
+        for B in (e12, e21, random_scalar_plus_nilpotent(exact_field, rng, denominators=True)):
+            A = random_mat(exact_field, rng, denominators=True)
+            for k in range(10):
+                assert kcomm(A, B, k) == kcomm_recursive(A, B, k)
+
+    def test_makes_no_product(self, monkeypatch, exact_field):
+        calls = []
+        matmul = Mat2.__matmul__
+        monkeypatch.setattr(Mat2, "__matmul__", lambda X, Y: calls.append(1) or matmul(X, Y))
+        A = random_mat(exact_field, Random(20))
+        _, e12, _, _ = units(exact_field)
+        assert kcomm(A, e12, 3) is Mat2.zero(exact_field)
+        assert kcomm(A, e12, 4) is Mat2.zero(exact_field)
+        assert calls == []
+
+    @pytest.mark.parametrize("field, k, text", [
+        (FLOAT_R, 3, "(-0.0, -0.0, 0.0, 0.0)"),
+        (FLOAT_R, 4, "(-0.0, -0.0, 0.0, 0.0)"),
+        (FLOAT_C, 3, "((-0+0j), (-0+0j), 0j, 0j)"),
+        (FLOAT_C, 4, "((-0+0j), (-0+0j), 0j, 0j)"),
+    ], ids=["R64-k3", "R64-k4", "C64-k3", "C64-k4"])
+    def test_float_keeps_its_signed_zeros(self, field, k, text):
+        # delta(E12) = 0.0: the entries of 0.0 * [A, E12]_(1 or 2), as before the shortcut
+        A = Mat2(field, (1.5, -2.0, 0.5, 3.0))
+        assert repr(kcomm(A, units(field)[1], k).entries) == text
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=["R64", "C64"])
+    def test_float_zero_times_inf_still_overflows(self, field, k):
+        # delta = 0.0, and the products overflow: 0.0 * inf is nan, so the bracket is refused
+        big = Mat2(field, (1e308,) * 4)
+        with pytest.raises(ResultTooLarge):
+            kcomm(big, units(field)[1].scale(1e308), k)
+
+
 class TestEigenpair:
     def one_factor(self, field):
         return RankOneFactor(x=(field.one(), field.zero()), f=(field.zero(), field.one()))

@@ -10,6 +10,7 @@ from kcomm2 import (
     GAUSSIAN_QI,
     RATIONAL_Q,
     Coefficients,
+    FieldTag,
     GaussianRational,
     Mat2,
     NotAnIdentity,
@@ -23,7 +24,7 @@ from kcomm2 import (
     scalar_witness_test,
 )
 from kcomm2.errors import EmptySystem, FieldMismatch, InvalidOrder, KTooSmall, SingularSystem
-from kcomm2.randgen import random_rank_one
+from kcomm2.randgen import random_rank_one, random_scalar
 from kcomm2.serialize import canonical_dumps, solver_result_to_json
 
 from conftest import units
@@ -434,6 +435,18 @@ _STREAMS = {
     ("Q", 0): ("[[-24, -3], [-32, -4]]", "ee9afe8141294797"),
     ("Qi", 0): ("[[45+10i, 9+12i], [-62+41i, -24+-3i]]", "3111323c6e3ffb23"),
 }
+# (field, seed): first draw and SHA-256 prefix of 32 random_scalar(field, Random(seed),
+# denominators=True) draws, one str per line: the stream of the campaign's h_random
+_SCALAR_STREAMS = {
+    ("Q", 0): ("3/4", "da82f7bf70890692"),
+    ("Q", 11): ("5/4", "e6c8358717143e27"),
+    ("Qi", 0): ("3/4+-8/3i", "eb1441e5e6895e89"),
+    ("Qi", 11): ("5/4+5/2i", "13fbf40d1d5eadc2"),
+    ("R64", 0): ("0.6888437030500962", "aa9c9f7aa264c19f"),
+    ("R64", 11): ("-0.09524089298036276", "156c6b080fef6b55"),
+    ("C64", 0): ("(0.6888437030500962+0.515908805880605j)", "974478ed9d62e209"),
+    ("C64", 11): ("(-0.09524089298036276+0.11954477216099191j)", "125b4ddd09d825a8"),
+}
 
 
 def _certifier_input(name):
@@ -482,6 +495,12 @@ class TestCertifierStream:
         probes = [random_rank_one(field, rng) for _ in range(32)]
         assert (str(probes[0]), _digest(probes)) == _STREAMS[(variant, seed)]
 
+    @pytest.mark.parametrize("variant, seed", sorted(_SCALAR_STREAMS))
+    def test_random_scalar_stream(self, variant, seed):
+        rng = Random(seed)
+        draws = [random_scalar(FieldTag(variant), rng, denominators=True) for _ in range(32)]
+        assert (str(draws[0]), _digest(draws)) == _SCALAR_STREAMS[(variant, seed)]
+
 
 @pytest.fixture
 def constructed(monkeypatch):
@@ -518,3 +537,18 @@ class TestHotLoopsConstructNoMatrix:
         assert scalar_plus_nilpotent_kcomm(S, 3, seed=2).holds
         assert scalar_plus_nilpotent_kcomm(S, 4, seed=3).holds
         assert built == []
+
+
+class TestPositiveCertifierProducts:
+    """Counted, not timed: over Q and Qi delta(S) = 0 settles every bracket of a
+    positive certifier before a product; over R64 and C64 each of the 36 kernel
+    calls still makes its two (k odd) or four (k even) products."""
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_matrix_products(self, monkeypatch, any_field, k):
+        calls = []
+        matmul = Mat2.__matmul__
+        monkeypatch.setattr(Mat2, "__matmul__", lambda X, Y: calls.append(1) or matmul(X, Y))
+        S = random_scalar_plus_nilpotent(any_field, Random(9))
+        assert scalar_plus_nilpotent_kcomm(S, k, seed=k - 1).holds
+        assert len(calls) == (0 if any_field.is_exact else 36 * (2 if k % 2 else 4))

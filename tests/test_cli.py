@@ -288,7 +288,14 @@ class TestPinnedBodies:
          '"out":{"entries":[["-1/2","-1/2"],["-1","-1/2"]],"field":"Q"}}],"field":"Q","k":3}'),
         (["decompose-map"], _IMPOSTOR, 1, '{"power":"4","rejected":"lambda-not-root-of-unity"}'),
         (["decompose-map"], _q_table(1, [(p, _q([["0", "0"], ["0", "0"]])) for p in _PROBES]), 1,
-         '{"rejected":"lambda-zero","residue":{"entries":[["0","0"],["0","0"]],"field":"Q"}}'),
+         '{"input":{"entries":[["1","0"],["0","0"]],"field":"Q"},'
+         '"rejected":"lambda-zero","residue":{"entries":[["0","0"],["0","0"]],"field":"Q"}}'),
+        # the identity map, except that [[1, 1], [0, 0]] goes to [[1, 2], [0, 0]]
+        (["decompose-map"], _q_table(3, [(p, p) for p in _PROBES[:4]]
+                                     + [(_PROBES[4], _q([["1", "2"], ["0", "0"]]))]
+                                     + [(p, p) for p in _PROBES[5:]]), 1,
+         '{"input":{"entries":[["1","1"],["0","0"]],"field":"Q"},'
+         '"rejected":"nonscalar-residue","residue":{"entries":[["0","1"],["0","0"]],"field":"Q"}}'),
         (["sandwich"], {"left": [], "right": [[_PROBES[0], _PROBES[0]]]}, 2,
          '{"error":"EmptySystem","message":"both sides need at least one pair"}'),
         # the identity holds, but the left first components are dependent
@@ -328,7 +335,8 @@ class TestPinnedBodies:
          '{"coefficients":[[{"im":-1.7999999999999998,"re":0.09999999999999998},{"im":0.0,"re":0.0}],'
          '[{"im":4.3,"re":1.4000000000000001},{"im":0.0,"re":0.0}]],"identity":true,"mode":"b-in-d"}'),
     ], ids=["spectral-holds", "verify-refuted", "verify-pairs-refuted", "verify-pairs-hold",
-            "gen-map-inputs", "decompose-power", "decompose-lambda-zero", "sandwich-empty-left",
+            "gen-map-inputs", "decompose-power", "decompose-lambda-zero",
+            "decompose-nonscalar-residue", "sandwich-empty-left",
             "sandwich-b-in-d-dependent", "sandwich-R64-signed-zeros",
             "sandwich-C64-coefficients", "sandwich-Q-b-in-d-free", "sandwich-Q-a-in-c-free",
             "sandwich-Q-auto-a-in-c", "sandwich-Qi-b-in-d-free", "sandwich-Qi-a-in-c-free",
@@ -354,6 +362,16 @@ class TestPinnedBodies:
         # the five fixture families at k = 1..3, float signed zeros included
         assert main(["fixtures", "--kmax", "3", "--field", field]) == 0
         assert capsys.readouterr().out == (PINNED / f"fixtures-kmax3-{field}.json").read_text()
+
+    @pytest.mark.parametrize("field, lam", [("Q", "1"), ("Qi", "1"), ("R64", 1.0),
+                                            ("C64", {"re": 1.0, "im": 0.0})])
+    def test_gen_map_random_h(self, capsys, tmp_path, field, lam):
+        # the h_random stream: one random_scalar draw per probe, from --seed 11
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"lambda": lam, "h": "random"}))
+        assert main(["gen-map", "--field", field, "--seed", "11", "--input", str(path)]) == 0
+        pinned = PINNED / f"gen-map-random-h-seed11-{field}.json"
+        assert capsys.readouterr().out == pinned.read_text()
 
     @pytest.mark.parametrize("field", ["R64", "C64"])
     def test_low_order_float_campaign(self, capsys, field):

@@ -164,8 +164,11 @@ def _reject_constant(name):
 
 
 def _run(argv, text):
+    """``cli.main`` on text sent as a process's stdin is: bytes behind ``.buffer``."""
+    data = text.encode("utf-8", "surrogateescape")
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
     out = io.StringIO()
-    with mock.patch.object(sys, "stdin", io.StringIO(text)), contextlib.redirect_stdout(out):
+    with mock.patch.object(sys, "stdin", stdin), contextlib.redirect_stdout(out):
         code = cli.main(argv)
     return code, out.getvalue()
 

@@ -194,6 +194,19 @@ class TestDecompose:
         table = MapTable(exact_field, 3, tuple(entries))
         with pytest.raises(NotTheoremForm) as exc:
             decompose(table)
+        assert exc.value.stage == "image-of-E11-not-diagonal"
+        assert exc.value.input.eq(probes[0])
+        assert exc.value.residue.eq(probes[2])
+
+    def test_nonscalar_residue_names_its_input(self, exact_field):
+        probes = probe_set(exact_field)
+        entries = [(p, p) for p in probes]
+        entries[4] = (probes[4], probes[4] + probes[2])  # lambda = 1, residue E12
+        table = MapTable(exact_field, 3, tuple(entries))
+        with pytest.raises(NotTheoremForm) as exc:
+            decompose(table)
+        assert exc.value.stage == "nonscalar-residue"
+        assert exc.value.input.eq(probes[4])
         assert exc.value.residue.eq(probes[2])
 
     def test_power_past_the_print_limit_is_typed(self):
