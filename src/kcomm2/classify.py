@@ -85,14 +85,12 @@ def _witness_idempotents(field: FieldTag) -> tuple:
 
 
 def _certifier_probes(field: FieldTag, trials: int, seed: int):
-    """The matrix units, then ``trials`` rank-one matrices drawn from Random(seed).
-
-    A generator: each random probe is drawn only when the caller asks for it.
-    """
+    """The matrix units, then over R64 and C64 only ``trials`` rank-one matrices
+    drawn from Random(seed), each when the caller asks for it."""
     yield from matrix_units(field)
-    rng = Random(seed)
-    for _ in range(trials):
-        yield random_rank_one(field, rng)
+    if not field.is_exact:
+        rng = Random(seed)
+        yield from (random_rank_one(field, rng) for _ in range(trials))
 
 
 def scalar_witness_test(Z: Mat2, k: int) -> Verdict:
@@ -128,12 +126,13 @@ def scalar_plus_nilpotent_spectral(S: Mat2) -> SpectralVerdict:
 def scalar_plus_nilpotent_kcomm(S: Mat2, k: int, trials: int = 32, seed: int = 0) -> Verdict:
     """Sampled certifier: order-k brackets of rank-one matrices against S.
 
-    Probes the four matrix units, then ``trials`` seeded-random rank-one
-    matrices, and stops at the first bracket that does not vanish.  A -> [A, S]_k
-    is linear, so the units alone decide the verdict; the random probes
-    cross-check the kernel on non-unit inputs.  The spectral test is the
-    authoritative classifier; agreement of the two is a tested property, not an
-    assumption.
+    Probes the four matrix units, then over R64 and C64 only ``trials``
+    rank-one matrices drawn from Random(``seed``), and stops at the first
+    bracket that does not vanish.  A -> [A, S]_k is linear, so over Q and Q(i)
+    the units decide the verdict; the kernel on non-unit inputs is checked there
+    by ``TestCayleyHamilton``, not at run time, and over the float fields
+    linearity holds only up to rounding.  The spectral test is the
+    authoritative classifier; agreement of the two is a tested property.
     """
     _check_order(k, minimum=1)
     if k < 3:

@@ -211,7 +211,11 @@ def cmd_decompose_map(args) -> tuple[dict, int]:
         out = {"rejected": exc.stage, "input": ser.mat_to_json(exc.input),
                "residue": ser.mat_to_json(exc.residue)}
     except LambdaNotRootOfUnity as exc:
-        out = {"rejected": "lambda-not-root-of-unity", "power": table.field.encode(exc.power)}
+        try:
+            power = table.field.encode(exc.power)
+        except ResultTooLarge:  # inf, or past the digits an exact value prints with
+            power = None
+        out = {"rejected": "lambda-not-root-of-unity", "power": power}
     except PreservationFailed as exc:
         out = {"rejected": "preservation-failed",
                "pair": [ser.mat_to_json(exc.pair[0]), ser.mat_to_json(exc.pair[1])]}

@@ -12,10 +12,9 @@ values have equal forms.  The hot exact operations (``@``, ``+``, ``-``,
 ``scale``, ``discriminant``, equality, hashing, the zero test, ``outer`` and
 the sandwich images ``unit_images``) compute on these integers and normalise
 with one multi-argument gcd, where entrywise ``Fraction`` /
-``GaussianRational`` arithmetic would take one gcd per scalar operation;
-``integer_outer`` writes x f* of integer vectors over denominator 1 and
-takes none.  The cold ones (``trace``, ``det``, ``conj_t``,
-negation and the scalar test) read ``.entries`` on every field.
+``GaussianRational`` arithmetic would take one gcd per scalar operation.
+The cold ones (``trace``, ``det``, ``conj_t``, negation and the scalar test)
+read ``.entries`` on every field.
 
 ``Mat2(field, entries)`` is the one checked constructor: exactly four entries,
 each coerced into the field (a wrong kind raises FieldMismatch), and over Q
@@ -428,34 +427,20 @@ def outer(field: FieldTag, x, f) -> Mat2:
         c = field.conj
         f0, f1 = c(f[0]), c(f[1])
         return _built(field, (x[0] * f0, x[0] * f1, x[1] * f0, x[1] * f1), None)
-    d, *xs = _integer_form(field, x)
-    e, *fs = _integer_form(field, f)
-    return _normalised(field, (d * e, *_outer_products(field, xs, fs)))
-
-
-def integer_outer(field: FieldTag, x, f) -> Mat2:
-    """``outer`` over Q or Q(i) for integer coordinates, given as integer parts:
-    (x0, x1) over Q, Gaussian integers (re0, im0, re1, im1) over Q(i).
-
-    The denominator is 1, so the products are the canonical form and no gcd is
-    taken.
-    """
-    return _built(field, None, (1, *_outer_products(field, x, f)))
-
-
-def _outer_products(field: FieldTag, x, f) -> tuple:
-    """Integer entries of x f* from the integer parts of x and f; over Q(i),
-    (a + b i) * conj(c + d i) = (a c + b d) + (b c - a d) i."""
     if field.is_complex:
-        a0, b0, a1, b1 = x
-        c0, d0, c1, d1 = f
-        return (a0 * c0 + b0 * d0, b0 * c0 - a0 * d0,
-                a0 * c1 + b0 * d1, b0 * c1 - a0 * d1,
-                a1 * c0 + b1 * d0, b1 * c0 - a1 * d0,
-                a1 * c1 + b1 * d1, b1 * c1 - a1 * d1)
-    x0, x1 = x
-    f0, f1 = f
-    return (x0 * f0, x0 * f1, x1 * f0, x1 * f1)
+        # (a + b i) * conj(c + d i) = (a c + b d) + (b c - a d) i
+        d, a0, b0, a1, b1 = _integer_form(field, x)
+        e, c0, d0, c1, d1 = _integer_form(field, f)
+        return _normalised(field, (
+            d * e,
+            a0 * c0 + b0 * d0, b0 * c0 - a0 * d0,
+            a0 * c1 + b0 * d1, b0 * c1 - a0 * d1,
+            a1 * c0 + b1 * d0, b1 * c0 - a1 * d0,
+            a1 * c1 + b1 * d1, b1 * c1 - a1 * d1,
+        ))
+    d, x0, x1 = _integer_form(field, x)
+    e, f0, f1 = _integer_form(field, f)
+    return _normalised(field, (d * e, x0 * f0, x0 * f1, x1 * f0, x1 * f1))
 
 
 def _is_rank_one(A: Mat2) -> bool:

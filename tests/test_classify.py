@@ -407,6 +407,8 @@ _CERTIFIER_INPUTS = {
     "Qi-jordan": (GAUSSIAN_QI, [[_G(1, 1), 0], [_G(2, _F(-1, 3)), _G(1, 1)]]),
     "Qi-refuted": (GAUSSIAN_QI, [[_G(0, 1), 1], [0, 2]]),
     "Qi-upper": (GAUSSIAN_QI, [[_G(_F(1, 2)), _G(0, _F(2, 3))], [0, _G(0, -1)]]),
+    "R64-jordan": (FLOAT_R, [[1, 2], [0, 1]]),
+    "C64-jordan": (FLOAT_C, [[1, 2], [0, 1]]),
 }
 # (input, k, witness, detail) of every refuted case at seed 7; a unit refutes each
 # one, so none may draw a random probe
@@ -434,6 +436,16 @@ _STREAMS = {
     ("Qi", 7): ("[[-47+27i, -16+28i], [-85+32i, -34+42i]]", "c84a24fd1e950d48"),
     ("Q", 0): ("[[-24, -3], [-32, -4]]", "ee9afe8141294797"),
     ("Qi", 0): ("[[45+10i, 9+12i], [-62+41i, -24+-3i]]", "3111323c6e3ffb23"),
+    ("R64", 0): ("[[-0.10942753277579195, -0.3321373569430923], "
+                 "[-0.08195564177308581, -0.24875394294834596]]", "08ab6cf1b48e39a6"),
+    ("R64", 7): ("[[-0.10635883522717851, 0.30129086894178136], "
+                 "[-0.21079558378053972, 0.5971368948397396]]", "846833bb44dabafc"),
+    ("C64", 0): ("[[(-0.08255758961911228+0.1426044976604469j), (0.18804034874114645+0.5638019625803006j)], "
+                 "[(0.08809301513910132-0.04107631058540511j), (0.09950533553376632-0.3361665813800645j)]]",
+                 "ed731094f767a6e7"),
+    ("C64", 7): ("[[(0.16229436848044648-0.1447577744187933j), (0.30107965991058494+0.6225398923943518j)], "
+                 "[(0.2513695073528121+0.019721318184126632j), (-0.2795697962639852+0.7514452501986201j)]]",
+                 "3e6f7b4ad9e87d96"),
 }
 # (field, seed): first draw and SHA-256 prefix of 32 random_scalar(field, Random(seed),
 # denominators=True) draws, one str per line: the stream of the campaign's h_random
@@ -481,7 +493,20 @@ class TestCertifierStream:
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     @pytest.mark.parametrize("name", ["Q-jordan", "Q-nilpotent", "Qi-jordan"])
-    def test_positive_cases_draw_the_pinned_stream(self, drawn, name, k):
+    def test_exact_positive_cases_bracket_the_units_only(self, drawn, monkeypatch, name, k):
+        # A -> [A, S]_k is linear: over Q and Qi the four units decide, whatever trials and seed
+        brackets, kernel = [], classify.kcomm
+        monkeypatch.setattr(classify, "kcomm", lambda A, B, k: brackets.append(A) or kernel(A, B, k))
+        for trials in (0, 32):
+            for seed in (0, 7):
+                brackets.clear()
+                v = scalar_plus_nilpotent_kcomm(_certifier_input(name), k, trials=trials, seed=seed)
+                assert (v.holds, v.witness, v.detail) == (True, None, None)
+                assert drawn == [] and len(brackets) == 4
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("name", ["R64-jordan", "C64-jordan"])
+    def test_float_positive_cases_draw_the_pinned_stream(self, drawn, name, k):
         S = _certifier_input(name)
         v = scalar_plus_nilpotent_kcomm(S, k, seed=7)
         assert (v.holds, v.witness, v.detail) == (True, None, None)
@@ -490,9 +515,8 @@ class TestCertifierStream:
 
     @pytest.mark.parametrize("variant, seed", sorted(_STREAMS))
     def test_random_rank_one_stream(self, variant, seed):
-        field = RATIONAL_Q if variant == "Q" else GAUSSIAN_QI
         rng = Random(seed)
-        probes = [random_rank_one(field, rng) for _ in range(32)]
+        probes = [random_rank_one(FieldTag(variant), rng) for _ in range(32)]
         assert (str(probes[0]), _digest(probes)) == _STREAMS[(variant, seed)]
 
     @pytest.mark.parametrize("variant, seed", sorted(_SCALAR_STREAMS))

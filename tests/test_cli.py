@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import kcomm2
-from kcomm2 import GAUSSIAN_QI, RATIONAL_Q, GaussianRational, Mat2
+from kcomm2 import FLOAT_R, GAUSSIAN_QI, RATIONAL_Q, GaussianRational, Mat2
 from kcomm2.cli import build_parser, main
 from kcomm2.serialize import (
     canonical_dumps,
@@ -110,6 +110,25 @@ class TestClassifyCommand:
         )
         assert code == 0
         assert out["holds"] is True
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("S, code", [
+        ({"field": "Q", "entries": [["1/2", "3"], ["0", "1/2"]]}, 0),
+        ({"field": "Q", "entries": [["0", "1"], ["-1", "0"]]}, 1),
+        ({"field": "Qi", "entries": [[{"re": "1", "im": "1"}, "0"], [{"re": "2", "im": "-1/3"},
+                                                                    {"re": "1", "im": "1"}]]}, 0),
+        ({"field": "Qi", "entries": [[{"re": "0", "im": "1"}, "1"], ["0", "2"]]}, 1),
+    ], ids=["Q-holds", "Q-refuted", "Qi-holds", "Qi-refuted"])
+    def test_exact_kcomm_classifier_ignores_trials_and_seed(self, capsys, tmp_path, S, code, k):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"S": S}))
+        runs = set()
+        for trials in ("0", "32"):
+            for seed in ("0", "5"):
+                argv = ["classify", "--lemma", "2.3-kcomm", "--k", str(k), "--trials", trials,
+                        "--seed", seed, "--input", str(path)]
+                runs.add((main(argv), capsys.readouterr().out))
+        assert len(runs) == 1 and runs.pop()[0] == code
 
     def test_kcomm_classifier_witness(self, capsys, tmp_path):
         data = {"S": {"field": "Q", "entries": [["1", "0"], ["0", "2"]]}}
@@ -467,7 +486,8 @@ def _reject_constant(name):
 
 
 class TestHostileInputs:
-    """Each input exits 2 with a JSON error body that parses as strict JSON."""
+    """Each input exits 2 with a JSON error body that parses as strict JSON, except
+    a map table whose rejection cannot print its lambda power: that exits 1."""
 
     def run_text(self, capsys, tmp_path, argv, text):
         path = tmp_path / "in.json"
@@ -511,22 +531,21 @@ class TestHostileInputs:
         body = self.run_text(capsys, tmp_path, argv, json.dumps({"lambda": lam}))
         assert body["error"] == "LambdaNotRootOfUnity"
 
+    def unprintable_power(self, capsys, tmp_path, field, lam, k):
+        """decompose-map on the probe table of A -> lam*A: exit 1, as for a printable power."""
+        entries = preserver._theorem_form(field, field.coerce(lam), lambda A: 0, probe_set(field))
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(maptable_to_json(preserver.MapTable(field, k, entries))))
+        assert main(["decompose-map", "--input", str(path)]) == 1
+        assert capsys.readouterr().out == '{"power":null,"rejected":"lambda-not-root-of-unity"}\n'
+
     def test_float_table_whose_lambda_power_overflows(self, capsys, tmp_path):
-        probes = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.0]],
-                  [[0.0, 0.0], [1.0, 0.0]], [[1.0, 1.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]]
-        entries = [{"in": {"field": "R64", "entries": p},
-                    "out": {"field": "R64", "entries": [[x * 1e300 for x in r] for r in p]}}
-                   for p in probes]
-        text = json.dumps({"field": "R64", "k": 3, "entries": entries})
-        body = self.run_text(capsys, tmp_path, ["decompose-map"], text)
-        assert body["error"] == "ResultTooLarge"
+        # lam**2 = 1e400 is inf, which strict JSON cannot print
+        self.unprintable_power(capsys, tmp_path, FLOAT_R, 1e200, 1)
 
     def test_exact_table_whose_lambda_power_passes_the_print_limit(self, capsys, tmp_path):
-        probes = probe_set(RATIONAL_Q)
-        table = preserver.MapTable(RATIONAL_Q, 1000, tuple((p, p.scale(10**10)) for p in probes))
-        text = json.dumps(maptable_to_json(table))
-        body = self.run_text(capsys, tmp_path, ["decompose-map"], text)
-        assert body["error"] == "ResultTooLarge"
+        # lam**1001 = 10**10010 is under the size cap but past the 4,300-digit print limit
+        self.unprintable_power(capsys, tmp_path, RATIONAL_Q, 10**10, 1000)
 
     @pytest.mark.parametrize("command", ["gen-map", "decompose-map"])
     def test_exact_lambda_whose_power_passes_the_size_cap(self, capsys, tmp_path, command):
