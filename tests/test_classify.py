@@ -505,13 +505,18 @@ class TestCertifierStream:
                 assert drawn == [] and len(brackets) == 4
 
     @pytest.mark.parametrize("k", [3, 4, 5])
-    @pytest.mark.parametrize("name", ["R64-jordan", "C64-jordan"])
-    def test_float_positive_cases_draw_the_pinned_stream(self, drawn, name, k):
+    @pytest.mark.parametrize("name", ["Q-jordan", "Q-nilpotent", "Qi-jordan", "R64-jordan", "C64-jordan"])
+    def test_positive_cases_draw_the_pinned_stream(self, drawn, name, k):
+        # the pinned stream is empty over Q and Qi, where the units decide, and the
+        # 32 probes of _STREAMS at seed 7 over R64 and C64
         S = _certifier_input(name)
         v = scalar_plus_nilpotent_kcomm(S, k, seed=7)
         assert (v.holds, v.witness, v.detail) == (True, None, None)
-        first, digest = _STREAMS[(S.field.variant, 7)]
-        assert len(drawn) == 32 and str(drawn[0]) == first and _digest(drawn) == digest
+        if S.field.is_exact:
+            assert drawn == []
+        else:
+            first, digest = _STREAMS[(S.field.variant, 7)]
+            assert len(drawn) == 32 and str(drawn[0]) == first and _digest(drawn) == digest
 
     @pytest.mark.parametrize("variant, seed", sorted(_STREAMS))
     def test_random_rank_one_stream(self, variant, seed):
