@@ -15,19 +15,19 @@ from .fields import FieldTag, GaussianRational, require_same_field
 from .matrices import Mat2, RankOneFactor, outer
 
 # Exact powers whose estimated size passes this many bits are refused: their
-# cost grows faster than linearly (a Qi bracket at 1 << 18 bits takes about
-# 0.4 s on a 2-vCPU x86 box, most of it in the gcds that reduce its entries).
+# cost grows faster than linearly (a bracket at the cap takes about 0.19 s over
+# Q and 0.56 s over Qi on a 2-vCPU x86 box, nearly all in the gcds of its entries).
 MAX_POWER_BITS = 1 << 18
 
 # Trial counts of the sampled certifier and the probe campaign are capped so
-# that a hostile count has bounded cost: 10**4 campaign trials take about 10 s
-# on a 2-vCPU x86 box, and 10**4 certifier probes under half a second.
+# that a hostile count has bounded cost: 10**4 campaign trials at k = 6 take
+# 12-17 s on a 2-vCPU x86 box, and 10**4 float certifier probes about 0.15 s.
 MAX_TRIALS = 10_000
 
 # Bracket orders read from outside the program (a map table's k, fixtures
-# --kmax) are capped where they drive the O(k) oracle: decompose-map on a Q
-# probe table takes about 1.3 s at k = 8000 on a 2-vCPU x86 box, and fixtures
-# --kmax 1000 about 12 s.
+# --kmax) are capped where they drive the O(k) oracle: at k = 1000 decompose
+# on a probe table takes 0.12 s (Q) to 0.16 s (Qi) on a 2-vCPU x86 box, and a
+# fixtures --kmax 1000 request 14 s (Q) to 20 s (Qi).
 MAX_ORDER = 1_000
 
 

@@ -212,8 +212,8 @@ def cmd_decompose_map(args) -> tuple[dict, int]:
                "residue": ser.mat_to_json(exc.residue)}
     except LambdaNotRootOfUnity as exc:
         try:
-            power = table.field.encode(exc.power)
-        except ResultTooLarge:  # inf, or past the digits an exact value prints with
+            power = None if exc.power is None else table.field.encode(exc.power)
+        except ResultTooLarge:  # a NaN C64 power, or past the digits an exact value prints with
             power = None
         out = {"rejected": "lambda-not-root-of-unity", "power": power}
     except PreservationFailed as exc:

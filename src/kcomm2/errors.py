@@ -34,7 +34,8 @@ class SingularSystem(Kcomm2Error):
 
 
 class LambdaNotRootOfUnity(Kcomm2Error):
-    """lambda**(k+1) != 1; carries the offending power.
+    """lambda**(k+1) != 1; carries the offending power, or None for a power
+    too large to compute (past the exact size cap, or a float overflow).
 
     The message leaves the power out: an exact power can have more digits
     than ``str`` will print.

@@ -9,18 +9,19 @@ shared denominator:
 
 The form is canonical (den > 0 and gcd(den, all numerators) = 1), so equal
 values have equal forms.  The hot exact operations (``@``, ``+``, ``-``,
-``scale``, ``discriminant``, equality, hashing, the zero test, ``outer`` and
-the sandwich images ``unit_images``) compute on these integers and normalise
+``scale``, ``discriminant``, equality, hashing, the zero test and the
+sandwich images ``unit_images``) compute on these integers and normalise
 with one multi-argument gcd, where entrywise ``Fraction`` /
 ``GaussianRational`` arithmetic would take one gcd per scalar operation.
-The cold ones (``trace``, ``det``, ``conj_t``, negation and the scalar test)
-read ``.entries`` on every field.
+The cold ones (``trace``, ``det``, ``conj_t``, negation, the scalar test
+and ``outer``) read or build ``.entries`` on every field.
 
 ``Mat2(field, entries)`` is the one checked constructor: exactly four entries,
 each coerced into the field (a wrong kind raises FieldMismatch), and over Q
-and Q(i) the form derived at once.  An operation result is built unchecked
-from canonical parts: an exact one from its form, its entries built on first
-read; a float (R64, C64) one from its entries.  Values are immutable.
+and Q(i) the form derived at once.  A hot operation's result is built
+unchecked from canonical parts: an exact one from its form, its entries built
+on first read; a float (R64, C64) one from its entries.  Every other exact
+matrix comes from the constructor.  Values are immutable.
 """
 
 from __future__ import annotations
@@ -415,60 +416,37 @@ class RankOneFactor(NamedTuple):
 def outer(field: FieldTag, x, f) -> Mat2:
     """Rank-(at most)-one matrix x f*; entry (p, q) is x_p * conj(f_q).
 
-    Over Q and Q(i), x and f are each written over one denominator and the
-    integer parts multiplied, with one gcd for the product.  An exact
-    coordinate the integer form reads as it is (int or Fraction over Q, a
-    GaussianRational over Q(i)) is not coerced first.
+    Each coordinate is coerced into the field (a wrong kind raises
+    FieldMismatch).  An exact result comes from the checked constructor; a
+    float one is built from its four products as they are.
     """
-    held = () if not field.is_exact else GaussianRational if field.is_complex else (int, Fraction)
-    x = [v if isinstance(v, held) else field.coerce(v) for v in x]
-    f = [v if isinstance(v, held) else field.coerce(v) for v in f]
-    if not field.is_exact:
-        c = field.conj
-        f0, f1 = c(f[0]), c(f[1])
-        return _built(field, (x[0] * f0, x[0] * f1, x[1] * f0, x[1] * f1), None)
-    if field.is_complex:
-        # (a + b i) * conj(c + d i) = (a c + b d) + (b c - a d) i
-        d, a0, b0, a1, b1 = _integer_form(field, x)
-        e, c0, d0, c1, d1 = _integer_form(field, f)
-        return _normalised(field, (
-            d * e,
-            a0 * c0 + b0 * d0, b0 * c0 - a0 * d0,
-            a0 * c1 + b0 * d1, b0 * c1 - a0 * d1,
-            a1 * c0 + b1 * d0, b1 * c0 - a1 * d0,
-            a1 * c1 + b1 * d1, b1 * c1 - a1 * d1,
-        ))
-    d, x0, x1 = _integer_form(field, x)
-    e, f0, f1 = _integer_form(field, f)
-    return _normalised(field, (d * e, x0 * f0, x0 * f1, x1 * f0, x1 * f1))
-
-
-def _is_rank_one(A: Mat2) -> bool:
-    f = A.field
-    if A.is_zero():
-        return False
-    if f.is_exact:
-        return f.is_zero(A.det())
-    # scale-aware zero test for float fields
-    m = A.max_abs()
-    return abs(A.det()) <= f.tolerance * (1.0 + m * m)
+    co, c = field.coerce, field.conj
+    x0, x1 = co(x[0]), co(x[1])
+    f0, f1 = c(co(f[0])), c(co(f[1]))
+    entries = (x0 * f0, x0 * f1, x1 * f0, x1 * f1)
+    return Mat2(field, entries) if field.is_exact else _built(field, entries, None)
 
 
 def rank_one_factor(A: Mat2) -> RankOneFactor:
     """Canonical factorization A = x f* of a rank-one matrix.
 
-    x is the first nonzero column with its leading nonzero coordinate
-    normalized to 1; all scale is absorbed into f.
+    x is the first nonzero column over its leading nonzero coordinate, which
+    is set to exactly one (over C64 z / z can miss it); f absorbs all scale.
     """
-    if not _is_rank_one(A):
-        raise RankNotOne("matrix is not rank one")
     f = A.field
+    if f.is_exact:
+        rank_one = f.is_zero(A.det())
+    else:  # a float det is zero within tolerance * (1 + m * m), m the largest entry
+        m = A.max_abs()
+        rank_one = abs(A.det()) <= f.tolerance * (1.0 + m * m)
+    if not rank_one or A.is_zero():
+        raise RankNotOne("matrix is not rank one")
     a11, a12, a21, a22 = A.entries
     for col in ((a11, a21), (a12, a22)):
         nz = [i for i in range(2) if not f.is_zero(col[i])]
         if nz:
             lead = col[nz[0]]
-            x = (col[0] / lead, col[1] / lead)
+            x = (f.one(), col[1] / lead) if nz[0] == 0 else (col[0] / lead, f.one())
             break
     # row of the leading coordinate gives f (up to conjugation)
     row = (a11, a12) if nz[0] == 0 else (a21, a22)

@@ -4,7 +4,6 @@ decomposition into the canonical form lam*A + h(A)*I with lam**(k+1) = 1.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache, partial
 from random import Random
 from typing import NamedTuple
@@ -24,15 +23,15 @@ from .matrices import Mat2, _settled, matrix_units
 from .randgen import random_scalar
 
 # A map table holds at most this many inputs, and verify-map checks at most
-# MAX_TABLE_INPUTS ** 2 pairs: at k = 1000 a pair of random integer Q inputs
-# costs about 7 ms on a 2-vCPU x86 box, so a full 36-input table (1,296
-# pairs) takes about 9 s.
+# MAX_TABLE_INPUTS ** 2 pairs: at k = 1000 a pair of random integer inputs
+# costs about 7 ms (Q) or 12 ms (Qi) on a 2-vCPU x86 box, so a full 36-input
+# table (1,296 pairs) takes about 9 s (Q) or 16 s (Qi).
 MAX_TABLE_INPUTS = 36
 _check_table_size = partial(_check_order, name="map table inputs", maximum=MAX_TABLE_INPUTS)
 
-# A campaign's cost is trials x k: a Qi trial takes about 240 ms at k = 1000
-# and about 2 ms at k = 6 on a 2-vCPU x86 box, so this bound keeps the worst
-# campaign near 15 s.
+# A campaign's cost grows with trials x k: a Qi trial takes about 120 ms at
+# k = 1000 and 1.3-1.7 ms at k = 6 on a 2-vCPU x86 box, so a campaign at this
+# bound takes 7 s (60 trials at k = 1000) to 17 s (10**4 trials at k = 6).
 MAX_CAMPAIGN_WORK = 60_000
 
 
@@ -163,16 +162,12 @@ def h_random(field: FieldTag, seed: int):
 
 
 def _root_power(field: FieldTag, lam, k: int):
-    """(lam**(k+1), whether it is 1 in the field); a float power that overflows is inf.
-
-    An exact power too large for ``brackets._power`` raises ResultTooLarge.
-    """
+    """(lam**(k+1), whether it is 1 in the field); (None, False) for a power that
+    ``brackets._power`` refuses (past the exact size cap, or a float overflow)."""
     try:
         power = _power(field, lam, k + 1, "lambda")
     except ResultTooLarge:
-        if field.is_exact:
-            raise
-        power = field.coerce(math.inf)  # a float lam far off the unit circle
+        return None, False
     return power, field.eq(power, field.one())
 
 

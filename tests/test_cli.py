@@ -549,17 +549,15 @@ class TestHostileInputs:
 
     @pytest.mark.parametrize("command", ["gen-map", "decompose-map"])
     def test_exact_lambda_whose_power_passes_the_size_cap(self, capsys, tmp_path, command):
-        # refused before lambda**1001, about 13 million bits, is computed
+        # lambda**1001, about 13 million bits, is never computed: a power past
+        # the size cap is not 1, so lambda is refused as no root of unity
         lam = Fraction("7" * 4000)
-        if command == "gen-map":
-            argv, text = ["gen-map", "--k", "1000"], json.dumps({"lambda": str(lam)})
-        else:
-            probes = probe_set(RATIONAL_Q)
-            table = preserver.MapTable(RATIONAL_Q, 1000, tuple((p, p.scale(lam)) for p in probes))
-            argv, text = ["decompose-map"], json.dumps(maptable_to_json(table))
-        body = self.run_text(capsys, tmp_path, argv, text)
-        assert body == {"error": "ResultTooLarge",
-                        "message": "lambda**1001 would need more than 262144 bits"}
+        if command == "decompose-map":
+            self.unprintable_power(capsys, tmp_path, RATIONAL_Q, lam, 1000)
+            return
+        text = json.dumps({"lambda": str(lam)})
+        body = self.run_text(capsys, tmp_path, ["gen-map", "--k", "1000"], text)
+        assert body == {"error": "LambdaNotRootOfUnity", "message": "lambda**(k+1) is not 1"}
 
     def test_spectral_discriminant_past_the_print_limit(self, capsys, tmp_path):
         text = json.dumps({"S": {"field": "Q", "entries": [["7" * 2500, "1"], ["0", "0"]]}})

@@ -147,6 +147,17 @@ class TestRankOneFactor:
             lead = next(v for v in fac.x if not exact_field.is_zero(v))
             assert exact_field.eq(lead, exact_field.one())
 
+    @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
+    def test_roundtrip_float(self, field):
+        rng = Random(5)
+        for _ in range(200):
+            A = outer(field, random_nonzero_vec(field, rng), random_nonzero_vec(field, rng))
+            fac = rank_one_factor(A)
+            assert outer(field, fac.x, fac.f).eq(A)
+            # exactly one, not within tolerance: over C64 z / z can be 1 + 1e-17j
+            lead = next(v for v in fac.x if not field.is_zero(v))
+            assert lead == 1.0 and type(lead) is type(field.one())
+
 
 class TestSpectralSplit:
     """The split S = lam*I + N that the Lemma 2.3 classifier returns."""

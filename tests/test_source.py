@@ -84,6 +84,27 @@ def test_only_matrices_reads_the_integer_form():
     assert uses == []
 
 
+def _callers(tree, callee) -> set:
+    """Where tree calls callee: ``function``, ``Class.method``, or '' at module level."""
+    def calls(node):
+        return any(isinstance(n, ast.Call) and _used_name(n.func) == callee for n in ast.walk(node))
+    found = set()
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            found |= {f"{top.name}.{getattr(node, 'name', '')}" for node in top.body if calls(node)}
+        elif calls(top):
+            found.add(getattr(top, "name", ""))
+    return found
+
+
+def test_cold_exact_matrices_come_from_the_constructor():
+    """Only ``Mat2.__init__`` derives an integer form from entries, and ``outer``
+    builds no form of its own: an exact matrix no hot operation made was checked."""
+    tree = TREES["matrices.py"]
+    assert _callers(tree, "_integer_form") == {"Mat2.__init__"}
+    assert "outer" not in _callers(tree, "_normalised")
+
+
 def _imported(node) -> list:
     """Dotted names an import statement loads or reads: ``from .x import y`` gives x and x.y."""
     if isinstance(node, ast.Import) or node.module is None:  # import x, from . import x
