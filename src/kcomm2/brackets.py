@@ -76,14 +76,19 @@ def _power(field: FieldTag, x, n: int, name: str):
     """x**n for an exponent that grows with the bracket order; the one such power.
 
     Over Q and Q(i) a power past MAX_POWER_BITS raises ResultTooLarge before
-    it is computed; over R64 and C64 an overflowing one raises it after.
+    it is computed; over R64 and C64 a power that overflows raises it after,
+    whether Python raises OverflowError or returns an inf or a nan, as it
+    does for (1e200+1e200j)**2.
     """
     if field.is_exact and n * _growth_bits(x) > MAX_POWER_BITS:
         raise ResultTooLarge(f"{name}**{n} would need more than {MAX_POWER_BITS} bits")
     try:
-        return x**n
+        power = x**n
     except OverflowError as exc:
         raise ResultTooLarge(f"{name}**{n} overflows {field.variant}") from exc
+    if not field.is_exact and not cmath.isfinite(power):
+        raise ResultTooLarge(f"{name}**{n} overflows {field.variant}")
+    return power
 
 
 def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto") -> Mat2:

@@ -79,8 +79,19 @@ class Coefficients(NamedTuple):
 
 @lru_cache(maxsize=8)
 def _witness_idempotents(field: FieldTag) -> tuple:
-    """Rank-one idempotent probe set; the first two already force scalarity."""
+    """Rank-one idempotent probes: E11 and E11 + E12 over Q and Q(i), where
+    they force scalarity, and three more over R64 and C64.
+
+    For an idempotent P the bracket [Z, P]_k is (1 - P) Z P -+ P Z (1 - P),
+    two terms in complementary corners, so it vanishes iff Z commutes with P.
+    Commuting with E11 makes Z diagonal, and then with E11 + E12 makes
+    z11 = z22.  Over the float fields that holds only up to about three times
+    the tolerance, so they keep all five probes while their zero test stays
+    absolute.
+    """
     e11, e12, e21, e22 = matrix_units(field)
+    if field.is_exact:
+        return _settled(e11, e11 + e12)
     return _settled(e11, e11 + e12, e22, e11 + e21, (e11 + e12 + e21 + e22).scale(Fraction(1, 2)))
 
 
@@ -94,10 +105,16 @@ def _certifier_probes(field: FieldTag, trials: int, seed: int):
 
 
 def scalar_witness_test(Z: Mat2, k: int) -> Verdict:
-    """Vanishing of order-k brackets against rank-one idempotents.
+    """Lemma 2.2: vanishing of order-k brackets against rank-one idempotents.
 
-    For exact fields the result provably coincides with Z being a scalar
-    matrix; the tests check that equivalence.
+    An idempotent P has delta(P) = 1, so [Z, P]_k is [Z, P] for odd k and
+    [[Z, P], P] for even k; these are (1 - P) Z P - P Z (1 - P) and
+    (1 - P) Z P + P Z (1 - P), whose terms lie in complementary corners, so
+    each vanishes exactly when Z commutes with P.  Over Q and Q(i) the probes
+    are E11, whose commutant is the diagonal matrices, and E11 + E12, which
+    then forces z11 = z22: the verdict is Z being scalar, and a non-scalar Z
+    is refuted by the first of them whose bracket does not vanish.  R64 and
+    C64 keep five probes (``_witness_idempotents``).
     """
     _check_order(k, minimum=1)
     for Q in _witness_idempotents(Z.field):

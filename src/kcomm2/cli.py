@@ -260,21 +260,43 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-# The flags some subcommands share; each subcommand declares the ones it reads.
+# The flags the subcommands read; --input and --output are every subcommand's.
 _FLAGS = {
     "field": dict(default="Q", choices=FIELD_CODES),
     "tolerance": dict(type=float, default=1e-9,
                       help="comparison tolerance of the float fields R64 and C64"),
     "seed": dict(type=int, default=0),
     "trials": dict(type=int, default=32),
+    "lemma": dict(required=True, choices=("2.2", "2.3-spectral", "2.3-kcomm")),
+    "mode": dict(default="auto", choices=("auto", "b-in-d", "a-in-c")),
+    "kmax": dict(type=int, default=10),
+}
+
+# name: (handler, help, default of --k or None when it reads no --k, its other flags)
+_COMMANDS = {
+    "kcomm": (cmd_kcomm, "evaluate an order-k bracket", 1, ()),
+    "classify": (cmd_classify, "run a structure classifier", 3,
+                 ("seed", "trials", "tolerance", "lemma")),
+    "sandwich": (cmd_sandwich, "decide a rank-one sandwich identity", None, ("tolerance", "mode")),
+    "gen-map": (cmd_gen_map, "build a canonical-form map table", 1, ("field", "tolerance", "seed")),
+    "verify-map": (cmd_verify_map, "check the bracket identity on a table", None, ("tolerance",)),
+    "decompose-map": (cmd_decompose_map, "extract (lambda, h) from a table", None, ("tolerance",)),
+    "campaign": (cmd_campaign, "randomized accept/reject exercise", 3,
+                 ("field", "tolerance", "seed", "trials")),
+    "fixtures": (cmd_fixtures, "emit the golden bracket identities", None,
+                 ("field", "tolerance", "kmax")),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The kcomm2 parser with the subparser of ``command`` alone, or with all
+    of them when ``command`` names none: ``main`` passes the first argument,
+    so a request builds only the subparser it runs, and ``-h``, an unknown
+    name or no argument see every subcommand."""
     parser = _Parser(prog="kcomm2", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, help, *flags, k=None):
+    for name in (command,) if command in _COMMANDS else _COMMANDS:
+        func, help, k, flags = _COMMANDS[name]
         p = sub.add_parser(name, help=help)
         p.add_argument("--input", default=None, help="JSON input path ('-' for stdin)")
         p.add_argument("--output", default=None, help="JSON output path ('-' for stdout)")
@@ -283,29 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             p.add_argument(f"--{flag}", **_FLAGS[flag])
         p.set_defaults(func=func)
-        return p
-
-    command("kcomm", cmd_kcomm, "evaluate an order-k bracket", k=1)
-    p = command("classify", cmd_classify, "run a structure classifier",
-                "seed", "trials", "tolerance", k=3)
-    p.add_argument("--lemma", required=True, choices=("2.2", "2.3-spectral", "2.3-kcomm"))
-    p = command("sandwich", cmd_sandwich, "decide a rank-one sandwich identity", "tolerance")
-    p.add_argument("--mode", default="auto", choices=("auto", "b-in-d", "a-in-c"))
-    command("gen-map", cmd_gen_map, "build a canonical-form map table",
-            "field", "tolerance", "seed", k=1)
-    command("verify-map", cmd_verify_map, "check the bracket identity on a table", "tolerance")
-    command("decompose-map", cmd_decompose_map, "extract (lambda, h) from a table", "tolerance")
-    command("campaign", cmd_campaign, "randomized accept/reject exercise",
-            "field", "tolerance", "seed", "trials", k=3)
-    p = command("fixtures", cmd_fixtures, "emit the golden bracket identities", "field", "tolerance")
-    p.add_argument("--kmax", type=int, default=10)
     return parser
 
 
 def main(argv=None) -> int:
     """Run one subcommand; every error leaves as a JSON body on stdout with exit 2."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         body, code = args.func(args)
         _emit(args.output, body)
         return code

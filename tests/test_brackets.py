@@ -395,12 +395,16 @@ class TestEigenpair:
         with pytest.raises(NotAnEigenpair, match="f is not"):
             kcomm_eigenpair(fac, S, 1, 1, 2 + 2 * field.tolerance)
 
-    @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
-    def test_float_power_overflow_is_result_too_large(self, field):
+    @pytest.mark.parametrize("field, beta", [
+        (FLOAT_R, 1e200),  # float ** raises OverflowError
+        (FLOAT_C, 1e200),
+        (FLOAT_C, 1e200 + 1e200j),  # complex ** returns nan+nanj and raises nothing
+    ], ids=["R64", "C64", "C64-nan"])
+    def test_float_power_overflow_is_result_too_large(self, field, beta):
         fac = self.one_factor(field)
-        S = Mat2.diag(field, 0, 1e200)
+        S = Mat2.diag(field, 0, beta)
         with pytest.raises(ResultTooLarge, match=rf"^\(beta - alpha\)\*\*2 overflows {field.variant}$"):
-            kcomm_eigenpair(fac, S, 2, 0, 1e200)
+            kcomm_eigenpair(fac, S, 2, 0, beta)
 
     def test_exact_power_capped_as_in_kcomm(self, monkeypatch):
         # 3 adds two bits per factor, so 3**131072 is the largest power the cap allows

@@ -64,6 +64,47 @@ class TestScalarWitness:
                 # the witness set decides scalarity over exact fields
                 assert scalar_witness_test(Z, k).holds == Z.is_scalar()
 
+    @staticmethod
+    def five_probe_verdict(Z, k):
+        """The witness test as it was before it was decided on two probes."""
+        e11, e12, e21, e22 = units(Z.field)
+        half = Z.field.coerce(Fraction(1, 2))
+        for P in (e11, e11 + e12, e22, e11 + e21, (e11 + e12 + e21 + e22).scale(half)):
+            bracket = kcomm_recursive(Z, P, k)
+            if not bracket.is_zero():
+                return (False, P, bracket)
+        return (True, None, None)
+
+    @pytest.mark.parametrize("field, probes", [(RATIONAL_Q, 2), (GAUSSIAN_QI, 2),
+                                               (FLOAT_R, 5), (FLOAT_C, 5)],
+                             ids=["Q", "Qi", "R64", "C64"])
+    def test_holding_z_brackets_two_probes_over_exact_fields(self, monkeypatch, field, probes):
+        calls = []
+        kcomm = classify.kcomm
+        monkeypatch.setattr(classify, "kcomm", lambda *a: calls.append(a) or kcomm(*a))
+        Z = Mat2.identity(field).scale(field.coerce(3))
+        for k in range(1, 7):
+            calls.clear()
+            assert scalar_witness_test(Z, k).holds
+            assert len(calls) == probes
+
+    def test_two_probes_give_the_five_probe_verdict(self, exact_field):
+        rng = Random(107)
+        for i in range(600):
+            if i % 3 == 0:  # scalar
+                Z = Mat2.identity(exact_field).scale(random_scalar(exact_field, rng, denominators=True))
+            elif i % 3 == 1:  # entries in {-1, 0, 1}: often diagonal or triangular
+                Z = random_mat(exact_field, rng, span=1)
+            else:
+                Z = random_mat(exact_field, rng, span=3, denominators=True)
+            for k in range(1, 7):
+                v = scalar_witness_test(Z, k)
+                holds, witness, detail = self.five_probe_verdict(Z, k)
+                assert v.holds == holds
+                assert (v.witness is None) == (witness is None)
+                if not holds:
+                    assert v.witness.eq(witness) and v.detail.eq(detail)
+
     def test_failing_witness_brackets_recompute(self, exact_field):
         rng = Random(103)
         for _ in range(30):

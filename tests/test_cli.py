@@ -634,6 +634,16 @@ class TestHostileInputs:
                            "B": {"field": field, "entries": [[1e10, 3.0], [1.0, 0.0]]}})
         self.run_text(capsys, tmp_path, ["kcomm", "--k", "201"], text)
 
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_c64_nan_discriminant_power(self, capsys, tmp_path, k):
+        # delta = 1e200 + 1e200j, whose square Python returns as nan+nanj
+        z = {"re": 0.0, "im": 0.0}
+        text = json.dumps({"A": {"field": "C64", "entries": [[{"re": 1.0, "im": 0.0}, z], [z, z]]},
+                           "B": {"field": "C64", "entries": [[z, {"re": 1.0, "im": 0.0}],
+                                                             [{"re": 2.5e199, "im": 2.5e199}, z]]}})
+        body = self.run_text(capsys, tmp_path, ["kcomm", "--k", str(k)], text)
+        assert body == {"error": "ResultTooLarge", "message": "discriminant**2 overflows C64"}
+
     def test_exact_result_too_large(self, capsys, tmp_path):
         text = json.dumps({"A": E["e12"], "B": {"field": "Q", "entries": [["3", "0"], ["0", "0"]]}})
         body = self.run_text(capsys, tmp_path, ["kcomm", "--k", "1000001"], text)
@@ -822,6 +832,50 @@ class TestParser:
         }
         assert declared == {name: flags | {"--input", "--output"} for name, flags in FLAGS.items()}
         assert sum(len(flags) for flags in declared.values()) == 38
+
+    def test_a_subcommand_builds_only_its_own_subparser(self):
+        for name in FLAGS:
+            (sub,) = [a for a in build_parser(name)._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+            assert list(sub.choices) == [name]
+        for first in (None, "-h", "no-such-command"):
+            (sub,) = [a for a in build_parser(first)._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+            assert list(sub.choices) == list(FLAGS)
+
+
+# Help, usage errors and their exit codes; argparse's wording and layout vary
+# with the Python minor version the pins were recorded under.
+USAGE = json.loads((PINNED / "cli-usage.json").read_text())
+_each_pin = pytest.mark.parametrize("pin", USAGE["responses"],
+                                    ids=lambda pin: " ".join(pin["argv"]) or "none")
+
+
+def _usage_response(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # --help prints and exits 0
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+class TestUsage:
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @_each_pin
+    def test_response_is_pinned(self, capsys, pin):
+        if "%d.%d" % sys.version_info[:2] != USAGE["python"]:
+            pytest.skip(f"pinned under Python {USAGE['python']}")
+        assert _usage_response(capsys, pin["argv"]) == (pin["code"], pin["stdout"])
+
+    @_each_pin
+    def test_response_is_the_full_parsers(self, capsys, monkeypatch, pin):
+        got = _usage_response(capsys, pin["argv"])
+        full = build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert got == _usage_response(capsys, pin["argv"])
 
 
 class TestTolerance:
