@@ -26,8 +26,10 @@ MAX_TRIALS = 10_000
 
 # Bracket orders read from outside the program (a map table's k, fixtures
 # --kmax) are capped where they drive the O(k) oracle: at k = 1000 decompose
-# on a probe table takes 0.12 s (Q) to 0.16 s (Qi) on a 2-vCPU x86 box, and a
-# fixtures --kmax 1000 request 14 s (Q) to 20 s (Qi).
+# on a probe table takes 0.12 s (Q) to 0.16 s (Qi) on a 2-vCPU x86 box.
+# fixtures steps each family's bracket one order at a time, O(kmax) steps in
+# all, so a fixtures --kmax 1000 request (a CLI child) takes 0.4 s (Q) to
+# 0.6 s (Qi), most of it printing entries of up to 1,000 bits.
 MAX_ORDER = 1_000
 
 
@@ -125,10 +127,11 @@ def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto") -> Mat2:
     if method != "auto":
         raise ValueError(f"unknown bracket method {method!r}")
     _check_order(k)
-    require_same_field(A.field, B.field)
+    field = A.field
+    if B.field is not field:
+        require_same_field(field, B.field)
     if k == 0:
         return A
-    field = A.field
     m = (k - 1) // 2
     if m:
         c = _power(field, B.discriminant(), m, "discriminant")

@@ -235,10 +235,12 @@ def cmd_fixtures(args) -> tuple[dict, int]:
 
     field = FieldTag(args.field, args.tolerance)
     _check_order(args.kmax, name="kmax", maximum=MAX_ORDER)
-    items = []
+    items, previous = [], {}
     for k in range(1, args.kmax + 1):
         for ident in golden_identities(field, k):
-            computed = kcomm_recursive(ident.A, ident.B, k)
+            # a family's A and B do not depend on k: step its order-(k-1) bracket once
+            computed = kcomm_recursive(previous.get(ident.name, ident.A), ident.B, 1)
+            previous[ident.name] = computed
             if not computed.eq(ident.expected):
                 raise InvariantViolation(f"fixture {ident.name} at k={k} failed self-check")
             items.append(

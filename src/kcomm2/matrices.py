@@ -9,12 +9,14 @@ shared denominator:
 
 The form is canonical (den > 0 and gcd(den, all numerators) = 1), so equal
 values have equal forms.  The hot exact operations (``@``, ``+``, ``-``,
-``scale``, ``discriminant``, equality, hashing, the zero test and the
-sandwich images ``unit_images``) compute on these integers and normalise
-with one multi-argument gcd, where entrywise ``Fraction`` /
+``scale``, ``discriminant``, equality, hashing, the zero and scalar tests
+and the sandwich images ``unit_images``) compute on these integers and
+normalise with one multi-argument gcd, where entrywise ``Fraction`` /
 ``GaussianRational`` arithmetic would take one gcd per scalar operation.
-The cold ones (``trace``, ``det``, ``conj_t``, negation, the scalar test
-and ``outer``) read or build ``.entries`` on every field.
+The cold ones (``trace``, ``det``, ``conj_t``, negation and ``outer``)
+read or build ``.entries`` on every field.  The hash reads the form (or
+the float entries) and not the field: matrices over unequal fields never
+compare equal, so hashing the field too would split no equal pair.
 
 ``Mat2(field, entries)`` is the one checked constructor: exactly four entries,
 each coerced into the field (a wrong kind raises FieldMismatch), and over Q
@@ -58,16 +60,14 @@ def _built(field: FieldTag, entries, form) -> "Mat2":
 def _combine(field: FieldTag, x: tuple, y: tuple, subtract: bool) -> "Mat2":
     """x + y or x - y on integer forms of the same field."""
     d, e = x[0], y[0]
-    if d == e:
-        x, y = x[1:], y[1:]
-    else:
-        x, y, d = [v * e for v in x[1:]], [v * d for v in y[1:]], d * e
-    if subtract:
-        return _normalised(field, (d, *[p - q for p, q in zip(x, y)]))
-    return _normalised(field, (d, *[p + q for p, q in zip(x, y)]))
+    if d != e:
+        x, y, d = [v * e for v in x], [v * d for v in y], d * e
+    z = [p - q for p, q in zip(x, y)] if subtract else [p + q for p, q in zip(x, y)]
+    z[0] = d
+    return _normalised(field, z)
 
 
-def _normalised(field: FieldTag, z: tuple) -> "Mat2":
+def _normalised(field: FieldTag, z) -> "Mat2":
     """Matrix of the integer form z (den > 0), reduced by one gcd.
 
     The denominator goes first, so the gcd shrinks at once when it is small.
@@ -75,8 +75,10 @@ def _normalised(field: FieldTag, z: tuple) -> "Mat2":
     if z[0] != 1:
         g = gcd(*z)
         if g != 1:
-            z = tuple([v // g for v in z])
-    return _built(field, None, z)
+            z = [v // g for v in z]
+    m = object.__new__(Mat2)
+    m._f, m._e, m._z = field, None, tuple(z)
+    return m
 
 
 class Mat2:
@@ -156,7 +158,7 @@ class Mat2:
         return self._e == other._e
 
     def __hash__(self):
-        return hash((self._f, self._z or self._e))
+        return hash(self._z or self._e)
 
     def __repr__(self):
         return f"Mat2(field={self._f!r}, entries={self.entries!r})"
@@ -237,7 +239,7 @@ class Mat2:
             form = [z[0] * r]
             for a, b in zip(z[1::2], z[2::2]):
                 form += (a * p - b * q, a * q + b * p)
-            return _normalised(f, tuple(form))
+            return _normalised(f, form)
         # as in Fraction.__mul__: the only common factors are gcd(p, d) and
         # gcd(q, numerators), so no gcd of the (possibly huge) products
         p, q = c.numerator, c.denominator
@@ -309,9 +311,15 @@ class Mat2:
         return all(is_zero(a) for a in self._e)
 
     def is_scalar(self) -> bool:
-        """Zero off-diagonals and equal diagonal entries."""
-        a11, a12, a21, a22 = self.entries
+        """Zero off-diagonals and equal diagonal entries; over Q and Q(i) read on
+        the integer form, whose entries share one denominator."""
         f = self._f
+        if f.is_exact:
+            z = self._z
+            if f.is_complex:
+                return not (z[3] or z[4] or z[5] or z[6]) and z[1] == z[7] and z[2] == z[8]
+            return not (z[2] or z[3]) and z[1] == z[4]
+        a11, a12, a21, a22 = self._e
         return f.is_zero(a12) and f.is_zero(a21) and f.eq(a11, a22)
 
     def max_abs(self) -> float:

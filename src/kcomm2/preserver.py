@@ -201,11 +201,22 @@ def verify_preserving(table: MapTable, pairs) -> PreservationVerdict:
     other.  Exact brackets must be equal; float ones, whose entries grow like
     2**k, must agree within the tolerance times the right side's largest entry
     (at least 1).
+
+    Each distinct input is looked up once, when the first pair holding it is
+    checked: a pair whose input is not in the table raises InputNotInTable
+    only after every earlier pair held.
     """
     field, k = table.field, table.k
     _check_order(k, maximum=MAX_ORDER)
+    images = {}
     for A, B in pairs:
-        left = kcomm(table.lookup(A), table.lookup(B), k)
+        FA = images.get(A)
+        if FA is None:
+            FA = images[A] = table.lookup(A)
+        FB = images.get(B)
+        if FB is None:
+            FB = images[B] = table.lookup(B)
+        left = kcomm(FA, FB, k)
         right = kcomm_recursive(A, B, k)
         if field.is_exact:
             same = left.eq(right)
@@ -232,11 +243,12 @@ def decompose(table: MapTable) -> Decomposition:
     k = table.k
     _check_order(k, minimum=1, maximum=MAX_ORDER)
     probes = probe_set(field)
-    missing = [p for p in probes if not table.has_input(p)]
+    images = [table._find(p) for p in probes]
+    missing = [p for p, out in zip(probes, images) if out is None]
     if missing:
         raise ProbeSetIncomplete(missing)
 
-    D = table.lookup(probes[0])  # image of E_11
+    D = images[0]  # image of E_11
     d11, d12, d21, d22 = D.entries
     if not (field.is_zero(d12) and field.is_zero(d21)):
         raise NotTheoremForm("image-of-E11-not-diagonal", probes[0], D)

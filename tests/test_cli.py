@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import subprocess
@@ -18,12 +19,14 @@ from kcomm2.serialize import (
     maptable_to_json,
 )
 from kcomm2 import brackets, cli, preserver
-from kcomm2.brackets import MAX_ORDER
+from kcomm2.brackets import MAX_ORDER, kcomm_recursive
 from kcomm2.preserver import generate_map, h_det, probe_set
 
 from fractions import Fraction
 
 PINNED = Path(__file__).parent / "pinned"  # stdout of CLI requests, byte for byte
+IMPOSTORS = json.loads((PINNED / "cli-impostors.json").read_text())
+IMPOSTOR_IDS = [f"{pin['argv'][0]}-{n}" for n, pin in enumerate(IMPOSTORS)]
 
 
 def run_cli(capsys, argv, stdin_obj=None, monkeypatch=None, tmp_path=None):
@@ -392,6 +395,15 @@ class TestPinnedBodies:
         pinned = PINNED / f"gen-map-random-h-seed11-{field}.json"
         assert capsys.readouterr().out == pinned.read_text()
 
+    @pytest.mark.parametrize("pin", IMPOSTORS, ids=IMPOSTOR_IDS)
+    def test_impostor_body_is_pinned(self, capsys, monkeypatch, pin):
+        # the cli workload's verify-map and decompose-map impostors (lambda = 2),
+        # bench seeds 1-3: the first failing pair and its witness, byte for byte
+        data = pin["stdin"].encode()
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert main(pin["argv"]) == pin["code"]
+        assert capsys.readouterr().out == pin["stdout"]
+
     @pytest.mark.parametrize("field", ["R64", "C64"])
     def test_low_order_float_campaign(self, capsys, field):
         assert main(["campaign", "--field", field, "--k", "3", "--trials", "8"]) == 0
@@ -437,6 +449,18 @@ class TestCampaignAndFixtures:
         swaps = {d["k"]: d for d in data["identities"] if d["name"] == "symmetric-swap"}
         assert swaps[3]["expected"]["entries"] == [["0", "4"], ["-4", "0"]]
         assert swaps[4]["expected"]["entries"] == [["8", "0"], ["0", "-8"]]
+
+    def test_fixtures_step_each_family_one_order(self, capsys, monkeypatch):
+        orders = []
+
+        def counting(A, B, k):
+            orders.append(k)
+            return kcomm_recursive(A, B, k)
+
+        monkeypatch.setattr(cli, "kcomm_recursive", counting)
+        assert main(["fixtures", "--kmax", "40"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["identities"]) == 5 * 40
+        assert orders == [1] * 200  # one recursion step per (family, k), not k of them
 
     def test_sandwich_command(self, capsys, tmp_path):
         e11 = mat_to_json(Mat2.unit(RATIONAL_Q, 1, 1))

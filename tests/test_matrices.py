@@ -290,13 +290,18 @@ class TestIntegerForm:
 
     @given(exact_cases)
     def test_built_and_computed_values_agree(self, case):
-        field, A, B, _ = case
+        field, A, B, c = case
         eye = Mat2.identity(field)
-        for built, computed in ((A, A @ eye), (A, eye @ A), (A, (A + B) - B), (B, -(-B))):
+        for built, computed in ((A, A @ eye), (A, eye @ A), (A, (A + B) - B), (B, -(-B)),
+                                (Mat2(field, (A @ B).entries), A @ B)):
             assert built == computed and computed == built
             assert hash(built) == hash(computed)
             assert built.eq(computed) and computed.eq(built)
         assert (A == A + eye) is False
+        loose = FieldTag(field.variant, 1e-3)  # an exact tag's tolerance splits no value
+        for M in (A, A @ B, A.scale(c) - B):
+            twin = Mat2(loose, M.entries)
+            assert twin == M and hash(twin) == hash(M)
 
     def test_predicates_on_computed_values(self, exact_field):
         A = random_mat(exact_field, Random(8), denominators=True)
@@ -305,6 +310,23 @@ class TestIntegerForm:
         ninth = Fraction(1, 9)
         assert (third @ third).is_scalar() and (third @ third).eq(Mat2.diag(exact_field, ninth, ninth))
         assert not (third + Mat2.unit(exact_field, 1, 2)).is_scalar()
+
+    @given(exact_fields.flatmap(lambda f: st.tuples(
+        st.just(f),
+        st.one_of(st.tuples(*[_scalars(f)] * 4),  # random
+                  st.tuples(_scalars(f), st.just(0), st.just(0), _scalars(f)),  # diagonal
+                  _scalars(f).map(lambda c: (c, 0, 0, c))),  # scalar
+        _scalars(f))))
+    def test_is_scalar_reads_the_form(self, case):
+        field, entries, c = case
+        A, eye = Mat2(field, entries), Mat2.identity(field)
+        for M in (A, (A + eye) - eye, A @ eye.scale(field.coerce(2)), A.scale(c)):
+            computed = M is not A
+            assert not computed or M._e is None
+            holds = M.is_scalar()
+            assert not computed or M._e is None  # decided without building entries
+            a11, a12, a21, a22 = M.entries
+            assert holds == (field.is_zero(a12) and field.is_zero(a21) and field.eq(a11, a22))
 
     def test_equal_values_in_different_fields_differ(self):
         assert Mat2.identity(RATIONAL_Q) != Mat2.identity(GAUSSIAN_QI)

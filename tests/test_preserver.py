@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -13,6 +15,7 @@ from kcomm2 import (
     Mat2,
     decompose,
     generate_map,
+    kcomm,
     kcomm_recursive,
     preserver,
     probe_campaign,
@@ -41,6 +44,9 @@ from kcomm2.preserver import (
 )
 
 from conftest import units
+
+# probe_campaign reports over four fields x k in {1, 2, 3, 5, 6} x seeds {0, 1, 7}
+CAMPAIGN_PINS = json.loads((Path(__file__).parent / "pinned" / "campaign-reports.json").read_text())
 
 
 class TestGenerateMap:
@@ -169,6 +175,89 @@ class TestVerifyPreserving:
         # scaling law: the left bracket is 2 * 2^3 = 16 times the right one
         assert verdict.left.eq(verdict.right.scale(exact_field.coerce(16)))
 
+    @pytest.fixture
+    def lookups(self, monkeypatch):
+        """The inputs passed to ``MapTable.lookup``, in call order."""
+        calls, real = [], MapTable.lookup
+
+        def counting(table, A):
+            calls.append(A)
+            return real(table, A)
+
+        monkeypatch.setattr(MapTable, "lookup", counting)
+        return calls
+
+    def test_each_input_is_looked_up_once(self, any_field, lookups):
+        probes = probe_set(any_field)
+        table = generate_map(any_field.one(), h_trace, probes, 3)
+        assert verify_preserving(table, all_pairs(probes)).holds
+        assert lookups == list(probes)  # once each, in order of first use
+        lookups.clear()
+        assert decompose(table).verified_pairs == 36
+        assert len(lookups) == 6
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_first_failure_is_the_per_pair_one(self, any_field, seed):
+        # impostors of every campaign kind, on shuffled pair lists
+        rng = Random(seed)
+        probes = probe_set(any_field)
+        h = h_random(any_field, seed)
+        lam = any_field.coerce(rng.choice([1, 2, -2, 3]))
+        entries = list(preserver._theorem_form(any_field, lam, h, probes))
+        i, j = rng.sample(range(6), 2)
+        if seed % 3 == 1:
+            entries[i] = (entries[i][0], entries[i][1] + Mat2.unit(any_field, 1, 2))
+        elif seed % 3 == 2:
+            (Ai, Oi), (Aj, Oj) = entries[i], entries[j]
+            entries[i], entries[j] = (Ai, Oj), (Aj, Oi)
+        table = MapTable(any_field, rng.choice([1, 2, 3, 6]), tuple(entries))
+        pairs = all_pairs(probes)
+        rng.shuffle(pairs)
+        verdict = verify_preserving(table, pairs)
+        want = _verify_per_pair(table, pairs)
+        if want is None:
+            assert verdict.holds
+        else:
+            pair, left, right = want
+            assert not verdict.holds
+            assert verdict.pair[0] is pair[0] and verdict.pair[1] is pair[1]
+            assert verdict.left == left and verdict.right == right
+
+    @pytest.mark.parametrize("bad_first", [False, True])
+    def test_missing_input_raises_at_its_pair(self, exact_field, monkeypatch, bad_first):
+        probes = probe_set(exact_field)
+        two = exact_field.coerce(2)
+        entries = [(p, p) for p in probes if p is not probes[3]]  # E21 is missing
+        if bad_first:
+            entries[0] = (probes[0], probes[0].scale(two))  # E11 -> 2 E11: the first pair fails
+        table = MapTable(exact_field, 3, tuple(entries))
+        pairs = [(probes[0], probes[4]), (probes[1], probes[2]), (probes[3], probes[1]),
+                 (probes[4], probes[5])]
+        checked = []
+        monkeypatch.setattr(preserver, "kcomm", lambda *args: checked.append(args) or kcomm(*args))
+        if bad_first:
+            verdict = verify_preserving(table, pairs)
+            assert verdict.pair == pairs[0] and len(checked) == 1
+            return
+        with pytest.raises(InputNotInTable):
+            verify_preserving(table, pairs)
+        assert len(checked) == 2  # both pairs before (E21, E22) were checked
+
+
+def _verify_per_pair(table, pairs):
+    """The first failing (pair, left, right) with two lookups per pair, or None."""
+    field, k = table.field, table.k
+    for A, B in pairs:
+        left = kcomm(table.lookup(A), table.lookup(B), k)
+        right = kcomm_recursive(A, B, k)
+        if field.is_exact:
+            same = left.eq(right)
+        else:
+            same = (left - right).max_abs() <= field.tolerance * max(1.0, right.max_abs())
+        if not same:
+            return (A, B), left, right
+    return None
+
 
 class TestDecompose:
     def test_negated_map_with_det(self):
@@ -286,6 +375,15 @@ class TestCampaign:
         assert roots_of_unity(RATIONAL_Q, 2) == [Fraction(1), Fraction(-1)]
         report = probe_campaign(1, RATIONAL_Q, trials=40, seed=7)
         assert report.clean
+
+    @pytest.mark.parametrize("pin", CAMPAIGN_PINS,
+                             ids=lambda p: f"{p['field']}-k{p['k']}-seed{p['seed']}")
+    def test_report_is_pinned(self, pin):
+        # the campaign stream: lam, h and impostor draws, and which stage rejects
+        report = probe_campaign(pin["k"], FieldTag(pin["field"]), pin["trials"], pin["seed"])
+        assert (report.valid_ok, report.perturbed_rejected, report.anomalies) == (
+            pin["valid_ok"], pin["perturbed_rejected"], pin["anomalies"])
+        assert sorted(map(list, report.rejection_kinds.items())) == pin["rejection_kinds"]
 
     def test_reproducible(self):
         a = probe_campaign(3, GAUSSIAN_QI, trials=30, seed=42)
