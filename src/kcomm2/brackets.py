@@ -21,15 +21,16 @@ MAX_POWER_BITS = 1 << 18
 
 # Trial counts of the sampled certifier and the probe campaign are capped so
 # that a hostile count has bounded cost: 10**4 campaign trials at k = 6 take
-# 12-17 s on a 2-vCPU x86 box, and 10**4 float certifier probes about 0.15 s.
+# 8-12 s on a 2-vCPU x86 box, and 10**4 float certifier probes about 0.15 s.
 MAX_TRIALS = 10_000
 
 # Bracket orders read from outside the program (a map table's k, fixtures
 # --kmax) are capped where they drive the O(k) oracle: at k = 1000 decompose
-# on a probe table takes 0.12 s (Q) to 0.16 s (Qi) on a 2-vCPU x86 box.
+# on a probe table takes 0.06-0.08 s (Q) to 0.08-0.11 s (Qi) on a 2-vCPU x86
+# box, the oracle stopping after 1 to 3 steps on 18 of its 36 probe pairs.
 # fixtures steps each family's bracket one order at a time, O(kmax) steps in
-# all, so a fixtures --kmax 1000 request (a CLI child) takes 0.4 s (Q) to
-# 0.6 s (Qi), most of it printing entries of up to 1,000 bits.
+# all, so a fixtures --kmax 1000 request (a CLI child) takes 0.5-0.6 s (Q) to
+# 0.6-0.9 s (Qi), most of it printing entries of up to 1,000 bits.
 MAX_ORDER = 1_000
 
 
@@ -41,12 +42,19 @@ def _check_order(k, minimum=0, name="bracket order", maximum=None):
 
 
 def kcomm_recursive(A: Mat2, B: Mat2, k: int) -> Mat2:
-    """Ground-truth oracle: order-0 bracket is A, then R -> R@B - B@R, k times."""
+    """Ground-truth oracle: order-0 bracket is A, then R -> R@B - B@R, k times.
+
+    Over Q and Q(i) it returns R as soon as a step leaves R exactly zero, since
+    every later step maps zero to zero; over R64 and C64 every step is made.
+    """
     _check_order(k)
     require_same_field(A.field, B.field)
+    exact = A.field.is_exact
     R = A
     for _ in range(k):
         R = R @ B - B @ R
+        if exact and R.is_zero():
+            break
     return R
 
 

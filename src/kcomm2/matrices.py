@@ -9,14 +9,14 @@ shared denominator:
 
 The form is canonical (den > 0 and gcd(den, all numerators) = 1), so equal
 values have equal forms.  The hot exact operations (``@``, ``+``, ``-``,
-``scale``, ``discriminant``, equality, hashing, the zero and scalar tests
-and the sandwich images ``unit_images``) compute on these integers and
-normalise with one multi-argument gcd, where entrywise ``Fraction`` /
-``GaussianRational`` arithmetic would take one gcd per scalar operation.
-The cold ones (``trace``, ``det``, ``conj_t``, negation and ``outer``)
-read or build ``.entries`` on every field.  The hash reads the form (or
-the float entries) and not the field: matrices over unequal fields never
-compare equal, so hashing the field too would split no equal pair.
+``scale``, ``shift``, ``discriminant``, ``top_left``, equality, hashing, the
+zero and scalar tests and the sandwich images ``unit_images``) compute on
+these integers and normalise with one multi-argument gcd, where entrywise
+``Fraction`` / ``GaussianRational`` arithmetic would take one gcd per scalar
+operation.  The cold ones (``trace``, ``det``, ``conj_t``, negation and
+``outer``) read or build ``.entries`` on every field.  The hash reads the
+form (or the float entries) and not the field: matrices over unequal fields
+never compare equal, so hashing the field too would split no equal pair.
 
 ``Mat2(field, entries)`` is the one checked constructor: exactly four entries,
 each coerced into the field (a wrong kind raises FieldMismatch), and over Q
@@ -248,6 +248,17 @@ class Mat2:
         p, d, q = p // g, d // g, q // h
         return _built(f, None, (d * q, n11 // h * p, n12 // h * p, n21 // h * p, n22 // h * p))
 
+    def shift(self, c) -> "Mat2":
+        """self + c*I with one gcd on the integer form; over R64 and C64 the float
+        operations of ``self + Mat2.identity(field).scale(c)``, signed zeros included."""
+        f = self._f
+        if not f.is_exact:
+            return self + Mat2.identity(f).scale(c)
+        c = f.coerce(c)  # c*I in integer form, (p + q i) / r on the diagonal
+        if f.is_complex:
+            return _combine(f, self._z, (c.den, c.a, c.b, 0, 0, 0, 0, c.a, c.b), False)
+        return _combine(f, self._z, (c.denominator, c.numerator, 0, 0, c.numerator), False)
+
     def __rmul__(self, c) -> "Mat2":
         return self.scale(c)  # M * M never gets here: Python reflects only across types
 
@@ -266,6 +277,13 @@ class Mat2:
         return Mat2(self._f, (c(a11), c(a21), c(a12), c(a22)))
 
     # -- scalar invariants and predicates ------------------------------------
+
+    def top_left(self):
+        """Entry a11; an exact result reads it from its form and builds no other entry."""
+        if self._e is not None:
+            return self._e[0]
+        z = self._z
+        return Fraction(z[1], z[0]) if len(z) == 5 else GaussianRational._raw(z[1], z[2], z[0])
 
     def trace(self):
         a = self.entries

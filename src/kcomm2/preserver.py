@@ -29,9 +29,9 @@ from .randgen import random_scalar
 MAX_TABLE_INPUTS = 36
 _check_table_size = partial(_check_order, name="map table inputs", maximum=MAX_TABLE_INPUTS)
 
-# A campaign's cost grows with trials x k: a Qi trial takes about 120 ms at
-# k = 1000 and 1.3-1.7 ms at k = 6 on a 2-vCPU x86 box, so a campaign at this
-# bound takes 7 s (60 trials at k = 1000) to 17 s (10**4 trials at k = 6).
+# A campaign's cost grows with trials x k: as a CLI child on a 2-vCPU x86 box,
+# a campaign at this bound takes 2.5-3.4 s (Q) or 4.5-5.0 s (Qi) at 60 trials
+# of k = 1000, and 8.0-8.1 s (Q) or 9.5-11.8 s (Qi) at 10**4 trials of k = 6.
 MAX_CAMPAIGN_WORK = 60_000
 
 
@@ -179,8 +179,7 @@ def _check_root(field: FieldTag, lam, k: int):
 
 def _theorem_form(field: FieldTag, lam, h_spec, inputs) -> tuple:
     """The entries (A, lam*A + h(A)*I) over the given inputs."""
-    eye = Mat2.identity(field)
-    return tuple((A, A.scale(lam) + eye.scale(field.coerce(h_spec(A)))) for A in inputs)
+    return tuple((A, A.scale(lam).shift(h_spec(A))) for A in inputs)
 
 
 def generate_map(lam, h_spec, inputs, k: int) -> MapTable:
@@ -202,20 +201,23 @@ def verify_preserving(table: MapTable, pairs) -> PreservationVerdict:
     2**k, must agree within the tolerance times the right side's largest entry
     (at least 1).
 
-    Each distinct input is looked up once, when the first pair holding it is
-    checked: a pair whose input is not in the table raises InputNotInTable
-    only after every earlier pair held.
+    Each input object is looked up by value once, when the first pair holding
+    it is checked, and its image is then kept by object identity (the pair
+    list holds every input alive, so no id is reused while it keys an image):
+    a pair whose input is not in the table raises InputNotInTable only after
+    every earlier pair held.
     """
     field, k = table.field, table.k
     _check_order(k, maximum=MAX_ORDER)
+    pairs = list(pairs)
     images = {}
     for A, B in pairs:
-        FA = images.get(A)
+        FA = images.get(id(A))
         if FA is None:
-            FA = images[A] = table.lookup(A)
-        FB = images.get(B)
+            FA = images[id(A)] = table.lookup(A)
+        FB = images.get(id(B))
         if FB is None:
-            FB = images[B] = table.lookup(B)
+            FB = images[id(B)] = table.lookup(B)
         left = kcomm(FA, FB, k)
         right = kcomm_recursive(A, B, k)
         if field.is_exact:
@@ -262,7 +264,7 @@ def decompose(table: MapTable) -> Decomposition:
         residue = out - A.scale(lam)
         if not residue.is_scalar():
             raise NotTheoremForm("nonscalar-residue", A, residue)
-        h_table.append((A, residue.entries[0]))
+        h_table.append((A, residue.top_left()))
 
     pairs = all_pairs(probes)
     verdict = verify_preserving(table, pairs)

@@ -27,10 +27,11 @@ def random_scalar(field: FieldTag, rng: Random, span: int = 9, denominators: boo
         if field.is_complex:
             return GaussianRational._raw(rng.randrange(n) - span, rng.randrange(n) - span, 1)
         return Fraction(rng.randrange(n) - span)
-    re = Fraction(rng.randrange(n) - span, rng.randrange(4) + 1)
+    a, b = rng.randrange(n) - span, rng.randrange(4) + 1
     if not field.is_complex:
-        return re
-    return GaussianRational(re, Fraction(rng.randrange(n) - span, rng.randrange(4) + 1))
+        return Fraction(a, b)
+    c, d = rng.randrange(n) - span, rng.randrange(4) + 1
+    return GaussianRational._raw(a * d, c * b, b * d)  # a/b + (c/d) i
 
 
 def random_nonzero_vec(field: FieldTag, rng: Random, **kw):

@@ -2,6 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from kcomm2 import (
     FLOAT_C,
@@ -16,6 +17,7 @@ from kcomm2 import (
     kcomm_eigenpair,
     kcomm_recursive,
     outer,
+    probe_set,
 )
 from kcomm2 import brackets as brackets_module
 from kcomm2.errors import InvalidOrder, NotAnEigenpair, ResultTooLarge
@@ -48,6 +50,77 @@ class TestRecursive:
         eye = Mat2.identity(RATIONAL_Q)
         with pytest.raises(InvalidOrder):
             kcomm_recursive(eye, eye, -1)
+
+
+def _every_step(A, B, k):
+    """The recursion with no early exit: all k steps R -> R@B - B@R."""
+    R = A
+    for _ in range(k):
+        R = R @ B - B @ R
+    return R
+
+
+def _counted_products(monkeypatch) -> list:
+    """A list that grows by one on every ``Mat2.__matmul__`` call."""
+    calls, matmul = [], Mat2.__matmul__
+    monkeypatch.setattr(Mat2, "__matmul__", lambda X, Y: calls.append(1) or matmul(X, Y))
+    return calls
+
+
+_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def _oracle_cases(draw):
+    """(A, B, k) over Q or Qi, with B often commuting with A or square-zero plus
+    scalar, so that many brackets reach an exact zero before order k."""
+    field = draw(st.sampled_from([RATIONAL_Q, GAUSSIAN_QI]))
+    scalar = _fractions if field is RATIONAL_Q else st.builds(GaussianRational, _fractions, _fractions)
+    A = Mat2(field, draw(st.tuples(*[scalar] * 4)))
+    eye = Mat2.identity(field)
+    c, d, x, y = (draw(scalar) for _ in range(4))
+    B = draw(st.sampled_from([
+        Mat2(field, (x, y, c, d)),  # random
+        A.scale(c) + eye.scale(d),  # commutes with A
+        eye.scale(c) + Mat2(field, (x * y, -x * x, y * y, -x * y)),  # scalar plus square-zero
+    ]))
+    return A, B, draw(st.integers(0, 40))
+
+
+class TestZeroExit:
+    """Over Q and Qi the oracle stops at its first exactly zero step, since every
+    later step maps zero to zero; over R64 and C64 it makes every step."""
+
+    def test_probe_pairs_match_every_step(self, exact_field):
+        probes = probe_set(exact_field)
+        for A in probes:
+            for B in probes:
+                R = A
+                for k in range(65):
+                    got = kcomm_recursive(A, B, k)
+                    assert got == R and hash(got) == hash(R) and got.entries == R.entries
+                    R = R @ B - B @ R
+
+    @given(_oracle_cases())
+    def test_random_pairs_match_every_step(self, case):
+        A, B, k = case
+        got, want = kcomm_recursive(A, B, k), _every_step(A, B, k)
+        assert got == want and hash(got) == hash(want) and got.entries == want.entries
+
+    def test_stops_at_the_first_zero(self, monkeypatch, exact_field):
+        e11, _, _, e22 = units(exact_field)
+        products = _counted_products(monkeypatch)
+        assert kcomm_recursive(e11, e22, 64).is_zero()
+        assert len(products) == 2  # the first step; all 64 would make 128
+
+    @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
+    def test_float_makes_every_step(self, monkeypatch, field):
+        e11, _, _, e22 = units(field)
+        want = repr(_every_step(e11, e22, 64).entries)
+        products = _counted_products(monkeypatch)
+        got = kcomm_recursive(e11, e22, 64)
+        assert len(products) == 128
+        assert repr(got.entries) == want  # signed zeros of the last step
 
 
 class TestClosedForm:

@@ -18,6 +18,7 @@ from kcomm2 import (
 )
 from kcomm2 import fields
 from kcomm2.errors import FieldMismatch, InputError, InvalidOrder, ResultTooLarge
+from kcomm2.randgen import random_scalar
 
 CODES = ("Q", "Qi", "R64", "C64")
 
@@ -257,3 +258,18 @@ class TestParse:
         if field.is_complex:
             with pytest.raises(InputError, match="exponent"):
                 field.parse({"re": "1", "im": text})
+
+
+class TestRandomScalar:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gaussian_draw_is_the_two_fractions_it_draws(self, seed):
+        # a/b + (c/d) i from the four integers, drawn in that order, as
+        # GaussianRational(Fraction(a, b), Fraction(c, d)) would be
+        rng, twin = Random(seed), Random(seed)
+        for _ in range(200):
+            x = random_scalar(GAUSSIAN_QI, rng, denominators=True)
+            a, b = twin.randrange(19) - 9, twin.randrange(4) + 1
+            c, d = twin.randrange(19) - 9, twin.randrange(4) + 1
+            want = GaussianRational(Fraction(a, b), Fraction(c, d))
+            assert (x.a, x.b, x.den) == (want.a, want.b, want.den)
+        assert rng.getstate() == twin.getstate()

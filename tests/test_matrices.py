@@ -1,3 +1,5 @@
+import math
+import struct
 from fractions import Fraction
 from random import Random
 
@@ -215,6 +217,17 @@ exact_fields = st.sampled_from([RATIONAL_Q, GAUSSIAN_QI])
 exact_cases = exact_fields.flatmap(_exact_case)
 
 
+def _float_scalars(field):
+    """Any float (nan, infinities and -0.0 included), or a complex of two."""
+    floats = st.floats(width=64)
+    return st.builds(complex, floats, floats) if field.is_complex else floats
+
+
+def _bits(x):
+    """The IEEE-754 bits of a float, or of both parts of a complex."""
+    return struct.pack("<2d", x.real, x.imag) if isinstance(x, complex) else struct.pack("<d", x)
+
+
 def _vectors(field):
     return st.tuples(_scalars(field), _scalars(field))
 
@@ -327,6 +340,43 @@ class TestIntegerForm:
             assert not computed or M._e is None  # decided without building entries
             a11, a12, a21, a22 = M.entries
             assert holds == (field.is_zero(a12) and field.is_zero(a21) and field.eq(a11, a22))
+
+    @given(exact_cases)
+    def test_shift_is_the_sum_with_a_scaled_identity(self, case):
+        field, A, B, c = case
+        eye = Mat2.identity(field)
+        for X in (A, A @ B):
+            for s in (c, 3, Fraction(-2, 3)):  # every kind of scalar the field takes
+                got, want = X.shift(s), X + eye.scale(s)
+                assert got._z == want._z and hash(got) == hash(want)
+                assert got._e is None  # computed on the form
+                _same(got, want.entries)
+
+    @given(exact_cases)
+    def test_top_left_reads_the_form(self, case):
+        field, A, B, c = case
+        for M in (A, A @ B, (A @ B).shift(c)):
+            value = M.top_left()
+            assert M is A or M._e is None  # no entry built
+            assert _parts(value) == _parts(M.entries[0])
+
+    @given(st.sampled_from([FLOAT_R, FLOAT_C]).flatmap(lambda f: st.tuples(
+        st.just(f), st.tuples(*[_float_scalars(f)] * 4), _float_scalars(f))))
+    def test_float_shift_makes_the_operations_of_the_sum(self, case):
+        field, entries, c = case
+        X = Mat2(field, entries)
+        got, want = X.shift(c), X + Mat2.identity(field).scale(c)
+        assert [_bits(x) for x in got.entries] == [_bits(x) for x in want.entries]
+
+    @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
+    def test_float_shift_signs_its_zeros_as_the_sum_does(self, field):
+        # -0.0 + 2.0 * 0.0 is +0.0, and -0.0 + -2.0 * 0.0 is -0.0: a shift that
+        # only added c to the diagonal would keep -0.0 both times
+        X = Mat2(field, (1.0, -0.0, -0.0, 1.0))
+        for c, sign in ((2.0, 1.0), (-2.0, -1.0)):
+            off = X.shift(c).entries[1:3]
+            assert [complex(x).real for x in off] == [0.0, 0.0]
+            assert [math.copysign(1.0, complex(x).real) for x in off] == [sign, sign]
 
     def test_equal_values_in_different_fields_differ(self):
         assert Mat2.identity(RATIONAL_Q) != Mat2.identity(GAUSSIAN_QI)

@@ -196,6 +196,22 @@ class TestVerifyPreserving:
         assert decompose(table).verified_pairs == 36
         assert len(lookups) == 6
 
+    def test_images_are_kept_by_object_and_found_by_value(self, exact_field, lookups):
+        probes = probe_set(exact_field)
+        table = generate_map(exact_field.one(), h_trace, probes, 3)
+        twins = [Mat2(exact_field, p.entries) for p in probes]  # equal values, other objects
+        assert verify_preserving(table, all_pairs(probes) + all_pairs(twins)).holds
+        assert [id(A) for A in lookups] == [id(A) for A in [*probes, *twins]]
+
+    def test_inputs_from_a_generator_keep_their_ids(self, exact_field):
+        # fresh objects that only the pair being checked holds: an id freed with
+        # an earlier pair and reused by a later input must not find its image
+        probes = probe_set(exact_field)
+        table = generate_map(exact_field.one(), h_trace, probes, 3)
+        fresh = ((Mat2(exact_field, A.entries), Mat2(exact_field, B.entries))
+                 for A, B in all_pairs(probes))
+        assert verify_preserving(table, fresh).holds
+
     @pytest.mark.parametrize("seed", range(6))
     def test_first_failure_is_the_per_pair_one(self, any_field, seed):
         # impostors of every campaign kind, on shuffled pair lists
@@ -338,6 +354,15 @@ class TestDecompose:
         assert dec.h_of(twin) == dec.h_of(probes[0]) == h(twin) == h(probes[0])
         with pytest.raises(InputNotInTable):
             dec.h_of(Mat2.identity(GAUSSIAN_QI))
+
+    def test_h_is_read_without_building_residue_entries(self, exact_field, monkeypatch):
+        residues, is_scalar = [], Mat2.is_scalar
+        monkeypatch.setattr(Mat2, "is_scalar", lambda M: residues.append(M) or is_scalar(M))
+        probes = probe_set(exact_field)
+        h = h_random(exact_field, seed=3)
+        dec = decompose(generate_map(exact_field.one(), h, probes, 3))
+        assert [value for _, value in dec.h_table] == [h(p) for p in probes]
+        assert len(residues) == 6 and all(R._e is None for R in residues)
 
     def test_h_table_lists_the_table_inputs_in_order(self, exact_field):
         inputs = [*reversed(probe_set(exact_field)), Mat2.identity(exact_field)]

@@ -204,3 +204,19 @@ def test_sandwich_images_are_fused():
     products = [f"classify.py:{node.lineno}" for node in ast.walk(TREES["classify.py"])
                 if isinstance(getattr(node, "op", None), ast.MatMult)]
     assert products == []
+
+
+def test_oracle_step_is_products_and_a_difference():
+    """``kcomm_recursive`` is the ground truth every evaluator is tested against,
+    so its step stays R @ B - B @ R on ``Mat2`` products and differences, whatever
+    else its loop decides; it assigns R only that step and its start A."""
+    oracle = next(node for node in TREES["brackets.py"].body
+                  if isinstance(node, ast.FunctionDef) and node.name == "kcomm_recursive")
+    values = [node.value for node in ast.walk(oracle)
+              if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+              and "R" in {_used_name(t) for t in getattr(node, "targets", None) or [node.target]}]
+    assert [ast.unparse(v) for v in values if isinstance(v, ast.Name)] == ["A"]
+    steps = [v for v in values if not isinstance(v, ast.Name)]
+    assert len(steps) == 1
+    kinds = {type(node).__name__ for node in ast.walk(steps[0])}
+    assert kinds == {"BinOp", "MatMult", "Sub", "Name", "Load"}
