@@ -6,8 +6,8 @@ fused on the integer form over Q and Q(i).  Its row reduction is fraction-free
 on integers over Q and Q(i) (Bareiss), pivoting on the first nonzero entry,
 and Gauss-Jordan with magnitude pivoting over R64 and C64.
 
-vec ordering is row-major (t11, t12, t21, t22) everywhere; the 4x4 sandwich
-matrices use that convention on both axes.
+A matrix is vectorised as its ``.entries``, row-major (t11, t12, t21, t22);
+the 4x4 sandwich matrices use that order on both axes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .brackets import MAX_TRIALS, _check_order, kcomm
 from .errors import EmptySystem, InvariantViolation, KTooSmall, SingularSystem
 from .fields import FieldTag, GaussianRational, require_same_field
-from .matrices import Mat2, _settled, matrix_units, unit_images
+from .matrices import Mat2, matrix_units, unit_images
 from .randgen import random_rank_one
 
 
@@ -89,10 +89,12 @@ def _witness_idempotents(field: FieldTag) -> tuple:
     the tolerance, so they keep all five probes while their zero test stays
     absolute.
     """
-    e11, e12, e21, e22 = matrix_units(field)
+    e11, _, _, e22 = matrix_units(field)
+    probes = (e11, Mat2(field, (1, 1, 0, 0)))
     if field.is_exact:
-        return _settled(e11, e11 + e12)
-    return _settled(e11, e11 + e12, e22, e11 + e21, (e11 + e12 + e21 + e22).scale(Fraction(1, 2)))
+        return probes
+    half = Fraction(1, 2)
+    return (*probes, e22, Mat2(field, (1, 0, 1, 0)), Mat2(field, (half, half, half, half)))
 
 
 def _certifier_probes(field: FieldTag, trials: int, seed: int):
@@ -164,17 +166,13 @@ def scalar_plus_nilpotent_kcomm(S: Mat2, k: int, trials: int = 32, seed: int = 0
 
 # -- sandwich operators and the rank-one identity solver ---------------------
 
-def vec(T: Mat2):
-    """Row-major vectorization (t11, t12, t21, t22)."""
-    return list(T.entries)
-
-
 def sandwich_operator(pairs) -> list:
-    """4x4 matrix of T -> sum A_i T B_i over the unit basis, row-major vec.
+    """4x4 matrix of T -> sum A_i T B_i over the unit basis, vectorised in
+    ``.entries`` order.
 
-    Column c is the vec of the image of the c-th matrix unit.
+    Column c is the entries of the image of the c-th matrix unit.
     """
-    columns = [vec(image) for image in unit_images(pairs)]
+    columns = [image.entries for image in unit_images(pairs)]
     return [[columns[c][r] for c in range(4)] for r in range(4)]
 
 
@@ -340,12 +338,12 @@ def rank_one_identity_solve(system: SandwichSystem, mode: str = "auto"):
 
     for m in ("b-in-d", "a-in-c") if mode == "auto" else (mode,):
         i = m == "a-in-c"  # pair member that must be independent; the other is solved for
-        indep = [vec(pair[i]) for pair in system.left]
+        indep = [pair[i].entries for pair in system.left]
         if matrix_rank(field, indep) != len(indep):
             continue
-        span = [vec(pair[1 - i]) for pair in system.right]
+        span = [pair[1 - i].entries for pair in system.right]
         cols = [[span[j][r] for j in range(len(span))] for r in range(4)]
-        out = solve_linear(field, cols, [vec(pair[1 - i]) for pair in system.left])
+        out = solve_linear(field, cols, [pair[1 - i].entries for pair in system.left])
         if out is None:
             # cannot happen when the identity holds and independence does
             raise InvariantViolation("span extraction failed on a valid identity")

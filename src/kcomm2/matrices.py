@@ -349,18 +349,6 @@ class Mat2:
         return f"[[{a11}, {a12}], [{a21}, {a22}]]"
 
 
-def _settled(*matrices) -> tuple:
-    """The matrices, with their entries built now.
-
-    For operation results cached across calls: entries built on first read
-    would be paid for by whichever later call reads them first, so equal calls
-    would do unequal work.
-    """
-    for M in matrices:
-        M.entries
-    return matrices
-
-
 @lru_cache(maxsize=8)
 def matrix_units(field: FieldTag) -> tuple:
     """(E11, E12, E21, E22) in the row-major order of ``.entries``, built once per field.
@@ -405,8 +393,8 @@ def unit_images(pairs) -> list:
 
     Over Q and Q(i) each side is written over one common denominator, the
     integer products are summed, and each image is reduced by one gcd.  Over
-    R64 and C64 the sums start from ``Mat2.zero``, so that a sum of zeros is
-    +0.0, never -0.0, as when A @ E @ B is added to the zero matrix.
+    R64 and C64 the sums start from the field's zero, so that a sum of zeros
+    is +0.0, never -0.0, as when A @ E @ B is added to the zero matrix.
     """
     if not pairs:
         raise EmptySystem("need at least one (A, B) pair")
@@ -415,7 +403,7 @@ def unit_images(pairs) -> list:
         require_same_field(f, A._f)
         require_same_field(f, B._f)
     if not f.is_exact:
-        sums = [Mat2.zero(f).entries[0]] * 16
+        sums = [f.zero()] * 16
         for A, B in pairs:
             sums = [s + t for s, t in zip(sums, _unit_products(A._e, B._e))]
         return [_built(f, tuple(sums[c:c + 4]), None) for c in range(0, 16, 4)]

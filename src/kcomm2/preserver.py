@@ -19,7 +19,7 @@ from .errors import (
     ResultTooLarge,
 )
 from .fields import FieldTag, GaussianRational, require_same_field, roots_of_unity
-from .matrices import Mat2, _settled, matrix_units
+from .matrices import Mat2, matrix_units
 from .randgen import random_scalar
 
 # A map table holds at most this many inputs, and verify-map checks at most
@@ -39,7 +39,7 @@ MAX_CAMPAIGN_WORK = 60_000
 def probe_set(field: FieldTag) -> tuple:
     """The fixed probe inputs a table must cover for decomposition (built once per field)."""
     e11, e12, e21, e22 = matrix_units(field)
-    return _settled(e11, e22, e12, e21, e11 + e12, e12 + e21)
+    return e11, e22, e12, e21, Mat2(field, (1, 1, 0, 0)), Mat2(field, (0, 1, 1, 0))
 
 
 class _InputIndex:
@@ -76,8 +76,8 @@ class _InputIndex:
 class MapTable:
     """A finite sampled map: (input, output) matrix pairs plus field/k metadata.
 
-    ``MapTable(field, k, entries)`` with entries ((input, output), ...); the
-    inputs must be pairwise distinct.
+    ``MapTable(field, k, entries)`` with entries ((input, output), ...); every
+    input and output is over the field, and the inputs are pairwise distinct.
     """
 
     __slots__ = ("field", "k", "entries", "_index")
@@ -86,6 +86,8 @@ class MapTable:
         _check_table_size(len(entries))
         index = _InputIndex()
         for A, out in entries:
+            require_same_field(field, A.field)
+            require_same_field(field, out.field)
             if index.get(A) is not None:
                 raise DuplicateInput("map table inputs must be pairwise distinct")
             index.add(A, out)
@@ -177,7 +179,7 @@ def _check_root(field: FieldTag, lam, k: int):
         raise LambdaNotRootOfUnity(power)
 
 
-def _theorem_form(field: FieldTag, lam, h_spec, inputs) -> tuple:
+def _theorem_form(lam, h_spec, inputs) -> tuple:
     """The entries (A, lam*A + h(A)*I) over the given inputs."""
     return tuple((A, A.scale(lam).shift(h_spec(A))) for A in inputs)
 
@@ -189,7 +191,7 @@ def generate_map(lam, h_spec, inputs, k: int) -> MapTable:
     field = inputs[0].field
     lam = field.coerce(lam)
     _check_root(field, lam, k)
-    return MapTable(field=field, k=k, entries=_theorem_form(field, lam, h_spec, inputs))
+    return MapTable(field=field, k=k, entries=_theorem_form(lam, h_spec, inputs))
 
 
 def verify_preserving(table: MapTable, pairs) -> PreservationVerdict:
@@ -201,23 +203,17 @@ def verify_preserving(table: MapTable, pairs) -> PreservationVerdict:
     2**k, must agree within the tolerance times the right side's largest entry
     (at least 1).
 
-    Each input object is looked up by value once, when the first pair holding
-    it is checked, and its image is then kept by object identity (the pair
-    list holds every input alive, so no id is reused while it keys an image):
-    a pair whose input is not in the table raises InputNotInTable only after
-    every earlier pair held.
+    A table input object finds its image by identity (the table keeps it
+    alive, so its id is not reused); any other object is looked up by value at
+    its pair, so a pair whose input is not in the table raises InputNotInTable
+    only after every earlier pair held.
     """
     field, k = table.field, table.k
     _check_order(k, maximum=MAX_ORDER)
-    pairs = list(pairs)
-    images = {}
+    images = {id(A): out for A, out in table.entries}
     for A, B in pairs:
-        FA = images.get(id(A))
-        if FA is None:
-            FA = images[id(A)] = table.lookup(A)
-        FB = images.get(id(B))
-        if FB is None:
-            FB = images[id(B)] = table.lookup(B)
+        FA = images.get(id(A)) or table.lookup(A)
+        FB = images.get(id(B)) or table.lookup(B)
         left = kcomm(FA, FB, k)
         right = kcomm_recursive(A, B, k)
         if field.is_exact:
@@ -331,9 +327,7 @@ def probe_campaign(k: int, field: FieldTag, trials: int, seed: int) -> CampaignR
             except Exception as exc:  # noqa: BLE001 - any rejection is an anomaly here
                 anomalies.append(f"trial {trial}: valid map rejected: {exc!r}")
                 continue
-            if field.eq(dec.lam, field.coerce(lam)) and all(
-                field.eq(value, field.coerce(h(A))) for A, value in dec.h_table
-            ):
+            if field.eq(dec.lam, lam) and all(field.eq(value, h(A)) for A, value in dec.h_table):
                 valid_ok += 1
             else:
                 anomalies.append(f"trial {trial}: round-trip mismatch")
@@ -341,7 +335,7 @@ def probe_campaign(k: int, field: FieldTag, trials: int, seed: int) -> CampaignR
             kind = rng.choice(("bad-lambda", "residue", "swap"))
             entries = list(table.entries)
             if kind == "bad-lambda":
-                entries = _theorem_form(field, _bad_lambda(field, k, rng), h, probes)
+                entries = _theorem_form(_bad_lambda(field, k, rng), h, probes)
             elif kind == "residue":
                 idx = rng.randrange(len(entries))
                 A, out = entries[idx]

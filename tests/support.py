@@ -3,7 +3,7 @@
 from random import Random
 
 from kcomm2 import FieldTag, Mat2, SandwichSystem
-from kcomm2.classify import matrix_rank, vec
+from kcomm2.classify import matrix_rank
 from kcomm2.randgen import random_scalar
 
 
@@ -59,7 +59,7 @@ def span_system(field, rng: Random, n: int, m: int) -> SandwichSystem:
     """
     while True:
         A = [random_mat(field, rng, span=3) for _ in range(n)]
-        if matrix_rank(field, [vec(a) for a in A]) == n:
+        if matrix_rank(field, [a.entries for a in A]) == n:
             break
     D = [random_mat(field, rng, span=3) for _ in range(m)]
     coeffs = [[random_scalar(field, rng, span=3) for _ in range(m)] for _ in range(n)]
@@ -79,8 +79,8 @@ def span_system(field, rng: Random, n: int, m: int) -> SandwichSystem:
 
 
 def apply_operator(field, op, T: Mat2) -> Mat2:
-    """The 4x4 operator op applied to vec(T), as a matrix."""
-    v = vec(T)
+    """The 4x4 operator op applied to T's entries, as a matrix."""
+    v = T.entries
     out = [sum((op[r][c] * v[c] for c in range(4)), field.zero()) for r in range(4)]
     return Mat2(field, tuple(out))
 

@@ -557,7 +557,7 @@ class TestHostileInputs:
 
     def unprintable_power(self, capsys, tmp_path, field, lam, k):
         """decompose-map on the probe table of A -> lam*A: exit 1, as for a printable power."""
-        entries = preserver._theorem_form(field, field.coerce(lam), lambda A: 0, probe_set(field))
+        entries = preserver._theorem_form(field.coerce(lam), lambda A: 0, probe_set(field))
         path = tmp_path / "in.json"
         path.write_text(json.dumps(maptable_to_json(preserver.MapTable(field, k, entries))))
         assert main(["decompose-map", "--input", str(path)]) == 1

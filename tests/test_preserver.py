@@ -24,6 +24,7 @@ from kcomm2 import (
     scalar_plus_nilpotent_spectral,
     verify_preserving,
 )
+from kcomm2.classify import _witness_idempotents
 from kcomm2.errors import (
     DuplicateInput,
     FieldMismatch,
@@ -101,6 +102,16 @@ class TestGenerateMap:
     def test_non_integer_order_rejected(self, k):
         with pytest.raises(InvalidOrder):
             generate_map(Fraction(1), h_zero, [Mat2.unit(RATIONAL_Q, 1, 1)], k)
+
+    def test_entries_over_another_field_rejected(self):
+        # refused when the table is built, not at its first lookup
+        A, B = Mat2.unit(RATIONAL_Q, 1, 1), Mat2.unit(GAUSSIAN_QI, 1, 2)
+        with pytest.raises(FieldMismatch):
+            MapTable(RATIONAL_Q, 1, ((A, A), (B, B)))
+        with pytest.raises(FieldMismatch):
+            MapTable(RATIONAL_Q, 1, ((A, Mat2.unit(FLOAT_R, 1, 1)),))
+        with pytest.raises(FieldMismatch):
+            generate_map(1, h_zero, [A, B], 1)
 
     def test_duplicate_inputs_rejected(self):
         e11 = Mat2.unit(RATIONAL_Q, 1, 1)
@@ -187,21 +198,25 @@ class TestVerifyPreserving:
         monkeypatch.setattr(MapTable, "lookup", counting)
         return calls
 
-    def test_each_input_is_looked_up_once(self, any_field, lookups):
+    def test_table_inputs_are_not_looked_up(self, any_field, lookups):
         probes = probe_set(any_field)
         table = generate_map(any_field.one(), h_trace, probes, 3)
         assert verify_preserving(table, all_pairs(probes)).holds
-        assert lookups == list(probes)  # once each, in order of first use
-        lookups.clear()
         assert decompose(table).verified_pairs == 36
-        assert len(lookups) == 6
+        assert lookups == []
 
-    def test_images_are_kept_by_object_and_found_by_value(self, exact_field, lookups):
-        probes = probe_set(exact_field)
-        table = generate_map(exact_field.one(), h_trace, probes, 3)
-        twins = [Mat2(exact_field, p.entries) for p in probes]  # equal values, other objects
-        assert verify_preserving(table, all_pairs(probes) + all_pairs(twins)).holds
-        assert [id(A) for A in lookups] == [id(A) for A in [*probes, *twins]]
+    def test_other_objects_are_looked_up_by_value_at_each_pair(self, any_field, lookups):
+        probes = probe_set(any_field)
+        table = generate_map(any_field.one(), h_trace, probes, 3)
+        twins = [Mat2(any_field, p.entries) for p in probes]  # equal values, other objects
+        pairs = all_pairs(twins) + list(zip(probes, twins))
+        assert verify_preserving(table, pairs).holds
+        sides = [*(A for pair in all_pairs(twins) for A in pair), *twins]
+        assert [id(A) for A in lookups] == [id(A) for A in sides]
+        lookups.clear()
+        decoded = MapTable(any_field, 3, tuple((twin, out) for twin, (_, out) in zip(twins, table.entries)))
+        assert decompose(decoded).verified_pairs == 36
+        assert len(lookups) == 72  # the probes are not the decoded table's inputs
 
     def test_inputs_from_a_generator_keep_their_ids(self, exact_field):
         # fresh objects that only the pair being checked holds: an id freed with
@@ -219,7 +234,7 @@ class TestVerifyPreserving:
         probes = probe_set(any_field)
         h = h_random(any_field, seed)
         lam = any_field.coerce(rng.choice([1, 2, -2, 3]))
-        entries = list(preserver._theorem_form(any_field, lam, h, probes))
+        entries = list(preserver._theorem_form(lam, h, probes))
         i, j = rng.sample(range(6), 2)
         if seed % 3 == 1:
             entries[i] = (entries[i][0], entries[i][1] + Mat2.unit(any_field, 1, 2))
@@ -273,6 +288,25 @@ def _verify_per_pair(table, pairs):
         if not same:
             return (A, B), left, right
     return None
+
+
+def test_cached_probes_are_constructed_values(any_field):
+    """``probe_set`` and the witness idempotents return constructor values with
+    their entries built, so equal calls do equal work."""
+    half = Fraction(1, 2)
+    literals = {
+        probe_set: [(1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0), (0, 1, 1, 0)],
+        _witness_idempotents: [(1, 0, 0, 0), (1, 1, 0, 0)]
+        + ([] if any_field.is_exact else [(0, 0, 0, 1), (1, 0, 1, 0), (half, half, half, half)]),
+    }
+    for cached, entries in literals.items():
+        got = cached.__wrapped__(any_field)  # a fresh call past the cache
+        assert len(got) == len(entries)
+        for M, literal in zip(got, entries):
+            assert M._e is not None  # before anything reads .entries
+            want = Mat2(any_field, literal)
+            assert repr(M.entries) == repr(want.entries)
+            assert M == want and hash(M) == hash(want)
 
 
 class TestDecompose:
