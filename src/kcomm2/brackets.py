@@ -20,17 +20,18 @@ from .matrices import Mat2, RankOneFactor, outer
 MAX_POWER_BITS = 1 << 18
 
 # Trial counts of the sampled certifier and the probe campaign are capped so
-# that a hostile count has bounded cost: 10**4 campaign trials at k = 6 take
-# 8-12 s on a 2-vCPU x86 box, and 10**4 float certifier probes about 0.15 s.
+# that a hostile count has bounded cost: on a 2-vCPU x86 box 10**4 campaign
+# trials at k = 6 take 7.9-8.8 s (Q) or 10.0-10.3 s (Qi) as a CLI child, and
+# 10**4 float certifier probes 0.14-0.17 s.
 MAX_TRIALS = 10_000
 
 # Bracket orders read from outside the program (a map table's k, fixtures
 # --kmax) are capped where they drive the O(k) oracle: at k = 1000 decompose
-# on a probe table takes 0.06-0.08 s (Q) to 0.08-0.11 s (Qi) on a 2-vCPU x86
+# on a probe table takes 0.08-0.09 s (Q) to 0.10-0.11 s (Qi) on a 2-vCPU x86
 # box, the oracle stopping after 1 to 3 steps on 18 of its 36 probe pairs.
 # fixtures steps each family's bracket one order at a time, O(kmax) steps in
-# all, so a fixtures --kmax 1000 request (a CLI child) takes 0.5-0.6 s (Q) to
-# 0.6-0.9 s (Qi), most of it printing entries of up to 1,000 bits.
+# all, so a fixtures --kmax 1000 request (a CLI child) takes 0.3-0.5 s (Q) to
+# 0.7-0.9 s (Qi), most of it printing entries of up to 1,000 bits.
 MAX_ORDER = 1_000
 
 

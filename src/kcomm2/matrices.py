@@ -13,10 +13,14 @@ values have equal forms.  The hot exact operations (``@``, ``+``, ``-``,
 zero and scalar tests and the sandwich images ``unit_images``) compute on
 these integers and normalise with one multi-argument gcd, where entrywise
 ``Fraction`` / ``GaussianRational`` arithmetic would take one gcd per scalar
-operation.  The cold ones (``trace``, ``det``, ``conj_t``, negation and
-``outer``) read or build ``.entries`` on every field.  The hash reads the
-form (or the float entries) and not the field: matrices over unequal fields
-never compare equal, so hashing the field too would split no equal pair.
+operation.  ``@``, ``+``, ``-``, ``scale``, ``shift`` and that gcd division
+are written out slot by slot for the 5- and 9-slot forms, with one gcd per
+result and no list built per operation; the ``.entries`` of a Q form with
+denominator 1 are built as ``Fraction(n)``, with no gcd.  The cold ones
+(``trace``, ``det``, ``conj_t``, negation and ``outer``) read or build
+``.entries`` on every field.  The hash reads the form (or the float
+entries) and not the field: matrices over unequal fields never compare
+equal, so hashing the field too would split no equal pair.
 
 ``Mat2(field, entries)`` is the one checked constructor: exactly four entries,
 each coerced into the field (a wrong kind raises FieldMismatch), and over Q
@@ -58,26 +62,47 @@ def _built(field: FieldTag, entries, form) -> "Mat2":
 
 
 def _combine(field: FieldTag, x: tuple, y: tuple, subtract: bool) -> "Mat2":
-    """x + y or x - y on integer forms of the same field."""
+    """x + y or x - y on integer forms of the same field, slot by slot, over
+    the product of the denominators when they differ."""
     d, e = x[0], y[0]
+    if len(x) == 5:
+        _, x1, x2, x3, x4 = x
+        _, y1, y2, y3, y4 = y
+        if d != e:
+            x1, x2, x3, x4 = x1 * e, x2 * e, x3 * e, x4 * e
+            y1, y2, y3, y4 = y1 * d, y2 * d, y3 * d, y4 * d
+            d *= e
+        if subtract:
+            return _normalised(field, (d, x1 - y1, x2 - y2, x3 - y3, x4 - y4))
+        return _normalised(field, (d, x1 + y1, x2 + y2, x3 + y3, x4 + y4))
+    _, x1, x2, x3, x4, x5, x6, x7, x8 = x
+    _, y1, y2, y3, y4, y5, y6, y7, y8 = y
     if d != e:
-        x, y, d = [v * e for v in x], [v * d for v in y], d * e
-    z = [p - q for p, q in zip(x, y)] if subtract else [p + q for p, q in zip(x, y)]
-    z[0] = d
-    return _normalised(field, z)
+        x1, x2, x3, x4, x5, x6, x7, x8 = x1 * e, x2 * e, x3 * e, x4 * e, x5 * e, x6 * e, x7 * e, x8 * e
+        y1, y2, y3, y4, y5, y6, y7, y8 = y1 * d, y2 * d, y3 * d, y4 * d, y5 * d, y6 * d, y7 * d, y8 * d
+        d *= e
+    if subtract:
+        return _normalised(field, (d, x1 - y1, x2 - y2, x3 - y3, x4 - y4,
+                                   x5 - y5, x6 - y6, x7 - y7, x8 - y8))
+    return _normalised(field, (d, x1 + y1, x2 + y2, x3 + y3, x4 + y4,
+                               x5 + y5, x6 + y6, x7 + y7, x8 + y8))
 
 
-def _normalised(field: FieldTag, z) -> "Mat2":
-    """Matrix of the integer form z (den > 0), reduced by one gcd.
+def _normalised(field: FieldTag, z: tuple) -> "Mat2":
+    """Matrix of the 5- or 9-slot integer form z (den > 0), reduced by one gcd.
 
     The denominator goes first, so the gcd shrinks at once when it is small.
     """
     if z[0] != 1:
         g = gcd(*z)
         if g != 1:
-            z = [v // g for v in z]
+            if len(z) == 5:
+                z = (z[0] // g, z[1] // g, z[2] // g, z[3] // g, z[4] // g)
+            else:
+                z = (z[0] // g, z[1] // g, z[2] // g, z[3] // g, z[4] // g,
+                     z[5] // g, z[6] // g, z[7] // g, z[8] // g)
     m = object.__new__(Mat2)
-    m._f, m._e, m._z = field, None, tuple(z)
+    m._f, m._e, m._z = field, None, z
     return m
 
 
@@ -108,11 +133,13 @@ class Mat2:
         if e is None:
             z = self._z
             d = z[0]
-            if len(z) == 5:
-                e = (Fraction(z[1], d), Fraction(z[2], d), Fraction(z[3], d), Fraction(z[4], d))
-            else:
+            if len(z) == 9:
                 raw = GaussianRational._raw
                 e = (raw(z[1], z[2], d), raw(z[3], z[4], d), raw(z[5], z[6], d), raw(z[7], z[8], d))
+            elif d == 1:  # an integral Fraction needs no gcd
+                e = (Fraction(z[1]), Fraction(z[2]), Fraction(z[3]), Fraction(z[4]))
+            else:
+                e = (Fraction(z[1], d), Fraction(z[2], d), Fraction(z[3], d), Fraction(z[4], d))
             self._e = e
         return e
 
@@ -235,11 +262,12 @@ class Mat2:
         if f.is_complex:
             # each entry (a + b i) times c = (p + q i) / r
             p, q, r = c.a, c.b, c.den
-            z = self._z
-            form = [z[0] * r]
-            for a, b in zip(z[1::2], z[2::2]):
-                form += (a * p - b * q, a * q + b * p)
-            return _normalised(f, form)
+            d, a11, b11, a12, b12, a21, b21, a22, b22 = self._z
+            return _normalised(f, (
+                d * r,
+                a11 * p - b11 * q, a11 * q + b11 * p, a12 * p - b12 * q, a12 * q + b12 * p,
+                a21 * p - b21 * q, a21 * q + b21 * p, a22 * p - b22 * q, a22 * q + b22 * p,
+            ))
         # as in Fraction.__mul__: the only common factors are gcd(p, d) and
         # gcd(q, numerators), so no gcd of the (possibly huge) products
         p, q = c.numerator, c.denominator

@@ -24,14 +24,14 @@ from .randgen import random_scalar
 
 # A map table holds at most this many inputs, and verify-map checks at most
 # MAX_TABLE_INPUTS ** 2 pairs: at k = 1000 a pair of random integer inputs
-# costs about 7 ms (Q) or 12 ms (Qi) on a 2-vCPU x86 box, so a full 36-input
-# table (1,296 pairs) takes about 9 s (Q) or 16 s (Qi).
+# (entries in [-9, 9]) costs 7-8 ms (Q) or 10-13 ms (Qi) on a 2-vCPU x86 box,
+# so a full 36-input table (1,296 pairs) takes 9-10 s (Q) or 12-17 s (Qi).
 MAX_TABLE_INPUTS = 36
 _check_table_size = partial(_check_order, name="map table inputs", maximum=MAX_TABLE_INPUTS)
 
 # A campaign's cost grows with trials x k: as a CLI child on a 2-vCPU x86 box,
-# a campaign at this bound takes 2.5-3.4 s (Q) or 4.5-5.0 s (Qi) at 60 trials
-# of k = 1000, and 8.0-8.1 s (Q) or 9.5-11.8 s (Qi) at 10**4 trials of k = 6.
+# a campaign at this bound takes 1.8-2.6 s (Q) or 3.4-3.7 s (Qi) at 60 trials
+# of k = 1000, and 7.9-8.8 s (Q) or 10.0-10.4 s (Qi) at 10**4 trials of k = 6.
 MAX_CAMPAIGN_WORK = 60_000
 
 
@@ -85,25 +85,26 @@ class MapTable:
     def __init__(self, field: FieldTag, k: int, entries: tuple):
         _check_table_size(len(entries))
         index = _InputIndex()
-        for A, out in entries:
+        for entry in entries:
+            A, out = entry
             require_same_field(field, A.field)
             require_same_field(field, out.field)
             if index.get(A) is not None:
                 raise DuplicateInput("map table inputs must be pairwise distinct")
-            index.add(A, out)
+            index.add(A, entry)
         self.field, self.k, self.entries, self._index = field, k, entries, index
 
     def _find(self, A: Mat2):
-        """The output for input A, or None."""
+        """The entry (input, output) whose input equals A, or None."""
         if A.field is not self.field:
             require_same_field(self.field, A.field)
         return self._index.get(A)
 
     def lookup(self, A: Mat2) -> Mat2:
-        out = self._find(A)
-        if out is None:
+        entry = self._find(A)
+        if entry is None:
             raise InputNotInTable("matrix is not a table input")
-        return out
+        return entry[1]
 
     def has_input(self, A: Mat2) -> bool:
         return self._find(A) is not None
@@ -234,19 +235,20 @@ def decompose(table: MapTable) -> Decomposition:
 
     lam comes from the image of E_11 alone (diagonal difference); every entry
     is then required to leave a scalar residue, and the preservation identity
-    is re-checked on all probe pairs as cross-validation.  The h table lists
-    every table input, in table order.
+    is re-checked as cross-validation on all pairs of the table inputs that
+    stand for the probes (equal to them, or within the tolerance over R64 and
+    C64).  The h table lists every table input, in table order.
     """
     field = table.field
     k = table.k
     _check_order(k, minimum=1, maximum=MAX_ORDER)
     probes = probe_set(field)
-    images = [table._find(p) for p in probes]
-    missing = [p for p, out in zip(probes, images) if out is None]
+    found = [table._find(p) for p in probes]
+    missing = [p for p, entry in zip(probes, found) if entry is None]
     if missing:
         raise ProbeSetIncomplete(missing)
 
-    D = images[0]  # image of E_11
+    D = found[0][1]  # image of E_11
     d11, d12, d21, d22 = D.entries
     if not (field.is_zero(d12) and field.is_zero(d21)):
         raise NotTheoremForm("image-of-E11-not-diagonal", probes[0], D)
@@ -262,7 +264,7 @@ def decompose(table: MapTable) -> Decomposition:
             raise NotTheoremForm("nonscalar-residue", A, residue)
         h_table.append((A, residue.top_left()))
 
-    pairs = all_pairs(probes)
+    pairs = all_pairs([A for A, _ in found])  # the table's own inputs: no lookup
     verdict = verify_preserving(table, pairs)
     if not verdict.holds:
         raise PreservationFailed(verdict.pair, verdict.left, verdict.right)

@@ -301,6 +301,58 @@ class TestIntegerForm:
                   Mat2(exact_field, (2, 4, Fraction(6, 5), 8))):
             _same(A.scale(c), tuple(exact_field.coerce(c) * x for x in A.entries))
 
+    # Q entries (A, B) for each branch of the slot-by-slot + and -: equal or
+    # unequal denominators, and a result whose gcd with that denominator is 1
+    # or above 1.  Over Q(i) each entry x becomes x - 2x i, which keeps every
+    # gcd and gives negative numerators.
+    COMBINE_CASES = {
+        "equal-den-gcd-1": ("1/2 1 3/2 0", "1/2 0 0 -1/2"),
+        "equal-den-gcd-2": ("1/2 1/2 0 0", "1/2 -1/2 1 0"),
+        "unequal-den-gcd-1": ("1/3 0 1 0", "1/5 2 0 0"),
+        "unequal-den-gcd-4": ("1/6 1 0 0", "1/10 0 0 1"),
+    }
+
+    @pytest.mark.parametrize("case", COMBINE_CASES, ids=str)
+    def test_add_and_sub_branches(self, exact_field, case):
+        lift = (lambda x: GaussianRational(x, -2 * x)) if exact_field.is_complex else (lambda x: x)
+        a, b = ([lift(Fraction(x)) for x in entries.split()] for entries in self.COMBINE_CASES[case])
+        A, B = Mat2(exact_field, a), Mat2(exact_field, b)
+        d, e = A._z[0], B._z[0]
+        assert (d == e) == case.startswith("equal")
+        raw_den = d if d == e else d * e  # the denominator before the gcd
+        for X, Y in ((A, B), (B, A)):
+            want = _expected(exact_field, X.entries, Y.entries, 1)
+            for got, entries in ((X + Y, want["add"]), (X - Y, want["sub"])):
+                _same(got, entries)
+                assert got._z == Mat2(exact_field, entries)._z
+                assert (got._z[0] == raw_den) == case.endswith("gcd-1")
+            for zero in (X - X, X + (-X)):
+                assert zero._z == Mat2.zero(exact_field)._z
+                _same(zero, (exact_field.zero(),) * 4)
+
+    @pytest.mark.parametrize("c, reduced", [
+        (GaussianRational(Fraction(2, 3), Fraction(-5, 3)), False),  # p, q, r = 2, -5, 3
+        (GaussianRational(Fraction(3, 2), Fraction(3, 2)), True),  # p, q, r = 3, 3, 2
+    ])
+    def test_gaussian_scale_by_a_full_scalar(self, c, reduced):
+        parts = (("1/3", "2"), ("-1", "2/3"), ("0", "-4/3"), ("5/3", "-1"))
+        A = Mat2(GAUSSIAN_QI, [GaussianRational(Fraction(a), Fraction(b)) for a, b in parts])
+        assert c.a and c.b and c.den != 1
+        got = A.scale(c)
+        want = tuple(c * x for x in A.entries)
+        _same(got, want)
+        assert got._z == Mat2(GAUSSIAN_QI, want)._z
+        assert (got._z[0] < A._z[0] * c.den) == reduced
+
+    def test_integral_rational_entries(self):
+        A, half = Mat2(RATIONAL_Q, (1, -2, 0, 4)), Fraction(1, 2)
+        B = Mat2(RATIONAL_Q, (half, -half, 0, half))
+        for M in (A @ A, B + B, A - A, A.scale(-3), A.shift(half).shift(half)):
+            assert M._z[0] == 1 and M._e is None
+            for x, n in zip(M.entries, M._z[1:]):
+                assert type(x) is Fraction and _parts(x) == _parts(Fraction(n, 1))
+                assert x == n and hash(x) == hash(n) == hash(Fraction(n, 1))
+
     @given(exact_cases)
     def test_built_and_computed_values_agree(self, case):
         field, A, B, c = case

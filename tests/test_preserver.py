@@ -216,7 +216,7 @@ class TestVerifyPreserving:
         lookups.clear()
         decoded = MapTable(any_field, 3, tuple((twin, out) for twin, (_, out) in zip(twins, table.entries)))
         assert decompose(decoded).verified_pairs == 36
-        assert len(lookups) == 72  # the probes are not the decoded table's inputs
+        assert lookups == []  # decompose pairs the decoded table's own inputs
 
     def test_inputs_from_a_generator_keep_their_ids(self, exact_field):
         # fresh objects that only the pair being checked holds: an id freed with
@@ -357,6 +357,17 @@ class TestDecompose:
             decompose(table)
         assert exc.value.power == 10**10010
         assert str(exc.value) == "lambda**(k+1) is not 1"
+
+    @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
+    def test_float_inputs_near_the_probes_stand_in_for_them(self, field):
+        # a valid table over inputs within the tolerance of the probes: its
+        # preservation is checked on those inputs, not on the probes beside them
+        for i in range(1, 6):  # E11 alone sets lambda
+            for slot in range(4):
+                near = [list(p.entries) for p in probe_set(field)]
+                near[i][slot] += 9e-10
+                table = generate_map(-1, h_zero, [Mat2(field, e) for e in near], 3)
+                assert decompose(table).verified_pairs == 36
 
     def test_probe_coverage_checked(self, exact_field):
         e11 = Mat2.unit(exact_field, 1, 1)
