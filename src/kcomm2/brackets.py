@@ -20,18 +20,20 @@ from .matrices import Mat2, RankOneFactor, outer
 MAX_POWER_BITS = 1 << 18
 
 # Trial counts of the sampled certifier and the probe campaign are capped so
-# that a hostile count has bounded cost: on a 2-vCPU x86 box 10**4 campaign
-# trials at k = 6 take 7.9-8.8 s (Q) or 10.0-10.3 s (Qi) as a CLI child, and
-# 10**4 float certifier probes 0.14-0.17 s.
+# that a hostile count has bounded cost: as a CLI child on a 2-vCPU x86 box
+# 10**4 campaign trials at k = 6 take 5.0-5.2 s (Q), 4.7-5.2 s (Qi), 10.8 s
+# (R64) or 12.2 s (C64), and 10**4 float certifier probes 0.32-0.34 s.
 MAX_TRIALS = 10_000
 
 # Bracket orders read from outside the program (a map table's k, fixtures
-# --kmax) are capped where they drive the O(k) oracle: at k = 1000 decompose
-# on a probe table takes 0.08-0.09 s (Q) to 0.10-0.11 s (Qi) on a 2-vCPU x86
-# box, the oracle stopping after 1 to 3 steps on 18 of its 36 probe pairs.
-# fixtures steps each family's bracket one order at a time, O(kmax) steps in
-# all, so a fixtures --kmax 1000 request (a CLI child) takes 0.3-0.5 s (Q) to
-# 0.7-0.9 s (Qi), most of it printing entries of up to 1,000 bits.
+# --kmax) are capped where O(k) work remains: the oracle on the right side of
+# a float verify_preserving, and fixtures.  Over Q and Qi decompose on a
+# probe table at k = 1000 makes 72 kernel calls in about 1 ms in-process
+# (0.13-0.20 s as a CLI child, interpreter start included) on a 2-vCPU x86
+# box.  fixtures steps each family's bracket one order at a time, O(kmax)
+# steps in all, so a fixtures --kmax 1000 request (a CLI child) takes
+# 0.3-0.4 s (Q) to 0.7-0.8 s (Qi), most of it printing entries of up to
+# 1,000 bits.
 MAX_ORDER = 1_000
 
 
@@ -91,19 +93,21 @@ def _power(field: FieldTag, x, n: int, name: str):
     whether Python raises OverflowError or returns an inf or a nan, as it
     does for (1e200+1e200j)**2.
     """
-    if field.is_exact and n * _growth_bits(x) > MAX_POWER_BITS:
-        raise ResultTooLarge(f"{name}**{n} would need more than {MAX_POWER_BITS} bits")
+    if field.is_exact:
+        if n * _growth_bits(x) > MAX_POWER_BITS:
+            raise ResultTooLarge(f"{name}**{n} would need more than {MAX_POWER_BITS} bits")
+        return x if n == 1 else x**n  # Fraction ** 1 costs a Fraction construction
     try:
         power = x**n
     except OverflowError as exc:
         raise ResultTooLarge(f"{name}**{n} overflows {field.variant}") from exc
-    if not field.is_exact and not cmath.isfinite(power):
+    if not cmath.isfinite(power):
         raise ResultTooLarge(f"{name}**{n} overflows {field.variant}")
     return power
 
 
 def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto") -> Mat2:
-    """Order-k bracket in O(1) matrix products: at most two commutators and one power.
+    """Order-k bracket in O(1) operations: at most two commutators and one power.
 
     T(R) = RB - BR satisfies T^3 = delta*T on 2x2 matrices, where
     delta = tr(B)^2 - 4 det(B) = (b11 - b22)^2 + 4 b12 b21: expand T^3 and
@@ -127,6 +131,13 @@ def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto") -> Mat2:
     products are always made, so signed zeros and 0*inf come out as they would
     from the scaled bracket.
 
+    The first commutator is A @ B - B @ A, two ``Mat2`` products, so every
+    answer passes through ``@``.  The second, at even k, is
+    ``R.commutator(B)``: one integer-form step over Q and Q(i), the two
+    products and their difference over R64 and C64.  An exact call therefore
+    makes 2 products at every k >= 1 (0 when delta^m is zero), a float one 2
+    at odd k and 4 at even k.
+
     ``method`` must be "auto"; the oracle and the binomial sum are called as
     ``kcomm_recursive`` and ``kcomm_closed``.
 
@@ -148,7 +159,7 @@ def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto") -> Mat2:
             return Mat2.zero(field)
     R = A @ B - B @ A
     if k % 2 == 0:
-        R = R @ B - B @ R
+        R = R.commutator(B)
     if m:
         R = R.scale(c)
     entries = R.entries  # built here, not left to the caller

@@ -9,12 +9,14 @@ shared denominator:
 
 The form is canonical (den > 0 and gcd(den, all numerators) = 1), so equal
 values have equal forms.  The hot exact operations (``@``, ``+``, ``-``,
-``scale``, ``shift``, ``discriminant``, ``top_left``, equality, hashing, the
-zero and scalar tests and the sandwich images ``unit_images``) compute on
-these integers and normalise with one multi-argument gcd, where entrywise
-``Fraction`` / ``GaussianRational`` arithmetic would take one gcd per scalar
-operation.  ``@``, ``+``, ``-``, ``scale``, ``shift`` and that gcd division
-are written out slot by slot for the 5- and 9-slot forms, with one gcd per
+``commutator``, ``scale``, ``shift``, ``discriminant``, ``top_left``,
+equality, hashing, the zero and scalar tests and the sandwich images
+``unit_images``) compute on these integers and normalise with one
+multi-argument gcd, where entrywise ``Fraction`` / ``GaussianRational``
+arithmetic would take one gcd per scalar operation; ``commutator`` makes
+XY - YX in one step, where ``@``, ``@`` and ``-`` take three gcds.  ``@``,
+``+``, ``-``, ``commutator``, ``scale``, ``shift`` and that gcd division are
+written out slot by slot for the 5- and 9-slot forms, with one gcd per
 result and no list built per operation; the ``.entries`` of a Q form with
 denominator 1 are built as ``Fraction(n)``, with no gcd.  The cold ones
 (``trace``, ``det``, ``conj_t``, negation and ``outer``) read or build
@@ -251,6 +253,40 @@ class Mat2:
             a21 * b11 + a22 * b21,
             a21 * b12 + a22 * b22,
         ))
+
+    def commutator(self, other: "Mat2") -> "Mat2":
+        """self @ other - other @ self; over Q and Q(i) in one step with one gcd.
+
+        With self = [[a, b], [c, d]] and other = [[e, f], [g, h]] it is
+
+            [[bg - fc, f(a - d) - b(e - h)], [c(e - h) - g(a - d), -(bg - fc)]]
+
+        on the integer forms, over the product of their denominators.  Over R64
+        and C64 it is literally the two products and their difference, so float
+        results and signed zeros are those of ``@`` and ``-``.
+        """
+        field = self._f
+        if other._f is not field:
+            require_same_field(field, other._f)
+        if not field.is_exact:
+            return self @ other - other @ self
+        if field.is_complex:
+            # the same on (re, im) pairs: (x + y i)(X + Y i) = (xX - yY) + (xY + yX) i
+            r, a, ai, b, bi, c, ci, d, di = self._z
+            s, e, ei, f, fi, g, gi, h, hi = other._z
+            u, ui, v, vi = a - d, ai - di, e - h, ei - hi
+            n, ni = b * g - bi * gi - f * c + fi * ci, b * gi + bi * g - f * ci - fi * c
+            return _normalised(field, (
+                r * s, n, ni,
+                f * u - fi * ui - b * v + bi * vi, f * ui + fi * u - b * vi - bi * v,
+                c * v - ci * vi - g * u + gi * ui, c * vi + ci * v - g * ui - gi * u,
+                -n, -ni,
+            ))
+        r, a, b, c, d = self._z
+        s, e, f, g, h = other._z
+        u, v = a - d, e - h
+        n = b * g - f * c
+        return _normalised(field, (r * s, n, f * u - b * v, c * v - g * u, -n))
 
     def scale(self, c) -> "Mat2":
         f = self._f

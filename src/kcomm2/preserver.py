@@ -23,15 +23,20 @@ from .matrices import Mat2, matrix_units
 from .randgen import random_scalar
 
 # A map table holds at most this many inputs, and verify-map checks at most
-# MAX_TABLE_INPUTS ** 2 pairs: at k = 1000 a pair of random integer inputs
-# (entries in [-9, 9]) costs 7-8 ms (Q) or 10-13 ms (Qi) on a 2-vCPU x86 box,
-# so a full 36-input table (1,296 pairs) takes 9-10 s (Q) or 12-17 s (Qi).
+# MAX_TABLE_INPUTS ** 2 pairs: at k = 1000 a full 36-input table (1,296 pairs)
+# of random integer inputs (entries in [-9, 9]) takes 0.04-0.05 s (Q) or
+# 0.14 s (Qi) in-process on a 2-vCPU x86 box, and 0.18-0.27 s as a CLI child.
+# Over R64 and C64, whose right side is still the O(k) oracle, such a table
+# (entries in [-0.3, 0.3], so that no bracket overflows) takes 4.5-4.9 s as
+# a CLI child.
 MAX_TABLE_INPUTS = 36
 _check_table_size = partial(_check_order, name="map table inputs", maximum=MAX_TABLE_INPUTS)
 
-# A campaign's cost grows with trials x k: as a CLI child on a 2-vCPU x86 box,
-# a campaign at this bound takes 1.8-2.6 s (Q) or 3.4-3.7 s (Qi) at 60 trials
-# of k = 1000, and 7.9-8.8 s (Q) or 10.0-10.4 s (Qi) at 10**4 trials of k = 6.
+# A campaign's cost grows with trials x k over R64 and C64: as a CLI child on
+# a 2-vCPU x86 box, a campaign at this bound takes 3.4-3.7 s (R64) or
+# 3.8-4.4 s (C64) at 60 trials of k = 1000, and 10.8 s or 12.2 s at 10**4
+# trials of k = 6.  Over Q and Qi, whose brackets are O(1) in k, the same
+# corners take 0.11-0.17 s and 4.7-5.2 s.
 MAX_CAMPAIGN_WORK = 60_000
 
 
@@ -196,13 +201,15 @@ def generate_map(lam, h_spec, inputs, k: int) -> MapTable:
 
 
 def verify_preserving(table: MapTable, pairs) -> PreservationVerdict:
-    """Check the order-k bracket identity on listed pairs.
+    """Check the order-k bracket identity [F(A), F(B)]_k = [A, B]_k on listed pairs.
 
-    The left side goes through the Cayley-Hamilton kernel, the right side
-    through the recursive oracle, so every check also tests one against the
-    other.  Exact brackets must be equal; float ones, whose entries grow like
-    2**k, must agree within the tolerance times the right side's largest entry
-    (at least 1).
+    The left side goes through the Cayley-Hamilton kernel ``kcomm``.  Over Q
+    and Q(i) so does the right side, so a pair costs O(1) in k; the kernel is
+    checked against the recursive oracle by the tests, not here.  Over R64
+    and C64 the right side is still the oracle's.  Exact brackets must be
+    equal, and an exact right side past MAX_POWER_BITS raises ResultTooLarge
+    as a left side can; float ones, whose entries grow like 2**k, must agree
+    within the tolerance times the right side's largest entry (at least 1).
 
     A table input object finds its image by identity (the table keeps it
     alive, so its id is not reused); any other object is looked up by value at
@@ -212,11 +219,12 @@ def verify_preserving(table: MapTable, pairs) -> PreservationVerdict:
     field, k = table.field, table.k
     _check_order(k, maximum=MAX_ORDER)
     images = {id(A): out for A, out in table.entries}
+    bracket = kcomm if field.is_exact else kcomm_recursive
     for A, B in pairs:
         FA = images.get(id(A)) or table.lookup(A)
         FB = images.get(id(B)) or table.lookup(B)
         left = kcomm(FA, FB, k)
-        right = kcomm_recursive(A, B, k)
+        right = bracket(A, B, k)
         if field.is_exact:
             same = left.eq(right)
         else:
@@ -233,11 +241,15 @@ def all_pairs(inputs):
 def decompose(table: MapTable) -> Decomposition:
     """Extract (lam, h) from a table and validate the canonical form globally.
 
-    lam comes from the image of E_11 alone (diagonal difference); every entry
-    is then required to leave a scalar residue, and the preservation identity
-    is re-checked as cross-validation on all pairs of the table inputs that
-    stand for the probes (equal to them, or within the tolerance over R64 and
-    C64).  The h table lists every table input, in table order.
+    lam comes from the table input standing for E_11 and its image alone: the
+    image's diagonal difference over the input's, which is exactly 1 over Q
+    and Q(i) (no division is made then, so no float signed zero moves, nor
+    when a tolerance of 1/2 or more lets an input with no diagonal difference
+    stand for E_11).  Every
+    entry is then required to leave a scalar residue, and the preservation
+    identity is re-checked as cross-validation on all pairs of the table
+    inputs that stand for the probes (equal to them, or within the tolerance
+    over R64 and C64).  The h table lists every table input, in table order.
     """
     field = table.field
     k = table.k
@@ -248,11 +260,15 @@ def decompose(table: MapTable) -> Decomposition:
     if missing:
         raise ProbeSetIncomplete(missing)
 
-    D = found[0][1]  # image of E_11
+    E, D = found[0]  # the input standing for E_11, and its image
     d11, d12, d21, d22 = D.entries
     if not (field.is_zero(d12) and field.is_zero(d21)):
         raise NotTheoremForm("image-of-E11-not-diagonal", probes[0], D)
     lam = d11 - d22
+    e11, _, _, e22 = E.entries
+    scale = e11 - e22  # exactly 1 over Q and Q(i)
+    if scale != 1 and scale != 0:  # a float input near E_11; 0 needs a tolerance of 1/2 or more
+        lam = lam / scale
     if field.is_zero(lam):
         raise NotTheoremForm("lambda-zero", probes[0], D)
     _check_root(field, lam, k)

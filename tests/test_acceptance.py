@@ -19,6 +19,7 @@ from kcomm2 import (
     SandwichSystem,
     decompose,
     generate_map,
+    kcomm,
     kcomm_closed,
     kcomm_eigenpair,
     kcomm_recursive,
@@ -82,13 +83,15 @@ def test_criterion_2_oracle_equivalence():
                 R = R @ B - B @ R
             if not kcomm_closed(A, B, k).eq(R):
                 mismatches += 1
+            if not kcomm(A, B, k).eq(R):  # the kernel that verify_preserving runs on both sides
+                mismatches += 1
         if i % 250 == 0:
             # anchor the incremental evaluation to the public oracle entrypoint
             assert kcomm_recursive(A, B, 12).eq(R)
     elapsed = time.perf_counter() - t0
     _report(
         2,
-        "closed/recursive oracle equivalence",
+        "closed/kernel/recursive oracle equivalence",
         mismatches == 0 and elapsed < 10.0,
         f"2000 pairs, k<=12, {elapsed:.2f}s",
     )

@@ -255,6 +255,35 @@ class TestCayleyHamilton:
                 evaluator(eye, eye, True)
 
 
+class TestProducts:
+    """The kernel's cost in ``Mat2`` products: its first commutator is A @ B - B @ A,
+    and over Q and Q(i) the even-order step is one ``Mat2.commutator``."""
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        calls, matmul = [], Mat2.__matmul__
+        monkeypatch.setattr(Mat2, "__matmul__", lambda X, Y: calls.append(1) or matmul(X, Y))
+        return calls
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 12, 64, 1000])
+    def test_exact_kernel_makes_two_at_every_order(self, exact_field, products, k):
+        rng = Random(k)
+        A, B = random_mat(exact_field, rng), random_mat(exact_field, rng, denominators=True)
+        assert not exact_field.is_zero(B.discriminant())
+        products.clear()
+        kcomm(A, B, k)
+        assert len(products) == 2
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 12, 64])
+    @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
+    def test_float_kernel_makes_four_at_even_orders(self, field, products, k):
+        rng = Random(k)
+        A, B = random_mat(field, rng), random_mat(field, rng)
+        products.clear()
+        kcomm(A, B, k)
+        assert len(products) == (4 if k % 2 == 0 else 2)
+
+
 class TestAlgebraicLaws:
     def test_recurrence(self, exact_field):
         rng = Random(31)

@@ -24,7 +24,7 @@ from kcomm2.randgen import random_nonzero_vec
 from kcomm2.serialize import canonical_dumps, mat_from_json, mat_to_json
 
 from conftest import units
-from support import random_mat, random_scalar_plus_nilpotent
+from support import Poly, poly_bracket, random_mat, random_scalar_plus_nilpotent
 
 
 class TestRingOps:
@@ -198,6 +198,19 @@ class TestSpectralSplit:
 
 
 # -- the integer form under exact matrices -----------------------------------
+
+
+def _pair_bracket(R, B):
+    """RB - BR on row-major matrices whose entries are (re, im) pairs of polynomials."""
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    def matmul(X, Y):
+        return [tuple(p + q for p, q in zip(mul(X[2 * r], Y[c]), mul(X[2 * r + 1], Y[2 + c])))
+                for r in (0, 1) for c in (0, 1)]
+
+    return [tuple(p - q for p, q in zip(x, y)) for x, y in zip(matmul(R, B), matmul(B, R))]
+
 
 small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -418,6 +431,69 @@ class TestIntegerForm:
         field, entries, c = case
         X = Mat2(field, entries)
         got, want = X.shift(c), X + Mat2.identity(field).scale(c)
+        assert [_bits(x) for x in got.entries] == [_bits(x) for x in want.entries]
+
+    @given(exact_cases)
+    def test_commutator_is_the_difference_of_the_products(self, case):
+        field, A, B, c = case
+        eye = Mat2.identity(field)
+        # inputs and results of operations; traceless, scalar and equal pairs give zeros
+        for R, S in ((A, B), (A @ B - B @ A, B), (B.scale(c), A @ B), (A, eye.scale(c)), (A, A)):
+            got, want = R.commutator(S), R @ S - S @ R
+            assert got._z == want._z and hash(got) == hash(want) and got == want
+            assert got._e is None  # computed on the form
+            _same(got, want.entries)
+
+    @pytest.mark.parametrize("field", [RATIONAL_Q, GAUSSIAN_QI], ids=lambda f: f.variant)
+    def test_commutator_symbolic(self, field):
+        """The integer-form step itself, run on forms of polynomial numerators
+        over the denominator 1, gives the expanded RB - BR."""
+        n = 8 if field.is_complex else 4
+        R, B = (matrices._built(field, None, (Poly({(): 1}), *[Poly.var(f"{x}{i}") for i in range(n)]))
+                for x in "rb")
+        got = R.commutator(B)._z
+        assert got[0] == 1
+        if not field.is_complex:
+            assert got[1:] == poly_bracket(R._z[1:], B._z[1:])
+            return
+        pairs = [tuple(zip(M._z[1::2], M._z[2::2])) for M in (R, B)]
+        want = _pair_bracket(*pairs)
+        assert got[1:] == tuple(part for entry in want for part in entry)
+
+    # Q entries (R, B) whose commutator is zero, keeps its raw denominator
+    # 2 * 3 = 6 (gcd 1) or reduces it (gcd 2), or has negative numerators.
+    # Over Q(i) each entry x becomes x - 2x i, as in COMBINE_CASES.
+    COMMUTATOR_CASES = {
+        "zero": ("1/2 1 0 1/2", "1/3 0 0 1/3"),
+        "gcd-1": ("1/2 1 3/2 0", "1/3 1 0 0"),
+        "gcd-above-1": ("1/2 0 0 -1/2", "0 1/3 1/3 0"),
+        "negative": ("0 -1/2 -3/2 0", "-5/3 1 0 2"),
+    }
+
+    @pytest.mark.parametrize("case", COMMUTATOR_CASES, ids=str)
+    def test_commutator_cases(self, exact_field, case):
+        lift = (lambda x: GaussianRational(x, -2 * x)) if exact_field.is_complex else (lambda x: x)
+        r, b = ([lift(Fraction(x)) for x in entries.split()] for entries in self.COMMUTATOR_CASES[case])
+        R, B = Mat2(exact_field, r), Mat2(exact_field, b)
+        for X, Y in ((R, B), (B, R)):
+            got = X.commutator(Y)
+            want = _expected(exact_field, X.entries, Y.entries, 1)["matmul"]
+            back = _expected(exact_field, Y.entries, X.entries, 1)["matmul"]
+            _same(got, tuple(p - q for p, q in zip(want, back)))
+            assert got._z == (X @ Y - Y @ X)._z
+        got = R.commutator(B)
+        assert got.is_zero() == (case == "zero")
+        if case.startswith("gcd"):
+            assert (got._z[0] == R._z[0] * B._z[0] == 6) == (case == "gcd-1")
+        if case == "negative":
+            assert min(got._z[1:]) < 0
+
+    @given(st.sampled_from([FLOAT_R, FLOAT_C]).flatmap(lambda f: st.tuples(
+        st.just(f), st.tuples(*[_float_scalars(f)] * 4), st.tuples(*[_float_scalars(f)] * 4))))
+    def test_float_commutator_makes_the_products_and_their_difference(self, case):
+        field, r, b = case
+        R, B = Mat2(field, r), Mat2(field, b)
+        got, want = R.commutator(B), R @ B - B @ R
         assert [_bits(x) for x in got.entries] == [_bits(x) for x in want.entries]
 
     @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -24,6 +25,7 @@ from kcomm2 import (
     scalar_plus_nilpotent_spectral,
     verify_preserving,
 )
+from kcomm2.brackets import MAX_ORDER
 from kcomm2.classify import _witness_idempotents
 from kcomm2.errors import (
     DuplicateInput,
@@ -34,8 +36,10 @@ from kcomm2.errors import (
     NotTheoremForm,
     PreservationFailed,
     ProbeSetIncomplete,
+    ResultTooLarge,
 )
 from kcomm2.preserver import (
+    MAX_TABLE_INPUTS,
     MapTable,
     all_pairs,
     h_det,
@@ -43,6 +47,7 @@ from kcomm2.preserver import (
     h_trace,
     h_zero,
 )
+from kcomm2.randgen import random_scalar
 
 from conftest import units
 
@@ -266,13 +271,57 @@ class TestVerifyPreserving:
                  (probes[4], probes[5])]
         checked = []
         monkeypatch.setattr(preserver, "kcomm", lambda *args: checked.append(args) or kcomm(*args))
+        # two brackets per pair, the images' then the pair's own: count the pairs
         if bad_first:
             verdict = verify_preserving(table, pairs)
-            assert verdict.pair == pairs[0] and len(checked) == 1
+            assert verdict.pair == pairs[0] and len(checked) == 2
+            assert [args[:2] for args in checked[1::2]] == pairs[:1]
             return
         with pytest.raises(InputNotInTable):
             verify_preserving(table, pairs)
-        assert len(checked) == 2  # both pairs before (E21, E22) were checked
+        assert len(checked) == 4  # both pairs before (E21, E22) were checked
+        assert [args[:2] for args in checked[1::2]] == pairs[:2]
+
+    @pytest.mark.parametrize("k", [1, 2, 1000])
+    def test_right_side_is_the_oracle_only_over_floats(self, any_field, monkeypatch, k):
+        # over Q and Q(i) both sides go through the O(1) kernel; over R64 and
+        # C64 each pair's own bracket still comes from the oracle
+        oracle = []
+        monkeypatch.setattr(preserver, "kcomm_recursive",
+                            lambda *args: oracle.append(args) or kcomm_recursive(*args))
+        probes = probe_set(any_field)
+        pairs = all_pairs(probes)
+        table = generate_map(any_field.one(), h_trace, probes, k)
+        assert verify_preserving(table, pairs).holds
+        if any_field.is_exact:
+            assert oracle == []
+        else:
+            assert [args[:2] for args in oracle] == pairs
+
+    def test_exact_right_side_past_the_power_cap_is_refused(self, exact_field):
+        # delta(X) = 2**600, so delta**499 passes MAX_POWER_BITS: the right side
+        # is refused as a left side would be, though [X, X]_k is zero
+        X = Mat2(exact_field, (2**300, 1, 0, 0))
+        table = MapTable(exact_field, MAX_ORDER, ((X, Mat2.unit(exact_field, 1, 1)),))
+        with pytest.raises(ResultTooLarge):
+            verify_preserving(table, [(X, X)])
+
+    def test_full_exact_table_at_the_order_cap_costs_o1_per_pair(self, exact_field, monkeypatch):
+        # 36 inputs at k = MAX_ORDER: every bracket makes two products at most
+        products = []
+        matmul = Mat2.__matmul__
+        monkeypatch.setattr(Mat2, "__matmul__", lambda X, Y: products.append(1) or matmul(X, Y))
+        rng = Random(36)
+        inputs = []
+        while len(inputs) < MAX_TABLE_INPUTS:
+            A = Mat2(exact_field, [random_scalar(exact_field, rng, span=9) for _ in range(4)])
+            if A not in inputs:
+                inputs.append(A)
+        table = generate_map(exact_field.one(), h_trace, inputs, MAX_ORDER)
+        pairs = all_pairs(inputs)
+        products.clear()
+        assert verify_preserving(table, pairs).holds
+        assert len(products) <= 2 * 2 * len(pairs)
 
 
 def _verify_per_pair(table, pairs):
@@ -368,6 +417,40 @@ class TestDecompose:
                 near[i][slot] += 9e-10
                 table = generate_map(-1, h_zero, [Mat2(field, e) for e in near], 3)
                 assert decompose(table).verified_pairs == 36
+
+    @pytest.mark.parametrize("k, lam", [(3, 1), (3, -1), (5, 1), (5, -1), (12, 1)])
+    @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
+    def test_float_input_near_e11_sets_lambda_on_its_own_scale(self, field, k, lam):
+        # lambda is the image's diagonal difference over the input's: read off
+        # the image alone, it is off by the input's error, and so is
+        # lambda**(k+1) by about (k + 1) times that, past the tolerance
+        for slot, error in ((0, 5e-10), (0, -5e-10), (3, 9e-10), (3, -9e-10)):
+            near = [list(p.entries) for p in probe_set(field)]
+            near[0][slot] += error
+            table = generate_map(lam, h_zero, [Mat2(field, e) for e in near], k)
+            dec = decompose(table)
+            assert dec.verified_pairs == 36
+            assert abs(dec.lam - lam) <= 1e-15
+
+    @pytest.mark.parametrize("variant", ["R64", "C64"])
+    def test_input_with_no_diagonal_difference_is_not_divided_by(self, variant):
+        # under a tolerance of 1/2 the all-halves matrix stands for every probe,
+        # E_11 included; lambda is then the image's diagonal difference, zero
+        field = FieldTag(variant, 0.5)
+        X = Mat2(field, (0.5, 0.5, 0.5, 0.5))
+        with pytest.raises(NotTheoremForm) as exc:
+            decompose(MapTable(field, 3, ((X, X.scale(-1.0)),)))
+        assert exc.value.stage == "lambda-zero"
+
+    def test_c64_lambda_of_e11_itself_is_not_divided(self):
+        # lambda = (-1 - 0j) - 0j = -1 - 0j, and (-1 - 0j) / (1 + 0j) is -1 + 0j:
+        # a division by the input's diagonal difference, exactly 1 here, would
+        # flip the sign of this zero
+        probes = probe_set(FLOAT_C)
+        image = Mat2(FLOAT_C, (complex(-1.0, -0.0), 0, 0, 0))
+        table = MapTable(FLOAT_C, 1, ((probes[0], image),) + tuple((p, p.scale(-1.0)) for p in probes[1:]))
+        got = decompose(table).lam
+        assert (got.real, math.copysign(1.0, got.imag)) == (-1.0, -1.0)
 
     def test_probe_coverage_checked(self, exact_field):
         e11 = Mat2.unit(exact_field, 1, 1)
@@ -552,7 +635,12 @@ class TestCampaign:
         assert all(" was accepted" in a and ": impostor (" in a for a in report.anomalies)
 
     def test_preservation_failure_is_an_anomaly(self, monkeypatch):
-        def wrong_bracket(A, B, k, method="recursive"):
+        probes = probe_set(RATIONAL_Q)  # the inputs of every campaign table
+
+        def wrong_bracket(A, B, k):
+            # only the bracket of table outputs is wrong; the probes' own is kept
+            if any(A is p for p in probes):
+                return kcomm(A, B, k)
             return kcomm_recursive(A, B, k) + Mat2.unit(A.field, 1, 2)
 
         monkeypatch.setattr(preserver, "kcomm", wrong_bracket)

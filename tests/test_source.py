@@ -220,3 +220,18 @@ def test_oracle_step_is_products_and_a_difference():
     assert len(steps) == 1
     kinds = {type(node).__name__ for node in ast.walk(steps[0])}
     assert kinds == {"BinOp", "MatMult", "Sub", "Name", "Load"}
+
+
+def test_kernel_first_commutator_is_products_and_a_difference():
+    """``kcomm``'s first commutator stays A @ B - B @ A, so every kernel answer
+    passes through ``Mat2.__matmul__`` (the bench's gate corrupts that product to
+    show it does not trust ``Mat2``); any later assignment to R builds on R."""
+    kernel = next(node for node in TREES["brackets.py"].body
+                  if isinstance(node, ast.FunctionDef) and node.name == "kcomm")
+    assigns = sorted((node for node in ast.walk(kernel)
+                      if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+                      and "R" in {_used_name(t) for t in getattr(node, "targets", None) or [node.target]}),
+                     key=lambda node: node.lineno)
+    values = [node.value for node in assigns]
+    assert values and ast.unparse(values[0]) == "A @ B - B @ A"
+    assert all("R" in {_used_name(n) for n in ast.walk(v)} for v in values[1:])
