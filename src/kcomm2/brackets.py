@@ -45,19 +45,12 @@ def _check_order(k, minimum=0, name="bracket order", maximum=None):
 
 
 def kcomm_recursive(A: Mat2, B: Mat2, k: int) -> Mat2:
-    """Ground-truth oracle: order-0 bracket is A, then R -> R@B - B@R, k times.
-
-    Over Q and Q(i) it returns R as soon as a step leaves R exactly zero, since
-    every later step maps zero to zero; over R64 and C64 every step is made.
-    """
+    """Ground-truth oracle: order-0 bracket is A, then R -> R@B - B@R, k times."""
     _check_order(k)
     require_same_field(A.field, B.field)
-    exact = A.field.is_exact
     R = A
     for _ in range(k):
         R = R @ B - B @ R
-        if exact and R.is_zero():
-            break
     return R
 
 
@@ -162,9 +155,15 @@ def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto") -> Mat2:
         R = R.commutator(B)
     if m:
         R = R.scale(c)
-    entries = R.entries  # built here, not left to the caller
-    if not field.is_exact and not all(cmath.isfinite(x) for x in entries):
-        raise ResultTooLarge(f"order-{k} bracket overflows {field.variant}")
+    return _finite(R, k)
+
+
+def _finite(R: Mat2, k: int) -> Mat2:
+    """R, the order-k bracket, with its entries built (here, not left to the
+    caller); over R64 and C64 an entry that is not finite raises ResultTooLarge."""
+    entries = R.entries
+    if not R.field.is_exact and not all(cmath.isfinite(x) for x in entries):
+        raise ResultTooLarge(f"order-{k} bracket overflows {R.field.variant}")
     return R
 
 

@@ -8,7 +8,7 @@ from functools import lru_cache, partial
 from random import Random
 from typing import NamedTuple
 
-from .brackets import MAX_ORDER, MAX_TRIALS, _check_order, _power, kcomm, kcomm_recursive
+from .brackets import MAX_ORDER, MAX_TRIALS, _check_order, _finite, _power, kcomm, kcomm_recursive
 from .errors import (
     DuplicateInput,
     InputNotInTable,
@@ -209,7 +209,9 @@ def verify_preserving(table: MapTable, pairs) -> PreservationVerdict:
     and C64 the right side is still the oracle's.  Exact brackets must be
     equal, and an exact right side past MAX_POWER_BITS raises ResultTooLarge
     as a left side can; float ones, whose entries grow like 2**k, must agree
-    within the tolerance times the right side's largest entry (at least 1).
+    within the tolerance times the right side's largest entry (at least 1),
+    and a float right side that is not finite raises ResultTooLarge as a
+    left side does.
 
     A table input object finds its image by identity (the table keeps it
     alive, so its id is not reused); any other object is looked up by value at
@@ -228,6 +230,7 @@ def verify_preserving(table: MapTable, pairs) -> PreservationVerdict:
         if field.is_exact:
             same = left.eq(right)
         else:
+            _finite(right, k)
             same = (left - right).max_abs() <= field.tolerance * max(1.0, right.max_abs())
         if not same:
             return PreservationVerdict(holds=False, pair=(A, B), left=left, right=right)

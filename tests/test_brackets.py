@@ -2,7 +2,6 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
 
 from kcomm2 import (
     FLOAT_C,
@@ -17,7 +16,6 @@ from kcomm2 import (
     kcomm_eigenpair,
     kcomm_recursive,
     outer,
-    probe_set,
 )
 from kcomm2 import brackets as brackets_module
 from kcomm2.errors import InvalidOrder, NotAnEigenpair, ResultTooLarge
@@ -50,77 +48,6 @@ class TestRecursive:
         eye = Mat2.identity(RATIONAL_Q)
         with pytest.raises(InvalidOrder):
             kcomm_recursive(eye, eye, -1)
-
-
-def _every_step(A, B, k):
-    """The recursion with no early exit: all k steps R -> R@B - B@R."""
-    R = A
-    for _ in range(k):
-        R = R @ B - B @ R
-    return R
-
-
-def _counted_products(monkeypatch) -> list:
-    """A list that grows by one on every ``Mat2.__matmul__`` call."""
-    calls, matmul = [], Mat2.__matmul__
-    monkeypatch.setattr(Mat2, "__matmul__", lambda X, Y: calls.append(1) or matmul(X, Y))
-    return calls
-
-
-_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
-
-
-@st.composite
-def _oracle_cases(draw):
-    """(A, B, k) over Q or Qi, with B often commuting with A or square-zero plus
-    scalar, so that many brackets reach an exact zero before order k."""
-    field = draw(st.sampled_from([RATIONAL_Q, GAUSSIAN_QI]))
-    scalar = _fractions if field is RATIONAL_Q else st.builds(GaussianRational, _fractions, _fractions)
-    A = Mat2(field, draw(st.tuples(*[scalar] * 4)))
-    eye = Mat2.identity(field)
-    c, d, x, y = (draw(scalar) for _ in range(4))
-    B = draw(st.sampled_from([
-        Mat2(field, (x, y, c, d)),  # random
-        A.scale(c) + eye.scale(d),  # commutes with A
-        eye.scale(c) + Mat2(field, (x * y, -x * x, y * y, -x * y)),  # scalar plus square-zero
-    ]))
-    return A, B, draw(st.integers(0, 40))
-
-
-class TestZeroExit:
-    """Over Q and Qi the oracle stops at its first exactly zero step, since every
-    later step maps zero to zero; over R64 and C64 it makes every step."""
-
-    def test_probe_pairs_match_every_step(self, exact_field):
-        probes = probe_set(exact_field)
-        for A in probes:
-            for B in probes:
-                R = A
-                for k in range(65):
-                    got = kcomm_recursive(A, B, k)
-                    assert got == R and hash(got) == hash(R) and got.entries == R.entries
-                    R = R @ B - B @ R
-
-    @given(_oracle_cases())
-    def test_random_pairs_match_every_step(self, case):
-        A, B, k = case
-        got, want = kcomm_recursive(A, B, k), _every_step(A, B, k)
-        assert got == want and hash(got) == hash(want) and got.entries == want.entries
-
-    def test_stops_at_the_first_zero(self, monkeypatch, exact_field):
-        e11, _, _, e22 = units(exact_field)
-        products = _counted_products(monkeypatch)
-        assert kcomm_recursive(e11, e22, 64).is_zero()
-        assert len(products) == 2  # the first step; all 64 would make 128
-
-    @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
-    def test_float_makes_every_step(self, monkeypatch, field):
-        e11, _, _, e22 = units(field)
-        want = repr(_every_step(e11, e22, 64).entries)
-        products = _counted_products(monkeypatch)
-        got = kcomm_recursive(e11, e22, 64)
-        assert len(products) == 128
-        assert repr(got.entries) == want  # signed zeros of the last step
 
 
 class TestClosedForm:
@@ -256,14 +183,30 @@ class TestCayleyHamilton:
 
 
 class TestProducts:
-    """The kernel's cost in ``Mat2`` products: its first commutator is A @ B - B @ A,
-    and over Q and Q(i) the even-order step is one ``Mat2.commutator``."""
+    """Cost in ``Mat2`` products.  The oracle makes two at each of its k steps.  The
+    kernel's first commutator is A @ B - B @ A, and over Q and Q(i) its even-order
+    step is one ``Mat2.commutator``."""
 
     @pytest.fixture
     def products(self, monkeypatch):
         calls, matmul = [], Mat2.__matmul__
         monkeypatch.setattr(Mat2, "__matmul__", lambda X, Y: calls.append(1) or matmul(X, Y))
         return calls
+
+    @pytest.mark.parametrize("k", [0, 1, 64])
+    @pytest.mark.parametrize("generic", [False, True], ids=["E11-E22", "generic"])
+    def test_oracle_makes_two_at_every_step(self, any_field, products, generic, k):
+        """Every field steps all k times, also once the bracket is zero (from order 1
+        for E11 against E22)."""
+        if generic:
+            rng = Random(k)
+            A, B = random_mat(any_field, rng), random_mat(any_field, rng)
+        else:
+            A, _, _, B = units(any_field)
+        products.clear()
+        R = kcomm_recursive(A, B, k)
+        assert len(products) == 2 * k
+        assert R.is_zero() == (k > 0 and not generic)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 12, 64, 1000])
     def test_exact_kernel_makes_two_at_every_order(self, exact_field, products, k):

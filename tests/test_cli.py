@@ -173,6 +173,23 @@ class TestMapCommands:
         assert code == 0
         assert (dec["lambda"], dec["verified_pairs"]) == (lam, 36)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("field", ["R64", "C64"])
+    def test_float_right_side_that_overflows_exits_2(self, capsys, tmp_path, field, k):
+        # [A, B]_1 of A = 1e200 E12, B = 1e200 E21 is inf, and by k = 3 the oracle
+        # reaches nan; the images' bracket is zero, so inf <= inf must not hold
+        def mat(rows):
+            return {"field": field, "entries": rows}
+        zero = [[0.0, 0.0], [0.0, 0.0]]
+        table = {"field": field, "k": k, "entries": [
+            {"in": mat([[0.0, 1e200], [0.0, 0.0]]), "out": mat(zero)},
+            {"in": mat([[0.0, 0.0], [1e200, 0.0]]), "out": mat([[1.0, 0.0], [0.0, 1.0]])}]}
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(table))
+        assert main(["verify-map", "--input", str(path)]) == 2
+        assert capsys.readouterr().out == (
+            f'{{"error":"ResultTooLarge","message":"order-{k} bracket overflows {field}"}}\n')
+
     def test_identity_table_decomposition(self, capsys, tmp_path):
         probes = probe_set(RATIONAL_Q)
         table = {

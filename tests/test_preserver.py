@@ -306,6 +306,20 @@ class TestVerifyPreserving:
         with pytest.raises(ResultTooLarge):
             verify_preserving(table, [(X, X)])
 
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
+    def test_float_right_side_that_overflows_is_refused(self, field, k):
+        # [A, B]_1 = 1e400 diag(1, -1) is inf, and by k = 3 the oracle reaches
+        # nan; the images' bracket is zero, so inf <= inf must not hold.  The
+        # refusal is the kernel's own for the same pair.
+        A, B = Mat2(field, (0, 1e200, 0, 0)), Mat2(field, (0, 0, 1e200, 0))
+        table = MapTable(field, k, ((A, Mat2.zero(field)), (B, Mat2.identity(field))))
+        message = rf"^order-{k} bracket overflows {field.variant}$"
+        with pytest.raises(ResultTooLarge, match=message):
+            kcomm(A, B, k)
+        with pytest.raises(ResultTooLarge, match=message):
+            verify_preserving(table, [(A, B)])
+
     def test_full_exact_table_at_the_order_cap_costs_o1_per_pair(self, exact_field, monkeypatch):
         # 36 inputs at k = MAX_ORDER: every bracket makes two products at most
         products = []

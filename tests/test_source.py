@@ -208,18 +208,42 @@ def test_sandwich_images_are_fused():
 
 def test_oracle_step_is_products_and_a_difference():
     """``kcomm_recursive`` is the ground truth every evaluator is tested against,
-    so its step stays R @ B - B @ R on ``Mat2`` products and differences, whatever
-    else its loop decides; it assigns R only that step and its start A."""
+    so it stays the bare recurrence on every field: R starts at A, and its one
+    loop's whole body is the step R = R @ B - B @ R on ``Mat2`` products and a
+    difference, with no branch, exit or return inside."""
     oracle = next(node for node in TREES["brackets.py"].body
                   if isinstance(node, ast.FunctionDef) and node.name == "kcomm_recursive")
     values = [node.value for node in ast.walk(oracle)
               if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
               and "R" in {_used_name(t) for t in getattr(node, "targets", None) or [node.target]}]
-    assert [ast.unparse(v) for v in values if isinstance(v, ast.Name)] == ["A"]
-    steps = [v for v in values if not isinstance(v, ast.Name)]
-    assert len(steps) == 1
-    kinds = {type(node).__name__ for node in ast.walk(steps[0])}
+    loops = [node for node in ast.walk(oracle) if isinstance(node, (ast.For, ast.While))]
+    assert len(loops) == 1 and not loops[0].orelse
+    assert len(loops[0].body) == 1
+    step = loops[0].body[0]
+    assert [ast.unparse(v) for v in values] == ["A", ast.unparse(step.value)]
+    assert isinstance(step, ast.Assign) and [ast.unparse(t) for t in step.targets] == ["R"]
+    kinds = {type(node).__name__ for node in ast.walk(step.value)}
     assert kinds == {"BinOp", "MatMult", "Sub", "Name", "Load"}
+    forks = [f"brackets.py:{node.lineno}" for node in ast.walk(oracle)
+             if isinstance(node, (ast.If, ast.IfExp, ast.Break, ast.Continue, ast.Return))
+             and node is not oracle.body[-1]]
+    assert forks == []
+    assert ast.unparse(oracle.body[-1]) == "return R"
+
+
+# The only callers of the O(k) oracle outside brackets.py: fixtures steps each
+# family one order at a time, and a float verify_preserving's right side.
+ORACLE_CALLERS = {"cli.cmd_fixtures", "preserver.verify_preserving"}
+
+
+def test_oracle_stays_off_the_exact_request_paths():
+    """Outside ``brackets.py`` only ``ORACLE_CALLERS`` name ``kcomm_recursive``
+    (imports aside), so the O(k) oracle does not creep back onto a request path."""
+    named = {f"{name[:-3]}.{owner or 'module'}"
+             for name, tree in TREES.items() if name != "brackets.py"
+             for owner, _ in _owners(tree, lambda node: isinstance(node, (ast.Name, ast.Attribute))
+                                     and _used_name(node) == "kcomm_recursive")}
+    assert named == ORACLE_CALLERS
 
 
 def test_kernel_first_commutator_is_products_and_a_difference():
