@@ -21,19 +21,20 @@ MAX_POWER_BITS = 1 << 18
 
 # Trial counts of the sampled certifier and the probe campaign are capped so
 # that a hostile count has bounded cost: as a CLI child on a 2-vCPU x86 box
-# 10**4 campaign trials at k = 6 take 5.0-5.2 s (Q), 4.7-5.2 s (Qi), 10.8 s
-# (R64) or 12.2 s (C64), and 10**4 float certifier probes 0.32-0.34 s.
+# 10**4 campaign trials at k = 1000 take 4.6-5.1 s (Q), 4.6-5.9 s (Qi),
+# 4.7-4.8 s (R64) or 5.1-6.3 s (C64), every bracket of a campaign being O(1)
+# in k, and 10**4 float certifier probes 0.32-0.34 s.
 MAX_TRIALS = 10_000
 
 # Bracket orders read from outside the program (a map table's k, fixtures
-# --kmax) are capped where O(k) work remains: the oracle on the right side of
-# a float verify_preserving, and fixtures.  Over Q and Qi decompose on a
-# probe table at k = 1000 makes 72 kernel calls in about 1 ms in-process
-# (0.13-0.20 s as a CLI child, interpreter start included) on a 2-vCPU x86
-# box.  fixtures steps each family's bracket one order at a time, O(kmax)
-# steps in all, so a fixtures --kmax 1000 request (a CLI child) takes
-# 0.3-0.4 s (Q) to 0.7-0.8 s (Qi), most of it printing entries of up to
-# 1,000 bits.
+# --kmax, a campaign's k) are capped where O(k) work remains: fixtures, and
+# the k + 1 roots of unity a campaign lists.  Every bracket of a map table is
+# O(1) in k: decompose on a probe table at k = 1000 makes 72 kernel calls and
+# takes 0.08-0.10 s as a CLI child, interpreter start included, on every
+# field (2-vCPU x86 box).  fixtures steps each family's bracket one order at
+# a time, O(kmax) steps in all, so a fixtures --kmax 1000 request (a CLI
+# child) takes 0.26-0.28 s (Q) to 0.52-0.70 s (Qi), most of it printing
+# entries of up to 1,000 bits.
 MAX_ORDER = 1_000
 
 
@@ -155,15 +156,9 @@ def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto") -> Mat2:
         R = R.commutator(B)
     if m:
         R = R.scale(c)
-    return _finite(R, k)
-
-
-def _finite(R: Mat2, k: int) -> Mat2:
-    """R, the order-k bracket, with its entries built (here, not left to the
-    caller); over R64 and C64 an entry that is not finite raises ResultTooLarge."""
-    entries = R.entries
-    if not R.field.is_exact and not all(cmath.isfinite(x) for x in entries):
-        raise ResultTooLarge(f"order-{k} bracket overflows {R.field.variant}")
+    entries = R.entries  # built here, not left to the caller
+    if not field.is_exact and not all(cmath.isfinite(x) for x in entries):
+        raise ResultTooLarge(f"order-{k} bracket overflows {field.variant}")
     return R
 
 

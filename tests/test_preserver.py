@@ -25,6 +25,7 @@ from kcomm2 import (
     scalar_plus_nilpotent_spectral,
     verify_preserving,
 )
+from kcomm2 import brackets
 from kcomm2.brackets import MAX_ORDER
 from kcomm2.classify import _witness_idempotents
 from kcomm2.errors import (
@@ -283,20 +284,20 @@ class TestVerifyPreserving:
         assert [args[:2] for args in checked[1::2]] == pairs[:2]
 
     @pytest.mark.parametrize("k", [1, 2, 1000])
-    def test_right_side_is_the_oracle_only_over_floats(self, any_field, monkeypatch, k):
-        # over Q and Q(i) both sides go through the O(1) kernel; over R64 and
-        # C64 each pair's own bracket still comes from the oracle
-        oracle = []
-        monkeypatch.setattr(preserver, "kcomm_recursive",
-                            lambda *args: oracle.append(args) or kcomm_recursive(*args))
+    def test_right_side_never_runs_the_oracle(self, any_field, monkeypatch, k):
+        # both sides go through the O(1) kernel on every field
+        def no_oracle(*args):
+            raise RuntimeError("the oracle ran")
+
+        for module in (preserver, brackets):
+            monkeypatch.setattr(module, "kcomm_recursive", no_oracle)
+        checked = []
+        monkeypatch.setattr(preserver, "kcomm", lambda *args: checked.append(args) or kcomm(*args))
         probes = probe_set(any_field)
         pairs = all_pairs(probes)
         table = generate_map(any_field.one(), h_trace, probes, k)
         assert verify_preserving(table, pairs).holds
-        if any_field.is_exact:
-            assert oracle == []
-        else:
-            assert [args[:2] for args in oracle] == pairs
+        assert [args[:2] for args in checked[1::2]] == pairs
 
     def test_exact_right_side_past_the_power_cap_is_refused(self, exact_field):
         # delta(X) = 2**600, so delta**499 passes MAX_POWER_BITS: the right side
@@ -309,9 +310,9 @@ class TestVerifyPreserving:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
     def test_float_right_side_that_overflows_is_refused(self, field, k):
-        # [A, B]_1 = 1e400 diag(1, -1) is inf, and by k = 3 the oracle reaches
-        # nan; the images' bracket is zero, so inf <= inf must not hold.  The
-        # refusal is the kernel's own for the same pair.
+        # [A, B]_1 = 1e400 diag(1, -1) is inf, and at k = 3 the kernel scales it
+        # by delta(B) = 0 to nan; the images' bracket is zero, so inf <= inf
+        # must not hold.  The refusal is the kernel's own for the same pair.
         A, B = Mat2(field, (0, 1e200, 0, 0)), Mat2(field, (0, 0, 1e200, 0))
         table = MapTable(field, k, ((A, Mat2.zero(field)), (B, Mat2.identity(field))))
         message = rf"^order-{k} bracket overflows {field.variant}$"
@@ -320,22 +321,25 @@ class TestVerifyPreserving:
         with pytest.raises(ResultTooLarge, match=message):
             verify_preserving(table, [(A, B)])
 
-    def test_full_exact_table_at_the_order_cap_costs_o1_per_pair(self, exact_field, monkeypatch):
-        # 36 inputs at k = MAX_ORDER: every bracket makes two products at most
+    def test_full_exact_table_at_the_order_cap_costs_o1_per_pair(self, any_field, monkeypatch):
+        # 36 inputs at k = MAX_ORDER, an even order: every bracket makes two
+        # products over Q and Q(i), four over R64 and C64.  Float entries stay
+        # in [-0.3, 0.3], so that delta**499 cannot overflow.
         products = []
         matmul = Mat2.__matmul__
         monkeypatch.setattr(Mat2, "__matmul__", lambda X, Y: products.append(1) or matmul(X, Y))
         rng = Random(36)
         inputs = []
         while len(inputs) < MAX_TABLE_INPUTS:
-            A = Mat2(exact_field, [random_scalar(exact_field, rng, span=9) for _ in range(4)])
+            entries = [random_scalar(any_field, rng, span=9) for _ in range(4)]
+            A = Mat2(any_field, entries if any_field.is_exact else [0.3 * x for x in entries])
             if A not in inputs:
                 inputs.append(A)
-        table = generate_map(exact_field.one(), h_trace, inputs, MAX_ORDER)
+        table = generate_map(any_field.one(), h_trace, inputs, MAX_ORDER)
         pairs = all_pairs(inputs)
         products.clear()
         assert verify_preserving(table, pairs).holds
-        assert len(products) <= 2 * 2 * len(pairs)
+        assert len(products) <= 2 * (2 if any_field.is_exact else 4) * len(pairs)
 
 
 def _verify_per_pair(table, pairs):
@@ -343,7 +347,7 @@ def _verify_per_pair(table, pairs):
     field, k = table.field, table.k
     for A, B in pairs:
         left = kcomm(table.lookup(A), table.lookup(B), k)
-        right = kcomm_recursive(A, B, k)
+        right = kcomm(A, B, k)
         if field.is_exact:
             same = left.eq(right)
         else:
@@ -573,18 +577,18 @@ class TestCampaign:
         with pytest.raises(RuntimeError):
             probe_campaign(1, RATIONAL_Q, trials=MAX_TRIALS, seed=0)
 
-    def test_work_past_the_cap_rejected(self, monkeypatch):
-        from kcomm2.brackets import MAX_ORDER
-
-        def no_trial(*args):
-            raise RuntimeError("a trial ran")
-
-        monkeypatch.setattr(preserver, "generate_map", no_trial)
-        trials = preserver.MAX_CAMPAIGN_WORK // MAX_ORDER
-        with pytest.raises(InvalidOrder, match="trials x k"):
-            probe_campaign(MAX_ORDER, RATIONAL_Q, trials=trials + 1, seed=0)
-        with pytest.raises(RuntimeError):
-            probe_campaign(MAX_ORDER, RATIONAL_Q, trials=trials, seed=0)
+    def test_float_campaign_products_do_not_grow_with_k(self, monkeypatch):
+        # k + 1 is odd at both orders, so the same seed draws the same roots
+        # (only 1 over R64) and the same h and impostors
+        products = []
+        matmul = Mat2.__matmul__
+        monkeypatch.setattr(Mat2, "__matmul__", lambda X, Y: products.append(1) or matmul(X, Y))
+        counts = []
+        for k in (6, MAX_ORDER):
+            products.clear()
+            assert probe_campaign(k, FLOAT_R, trials=40, seed=5).clean
+            counts.append(len(products))
+        assert counts[0] > 0 and counts[1] == counts[0]
 
     @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
     @pytest.mark.parametrize("k", [1, 2, 3, 5])

@@ -231,12 +231,12 @@ def test_oracle_step_is_products_and_a_difference():
     assert ast.unparse(oracle.body[-1]) == "return R"
 
 
-# The only callers of the O(k) oracle outside brackets.py: fixtures steps each
-# family one order at a time, and a float verify_preserving's right side.
-ORACLE_CALLERS = {"cli.cmd_fixtures", "preserver.verify_preserving"}
+# The only caller of the O(k) oracle outside brackets.py: fixtures steps each
+# family one order at a time.
+ORACLE_CALLERS = {"cli.cmd_fixtures"}
 
 
-def test_oracle_stays_off_the_exact_request_paths():
+def test_oracle_stays_off_the_request_paths():
     """Outside ``brackets.py`` only ``ORACLE_CALLERS`` name ``kcomm_recursive``
     (imports aside), so the O(k) oracle does not creep back onto a request path."""
     named = {f"{name[:-3]}.{owner or 'module'}"
@@ -244,6 +244,14 @@ def test_oracle_stays_off_the_exact_request_paths():
              for owner, _ in _owners(tree, lambda node: isinstance(node, (ast.Name, ast.Attribute))
                                      and _used_name(node) == "kcomm_recursive")}
     assert named == ORACLE_CALLERS
+
+
+def test_no_finite_helper_is_left():
+    """``kcomm`` itself refuses a non-finite float bracket; no separate
+    ``_finite`` check is defined, imported or called anywhere."""
+    found = [name for name, tree in TREES.items() for node in ast.walk(tree)
+             if "_finite" in (_used_name(node), getattr(node, "name", None), getattr(node, "asname", None))]
+    assert found == []
 
 
 def test_kernel_first_commutator_is_products_and_a_difference():
