@@ -1,9 +1,10 @@
 """Command-line front end.
 
-One binary, subcommand style; matrices always arrive as JSON on stdin or via
---input (rational entries are hostile to shell quoting).  Exit status: 0 on
-success/holds, 1 on a falsified property or structural rejection (with a JSON
-diagnostic), 2 on input or I/O errors, whose JSON body always goes to stdout.
+One binary, subcommand style; matrices arrive as JSON on stdin or via --input
+(rational entries are hostile to shell quoting), except in campaign and
+fixtures, which read none.  Exit status: 0 on success/holds, 1 on a falsified
+property or structural rejection (with a JSON diagnostic), 2 on input or I/O
+errors, whose JSON body always goes to stdout.
 """
 
 from __future__ import annotations
@@ -233,7 +234,7 @@ def cmd_campaign(args) -> tuple[dict, int]:
 def cmd_fixtures(args) -> tuple[dict, int]:
     from .identities import golden_identities
 
-    field = FieldTag(args.field, args.tolerance)
+    field = FieldTag(args.field)
     _check_order(args.kmax, name="kmax", maximum=MAX_ORDER)
     items, previous = [], {}
     for k in range(1, args.kmax + 1):
@@ -262,7 +263,7 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-# The flags the subcommands read; --input and --output are every subcommand's.
+# The flags the subcommands read besides --input and --output (see build_parser).
 _FLAGS = {
     "field": dict(default="Q", choices=FIELD_CODES),
     "tolerance": dict(type=float, default=1e-9,
@@ -285,8 +286,7 @@ _COMMANDS = {
     "decompose-map": (cmd_decompose_map, "extract (lambda, h) from a table", None, ("tolerance",)),
     "campaign": (cmd_campaign, "randomized accept/reject exercise", 3,
                  ("field", "tolerance", "seed", "trials")),
-    "fixtures": (cmd_fixtures, "emit the golden bracket identities", None,
-                 ("field", "tolerance", "kmax")),
+    "fixtures": (cmd_fixtures, "emit the golden bracket identities", None, ("field", "kmax")),
 }
 
 
@@ -300,7 +300,8 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     for name in (command,) if command in _COMMANDS else _COMMANDS:
         func, help, k, flags = _COMMANDS[name]
         p = sub.add_parser(name, help=help)
-        p.add_argument("--input", default=None, help="JSON input path ('-' for stdin)")
+        if name not in ("campaign", "fixtures"):  # the two that read no body
+            p.add_argument("--input", default=None, help="JSON input path ('-' for stdin)")
         p.add_argument("--output", default=None, help="JSON output path ('-' for stdout)")
         if k is not None:
             p.add_argument("--k", type=int, default=k)

@@ -148,7 +148,8 @@ def h_det(A: Mat2):
 
 
 def h_random(field: FieldTag, seed: int):
-    """A per-input random scalar rule, stable across calls for equal inputs."""
+    """A random scalar rule: its value at an input is draw n of ``seed``, n the
+    number of distinct inputs queried before it, and equal inputs share it."""
     cache = _InputIndex()
 
     def rule(A: Mat2):

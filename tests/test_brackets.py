@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from random import Random
 
@@ -124,6 +125,16 @@ class TestCayleyHamilton:
                     R = R @ B - B @ R
                 assert kcomm(A, B, k, method="auto").entries == R.entries, (i, k)
             assert kcomm_recursive(A, B, 64).entries == R.entries
+
+    def test_kernel_equals_recurrence_on_the_small_cube(self):
+        """All 3**8 pairs with entries in {-1, 0, 1} over Q at k = 1..8: delta < 0,
+        = 0 and > 0 and both parities of k, not a sample of them."""
+        cube = [Mat2(RATIONAL_Q, e) for e in itertools.product((-1, 0, 1), repeat=4)]
+        for A, B in itertools.product(cube, repeat=2):
+            R = A
+            for k in range(1, 9):
+                R = R @ B - B @ R
+                assert kcomm(A, B, k) == R, (A.entries, B.entries, k)
 
     @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
     def test_float_order_64_matches_exact_reference(self, field):

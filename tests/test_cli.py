@@ -85,6 +85,12 @@ class TestKcommCommand:
         assert code == 0
         assert out["bracket"]["entries"] == [["0", "4"], ["-4", "0"]]
 
+    def test_zero_discriminant_is_never_refused_as_unprintable(self, capsys, tmp_path):
+        # delta(E12) = 0, so the print bound, whose logarithm of delta would fail, is skipped
+        code, out = run_cli(capsys, ["kcomm", "--k", "5"], {"A": E["e11"], "B": E["e12"]},
+                            tmp_path=tmp_path)
+        assert (code, out) == (0, {"bracket": {"entries": [["0", "0"], ["0", "0"]], "field": "Q"}})
+
     def test_bad_json_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         nested = '{"A":' + "[" * 1000 + "]" * 1000 + "}"  # json.loads raises RecursionError
@@ -497,6 +503,14 @@ class TestCampaignAndFixtures:
         assert len(json.loads(capsys.readouterr().out)["identities"]) == 5 * 40
         assert orders == [1] * 200  # one recursion step per (family, k), not k of them
 
+    def test_fixtures_self_check_failure_exits_2(self, capsys, monkeypatch):
+        # an oracle that returns twice the bracket
+        monkeypatch.setattr(cli, "kcomm_recursive",
+                            lambda A, B, k: kcomm_recursive(A, B, k).scale(2))
+        assert main(["fixtures", "--kmax", "3"]) == 2
+        assert capsys.readouterr().out == ('{"error":"InvariantViolation",'
+                                           '"message":"fixture offdiag-scale(a=1) at k=1 failed self-check"}\n')
+
     def test_sandwich_command(self, capsys, tmp_path):
         e11 = mat_to_json(Mat2.unit(RATIONAL_Q, 1, 1))
         e22 = mat_to_json(Mat2.unit(RATIONAL_Q, 2, 2))
@@ -549,9 +563,11 @@ class TestHostileInputs:
     a map table whose rejection cannot print its lambda power: that exits 1."""
 
     def run_text(self, capsys, tmp_path, argv, text):
-        path = tmp_path / "in.json"
-        path.write_text(text)
-        code = main(argv + ["--input", str(path)])
+        if "--input" in FLAGS[argv[0]]:  # campaign and fixtures read no body
+            path = tmp_path / "in.json"
+            path.write_text(text)
+            argv = argv + ["--input", str(path)]
+        code = main(argv)
         body = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
         assert code == 2
         assert "error" in body
@@ -640,27 +656,34 @@ class TestHostileInputs:
 
     def test_entries_not_an_array(self, capsys, tmp_path):
         text = json.dumps({"A": {"field": "Q", "entries": 5}, "B": E["e11"]})
-        self.run_text(capsys, tmp_path, ["kcomm"], text)
+        body = self.run_text(capsys, tmp_path, ["kcomm"], text)
+        assert body == {"error": "input", "message": "matrix entries must be a 2x2 array, got 5"}
 
     def test_nan_scalar(self, capsys, tmp_path):
         text = ('{"A":{"field":"R64","entries":[[NaN,0.5],[0.0,1.0]]},'
                 '"B":{"field":"R64","entries":[[1.0,0.0],[0.5,0.0]]}}')
-        self.run_text(capsys, tmp_path, ["kcomm"], text)
+        body = self.run_text(capsys, tmp_path, ["kcomm"], text)
+        assert body == {"error": "input", "message": "bad scalar nan for field R64"}
 
     def test_negative_trials(self, capsys, tmp_path):
-        self.run_text(capsys, tmp_path, ["campaign", "--k", "1", "--trials", "-1"], "")
+        body = self.run_text(capsys, tmp_path, ["campaign", "--k", "1", "--trials", "-1"], "")
+        assert body == {"error": "InvalidOrder",
+                        "message": "campaign trials must be an integer >= 0, got -1"}
 
     def test_negative_certifier_trials(self, capsys, tmp_path):
         text = json.dumps({"S": {"field": "Q", "entries": [["1", "0"], ["0", "1"]]}})
-        self.run_text(capsys, tmp_path, ["classify", "--lemma", "2.3-kcomm", "--trials", "-1"], text)
+        body = self.run_text(capsys, tmp_path, ["classify", "--lemma", "2.3-kcomm", "--trials", "-1"], text)
+        assert body == {"error": "InvalidOrder", "message": "trials must be an integer >= 0, got -1"}
 
     def test_boolean_table_order(self, capsys, tmp_path):
         text = self.table_text(lambda t: t.update(k=True))
-        self.run_text(capsys, tmp_path, ["verify-map"], text)
+        body = self.run_text(capsys, tmp_path, ["verify-map"], text)
+        assert body == {"error": "input", "message": "map table k must be an integer, got True"}
 
     def test_duplicate_table_inputs(self, capsys, tmp_path):
         text = self.table_text(lambda t: t["entries"].append(t["entries"][2]))
-        self.run_text(capsys, tmp_path, ["decompose-map"], text)
+        body = self.run_text(capsys, tmp_path, ["decompose-map"], text)
+        assert body == {"error": "input", "message": "map table inputs must be pairwise distinct"}
 
     @pytest.mark.parametrize("argv, text", [
         (["classify", "--lemma", "2.2", "--tolerance", "nan"],
@@ -673,7 +696,7 @@ class TestHostileInputs:
     def test_non_finite_tolerance(self, capsys, tmp_path, argv, text):
         body = self.run_text(capsys, tmp_path, argv, text)
         assert body["error"] == "input"
-        assert "tolerance" in body["message"]
+        assert body["message"].startswith("tolerance must be finite and >= 0")
 
     def test_trials_past_the_cap(self, capsys, tmp_path, monkeypatch):
         text = json.dumps({"S": {"field": "Q", "entries": [["0", "1"], ["-1", "0"]]}})
@@ -691,7 +714,8 @@ class TestHostileInputs:
     def test_float_overflow_never_prints_nan(self, capsys, tmp_path, field):
         text = json.dumps({"A": {"field": field, "entries": [[1e10, 1.0], [0.0, 1.0]]},
                            "B": {"field": field, "entries": [[1e10, 3.0], [1.0, 0.0]]}})
-        self.run_text(capsys, tmp_path, ["kcomm", "--k", "201"], text)
+        body = self.run_text(capsys, tmp_path, ["kcomm", "--k", "201"], text)
+        assert body == {"error": "ResultTooLarge", "message": f"discriminant**100 overflows {field}"}
 
     @pytest.mark.parametrize("k", [5, 6])
     def test_c64_nan_discriminant_power(self, capsys, tmp_path, k):
@@ -756,6 +780,9 @@ class TestHostileInputs:
         ["kcomm", "--method", "closed"],
         ["kcomm", "--field", "Qi"],
         ["verify-map", "--seed", "1"],
+        ["campaign", "--input", "in.json"],
+        ["fixtures", "--input", "in.json"],
+        ["fixtures", "--tolerance", "1e-3"],
         ["kcomm", "--k", "x"],
         ["classify"],
         ["no-such-command"],
@@ -765,6 +792,14 @@ class TestHostileInputs:
         body = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
         assert code == 2
         assert body["error"] == "input"
+
+    def test_value_error_backstop(self, capsys, monkeypatch):
+        # a handler whose body strict JSON cannot print: canonical_dumps raises ValueError
+        _, *rest = cli._COMMANDS["fixtures"]
+        monkeypatch.setitem(cli._COMMANDS, "fixtures", (lambda args: ({"x": float("nan")}, 0), *rest))
+        assert main(["fixtures"]) == 2
+        assert capsys.readouterr().out == (
+            '{"error":"value","message":"Out of range float values are not JSON compliant"}\n')
 
     def test_missing_input_file(self, capsys, tmp_path):
         code = main(["kcomm", "--input", str(tmp_path / "missing.json")])
@@ -858,16 +893,16 @@ class TestHostileInputs:
                 canonical_dumps({"x": value})
 
 
-# The flags each subcommand reads, besides the --input/--output paths.
+# The flags each subcommand reads, besides the --output path.
 FLAGS = {
-    "kcomm": {"--k"},
-    "classify": {"--lemma", "--k", "--seed", "--trials", "--tolerance"},
-    "sandwich": {"--mode", "--tolerance"},
-    "gen-map": {"--field", "--tolerance", "--seed", "--k"},
-    "verify-map": {"--tolerance"},
-    "decompose-map": {"--tolerance"},
+    "kcomm": {"--input", "--k"},
+    "classify": {"--input", "--lemma", "--k", "--seed", "--trials", "--tolerance"},
+    "sandwich": {"--input", "--mode", "--tolerance"},
+    "gen-map": {"--input", "--field", "--tolerance", "--seed", "--k"},
+    "verify-map": {"--input", "--tolerance"},
+    "decompose-map": {"--input", "--tolerance"},
     "campaign": {"--field", "--tolerance", "--seed", "--trials", "--k"},
-    "fixtures": {"--field", "--tolerance", "--kmax"},
+    "fixtures": {"--field", "--kmax"},
 }
 
 
@@ -880,8 +915,8 @@ class TestParser:
             - {"-h", "--help"}
             for name, p in sub.choices.items()
         }
-        assert declared == {name: flags | {"--input", "--output"} for name, flags in FLAGS.items()}
-        assert sum(len(flags) for flags in declared.values()) == 38
+        assert declared == {name: flags | {"--output"} for name, flags in FLAGS.items()}
+        assert sum(len(flags) for flags in declared.values()) == 35
 
     def test_a_subcommand_builds_only_its_own_subparser(self):
         for name in FLAGS:
