@@ -17,6 +17,10 @@ from .matrices import Mat2, RankOneFactor, outer
 # Exact powers whose estimated size passes this many bits are refused: their
 # cost grows faster than linearly (a bracket at the cap takes about 0.19 s over
 # Q and 0.56 s over Qi on a 2-vCPU x86 box, nearly all in the gcds of its entries).
+# This cap alone bounds a kcomm request: a bracket under it with more digits
+# than the interpreter prints is computed, then refused by FieldTag.encode,
+# which at the cap takes 0.24 s (Q) or 0.58-0.67 s (Qi) as a CLI child,
+# interpreter start included.
 MAX_POWER_BITS = 1 << 18
 
 # Trial counts of the sampled certifier and the probe campaign are capped so

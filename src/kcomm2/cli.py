@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .brackets import MAX_ORDER, _check_order, kcomm, kcomm_recursive
@@ -73,64 +72,10 @@ def _require(obj: dict, key):
 # Each handler returns its response as (JSON body, exit code); main writes it.
 
 
-def _least_print_bits(field, r, delta, m: int) -> float:
-    """A lower bound on log2 of the largest integer P in the printed form of the
-    exact scalar x = r * delta**m, for r and delta nonzero.
-
-    x prints as a reduced fraction p / q, one per part over Q(i).  Over Q,
-    P >= |p| = |x| * q, P >= q and q >= 1 / |x|.  Over Q(i), with den(x) the
-    lcm of the two q's, P >= |x| / sqrt(2), P >= 1 / |x|, P**2 >= den(x) and
-    P**4 >= (|x| * den(x))**2 / 2.  den(delta**m) is den(delta)**m, over Q(i)
-    divided by at most 2**(m // 2) when den(delta) is even (only powers of
-    1 + i cancel), and den(x) >= den(delta**m) / den(1 / r), where den(1 / r)
-    is |num(r)| over Q and divides |num(r)|**2 over Q(i).
-    """
-    if field.is_complex:
-        def log2_abs(z):
-            return math.log2(z.a * z.a + z.b * z.b) / 2 - math.log2(z.den)
-        d = delta.den
-        den = m * (math.log2(d) - (0.5 if d % 2 == 0 else 0)) - math.log2(r.a * r.a + r.b * r.b)
-    else:
-        def log2_abs(z):
-            return math.log2(abs(z.numerator)) - math.log2(z.denominator)
-        den = m * math.log2(delta.denominator) - math.log2(abs(r.numerator))
-    size = m * log2_abs(delta) + log2_abs(r)  # log2 |x|
-    if field.is_complex:
-        return max(abs(size) - 0.5, den / 2, (size + den - 0.5) / 2)
-    return max(abs(size), den, size + den)
-
-
-def _refuse_unprintable(A, B, k: int):
-    """Raise ResultTooLarge, before computing it, for an exact order-k bracket
-    that would not print under the interpreter's integer digit limit D.
-
-    For k >= 3 each entry of kcomm(A, B, k) is r * delta**m, r the entry of
-    kcomm(A, B, 1 or 2), delta = B.discriminant() and m = (k - 1) // 2, so
-    ``_least_print_bits`` bounds it without the power.  A request is refused
-    only when that bound passes log2(10**D) by more than a bit, far more than
-    the rounding of the logarithms near the limit, so every result that would
-    print is computed.  m is capped at 2**64, where the bound of a delta that
-    is not a unit is already past the limit many times over.
-    """
-    digits = sys.get_int_max_str_digits()
-    m = min((k - 1) // 2, 1 << 64)
-    if not (A.field.is_exact and digits and m > 0):
-        return
-    delta = B.discriminant()
-    if not delta:
-        return
-    limit = digits * math.log2(10) + 1
-    for r in kcomm(A, B, 2 - k % 2).entries:
-        if r and _least_print_bits(A.field, r, delta, m) > limit:
-            raise ResultTooLarge(f"order-{k} bracket would print an integer past "
-                                 f"the {digits}-digit limit")
-
-
 def cmd_kcomm(args) -> tuple[dict, int]:
     data = _read_input(args)
     A = ser.mat_from_json(_require(data, "A"))
     B = ser.mat_from_json(_require(data, "B"))
-    _refuse_unprintable(A, B, args.k)
     result = kcomm(A, B, args.k)
     return {"bracket": ser.mat_to_json(result)}, 0
 

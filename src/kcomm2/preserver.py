@@ -329,7 +329,11 @@ def probe_campaign(k: int, field: FieldTag, trials: int, seed: int) -> CampaignR
     for trial in range(trials):
         lam = rng.choice(roots)
         h = h_random(field, seed=rng.randrange(1 << 30))
-        table = generate_map(lam, h, probes, k)
+        try:
+            table = generate_map(lam, h, probes, k)
+        except LambdaNotRootOfUnity as exc:  # a listed root, by rounding at a tolerance near 0
+            anomalies.append(f"trial {trial}: valid map rejected: {exc!r}")
+            continue
         if rng.random() < 0.5:
             try:
                 dec = decompose(table)

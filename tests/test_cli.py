@@ -19,7 +19,7 @@ from kcomm2.serialize import (
     maptable_from_json,
     maptable_to_json,
 )
-from kcomm2 import brackets, cli, preserver
+from kcomm2 import cli, preserver
 from kcomm2.brackets import MAX_ORDER, kcomm_recursive
 from kcomm2.preserver import generate_map, h_det, probe_set
 
@@ -86,7 +86,7 @@ class TestKcommCommand:
         assert out["bracket"]["entries"] == [["0", "4"], ["-4", "0"]]
 
     def test_zero_discriminant_is_never_refused_as_unprintable(self, capsys, tmp_path):
-        # delta(E12) = 0, so the print bound, whose logarithm of delta would fail, is skipped
+        # delta(E12) = 0, so every entry r * delta**m of an odd order past 1 is 0
         code, out = run_cli(capsys, ["kcomm", "--k", "5"], {"A": E["e11"], "B": E["e12"]},
                             tmp_path=tmp_path)
         assert (code, out) == (0, {"bracket": {"entries": [["0", "0"], ["0", "0"]], "field": "Q"}})
@@ -480,6 +480,17 @@ class TestCampaignAndFixtures:
         assert body["trials"] == 8
         assert body["rejection_kinds"]["LambdaNotRootOfUnity"] > 0
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_c64_campaign_at_tolerance_0_reports_its_refused_roots(self, capsys, k):
+        # a listed root of unity whose power misses 1 by a rounding error is
+        # refused by generate_map: an anomaly of the report, not an error exit
+        code = main(["campaign", "--field", "C64", "--k", str(k), "--trials", "6", "--tolerance", "0"])
+        body = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert code == 1
+        assert body["valid_ok"] + body["perturbed_rejected"] + len(body["anomalies"]) == 6
+        assert ("trial 0: valid map rejected: LambdaNotRootOfUnity('lambda**(k+1) is not 1')"
+                in body["anomalies"])
+
     def test_fixtures_emit_and_self_check(self, capsys, tmp_path):
         out_path = tmp_path / "golden.json"
         code = main(["fixtures", "--kmax", "6", "--output", str(out_path)])
@@ -732,17 +743,8 @@ class TestHostileInputs:
         body = self.run_text(capsys, tmp_path, ["kcomm", "--k", "1000001"], text)
         assert body["error"] == "ResultTooLarge"
 
-    def test_exact_result_past_the_print_limit(self, capsys, tmp_path):
-        # under the kernel's size cap, but an entry has more than 4300 digits
-        text = json.dumps({"A": {"field": "Qi", "entries": [["1", "2"], ["3", "4"]]},
-                           "B": {"field": "Qi", "entries": [[{"re": "1/3", "im": "2/7"}, "2"],
-                                                            ["3", "5"]]}})
-        body = self.run_text(capsys, tmp_path, ["kcomm", "--k", "34001"], text)
-        assert body["error"] == "ResultTooLarge"
-
-    # the reproducer above: kcomm prints its answer up to k = 1997, and k = 1999
-    # passes the limit in the numerators, so the 1 bit of the bound is only
-    # slack; the bound refuses up front from k = 3999 on
+    # the reproducer: kcomm prints its answer up to k = 1998, and from k = 1999
+    # on an entry has more digits than the interpreter prints
     _PAST_THE_LIMIT = json.dumps({"A": {"field": "Qi", "entries": [["1", "2"], ["3", "4"]]},
                                   "B": {"field": "Qi", "entries": [[{"re": "1/3", "im": "2/7"}, "2"],
                                                                    ["3", "5"]]}})
@@ -754,16 +756,21 @@ class TestHostileInputs:
         yield
         sys.set_int_max_str_digits(old)
 
-    @pytest.mark.parametrize("k", [3999, 34001])
-    def test_print_limit_refused_before_the_power(self, capsys, tmp_path, monkeypatch,
-                                                  default_digit_limit, k):
-        def no_power(*args):
-            raise AssertionError("the power was computed")
+    _Q_PAST_THE_LIMIT = json.dumps({"A": {"field": "Q", "entries": [["1", "2"], ["3", "4"]]},
+                                    "B": {"field": "Q", "entries": [["1/3", "2"], ["3", "5"]]}})
 
-        monkeypatch.setattr(brackets, "_power", no_power)
-        body = self.run_text(capsys, tmp_path, ["kcomm", "--k", str(k)], self._PAST_THE_LIMIT)
-        assert body == {"error": "ResultTooLarge",
-                        "message": f"order-{k} bracket would print an integer past the 4300-digit limit"}
+    @pytest.mark.parametrize("text, k", [
+        pytest.param(_PAST_THE_LIMIT, 3999, id="Qi-3999"),
+        pytest.param(_PAST_THE_LIMIT, 34001, id="Qi-34001"),
+        # at the kernel's power cap: the largest delta power MAX_POWER_BITS lets through
+        pytest.param(_PAST_THE_LIMIT, 34953, id="Qi-34953"),
+        pytest.param(_Q_PAST_THE_LIMIT, 58255, id="Q-58255"),
+    ])
+    def test_exact_result_past_the_print_limit(self, capsys, tmp_path, default_digit_limit, text, k):
+        # computed under MAX_POWER_BITS, then refused where it is printed
+        body = self.run_text(capsys, tmp_path, ["kcomm", "--k", str(k)], text)
+        assert body["error"] == "ResultTooLarge"
+        assert body["message"].startswith("exact value too large to print")
 
     def test_last_order_under_the_print_limit_prints(self, capsys, tmp_path, default_digit_limit):
         path = tmp_path / "in.json"

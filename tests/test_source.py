@@ -198,6 +198,17 @@ def test_one_owner_of_order_sized_powers():
     assert list(_owners(TREES["brackets.py"], _catches_overflow)) != []
 
 
+def test_only_fields_reads_the_print_limit():
+    """``FieldTag.encode`` refuses an exact value past the interpreter's digit
+    limit, and ``fields._fraction`` an exponent past it; no other module reads
+    the limit, so an unprintable result has one refusal path."""
+    reads = [f"{name}:{node.lineno}"
+             for name, tree in TREES.items() if name != "fields.py"
+             for node in ast.walk(tree)
+             if _used_name(node) == "get_int_max_str_digits"]
+    assert reads == []
+    assert any(_used_name(node) == "get_int_max_str_digits" for node in ast.walk(TREES["fields.py"]))
+
 def test_sandwich_images_are_fused():
     """``matrices.unit_images`` computes every A E B as column times row on the
     integer form; the classifiers and the solver multiply no matrices themselves."""
