@@ -759,14 +759,19 @@ class TestHostileInputs:
     _Q_PAST_THE_LIMIT = json.dumps({"A": {"field": "Q", "entries": [["1", "2"], ["3", "4"]]},
                                     "B": {"field": "Q", "entries": [["1/3", "2"], ["3", "5"]]}})
 
+    def test_exact_result_past_the_print_limit(self, capsys, tmp_path, default_digit_limit):
+        # under the kernel's size cap, but an entry has more than 4300 digits
+        body = self.run_text(capsys, tmp_path, ["kcomm", "--k", "34001"], self._PAST_THE_LIMIT)
+        assert body["error"] == "ResultTooLarge"
+        assert body["message"].startswith("exact value too large to print")
+
     @pytest.mark.parametrize("text, k", [
         pytest.param(_PAST_THE_LIMIT, 3999, id="Qi-3999"),
-        pytest.param(_PAST_THE_LIMIT, 34001, id="Qi-34001"),
         # at the kernel's power cap: the largest delta power MAX_POWER_BITS lets through
         pytest.param(_PAST_THE_LIMIT, 34953, id="Qi-34953"),
         pytest.param(_Q_PAST_THE_LIMIT, 58255, id="Q-58255"),
     ])
-    def test_exact_result_past_the_print_limit(self, capsys, tmp_path, default_digit_limit, text, k):
+    def test_exact_result_refused_where_printed(self, capsys, tmp_path, default_digit_limit, text, k):
         # computed under MAX_POWER_BITS, then refused where it is printed
         body = self.run_text(capsys, tmp_path, ["kcomm", "--k", str(k)], text)
         assert body["error"] == "ResultTooLarge"
