@@ -131,10 +131,10 @@ def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto") -> Mat2:
 
     The first commutator is A @ B - B @ A, two ``Mat2`` products, so every
     answer passes through ``@``.  The second, at even k, is
-    ``R.commutator(B)``: one integer-form step over Q and Q(i), the two
-    products and their difference over R64 and C64.  An exact call therefore
-    makes 2 products at every k >= 1 (0 when delta^m is zero), a float one 2
-    at odd k and 4 at even k.
+    ``R.commutator(B)``: one integer-form step over Q and Q(i), and over R64
+    and C64 the float operations of ``@`` and ``-`` fused entry by entry.  A
+    call therefore makes 2 products at every k >= 1 on every field (0 over Q
+    and Q(i) when delta^m is zero).
 
     ``method`` must be "auto"; the oracle and the binomial sum are called as
     ``kcomm_recursive`` and ``kcomm_closed``.
@@ -160,8 +160,9 @@ def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto") -> Mat2:
         R = R.commutator(B)
     if m:
         R = R.scale(c)
-    entries = R.entries  # built here, not left to the caller
-    if not field.is_exact and not all(cmath.isfinite(x) for x in entries):
+    w, x, y, z = R.entries  # built here, not left to the caller
+    if not field.is_exact and not (cmath.isfinite(w) and cmath.isfinite(x)
+                                   and cmath.isfinite(y) and cmath.isfinite(z)):
         raise ResultTooLarge(f"order-{k} bracket overflows {field.variant}")
     return R
 

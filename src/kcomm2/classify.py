@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .brackets import MAX_TRIALS, _check_order, kcomm
 from .errors import EmptySystem, InvariantViolation, KTooSmall, SingularSystem
-from .fields import FieldTag, GaussianRational, require_same_field
+from .fields import FieldTag, GaussianRational, raw_fraction, require_same_field
 from .matrices import Mat2, matrix_units, unit_images
 from .randgen import random_rank_one
 
@@ -274,7 +274,8 @@ def _fraction_free(field: FieldTag, rows, n: int):
 def _quotient(field: FieldTag, last):
     """The map from an entry z of ``_fraction_free``'s rows to the scalar z / last."""
     if not field.is_complex:
-        return lambda z: Fraction(z, last)
+        s = -1 if last < 0 else 1  # raw_fraction takes a positive denominator
+        return lambda z: raw_fraction(s * z, s * last)
     qr, qi = last  # z / q = z * conj(q) / |q|**2
     n, raw = qr * qr + qi * qi, GaussianRational._raw
     return lambda z: raw(z[0] * qr + z[1] * qi, z[1] * qr - z[0] * qi, n)
@@ -294,10 +295,13 @@ def solve_linear(field: FieldTag, rows, rhs_list):
     if field.is_exact:
         work, pivots, last = _fraction_free(field, aug, n)
         scalar = _quotient(field, last)
+        zero = (0, 0) if field.is_complex else 0
+        is_zero = lambda v: v == zero  # last != 0, so v / last is zero iff v is
     else:
         work, pivots = _gauss_jordan(field, aug, n)
         scalar = lambda v: v  # the reduced rows hold the solution
-    if any(not field.is_zero(scalar(v)) for row in work[len(pivots):] for v in row[n:]):
+        is_zero = field.is_zero
+    if not all(is_zero(v) for row in work[len(pivots):] for v in row[n:]):
         return None
     solutions = []
     for j in range(n, n + len(rhs_list)):

@@ -184,6 +184,21 @@ class GaussianRational:
 _I = GaussianRational(0, 1)
 
 
+def raw_fraction(n: int, den: int) -> Fraction:
+    """Fraction(n, den) for ints with den > 0, its slots set after one gcd (none when
+    den is 1), as ``GaussianRational._raw`` and Python 3.12's
+    ``Fraction._from_coprime_ints`` do."""
+    if den != 1:
+        g = math.gcd(n, den)
+        if g != 1:
+            n //= g
+            den //= g
+    self = object.__new__(Fraction)
+    self._numerator = n
+    self._denominator = den
+    return self
+
+
 def _fraction(x) -> Fraction:
     """Fraction(x), but a string exponent past the digit limit ``encode`` applies is refused."""
     if isinstance(x, str):

@@ -14,15 +14,17 @@ equality, hashing, the zero and scalar tests and the sandwich images
 ``unit_images``) compute on these integers and normalise with one
 multi-argument gcd, where entrywise ``Fraction`` / ``GaussianRational``
 arithmetic would take one gcd per scalar operation; ``commutator`` makes
-XY - YX in one step, where ``@``, ``@`` and ``-`` take three gcds.  ``@``,
-``+``, ``-``, ``commutator``, ``scale``, ``shift`` and that gcd division are
-written out slot by slot for the 5- and 9-slot forms, with one gcd per
-result and no list built per operation; the ``.entries`` of a Q form with
-denominator 1 are built as ``Fraction(n)``, with no gcd.  The cold ones
-(``trace``, ``det``, ``conj_t``, negation and ``outer``) read or build
-``.entries`` on every field.  The hash reads the form (or the float
-entries) and not the field: matrices over unequal fields never compare
-equal, so hashing the field too would split no equal pair.
+XY - YX in one step, where ``@``, ``@`` and ``-`` take three gcds (over R64
+and C64 too it builds no intermediate matrix).  ``@``, ``+``, ``-``,
+``commutator``, ``scale``, ``shift`` and that gcd division are written out
+slot by slot for the 5- and 9-slot forms, with one gcd per result and no
+list built per operation; the Q scalars of ``.entries``, ``top_left`` and
+``discriminant`` are built by ``fields.raw_fraction``, with one gcd and none
+when the denominator is 1.  The cold ones (``trace``, ``det``, ``conj_t``,
+negation and ``outer``) read or build ``.entries`` on every field.  The hash
+reads the form (or the float entries) and not the field: matrices over
+unequal fields never compare equal, so hashing the field too would split no
+equal pair.
 
 ``Mat2(field, entries)`` is the one checked constructor: exactly four entries,
 each coerced into the field (a wrong kind raises FieldMismatch), and over Q
@@ -34,13 +36,12 @@ matrix comes from the constructor.  Values are immutable.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import EmptySystem, RankNotOne
-from .fields import FieldTag, GaussianRational, require_same_field
+from .fields import FieldTag, GaussianRational, raw_fraction, require_same_field
 
 def _integer_form(field: FieldTag, parts) -> tuple:
     """Canonical integer form of exact field scalars, over the lcm of their denominators.
@@ -138,10 +139,9 @@ class Mat2:
             if len(z) == 9:
                 raw = GaussianRational._raw
                 e = (raw(z[1], z[2], d), raw(z[3], z[4], d), raw(z[5], z[6], d), raw(z[7], z[8], d))
-            elif d == 1:  # an integral Fraction needs no gcd
-                e = (Fraction(z[1]), Fraction(z[2]), Fraction(z[3]), Fraction(z[4]))
             else:
-                e = (Fraction(z[1], d), Fraction(z[2], d), Fraction(z[3], d), Fraction(z[4], d))
+                e = (raw_fraction(z[1], d), raw_fraction(z[2], d), raw_fraction(z[3], d),
+                     raw_fraction(z[4], d))
             self._e = e
         return e
 
@@ -262,14 +262,22 @@ class Mat2:
             [[bg - fc, f(a - d) - b(e - h)], [c(e - h) - g(a - d), -(bg - fc)]]
 
         on the integer forms, over the product of their denominators.  Over R64
-        and C64 it is literally the two products and their difference, so float
-        results and signed zeros are those of ``@`` and ``-``.
+        and C64 each entry is built at once from the float operations of ``@``
+        and ``-`` in their order, so results and signed zeros are theirs, bit
+        for bit, with no intermediate matrix.
         """
         field = self._f
         if other._f is not field:
             require_same_field(field, other._f)
         if not field.is_exact:
-            return self @ other - other @ self
+            a11, a12, a21, a22 = self._e
+            b11, b12, b21, b22 = other._e
+            return _built(field, (
+                (a11 * b11 + a12 * b21) - (b11 * a11 + b12 * a21),
+                (a11 * b12 + a12 * b22) - (b11 * a12 + b12 * a22),
+                (a21 * b11 + a22 * b21) - (b21 * a11 + b22 * a21),
+                (a21 * b12 + a22 * b22) - (b21 * a12 + b22 * a22),
+            ), None)
         if field.is_complex:
             # the same on (re, im) pairs: (x + y i)(X + Y i) = (xX - yY) + (xY + yX) i
             r, a, ai, b, bi, c, ci, d, di = self._z
@@ -347,7 +355,7 @@ class Mat2:
         if self._e is not None:
             return self._e[0]
         z = self._z
-        return Fraction(z[1], z[0]) if len(z) == 5 else GaussianRational._raw(z[1], z[2], z[0])
+        return raw_fraction(z[1], z[0]) if len(z) == 5 else GaussianRational._raw(z[1], z[2], z[0])
 
     def trace(self):
         a = self.entries
@@ -374,7 +382,7 @@ class Mat2:
             )
         d, n11, n12, n21, n22 = self._z
         u = n11 - n22
-        return Fraction(u * u + 4 * n12 * n21, d * d)
+        return raw_fraction(u * u + 4 * n12 * n21, d * d)
 
     def eq(self, other: "Mat2") -> bool:
         f = self._f

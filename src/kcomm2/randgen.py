@@ -6,10 +6,9 @@ Everything takes an explicit ``random.Random`` so both are reproducible.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from random import Random
 
-from .fields import FieldTag, GaussianRational
+from .fields import FieldTag, GaussianRational, raw_fraction
 from .matrices import Mat2, outer
 
 
@@ -26,10 +25,10 @@ def random_scalar(field: FieldTag, rng: Random, span: int = 9, denominators: boo
     if not denominators:
         if field.is_complex:
             return GaussianRational._raw(rng.randrange(n) - span, rng.randrange(n) - span, 1)
-        return Fraction(rng.randrange(n) - span)
+        return raw_fraction(rng.randrange(n) - span, 1)
     a, b = rng.randrange(n) - span, rng.randrange(4) + 1
     if not field.is_complex:
-        return Fraction(a, b)
+        return raw_fraction(a, b)
     c, d = rng.randrange(n) - span, rng.randrange(4) + 1
     return GaussianRational._raw(a * d, c * b, b * d)  # a/b + (c/d) i
 

@@ -195,8 +195,8 @@ class TestCayleyHamilton:
 
 class TestProducts:
     """Cost in ``Mat2`` products.  The oracle makes two at each of its k steps.  The
-    kernel's first commutator is A @ B - B @ A, and over Q and Q(i) its even-order
-    step is one ``Mat2.commutator``."""
+    kernel's first commutator is A @ B - B @ A, and its even-order step is one
+    ``Mat2.commutator``."""
 
     @pytest.fixture
     def products(self, monkeypatch):
@@ -220,22 +220,18 @@ class TestProducts:
         assert R.is_zero() == (k > 0 and not generic)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 12, 64, 1000])
-    def test_exact_kernel_makes_two_at_every_order(self, exact_field, products, k):
+    def test_exact_kernel_makes_two_at_every_order(self, any_field, products, k):
+        """Exactly two on every field: the even-order step is one ``Mat2.commutator``,
+        fused over R64 and C64 too.  A float B is scaled into [-0.3, 0.3], so that
+        delta**499 cannot overflow."""
         rng = Random(k)
-        A, B = random_mat(exact_field, rng), random_mat(exact_field, rng, denominators=True)
-        assert not exact_field.is_zero(B.discriminant())
+        A, B = random_mat(any_field, rng), random_mat(any_field, rng, denominators=True)
+        if not any_field.is_exact:
+            B = B.scale(0.3)
+        assert not any_field.is_zero(B.discriminant())
         products.clear()
         kcomm(A, B, k)
         assert len(products) == 2
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 12, 64])
-    @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
-    def test_float_kernel_makes_four_at_even_orders(self, field, products, k):
-        rng = Random(k)
-        A, B = random_mat(field, rng), random_mat(field, rng)
-        products.clear()
-        kcomm(A, B, k)
-        assert len(products) == (4 if k % 2 == 0 else 2)
 
 
 class TestAlgebraicLaws:

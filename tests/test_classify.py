@@ -612,7 +612,7 @@ class TestHotLoopsConstructNoMatrix:
 class TestPositiveCertifierProducts:
     """Counted, not timed: over Q and Qi delta(S) = 0 settles every bracket of a
     positive certifier before a product; over R64 and C64 each of the 36 kernel
-    calls still makes its two (k odd) or four (k even) products."""
+    calls still makes its two products, at odd and even k alike."""
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_matrix_products(self, monkeypatch, any_field, k):
@@ -621,4 +621,4 @@ class TestPositiveCertifierProducts:
         monkeypatch.setattr(Mat2, "__matmul__", lambda X, Y: calls.append(1) or matmul(X, Y))
         S = random_scalar_plus_nilpotent(any_field, Random(9))
         assert scalar_plus_nilpotent_kcomm(S, k, seed=k - 1).holds
-        assert len(calls) == (0 if any_field.is_exact else 36 * (2 if k % 2 else 4))
+        assert len(calls) == (0 if any_field.is_exact else 36 * 2)

@@ -777,14 +777,16 @@ class TestHostileInputs:
         assert body["error"] == "ResultTooLarge"
         assert body["message"].startswith("exact value too large to print")
 
-    def test_last_order_under_the_print_limit_prints(self, capsys, tmp_path, default_digit_limit):
+    def test_orders_1997_and_1998_print_and_1999_is_refused(self, capsys, tmp_path, default_digit_limit):
+        # 1997 and 1998 both scale by delta**998, 1999 first by delta**999
         path = tmp_path / "in.json"
         path.write_text(self._PAST_THE_LIMIT)
-        assert main(["kcomm", "--k", "1997", "--input", str(path)]) == 0
-        entries = json.loads(capsys.readouterr().out)["bracket"]["entries"]
-        digits = [len(n.lstrip("-")) for row in entries for z in row for part in z.values()
-                  for n in part.split("/")]
-        assert 4200 < max(digits) <= 4300
+        for k in ("1997", "1998"):
+            assert main(["kcomm", "--k", k, "--input", str(path)]) == 0
+            entries = json.loads(capsys.readouterr().out)["bracket"]["entries"]
+            digits = [len(n.lstrip("-")) for row in entries for z in row for part in z.values()
+                      for n in part.split("/")]
+            assert 4200 < max(digits) <= 4300
         body = self.run_text(capsys, tmp_path, ["kcomm", "--k", "1999"], self._PAST_THE_LIMIT)
         assert body["error"] == "ResultTooLarge" and "Exceeds the limit" in body["message"]
 

@@ -1,4 +1,5 @@
 import math
+import operator
 import pickle
 import sys
 from fractions import Fraction
@@ -197,6 +198,42 @@ class TestGaussianRational:
         assert z + 1 == GaussianRational(2, 2)
         assert 1 - z == GaussianRational(0, -2)
         assert 1 / GaussianRational(0, 1) == GaussianRational(0, -1)
+
+
+class TestRawFraction:
+    """``raw_fraction(n, d)`` is ``Fraction(n, d)`` on the running interpreter: the same
+    parts, value, hash, repr, pickle round trip and arithmetic."""
+
+    CASES = [(0, 1), (0, 6), (5, 1), (-5, 1), (3, 9), (-6, 4), (12, 18), (-7, 3),
+             (2**70, 6 * 2**65), (-(3**40), 3**41)]
+
+    @staticmethod
+    def _parts(x):
+        return type(x), x.numerator, x.denominator
+
+    def _check(self, n, d):
+        got, want = fields.raw_fraction(n, d), Fraction(n, d)
+        parts = self._parts
+        assert parts(got) == parts(want)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert parts(pickle.loads(pickle.dumps(got))) == parts(want)
+        for other in (Fraction(-3, 10), 2, want):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                divide = op is operator.truediv
+                if other or not divide:
+                    assert parts(op(got, other)) == parts(op(want, other))
+                if want or not divide:
+                    assert parts(op(other, got)) == parts(op(other, want))
+
+    @pytest.mark.parametrize("n, d", CASES, ids=str)
+    def test_cases(self, n, d):
+        self._check(n, d)
+
+    def test_seeded(self):
+        rng = Random(45)
+        for _ in range(500):
+            g = rng.choice((1, 2, 6, 35))  # a common factor of n and d, or none
+            self._check(g * rng.randint(-10**6, 10**6), g * rng.randint(1, 10**6))
 
 
 class TestCoercion:

@@ -496,6 +496,25 @@ class TestIntegerForm:
         got, want = R.commutator(B), R @ B - B @ R
         assert [_bits(x) for x in got.entries] == [_bits(x) for x in want.entries]
 
+    # signed zeros, units, infinities, subnormals and magnitudes whose products overflow
+    FLOAT_SPECIALS = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, 5e-324, -5e-324,
+                      1e-310, -2.5e-320, 1e300, -1e300)
+
+    @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
+    def test_float_commutator_repeats_the_products_on_special_values(self, field):
+        rng = Random(44)
+
+        def scalar():
+            if rng.random() < 0.25:
+                return rng.uniform(-1e3, 1e3)
+            return rng.choice(self.FLOAT_SPECIALS)
+
+        for _ in range(10_000):
+            R, B = (Mat2(field, [complex(scalar(), scalar()) if field.is_complex else scalar()
+                                 for _ in range(4)]) for _ in range(2))
+            got, want = R.commutator(B), R @ B - B @ R
+            assert [repr(x) for x in got.entries] == [repr(x) for x in want.entries]
+
     @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
     def test_float_shift_signs_its_zeros_as_the_sum_does(self, field):
         # -0.0 + 2.0 * 0.0 is +0.0, and -0.0 + -2.0 * 0.0 is -0.0: a shift that

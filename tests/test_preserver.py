@@ -323,8 +323,9 @@ class TestVerifyPreserving:
 
     def test_full_exact_table_at_the_order_cap_costs_o1_per_pair(self, any_field, monkeypatch):
         # 36 inputs at k = MAX_ORDER, an even order: every bracket makes two
-        # products over Q and Q(i), four over R64 and C64.  Float entries stay
-        # in [-0.3, 0.3], so that delta**499 cannot overflow.
+        # products on every field (none over Q and Q(i) when delta**499 is
+        # zero).  Float entries stay in [-0.3, 0.3], so that delta**499 cannot
+        # overflow.
         products = []
         matmul = Mat2.__matmul__
         monkeypatch.setattr(Mat2, "__matmul__", lambda X, Y: products.append(1) or matmul(X, Y))
@@ -339,7 +340,7 @@ class TestVerifyPreserving:
         pairs = all_pairs(inputs)
         products.clear()
         assert verify_preserving(table, pairs).holds
-        assert len(products) <= 2 * (2 if any_field.is_exact else 4) * len(pairs)
+        assert len(products) <= 2 * 2 * len(pairs)
 
 
 def _verify_per_pair(table, pairs):
