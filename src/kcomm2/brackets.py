@@ -11,15 +11,16 @@ import cmath
 import math
 
 from .errors import InvalidOrder, NotAnEigenpair, ResultTooLarge
-from .fields import FieldTag, GaussianRational, require_same_field
+from .fields import FieldTag, GaussianRational, coprime_fraction, require_same_field
 from .matrices import Mat2, RankOneFactor, outer
 
 # Exact powers whose estimated size passes this many bits are refused: their
-# cost grows faster than linearly (a bracket at the cap takes about 0.19 s over
-# Q and 0.56 s over Qi on a 2-vCPU x86 box, nearly all in the gcds of its entries).
+# cost grows faster than linearly (a bracket at the cap takes about 0.007 s over
+# Q and 0.03 s over Qi on a 2-vCPU x86 box, most of it the power itself, since
+# Mat2.scale starts each gcd of its entries from an operand of the unscaled size).
 # This cap alone bounds a kcomm request: a bracket under it with more digits
 # than the interpreter prints is computed, then refused by FieldTag.encode,
-# which at the cap takes 0.24 s (Q) or 0.58-0.67 s (Qi) as a CLI child,
+# which at the cap takes 0.13-0.15 s (Q) or 0.20-0.24 s (Qi) as a CLI child,
 # interpreter start included.
 MAX_POWER_BITS = 1 << 18
 
@@ -94,7 +95,12 @@ def _power(field: FieldTag, x, n: int, name: str):
     if field.is_exact:
         if n * _growth_bits(x) > MAX_POWER_BITS:
             raise ResultTooLarge(f"{name}**{n} would need more than {MAX_POWER_BITS} bits")
-        return x if n == 1 else x**n  # Fraction ** 1 costs a Fraction construction
+        if n == 1:
+            return x
+        if field.is_complex:
+            return x**n  # GaussianRational.__pow__ reduces by a shift, with no gcd
+        # powers of coprime parts stay coprime: no gcd, and none of Fraction.__pow__'s checks
+        return coprime_fraction(x.numerator**n, x.denominator**n)
     try:
         power = x**n
     except OverflowError as exc:

@@ -149,11 +149,7 @@ class GaussianRational:
         den = self.den**n
         low = a | b | den
         shift = (low & -low).bit_length() - 1
-        result = object.__new__(GaussianRational)
-        result.a = a >> shift
-        result.b = b >> shift
-        result.den = den >> shift
-        return result
+        return coprime_gaussian(a >> shift, b >> shift, den >> shift)
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational._raw(self.a, -self.b, self.den)
@@ -196,6 +192,24 @@ def raw_fraction(n: int, den: int) -> Fraction:
     self = object.__new__(Fraction)
     self._numerator = n
     self._denominator = den
+    return self
+
+
+def coprime_fraction(n: int, den: int) -> Fraction:
+    """Fraction(n, den) for coprime ints with den > 0: ``raw_fraction`` without its gcd."""
+    self = object.__new__(Fraction)
+    self._numerator = n
+    self._denominator = den
+    return self
+
+
+def coprime_gaussian(a: int, b: int, den: int) -> GaussianRational:
+    """(a + b*i)/den for ints with gcd(a, b, den) = 1 and den > 0: ``GaussianRational._raw``
+    without its gcd."""
+    self = object.__new__(GaussianRational)
+    self.a = a
+    self.b = b
+    self.den = den
     return self
 
 

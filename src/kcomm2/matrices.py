@@ -26,6 +26,18 @@ reads the form (or the float entries) and not the field: matrices over
 unequal fields never compare equal, so hashing the field too would split no
 equal pair.
 
+``scale`` reduces c*X, which ``kcomm`` makes with c = delta**m and so with
+integers that grow with the bracket order, by one rule on Q and Q(i).  With
+c = p/q in lowest terms and X = (r; x1, .., x4), entry j's reduction factor
+gcd(parts of p*xj, q*r) divides r*N(xj), where N(x) is |x| over Q and
+a^2 + b^2 for x = a + b i over Q(i) (proved prime by prime in
+``tests/test_matrices.py::TestScaleRule``).  So the form's gcd is seeded with
+one such r*N(xk), and the result keeps X, from which the first read of
+``.entries`` seeds entry j's gcd with r*N(xj): every gcd starts from an
+operand of X's size, none from two operands of the product's, and those
+entries are built from their coprime parts by ``fields.coprime_fraction`` or
+``fields.coprime_gaussian``.
+
 ``Mat2(field, entries)`` is the one checked constructor: exactly four entries,
 each coerced into the field (a wrong kind raises FieldMismatch), and over Q
 and Q(i) the form derived at once.  A hot operation's result is built
@@ -41,7 +53,8 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import EmptySystem, RankNotOne
-from .fields import FieldTag, GaussianRational, raw_fraction, require_same_field
+from .fields import (FieldTag, GaussianRational, coprime_fraction, coprime_gaussian, raw_fraction,
+                     require_same_field)
 
 def _integer_form(field: FieldTag, parts) -> tuple:
     """Canonical integer form of exact field scalars, over the lcm of their denominators.
@@ -117,7 +130,9 @@ class Mat2:
     branch on the field once and then run on ``self._z``.
     """
 
-    __slots__ = ("_f", "_e", "_z")  # field, entries or None, integer form or None (floats)
+    # field; entries, or None, or (a result of ``scale``) the matrix it is a multiple
+    # of, whose form bounds the gcds of the entries; integer form, or None (floats)
+    __slots__ = ("_f", "_e", "_z")
 
     def __init__(self, field: FieldTag, entries):
         a, b, c, d = entries
@@ -131,18 +146,40 @@ class Mat2:
 
     @property
     def entries(self) -> tuple:
-        """(a11, a12, a21, a22); an exact result builds them from its form on first read."""
+        """(a11, a12, a21, a22); an exact result builds them from its form on first read,
+        each reduced by its gcd with the denominator, which a result of ``scale``
+        seeds from the matrix it kept."""
         e = self._e
+        if type(e) is tuple:
+            return e
+        z = self._z
+        d = z[0]
         if e is None:
-            z = self._z
-            d = z[0]
             if len(z) == 9:
                 raw = GaussianRational._raw
                 e = (raw(z[1], z[2], d), raw(z[3], z[4], d), raw(z[5], z[6], d), raw(z[7], z[8], d))
             else:
                 e = (raw_fraction(z[1], d), raw_fraction(z[2], d), raw_fraction(z[3], d),
                      raw_fraction(z[4], d))
-            self._e = e
+        else:  # c * e (scale): entry j's gcd divides r*N(xj) of e's form (r; x1, .., x4)
+            x = e._z
+            r = x[0]
+            if len(z) == 9:
+                _, a1, b1, a2, b2, a3, b3, a4, b4 = x
+                h1 = gcd(r * (a1 * a1 + b1 * b1), z[1], z[2], d)
+                h2 = gcd(r * (a2 * a2 + b2 * b2), z[3], z[4], d)
+                h3 = gcd(r * (a3 * a3 + b3 * b3), z[5], z[6], d)
+                h4 = gcd(r * (a4 * a4 + b4 * b4), z[7], z[8], d)
+                e = (coprime_gaussian(z[1] // h1, z[2] // h1, d // h1),
+                     coprime_gaussian(z[3] // h2, z[4] // h2, d // h2),
+                     coprime_gaussian(z[5] // h3, z[6] // h3, d // h3),
+                     coprime_gaussian(z[7] // h4, z[8] // h4, d // h4))
+            else:
+                h1, h2 = gcd(r * x[1], z[1], d), gcd(r * x[2], z[2], d)
+                h3, h4 = gcd(r * x[3], z[3], d), gcd(r * x[4], z[4], d)
+                e = (coprime_fraction(z[1] // h1, d // h1), coprime_fraction(z[2] // h2, d // h2),
+                     coprime_fraction(z[3] // h3, d // h3), coprime_fraction(z[4] // h4, d // h4))
+        self._e = e
         return e
 
     # -- constructors --------------------------------------------------------
@@ -297,28 +334,44 @@ class Mat2:
         return _normalised(field, (r * s, n, f * u - b * v, c * v - g * u, -n))
 
     def scale(self, c) -> "Mat2":
+        """c * self.  Over Q and Q(i) by the rule in the module docstring: the form
+        is reduced by a gcd seeded with r*N(xk) for a nonzero entry xk of self, and
+        the result keeps self (in place of its entries) to seed the gcds of its
+        entries when they are first read.  A result over the denominator 1 needs
+        no gcd and keeps nothing."""
         f = self._f
         if f.is_exact or type(c) is not (complex if f.is_complex else float):
             c = f.coerce(c)
         if not f.is_exact:
             a = self._e
             return _built(f, (c * a[0], c * a[1], c * a[2], c * a[3]), None)
+        m = object.__new__(Mat2)
+        m._f = f
         if f.is_complex:
-            # each entry (a + b i) times c = (p + q i) / r
-            p, q, r = c.a, c.b, c.den
-            d, a11, b11, a12, b12, a21, b21, a22, b22 = self._z
-            return _normalised(f, (
-                d * r,
-                a11 * p - b11 * q, a11 * q + b11 * p, a12 * p - b12 * q, a12 * q + b12 * p,
-                a21 * p - b21 * q, a21 * q + b21 * p, a22 * p - b22 * q, a22 * q + b22 * p,
-            ))
-        # as in Fraction.__mul__: the only common factors are gcd(p, d) and
-        # gcd(q, numerators), so no gcd of the (possibly huge) products
+            # entry (a + b i) / r times c = (s + t i) / q
+            s, t, q = c.a, c.b, c.den
+            r, a1, b1, a2, b2, a3, b3, a4, b4 = self._z
+            d = q * r
+            u1, v1, u2, v2 = a1 * s - b1 * t, a1 * t + b1 * s, a2 * s - b2 * t, a2 * t + b2 * s
+            u3, v3, u4, v4 = a3 * s - b3 * t, a3 * t + b3 * s, a4 * s - b4 * t, a4 * t + b4 * s
+            if d == 1:
+                m._e, m._z = None, (1, u1, v1, u2, v2, u3, v3, u4, v4)
+                return m
+            b = r * (a1 * a1 + b1 * b1 or a2 * a2 + b2 * b2 or a3 * a3 + b3 * b3 or a4 * a4 + b4 * b4)
+            g = gcd(b, d, u1, v1, u2, v2, u3, v3, u4, v4)
+            m._e, m._z = self, ((d, u1, v1, u2, v2, u3, v3, u4, v4) if g == 1 else (
+                d // g, u1 // g, v1 // g, u2 // g, v2 // g, u3 // g, v3 // g, u4 // g, v4 // g))
+            return m
+        # entry x / r times c = p / q
         p, q = c.numerator, c.denominator
-        d, n11, n12, n21, n22 = self._z
-        g, h = gcd(p, d), gcd(q, n11, n12, n21, n22)
-        p, d, q = p // g, d // g, q // h
-        return _built(f, None, (d * q, n11 // h * p, n12 // h * p, n21 // h * p, n22 // h * p))
+        r, x1, x2, x3, x4 = self._z
+        d, n1, n2, n3, n4 = q * r, p * x1, p * x2, p * x3, p * x4
+        if d == 1:
+            m._e, m._z = None, (1, n1, n2, n3, n4)
+            return m
+        g = gcd(r * (x1 or x2 or x3 or x4), d, n1, n2, n3, n4)
+        m._e, m._z = self, ((d, n1, n2, n3, n4) if g == 1 else (d // g, n1 // g, n2 // g, n3 // g, n4 // g))
+        return m
 
     def shift(self, c) -> "Mat2":
         """self + c*I with one gcd on the integer form; over R64 and C64 the float
@@ -351,9 +404,10 @@ class Mat2:
     # -- scalar invariants and predicates ------------------------------------
 
     def top_left(self):
-        """Entry a11; an exact result reads it from its form and builds no other entry."""
+        """Entry a11; an exact result other than ``scale``'s reads it from its form and
+        builds no other entry."""
         if self._e is not None:
-            return self._e[0]
+            return self.entries[0]
         z = self._z
         return raw_fraction(z[1], z[0]) if len(z) == 5 else GaussianRational._raw(z[1], z[2], z[0])
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 from random import Random
 
@@ -19,6 +20,7 @@ from kcomm2 import (
     outer,
 )
 from kcomm2 import brackets as brackets_module
+from kcomm2 import matrices as matrices_module
 from kcomm2.errors import InvalidOrder, NotAnEigenpair, ResultTooLarge
 from kcomm2.identities import golden_identities
 from kcomm2.randgen import random_scalar
@@ -354,6 +356,39 @@ class TestNilpotentFast:
         assert kcomm_recursive(e21, e12, 2).eq(expected)
 
 
+class TestCostAtTheCap:
+    """A bracket at the size cap costs what its gcds cost, so count their operand
+    sizes instead of timing it: every gcd of ``kcomm`` (``math.gcd`` for the
+    scalars, ``matrices.gcd`` for the integer forms) has one operand no larger
+    than the unscaled inputs, however large the delta power makes the other."""
+
+    # the README reproducers, at orders whose delta power is the largest the cap lets through
+    REPRODUCERS = [
+        pytest.param(GAUSSIAN_QI, GaussianRational(Fraction(1, 3), Fraction(2, 7)), 34953, id="Qi-34953"),
+        pytest.param(RATIONAL_Q, Fraction(1, 3), 58255, id="Q-58255"),
+    ]
+
+    @pytest.mark.parametrize("field, b11, k", REPRODUCERS)
+    def test_every_gcd_has_an_operand_of_the_inputs_size(self, monkeypatch, field, b11, k):
+        A, B = Mat2(field, (1, 2, 3, 4)), Mat2(field, (b11, 2, 3, 5))
+        unscaled = kcomm(A, B, 2 - k % 2)  # the bracket delta**((k - 1) // 2) scales
+        # r * N(x) for a form (r; x), N(x) = |x| or a^2 + b^2: three times its largest part
+        limit = 3 * max(abs(v).bit_length() for M in (A, B, unscaled) for v in M._z) + 2
+        sizes, real_gcd = [], math.gcd
+
+        def recorded_gcd(*args):
+            sizes.append(sorted(abs(v).bit_length() for v in args))
+            return real_gcd(*args)
+
+        monkeypatch.setattr(math, "gcd", recorded_gcd)
+        monkeypatch.setattr(matrices_module, "gcd", recorded_gcd)
+        R = kcomm(A, B, k)
+        monkeypatch.undo()
+        assert max(s[-1] for s in sizes) > brackets_module.MAX_POWER_BITS // 2  # at the cap
+        assert [s for s in sizes if s[0] > limit] == []
+        assert R == Mat2(field, R.entries)  # entries built inside kcomm, from the same reduction
+
+
 class TestZeroFactor:
     """delta(B)^m is settled before the commutators: over Q and Qi an exact zero
     returns the zero matrix at once; over R64 and C64 the products still run."""
@@ -469,5 +504,18 @@ class TestEigenpair:
             raise RuntimeError("the power was taken")
 
         monkeypatch.setattr(Fraction, "__pow__", no_power)
+        monkeypatch.setattr(brackets_module, "coprime_fraction", no_power)
         with pytest.raises(ResultTooLarge, match=rf"^\(beta - alpha\)\*\*{k + 1} would need more than"):
             kcomm_eigenpair(fac, S, k + 1, 0, 3)
+
+
+class TestExactPower:
+    @pytest.mark.parametrize("m", [1, 2, 5, 31, 499])
+    @pytest.mark.parametrize("x", [Fraction(-7, 3), Fraction(-2), Fraction(0), Fraction(1), Fraction(-1),
+                                   Fraction(5, 12), Fraction(-1, 9)], ids=str)
+    def test_rational_power_is_fraction_pow(self, x, m):
+        """Over Q, ``_power`` builds x**m from the powered numerator and denominator,
+        which stay coprime: the same parts, value and hash as ``Fraction.__pow__``."""
+        got, want = brackets_module._power(RATIONAL_Q, x, m, "x"), x**m
+        assert (type(got), got.numerator, got.denominator) == (Fraction, want.numerator, want.denominator)
+        assert got == want and hash(got) == hash(want)

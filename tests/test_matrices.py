@@ -400,9 +400,9 @@ class TestIntegerForm:
         A, eye = Mat2(field, entries), Mat2.identity(field)
         for M in (A, (A + eye) - eye, A @ eye.scale(field.coerce(2)), A.scale(c)):
             computed = M is not A
-            assert not computed or M._e is None
+            assert not computed or type(M._e) is not tuple  # no entry built yet
             holds = M.is_scalar()
-            assert not computed or M._e is None  # decided without building entries
+            assert not computed or type(M._e) is not tuple  # decided without building entries
             a11, a12, a21, a22 = M.entries
             assert holds == (field.is_zero(a12) and field.is_zero(a21) and field.eq(a11, a22))
 
@@ -585,6 +585,74 @@ class TestIntegerForm:
             with pytest.raises(FieldMismatch):
                 outer(field, (1, 0), (Fraction(1, 3), 0.25))
 
+
+# -- the scaling rule ----------------------------------------------------------
+
+def _scale_case(field):
+    """A matrix whose entries mix integers, zeros and negative parts (or is zero),
+    and a scalar c that is small or a power delta**m with m up to 499."""
+    entry = st.one_of(_scalars(field), st.just(0), st.integers(-9, 9))
+    mat = st.one_of(st.tuples(*[entry] * 4), st.just((0, 0, 0, 0))).map(lambda e: Mat2(field, e))
+    power = st.tuples(_scalars(field), st.sampled_from([1, 2, 5, 31, 499])).map(lambda t: t[0] ** t[1])
+    return st.tuples(mat, st.one_of(_scalars(field), st.integers(-4, 4).map(field.coerce), power))
+
+
+class TestScaleRule:
+    """``scale`` over Q and Q(i) reduces c*X with gcds that start from an operand
+    of X's size, and gives the canonical form and entries of the entrywise products.
+
+    Write c = p/q in lowest terms (over Q(i), p = s + t i with gcd(s, t, q) = 1)
+    and X = (r; x1, .., x4) in canonical integer form.  Entry j of cX is
+    p*xj / (q*r); its reduction factor Gj = gcd(the parts of p*xj, q*r) divides
+    r*N(xj), where N(x) = |x| over Q and a^2 + b^2 for x = a + b i over Q(i).
+    Prime by prime, for xj != 0, a rational prime l and v its exponent:
+
+    - l does not divide q: v(Gj) <= v(q*r) = v(r).
+    - l divides q, over Q: l does not divide p, so v(Gj) <= v(p*xj) = v(xj).
+    - l divides q and is inert in Z[i] (l = 3 mod 4): l is a Gaussian prime
+      that does not divide p (it would divide s, t and q), so l^e | p*xj
+      forces l^e | xj, and e <= v(xj) <= v(N(xj)).
+    - l divides q and splits, l = w * conj(w) with w, conj(w) non-associate
+      Gaussian primes: l^e | p*xj needs w^e and conj(w)^e to divide p*xj, and
+      one of them, w', does not divide p (else l would), so w'^e | xj and
+      e <= v_w(xj) + v_conj(w)(xj) = v(N(xj)).
+    - l = 2 divides q, 2 = -i (1 + i)^2 ramified: (1 + i)^2 does not divide p
+      (else 2 would), so 2^e | p*xj needs 2e <= 1 + u with
+      u = v_(1+i)(xj) = v(N(xj)), that is e <= u (and e = 0 when u = 0).
+
+    So Gj | r*N(xj) in every case, and the form's factor g = gcd(G1, .., G4)
+    divides r*N(xk) for every nonzero xk.  ``scale`` seeds the form's gcd with
+    one such r*N(xk) (with 0 when X is zero, so that g = q*r), and the first
+    read of ``.entries`` seeds entry j's gcd in the reduced form, Gj/g, with
+    r*N(xj): no seed changes a gcd, and each gcd starts from an operand whose
+    size does not grow with c.
+    """
+
+    @staticmethod
+    def _check(A, c):
+        want = tuple(c * x for x in A.entries)  # Fraction / GaussianRational products
+        got, built = A.scale(c), Mat2(A.field, want)
+        assert got._z == built._z  # canonical: the constructor's form
+        assert got == built and hash(got) == hash(built)
+        _same(got, want)
+        assert got.top_left() == want[0] and got.is_zero() == (not any(want))
+
+    @given(exact_fields.flatmap(_scale_case))
+    def test_scale_is_the_entrywise_product(self, case):
+        self._check(*case)
+
+    def test_kernel_scalings_seeded(self, exact_field):
+        """c = delta**m on the order-1 and order-2 brackets, the products ``kcomm``
+        makes, with m up to 499."""
+        rng = Random(33)
+        for _ in range(40):
+            A = random_mat(exact_field, rng, denominators=True)
+            B = random_mat(exact_field, rng, denominators=True)
+            delta, X = B.discriminant(), A @ B - B @ A
+            for m in (1, 2, 5, 31, 499):
+                c = delta**m
+                self._check(X, c)
+                self._check(X.commutator(B), c)
 
 # -- construction ------------------------------------------------------------
 
