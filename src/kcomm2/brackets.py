@@ -11,17 +11,17 @@ import cmath
 import math
 
 from .errors import InvalidOrder, NotAnEigenpair, ResultTooLarge
-from .fields import FieldTag, GaussianRational, coprime_fraction, require_same_field
+from .fields import FieldTag, coprime_fraction, require_same_field
 from .matrices import Mat2, RankOneFactor, outer
 
 # Exact powers whose estimated size passes this many bits are refused: their
 # cost grows faster than linearly (a bracket at the cap takes about 0.007 s over
 # Q and 0.03 s over Qi on a 2-vCPU x86 box, most of it the power itself, since
-# Mat2.scale starts each gcd of its entries from an operand of the unscaled size).
-# This cap alone bounds a kcomm request: a bracket under it with more digits
-# than the interpreter prints is computed, then refused by FieldTag.encode,
-# which at the cap takes 0.13-0.15 s (Q) or 0.20-0.24 s (Qi) as a CLI child,
-# interpreter start included.
+# the scaling rule of ``matrices`` starts each gcd from an operand of the
+# unscaled size).  This cap alone bounds a kcomm request: a bracket under it
+# with more digits than the interpreter prints is computed, then refused by
+# FieldTag.encode, which at the cap takes 0.08-0.14 s (Q) or 0.09-0.16 s (Qi)
+# as a CLI child, interpreter start included.
 MAX_POWER_BITS = 1 << 18
 
 # Trial counts of the sampled certifier and the probe campaign are capped so
@@ -75,15 +75,6 @@ def kcomm_closed(A: Mat2, B: Mat2, k: int) -> Mat2:
     return acc
 
 
-def _growth_bits(x) -> int:
-    """Bits each factor of the exact scalar x adds to x**m; 0 for zero and units."""
-    if isinstance(x, GaussianRational):
-        mag = max(x.a * x.a + x.b * x.b, x.den * x.den)
-        return (mag.bit_length() + 1) // 2 if mag > 1 else 0
-    mag = max(abs(x.numerator), x.denominator)
-    return mag.bit_length() if mag > 1 else 0
-
-
 def _power(field: FieldTag, x, n: int, name: str):
     """x**n for an exponent that grows with the bracket order; the one such power.
 
@@ -93,14 +84,22 @@ def _power(field: FieldTag, x, n: int, name: str):
     does for (1e200+1e200j)**2.
     """
     if field.is_exact:
-        if n * _growth_bits(x) > MAX_POWER_BITS:
+        # each factor adds the bits of x's largest part (its modulus over Q(i)); none for 0 and 1
+        if field.is_complex:
+            mag = max(x.a * x.a + x.b * x.b, x.den * x.den)
+            bits = (mag.bit_length() + 1) // 2 if mag > 1 else 0
+        else:
+            p, q = x.as_integer_ratio()
+            mag = max(abs(p), q)
+            bits = mag.bit_length() if mag > 1 else 0
+        if n * bits > MAX_POWER_BITS:
             raise ResultTooLarge(f"{name}**{n} would need more than {MAX_POWER_BITS} bits")
         if n == 1:
             return x
         if field.is_complex:
             return x**n  # GaussianRational.__pow__ reduces by a shift, with no gcd
         # powers of coprime parts stay coprime: no gcd, and none of Fraction.__pow__'s checks
-        return coprime_fraction(x.numerator**n, x.denominator**n)
+        return coprime_fraction(p**n, q**n)
     try:
         power = x**n
     except OverflowError as exc:
@@ -111,7 +110,7 @@ def _power(field: FieldTag, x, n: int, name: str):
 
 
 def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto") -> Mat2:
-    """Order-k bracket in O(1) operations: at most two commutators and one power.
+    """Order-k bracket in O(1) operations: two products, one power and one fused step.
 
     T(R) = RB - BR satisfies T^3 = delta*T on 2x2 matrices, where
     delta = tr(B)^2 - 4 det(B) = (b11 - b22)^2 + 4 b12 b21: expand T^3 and
@@ -135,12 +134,12 @@ def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto") -> Mat2:
     products are always made, so signed zeros and 0*inf come out as they would
     from the scaled bracket.
 
-    The first commutator is A @ B - B @ A, two ``Mat2`` products, so every
-    answer passes through ``@``.  The second, at even k, is
-    ``R.commutator(B)``: one integer-form step over Q and Q(i), and over R64
-    and C64 the float operations of ``@`` and ``-`` fused entry by entry.  A
-    call therefore makes 2 products at every k >= 1 on every field (0 over Q
-    and Q(i) when delta^m is zero).
+    Then the two ``Mat2`` products A @ B and B @ A are made, so every answer
+    passes through ``@``, and ``Mat2.bracket_step`` builds the rest in one
+    step: their difference, at even k its bracket with B, the scale by delta^m
+    and the answer's entries.  A call therefore makes 2 products and one more
+    ``Mat2``, the answer, at every k >= 1 on every field (none over Q and Q(i)
+    when delta^m is zero).
 
     ``method`` must be "auto"; the oracle and the binomial sum are called as
     ``kcomm_recursive`` and ``kcomm_closed``.
@@ -157,19 +156,16 @@ def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto") -> Mat2:
     if k == 0:
         return A
     m = (k - 1) // 2
+    c = None
     if m:
         c = _power(field, B.discriminant(), m, "discriminant")
-        if field.is_exact and field.is_zero(c):
+        if field.is_exact and not c:
             return Mat2.zero(field)
-    R = A @ B - B @ A
-    if k % 2 == 0:
-        R = R.commutator(B)
-    if m:
-        R = R.scale(c)
-    w, x, y, z = R.entries  # built here, not left to the caller
-    if not field.is_exact and not (cmath.isfinite(w) and cmath.isfinite(x)
-                                   and cmath.isfinite(y) and cmath.isfinite(z)):
-        raise ResultTooLarge(f"order-{k} bracket overflows {field.variant}")
+    R = (A @ B).bracket_step(B @ A, None if k % 2 else B, c)
+    if not field.is_exact:
+        w, x, y, z = R.entries
+        if not (cmath.isfinite(w) and cmath.isfinite(x) and cmath.isfinite(y) and cmath.isfinite(z)):
+            raise ResultTooLarge(f"order-{k} bracket overflows {field.variant}")
     return R
 
 

@@ -225,6 +225,17 @@ def _fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def _part_str(n: int, den: int) -> str:
+    """str(Fraction(n, den)), one part of a Q(i) scalar.  When |n| >= 10**limit * den,
+    decided on bit lengths (log2(10) = 3.32...), the reduced numerator has more digits
+    than the interpreter prints whatever the gcd is: then ``str(n)`` raises the same
+    ValueError, and no gcd of two large integers is taken."""
+    limit = sys.get_int_max_str_digits()
+    if limit and n.bit_length() > den.bit_length() + 3.3219280948873626 * limit + 2:
+        str(n)
+    return str(Fraction(n, den))
+
+
 FIELD_CODES = ("Q", "Qi", "R64", "C64")
 
 
@@ -324,7 +335,7 @@ class FieldTag:
                 raise ResultTooLarge(f"{self.variant} value {z!r} is not finite")
             return {"re": z.real, "im": z.imag} if self.is_complex else z
         try:
-            return {"re": str(z.re), "im": str(z.im)} if self.is_complex else str(z)
+            return {"re": _part_str(z.a, z.den), "im": _part_str(z.b, z.den)} if self.is_complex else str(z)
         except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
             raise ResultTooLarge(f"exact value too large to print: {exc}") from exc
 

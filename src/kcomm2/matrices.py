@@ -9,34 +9,38 @@ shared denominator:
 
 The form is canonical (den > 0 and gcd(den, all numerators) = 1), so equal
 values have equal forms.  The hot exact operations (``@``, ``+``, ``-``,
-``commutator``, ``scale``, ``shift``, ``discriminant``, ``top_left``,
+``bracket_step``, ``scale``, ``shift``, ``discriminant``, ``top_left``,
 equality, hashing, the zero and scalar tests and the sandwich images
 ``unit_images``) compute on these integers and normalise with one
 multi-argument gcd, where entrywise ``Fraction`` / ``GaussianRational``
-arithmetic would take one gcd per scalar operation; ``commutator`` makes
-XY - YX in one step, where ``@``, ``@`` and ``-`` take three gcds (over R64
-and C64 too it builds no intermediate matrix).  ``@``, ``+``, ``-``,
-``commutator``, ``scale``, ``shift`` and that gcd division are written out
-slot by slot for the 5- and 9-slot forms, with one gcd per result and no
-list built per operation; the Q scalars of ``.entries``, ``top_left`` and
-``discriminant`` are built by ``fields.raw_fraction``, with one gcd and none
-when the denominator is 1.  The cold ones (``trace``, ``det``, ``conj_t``,
-negation and ``outer``) read or build ``.entries`` on every field.  The hash
-reads the form (or the float entries) and not the field: matrices over
-unequal fields never compare equal, so hashing the field too would split no
-equal pair.
+arithmetic would take one gcd per scalar operation.  They are written out
+slot by slot for the 5- and 9-slot forms, with no list built per operation;
+the Q scalars of ``.entries``, ``top_left`` and ``discriminant`` are built by
+``fields.raw_fraction``, with one gcd and none when the denominator is 1.  The
+cold ones (``trace``, ``det``, ``conj_t``, negation and ``outer``) read or
+build ``.entries`` on every field.  The hash reads the form (or the float
+entries) and not the field: matrices over unequal fields never compare equal,
+so hashing the field too would split no equal pair.
 
-``scale`` reduces c*X, which ``kcomm`` makes with c = delta**m and so with
-integers that grow with the bracket order, by one rule on Q and Q(i).  With
-c = p/q in lowest terms and X = (r; x1, .., x4), entry j's reduction factor
+``bracket_step`` is the whole of ``kcomm`` after its two products P = A @ B
+and Q = B @ A: c*(P - Q), or c*[P - Q, B] at even orders, made on the forms
+with no intermediate matrix, the bracket reduced once, and the answer's
+entries built.  Over R64 and C64 it makes the float operations of P - Q, the
+bracket and the scale in their order, entry by entry.
+
+c*X, which ``kcomm`` makes with c = delta**m and so with integers that grow
+with the bracket order, is reduced by one rule on Q and Q(i), kept by
+``_scaled`` (the form) and ``_scaled_entries`` (its entries), which
+``scale``, ``.entries`` and ``bracket_step`` share.  With c = p/q in lowest
+terms and X = (r; x1, .., x4), entry j's reduction factor
 gcd(parts of p*xj, q*r) divides r*N(xj), where N(x) is |x| over Q and
 a^2 + b^2 for x = a + b i over Q(i) (proved prime by prime in
 ``tests/test_matrices.py::TestScaleRule``).  So the form's gcd is seeded with
-one such r*N(xk), and the result keeps X, from which the first read of
-``.entries`` seeds entry j's gcd with r*N(xj): every gcd starts from an
-operand of X's size, none from two operands of the product's, and those
-entries are built from their coprime parts by ``fields.coprime_fraction`` or
-``fields.coprime_gaussian``.
+one such r*N(xk), and entry j's with r*N(xj): every gcd starts from an operand
+of X's size, none from two operands of the product's, and the entries are
+built from their coprime parts by ``fields.coprime_fraction`` or
+``fields.coprime_gaussian``.  ``scale`` keeps X in place of the entries, so
+that their first read can seed those gcds; ``bracket_step`` builds them at once.
 
 ``Mat2(field, entries)`` is the one checked constructor: exactly four entries,
 each coerced into the field (a wrong kind raises FieldMismatch), and over Q
@@ -77,9 +81,9 @@ def _built(field: FieldTag, entries, form) -> "Mat2":
     return m
 
 
-def _combine(field: FieldTag, x: tuple, y: tuple, subtract: bool) -> "Mat2":
+def _combine(x: tuple, y: tuple, subtract: bool) -> tuple:
     """x + y or x - y on integer forms of the same field, slot by slot, over
-    the product of the denominators when they differ."""
+    the product of the denominators when they differ; not reduced."""
     d, e = x[0], y[0]
     if len(x) == 5:
         _, x1, x2, x3, x4 = x
@@ -89,8 +93,8 @@ def _combine(field: FieldTag, x: tuple, y: tuple, subtract: bool) -> "Mat2":
             y1, y2, y3, y4 = y1 * d, y2 * d, y3 * d, y4 * d
             d *= e
         if subtract:
-            return _normalised(field, (d, x1 - y1, x2 - y2, x3 - y3, x4 - y4))
-        return _normalised(field, (d, x1 + y1, x2 + y2, x3 + y3, x4 + y4))
+            return (d, x1 - y1, x2 - y2, x3 - y3, x4 - y4)
+        return (d, x1 + y1, x2 + y2, x3 + y3, x4 + y4)
     _, x1, x2, x3, x4, x5, x6, x7, x8 = x
     _, y1, y2, y3, y4, y5, y6, y7, y8 = y
     if d != e:
@@ -98,10 +102,8 @@ def _combine(field: FieldTag, x: tuple, y: tuple, subtract: bool) -> "Mat2":
         y1, y2, y3, y4, y5, y6, y7, y8 = y1 * d, y2 * d, y3 * d, y4 * d, y5 * d, y6 * d, y7 * d, y8 * d
         d *= e
     if subtract:
-        return _normalised(field, (d, x1 - y1, x2 - y2, x3 - y3, x4 - y4,
-                                   x5 - y5, x6 - y6, x7 - y7, x8 - y8))
-    return _normalised(field, (d, x1 + y1, x2 + y2, x3 + y3, x4 + y4,
-                               x5 + y5, x6 + y6, x7 + y7, x8 + y8))
+        return (d, x1 - y1, x2 - y2, x3 - y3, x4 - y4, x5 - y5, x6 - y6, x7 - y7, x8 - y8)
+    return (d, x1 + y1, x2 + y2, x3 + y3, x4 + y4, x5 + y5, x6 + y6, x7 + y7, x8 + y8)
 
 
 def _normalised(field: FieldTag, z: tuple) -> "Mat2":
@@ -120,6 +122,93 @@ def _normalised(field: FieldTag, z: tuple) -> "Mat2":
     m = object.__new__(Mat2)
     m._f, m._e, m._z = field, None, z
     return m
+
+
+def _bracketed(x: tuple, y: tuple) -> tuple:
+    """XY - YX on integer forms of the same field, over the product of the
+    denominators; not reduced.  With X = [[x11, x12], [x21, x22]] and
+    Y = [[y11, y12], [y21, y22]] it is
+
+        [[n, y12 u - x12 v], [x21 v - y21 u, -n]],
+        n = x12 y21 - y12 x21,  u = x11 - x22,  v = y11 - y22,
+
+    and the same on (re, im) pairs over Q(i)."""
+    if len(x) == 5:
+        d, x11, x12, x21, x22 = x
+        e, y11, y12, y21, y22 = y
+        u, v = x11 - x22, y11 - y22
+        n = x12 * y21 - y12 * x21
+        return (d * e, n, y12 * u - x12 * v, x21 * v - y21 * u, -n)
+    # entry (p + q i) of X, (r + s i) of Y
+    d, p11, q11, p12, q12, p21, q21, p22, q22 = x
+    e, r11, s11, r12, s12, r21, s21, r22, s22 = y
+    u, ui, v, vi = p11 - p22, q11 - q22, r11 - r22, s11 - s22
+    n, ni = p12 * r21 - q12 * s21 - r12 * p21 + s12 * q21, p12 * s21 + q12 * r21 - r12 * q21 - s12 * p21
+    return (d * e, n, ni,
+            r12 * u - s12 * ui - p12 * v + q12 * vi, r12 * ui + s12 * u - p12 * vi - q12 * v,
+            p21 * v - q21 * vi - r21 * u + s21 * ui, p21 * vi + q21 * v - r21 * ui - s21 * u,
+            -n, -ni)
+
+
+def _entries(z: tuple) -> tuple:
+    """The field scalars of a reduced form, each reduced by its gcd with the denominator."""
+    d = z[0]
+    if len(z) == 9:
+        raw = GaussianRational._raw
+        return (raw(z[1], z[2], d), raw(z[3], z[4], d), raw(z[5], z[6], d), raw(z[7], z[8], d))
+    return (raw_fraction(z[1], d), raw_fraction(z[2], d), raw_fraction(z[3], d), raw_fraction(z[4], d))
+
+
+def _scaled(x: tuple, c) -> tuple:
+    """Reduced form of c*X, for X's reduced form x and an exact scalar c, by the rule in
+    the module docstring: the gcd is seeded with r*N(xk) of X's first nonzero entry (0
+    for a zero X), and a product over the denominator 1 takes none."""
+    if len(x) == 9:
+        # entry (a + b i) / r times c = (s + t i) / q
+        s, t, q = c.a, c.b, c.den
+        r, a1, b1, a2, b2, a3, b3, a4, b4 = x
+        d = q * r
+        u1, v1, u2, v2 = a1 * s - b1 * t, a1 * t + b1 * s, a2 * s - b2 * t, a2 * t + b2 * s
+        u3, v3, u4, v4 = a3 * s - b3 * t, a3 * t + b3 * s, a4 * s - b4 * t, a4 * t + b4 * s
+        if d == 1:
+            return (1, u1, v1, u2, v2, u3, v3, u4, v4)
+        g = gcd(r * (a1 * a1 + b1 * b1 or a2 * a2 + b2 * b2 or a3 * a3 + b3 * b3 or a4 * a4 + b4 * b4),
+                d, u1, v1, u2, v2, u3, v3, u4, v4)
+        if g == 1:
+            return (d, u1, v1, u2, v2, u3, v3, u4, v4)
+        return (d // g, u1 // g, v1 // g, u2 // g, v2 // g, u3 // g, v3 // g, u4 // g, v4 // g)
+    # entry x / r times c = p / q
+    p, q = c.as_integer_ratio()
+    r, x1, x2, x3, x4 = x
+    d, n1, n2, n3, n4 = q * r, p * x1, p * x2, p * x3, p * x4
+    if d == 1:
+        return (1, n1, n2, n3, n4)
+    g = gcd(r * (x1 or x2 or x3 or x4), d, n1, n2, n3, n4)
+    return (d, n1, n2, n3, n4) if g == 1 else (d // g, n1 // g, n2 // g, n3 // g, n4 // g)
+
+
+def _scaled_entries(x: tuple, z: tuple) -> tuple:
+    """The field scalars of z = ``_scaled(x, c)``: entry j's gcd with the denominator
+    divides r*N(xj) of x = (r; x1, .., x4), which seeds it, and the coprime parts are
+    built with no further gcd."""
+    d = z[0]
+    if d == 1:
+        return _entries(z)
+    r = x[0]
+    if len(z) == 9:
+        _, a1, b1, a2, b2, a3, b3, a4, b4 = x
+        h1 = gcd(r * (a1 * a1 + b1 * b1), z[1], z[2], d)
+        h2 = gcd(r * (a2 * a2 + b2 * b2), z[3], z[4], d)
+        h3 = gcd(r * (a3 * a3 + b3 * b3), z[5], z[6], d)
+        h4 = gcd(r * (a4 * a4 + b4 * b4), z[7], z[8], d)
+        return (coprime_gaussian(z[1] // h1, z[2] // h1, d // h1),
+                coprime_gaussian(z[3] // h2, z[4] // h2, d // h2),
+                coprime_gaussian(z[5] // h3, z[6] // h3, d // h3),
+                coprime_gaussian(z[7] // h4, z[8] // h4, d // h4))
+    h1, h2 = gcd(r * x[1], z[1], d), gcd(r * x[2], z[2], d)
+    h3, h4 = gcd(r * x[3], z[3], d), gcd(r * x[4], z[4], d)
+    return (coprime_fraction(z[1] // h1, d // h1), coprime_fraction(z[2] // h2, d // h2),
+            coprime_fraction(z[3] // h3, d // h3), coprime_fraction(z[4] // h4, d // h4))
 
 
 class Mat2:
@@ -152,33 +241,7 @@ class Mat2:
         e = self._e
         if type(e) is tuple:
             return e
-        z = self._z
-        d = z[0]
-        if e is None:
-            if len(z) == 9:
-                raw = GaussianRational._raw
-                e = (raw(z[1], z[2], d), raw(z[3], z[4], d), raw(z[5], z[6], d), raw(z[7], z[8], d))
-            else:
-                e = (raw_fraction(z[1], d), raw_fraction(z[2], d), raw_fraction(z[3], d),
-                     raw_fraction(z[4], d))
-        else:  # c * e (scale): entry j's gcd divides r*N(xj) of e's form (r; x1, .., x4)
-            x = e._z
-            r = x[0]
-            if len(z) == 9:
-                _, a1, b1, a2, b2, a3, b3, a4, b4 = x
-                h1 = gcd(r * (a1 * a1 + b1 * b1), z[1], z[2], d)
-                h2 = gcd(r * (a2 * a2 + b2 * b2), z[3], z[4], d)
-                h3 = gcd(r * (a3 * a3 + b3 * b3), z[5], z[6], d)
-                h4 = gcd(r * (a4 * a4 + b4 * b4), z[7], z[8], d)
-                e = (coprime_gaussian(z[1] // h1, z[2] // h1, d // h1),
-                     coprime_gaussian(z[3] // h2, z[4] // h2, d // h2),
-                     coprime_gaussian(z[5] // h3, z[6] // h3, d // h3),
-                     coprime_gaussian(z[7] // h4, z[8] // h4, d // h4))
-            else:
-                h1, h2 = gcd(r * x[1], z[1], d), gcd(r * x[2], z[2], d)
-                h3, h4 = gcd(r * x[3], z[3], d), gcd(r * x[4], z[4], d)
-                e = (coprime_fraction(z[1] // h1, d // h1), coprime_fraction(z[2] // h2, d // h2),
-                     coprime_fraction(z[3] // h3, d // h3), coprime_fraction(z[4] // h4, d // h4))
+        e = _entries(self._z) if e is None else _scaled_entries(e._z, self._z)
         self._e = e
         return e
 
@@ -236,7 +299,7 @@ class Mat2:
         if other._f is not f:
             require_same_field(f, other._f)
         if f.is_exact:
-            return _combine(f, self._z, other._z, False)
+            return _normalised(f, _combine(self._z, other._z, False))
         a, b = self._e, other._e
         return _built(f, (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]), None)
 
@@ -245,7 +308,7 @@ class Mat2:
         if other._f is not f:
             require_same_field(f, other._f)
         if f.is_exact:
-            return _combine(f, self._z, other._z, True)
+            return _normalised(f, _combine(self._z, other._z, True))
         a, b = self._e, other._e
         return _built(f, (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]), None)
 
@@ -291,87 +354,61 @@ class Mat2:
             a21 * b12 + a22 * b22,
         ))
 
-    def commutator(self, other: "Mat2") -> "Mat2":
-        """self @ other - other @ self; over Q and Q(i) in one step with one gcd.
+    def bracket_step(self, other: "Mat2", B: "Mat2 | None" = None, c=None) -> "Mat2":
+        """c * X with its entries built, for X = self - other, or X = [self - other, B]
+        when B is given, and c a scalar of the field or None for 1.  ``kcomm`` makes
+        its answer with it from its two products and c = delta**m.
 
-        With self = [[a, b], [c, d]] and other = [[e, f], [g, h]] it is
-
-            [[bg - fc, f(a - d) - b(e - h)], [c(e - h) - g(a - d), -(bg - fc)]]
-
-        on the integer forms, over the product of their denominators.  Over R64
-        and C64 each entry is built at once from the float operations of ``@``
-        and ``-`` in their order, so results and signed zeros are theirs, bit
-        for bit, with no intermediate matrix.
+        Over Q and Q(i) X is made on the integer forms (``_combine``, ``_bracketed``)
+        and reduced by one gcd, and c * X and its entries follow the rule of ``scale``
+        (``_scaled``, ``_scaled_entries``).  Over R64 and C64 each entry makes the
+        float operations of ``self - other``, then ``X @ B - B @ X``, then
+        ``scale(c)``, in their order, so results and signed zeros are theirs.
         """
-        field = self._f
-        if other._f is not field:
-            require_same_field(field, other._f)
-        if not field.is_exact:
-            a11, a12, a21, a22 = self._e
-            b11, b12, b21, b22 = other._e
-            return _built(field, (
-                (a11 * b11 + a12 * b21) - (b11 * a11 + b12 * a21),
-                (a11 * b12 + a12 * b22) - (b11 * a12 + b12 * a22),
-                (a21 * b11 + a22 * b21) - (b21 * a11 + b22 * a21),
-                (a21 * b12 + a22 * b22) - (b21 * a12 + b22 * a22),
-            ), None)
-        if field.is_complex:
-            # the same on (re, im) pairs: (x + y i)(X + Y i) = (xX - yY) + (xY + yX) i
-            r, a, ai, b, bi, c, ci, d, di = self._z
-            s, e, ei, f, fi, g, gi, h, hi = other._z
-            u, ui, v, vi = a - d, ai - di, e - h, ei - hi
-            n, ni = b * g - bi * gi - f * c + fi * ci, b * gi + bi * g - f * ci - fi * c
-            return _normalised(field, (
-                r * s, n, ni,
-                f * u - fi * ui - b * v + bi * vi, f * ui + fi * u - b * vi - bi * v,
-                c * v - ci * vi - g * u + gi * ui, c * vi + ci * v - g * ui - gi * u,
-                -n, -ni,
-            ))
-        r, a, b, c, d = self._z
-        s, e, f, g, h = other._z
-        u, v = a - d, e - h
-        n = b * g - f * c
-        return _normalised(field, (r * s, n, f * u - b * v, c * v - g * u, -n))
+        f = self._f
+        if other._f is not f:
+            require_same_field(f, other._f)
+        if B is not None and B._f is not f:
+            require_same_field(f, B._f)
+        if not f.is_exact:
+            p, q = self._e, other._e
+            x = (p[0] - q[0], p[1] - q[1], p[2] - q[2], p[3] - q[3])
+            if B is not None:
+                x11, x12, x21, x22 = x
+                b11, b12, b21, b22 = B._e
+                x = ((x11 * b11 + x12 * b21) - (b11 * x11 + b12 * x21),
+                     (x11 * b12 + x12 * b22) - (b11 * x12 + b12 * x22),
+                     (x21 * b11 + x22 * b21) - (b21 * x11 + b22 * x21),
+                     (x21 * b12 + x22 * b22) - (b21 * x12 + b22 * x22))
+            if c is not None:
+                x = (c * x[0], c * x[1], c * x[2], c * x[3])
+            return _built(f, x, None)
+        x = _combine(self._z, other._z, True)
+        if B is not None:
+            x = _bracketed(x, B._z)
+        m = _normalised(f, x)  # X, reduced once; then its multiple by c in place
+        if c is None:
+            m._e = _entries(m._z)
+        else:
+            x = m._z
+            m._z = z = _scaled(x, c)
+            m._e = _scaled_entries(x, z)
+        return m
 
     def scale(self, c) -> "Mat2":
         """c * self.  Over Q and Q(i) by the rule in the module docstring: the form
         is reduced by a gcd seeded with r*N(xk) for a nonzero entry xk of self, and
         the result keeps self (in place of its entries) to seed the gcds of its
-        entries when they are first read.  A result over the denominator 1 needs
-        no gcd and keeps nothing."""
+        entries when they are first read.  A result over the denominator 1 keeps
+        nothing."""
         f = self._f
         if f.is_exact or type(c) is not (complex if f.is_complex else float):
             c = f.coerce(c)
         if not f.is_exact:
             a = self._e
             return _built(f, (c * a[0], c * a[1], c * a[2], c * a[3]), None)
-        m = object.__new__(Mat2)
-        m._f = f
-        if f.is_complex:
-            # entry (a + b i) / r times c = (s + t i) / q
-            s, t, q = c.a, c.b, c.den
-            r, a1, b1, a2, b2, a3, b3, a4, b4 = self._z
-            d = q * r
-            u1, v1, u2, v2 = a1 * s - b1 * t, a1 * t + b1 * s, a2 * s - b2 * t, a2 * t + b2 * s
-            u3, v3, u4, v4 = a3 * s - b3 * t, a3 * t + b3 * s, a4 * s - b4 * t, a4 * t + b4 * s
-            if d == 1:
-                m._e, m._z = None, (1, u1, v1, u2, v2, u3, v3, u4, v4)
-                return m
-            b = r * (a1 * a1 + b1 * b1 or a2 * a2 + b2 * b2 or a3 * a3 + b3 * b3 or a4 * a4 + b4 * b4)
-            g = gcd(b, d, u1, v1, u2, v2, u3, v3, u4, v4)
-            m._e, m._z = self, ((d, u1, v1, u2, v2, u3, v3, u4, v4) if g == 1 else (
-                d // g, u1 // g, v1 // g, u2 // g, v2 // g, u3 // g, v3 // g, u4 // g, v4 // g))
-            return m
-        # entry x / r times c = p / q
-        p, q = c.numerator, c.denominator
-        r, x1, x2, x3, x4 = self._z
-        d, n1, n2, n3, n4 = q * r, p * x1, p * x2, p * x3, p * x4
-        if d == 1:
-            m._e, m._z = None, (1, n1, n2, n3, n4)
-            return m
-        g = gcd(r * (x1 or x2 or x3 or x4), d, n1, n2, n3, n4)
-        m._e, m._z = self, ((d, n1, n2, n3, n4) if g == 1 else (d // g, n1 // g, n2 // g, n3 // g, n4 // g))
-        return m
+        z = _scaled(self._z, c)
+        return _built(f, self if z[0] != 1 else None, z)
 
     def shift(self, c) -> "Mat2":
         """self + c*I with one gcd on the integer form; over R64 and C64 the float
@@ -381,8 +418,8 @@ class Mat2:
             return self + Mat2.identity(f).scale(c)
         c = f.coerce(c)  # c*I in integer form, (p + q i) / r on the diagonal
         if f.is_complex:
-            return _combine(f, self._z, (c.den, c.a, c.b, 0, 0, 0, 0, c.a, c.b), False)
-        return _combine(f, self._z, (c.denominator, c.numerator, 0, 0, c.numerator), False)
+            return _normalised(f, _combine(self._z, (c.den, c.a, c.b, 0, 0, 0, 0, c.a, c.b), False))
+        return _normalised(f, _combine(self._z, (c.denominator, c.numerator, 0, 0, c.numerator), False))
 
     def __rmul__(self, c) -> "Mat2":
         return self.scale(c)  # M * M never gets here: Python reflects only across types

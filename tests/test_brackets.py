@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -195,10 +196,29 @@ class TestCayleyHamilton:
                 evaluator(eye, eye, True)
 
 
+def _made(fn):
+    """fn()'s result and the ``Mat2`` objects made while it ran, by the function that
+    made each: ``Mat2.__init__``, or the ``object.__new__`` calls of ``matrices.py``."""
+    new, init, made = object.__new__, Mat2.__init__.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and arg is new and frame.f_globals is vars(matrices_module):
+            made.append(frame.f_code.co_name)
+        elif event == "call" and frame.f_code is init:
+            made.append("__init__")
+
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, made
+
+
 class TestProducts:
     """Cost in ``Mat2`` products.  The oracle makes two at each of its k steps.  The
-    kernel's first commutator is A @ B - B @ A, and its even-order step is one
-    ``Mat2.commutator``."""
+    kernel makes A @ B and B @ A and builds its answer from them in one
+    ``Mat2.bracket_step``."""
 
     @pytest.fixture
     def products(self, monkeypatch):
@@ -223,9 +243,9 @@ class TestProducts:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 12, 64, 1000])
     def test_exact_kernel_makes_two_at_every_order(self, any_field, products, k):
-        """Exactly two on every field: the even-order step is one ``Mat2.commutator``,
-        fused over R64 and C64 too.  A float B is scaled into [-0.3, 0.3], so that
-        delta**499 cannot overflow."""
+        """Exactly two on every field: the even-order step is fused into
+        ``Mat2.bracket_step``, over R64 and C64 too.  A float B is scaled into
+        [-0.3, 0.3], so that delta**499 cannot overflow."""
         rng = Random(k)
         A, B = random_mat(any_field, rng), random_mat(any_field, rng, denominators=True)
         if not any_field.is_exact:
@@ -234,6 +254,20 @@ class TestProducts:
         products.clear()
         kcomm(A, B, k)
         assert len(products) == 2
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 64, 1000])
+    def test_kernel_makes_only_the_products_and_the_answer(self, any_field, monkeypatch, k):
+        """The whole bracket after the two products is one step: the only ``Mat2``
+        objects a call makes are A @ B, B @ A and the answer it returns."""
+        rng = Random(k)
+        A, B = random_mat(any_field, rng), random_mat(any_field, rng, denominators=True)
+        if not any_field.is_exact:
+            B = B.scale(0.3)
+        products, matmul = [], Mat2.__matmul__
+        monkeypatch.setattr(Mat2, "__matmul__", lambda X, Y: products.append(matmul(X, Y)) or products[-1])
+        R, made = _made(lambda: kcomm(A, B, k))
+        assert len(products) == 2 and all(R is not P for P in products)
+        assert len(made) == 3, made
 
 
 class TestAlgebraicLaws:

@@ -2,6 +2,7 @@ import argparse
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,7 +21,8 @@ from kcomm2.serialize import (
     maptable_to_json,
 )
 from kcomm2 import cli, preserver
-from kcomm2.brackets import MAX_ORDER, kcomm_recursive
+from kcomm2.brackets import MAX_ORDER, kcomm, kcomm_recursive
+from kcomm2.errors import ResultTooLarge
 from kcomm2.preserver import generate_map, h_det, probe_set
 
 from fractions import Fraction
@@ -776,6 +778,28 @@ class TestHostileInputs:
         body = self.run_text(capsys, tmp_path, ["kcomm", "--k", str(k)], text)
         assert body["error"] == "ResultTooLarge"
         assert body["message"].startswith("exact value too large to print")
+
+    @pytest.mark.parametrize("field, b11, k", [
+        (GAUSSIAN_QI, GaussianRational(Fraction(1, 3), Fraction(2, 7)), 34953),
+        (RATIONAL_Q, Fraction(1, 3), 58255),
+    ], ids=["Qi-34953", "Q-58255"])
+    def test_cap_bracket_is_refused_without_a_large_gcd(self, monkeypatch, default_digit_limit,
+                                                        field, b11, k):
+        """A part whose reduced numerator has more digits than the limit, whatever its gcd
+        with the denominator, is refused on bit lengths: printing the bracket at the
+        power cap takes no gcd of two operands past 2**17 bits."""
+        R = kcomm(Mat2(field, (1, 2, 3, 4)), Mat2(field, (b11, 2, 3, 5)), k)
+        sizes, real_gcd = [], math.gcd
+
+        def recorded_gcd(*args):
+            sizes.append(sorted(abs(v).bit_length() for v in args))
+            return real_gcd(*args)
+
+        monkeypatch.setattr(math, "gcd", recorded_gcd)
+        with pytest.raises(ResultTooLarge, match="exact value too large to print: Exceeds the limit"):
+            mat_to_json(R)
+        monkeypatch.undo()
+        assert [s for s in sizes if len(s) > 1 and s[-2] > 1 << 17] == []
 
     def test_orders_1997_and_1998_print_and_1999_is_refused(self, capsys, tmp_path, default_digit_limit):
         # 1997 and 1998 both scale by delta**998, 1999 first by delta**999

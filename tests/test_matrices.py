@@ -241,6 +241,14 @@ def _bits(x):
     return struct.pack("<2d", x.real, x.imag) if isinstance(x, complex) else struct.pack("<d", x)
 
 
+def _ieee(x):
+    """``_bits``, but with every NaN alike: when both operands of a float operation are
+    NaNs, the payload CPython 3.11 keeps depends on whether it has specialised that
+    bytecode yet (warm ``a * b`` keeps a's, cold keeps b's), not on the code."""
+    parts = (x.real, x.imag) if isinstance(x, complex) else (x,)
+    return tuple("nan" if math.isnan(p) else struct.pack("<d", p) for p in parts)
+
+
 def _vectors(field):
     return st.tuples(_scalars(field), _scalars(field))
 
@@ -287,6 +295,15 @@ def _check_against_scalars(field, A, B, c):
     _same(A.conj_t(), want["conj_t"])
     for name in ("trace", "det", "discriminant"):
         assert _parts(getattr(A, name)()) == _parts(want[name]), name
+
+
+def _composed(P, Q, B, c):
+    """What ``Mat2.bracket_step`` fuses, as separate operations: P - Q, then its
+    bracket with B (when given), then the scale by c (when given)."""
+    R = P - Q
+    if B is not None:
+        R = R @ B - B @ R
+    return R if c is None else R.scale(c)
 
 
 class TestIntegerForm:
@@ -435,28 +452,28 @@ class TestIntegerForm:
 
     @given(exact_cases)
     def test_commutator_is_the_difference_of_the_products(self, case):
+        """The step's bracket [X - 0, S] is XS - SX, with its entries built."""
         field, A, B, c = case
-        eye = Mat2.identity(field)
+        eye, zero = Mat2.identity(field), Mat2.zero(field)
         # inputs and results of operations; traceless, scalar and equal pairs give zeros
         for R, S in ((A, B), (A @ B - B @ A, B), (B.scale(c), A @ B), (A, eye.scale(c)), (A, A)):
-            got, want = R.commutator(S), R @ S - S @ R
+            got, want = R.bracket_step(zero, S), R @ S - S @ R
             assert got._z == want._z and hash(got) == hash(want) and got == want
-            assert got._e is None  # computed on the form
+            assert type(got._e) is tuple  # built by the step
             _same(got, want.entries)
 
     @pytest.mark.parametrize("field", [RATIONAL_Q, GAUSSIAN_QI], ids=lambda f: f.variant)
     def test_commutator_symbolic(self, field):
-        """The integer-form step itself, run on forms of polynomial numerators
+        """The integer-form bracket itself, run on forms of polynomial numerators
         over the denominator 1, gives the expanded RB - BR."""
         n = 8 if field.is_complex else 4
-        R, B = (matrices._built(field, None, (Poly({(): 1}), *[Poly.var(f"{x}{i}") for i in range(n)]))
-                for x in "rb")
-        got = R.commutator(B)._z
+        R, B = ((Poly({(): 1}), *[Poly.var(f"{x}{i}") for i in range(n)]) for x in "rb")
+        got = matrices._bracketed(R, B)
         assert got[0] == 1
         if not field.is_complex:
-            assert got[1:] == poly_bracket(R._z[1:], B._z[1:])
+            assert got[1:] == poly_bracket(R[1:], B[1:])
             return
-        pairs = [tuple(zip(M._z[1::2], M._z[2::2])) for M in (R, B)]
+        pairs = [tuple(zip(M[1::2], M[2::2])) for M in (R, B)]
         want = _pair_bracket(*pairs)
         assert got[1:] == tuple(part for entry in want for part in entry)
 
@@ -474,14 +491,16 @@ class TestIntegerForm:
     def test_commutator_cases(self, exact_field, case):
         lift = (lambda x: GaussianRational(x, -2 * x)) if exact_field.is_complex else (lambda x: x)
         r, b = ([lift(Fraction(x)) for x in entries.split()] for entries in self.COMMUTATOR_CASES[case])
-        R, B = Mat2(exact_field, r), Mat2(exact_field, b)
+        R, B, zero = Mat2(exact_field, r), Mat2(exact_field, b), Mat2.zero(exact_field)
         for X, Y in ((R, B), (B, R)):
-            got = X.commutator(Y)
+            got = X.bracket_step(zero, Y)
             want = _expected(exact_field, X.entries, Y.entries, 1)["matmul"]
             back = _expected(exact_field, Y.entries, X.entries, 1)["matmul"]
             _same(got, tuple(p - q for p, q in zip(want, back)))
             assert got._z == (X @ Y - Y @ X)._z
-        got = R.commutator(B)
+            # the kernel's call: X - Y from the products, then bracketed with Y
+            assert (X @ Y).bracket_step(Y @ X, Y)._z == _composed(X @ Y, Y @ X, Y, None)._z
+        got = R.bracket_step(zero, B)
         assert got.is_zero() == (case == "zero")
         if case.startswith("gcd"):
             assert (got._z[0] == R._z[0] * B._z[0] == 6) == (case == "gcd-1")
@@ -489,12 +508,17 @@ class TestIntegerForm:
             assert min(got._z[1:]) < 0
 
     @given(st.sampled_from([FLOAT_R, FLOAT_C]).flatmap(lambda f: st.tuples(
-        st.just(f), st.tuples(*[_float_scalars(f)] * 4), st.tuples(*[_float_scalars(f)] * 4))))
+        st.just(f), st.tuples(*[_float_scalars(f)] * 4), st.tuples(*[_float_scalars(f)] * 4),
+        _float_scalars(f))))
     def test_float_commutator_makes_the_products_and_their_difference(self, case):
-        field, r, b = case
+        field, r, b, c = case
         R, B = Mat2(field, r), Mat2(field, b)
-        got, want = R.commutator(B), R @ B - B @ R
-        assert [_bits(x) for x in got.entries] == [_bits(x) for x in want.entries]
+        got, want = R.bracket_step(Mat2.zero(field), B), R @ B - B @ R
+        assert [_ieee(x) for x in got.entries] == [_ieee(x) for x in want.entries]
+        P, Q = R @ B, B @ R
+        for S, s in ((None, None), (B, None), (None, c), (B, c)):
+            got, want = P.bracket_step(Q, S, s), _composed(P, Q, S, s)
+            assert [_ieee(x) for x in got.entries] == [_ieee(x) for x in want.entries]
 
     # signed zeros, units, infinities, subnormals and magnitudes whose products overflow
     FLOAT_SPECIALS = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, 5e-324, -5e-324,
@@ -502,18 +526,27 @@ class TestIntegerForm:
 
     @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
     def test_float_commutator_repeats_the_products_on_special_values(self, field):
-        rng = Random(44)
+        """On every pair (R, B), the bracket [R - 0, B] repeats R @ B - B @ R, and the
+        kernel's step on P = R @ B and Q = B @ R repeats P - Q, then the bracket with
+        B, then ``scale(c)``, entry by entry (repr shows signed zeros and nan)."""
+        rng, scalars = Random(44), Random(45)
 
-        def scalar():
+        def scalar(rng=rng):
             if rng.random() < 0.25:
                 return rng.uniform(-1e3, 1e3)
             return rng.choice(self.FLOAT_SPECIALS)
 
+        zero = Mat2.zero(field)
         for _ in range(10_000):
             R, B = (Mat2(field, [complex(scalar(), scalar()) if field.is_complex else scalar()
                                  for _ in range(4)]) for _ in range(2))
-            got, want = R.commutator(B), R @ B - B @ R
+            got, want = R.bracket_step(zero, B), R @ B - B @ R
             assert [repr(x) for x in got.entries] == [repr(x) for x in want.entries]
+            c = complex(scalar(scalars), scalar(scalars)) if field.is_complex else scalar(scalars)
+            P, Q = R @ B, B @ R
+            for S, s in ((None, None), (B, None), (None, c), (B, c)):
+                got, want = P.bracket_step(Q, S, s), _composed(P, Q, S, s)
+                assert [repr(x) for x in got.entries] == [repr(x) for x in want.entries]
 
     @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
     def test_float_shift_signs_its_zeros_as_the_sum_does(self, field):
@@ -652,7 +685,68 @@ class TestScaleRule:
             for m in (1, 2, 5, 31, 499):
                 c = delta**m
                 self._check(X, c)
-                self._check(X.commutator(B), c)
+                self._check(X @ B - B @ X, c)
+
+def _step_case(field):
+    """Two matrices whose entries mix integers, zeros and negative parts, whether B is
+    bracketed, and c: none, small, or a power delta**m with m up to 499."""
+    entry = st.one_of(_scalars(field), st.just(0), st.integers(-9, 9))
+    mat = st.tuples(*[entry] * 4).map(lambda e: Mat2(field, e))
+    power = st.tuples(_scalars(field), st.sampled_from([1, 2, 5, 31, 499])).map(lambda t: t[0] ** t[1])
+    c = st.one_of(st.none(), _scalars(field).map(field.coerce), power)
+    return st.tuples(mat, mat, st.booleans(), c)
+
+
+class TestBracketStep:
+    """``bracket_step`` over Q and Q(i) gives the form, entries (parts and type) and
+    hash of the operations it fuses: P - Q, the bracket with B, ``scale(c)``."""
+
+    @staticmethod
+    def _check(P, Q, B, c):
+        got, want = P.bracket_step(Q, B, c), _composed(P, Q, B, c)
+        assert type(got._e) is tuple  # the entries are built in the step
+        assert got._z == want._z and got == want and hash(got) == hash(want)
+        _same(got, want.entries)
+        assert got._z == Mat2(got.field, got.entries)._z  # canonical
+
+    @given(exact_fields.flatmap(_step_case))
+    def test_step_is_the_composition(self, case):
+        A, B, even, c = case
+        self._check(A @ B, B @ A, B if even else None, c)
+
+    def test_kernel_scalings_seeded(self, exact_field):
+        """c = delta**m, m up to 499, on products of matrices with and without
+        denominators, at odd (no B) and even (B) orders."""
+        rng = Random(34)
+        for i in range(40):
+            A = random_mat(exact_field, rng, denominators=i % 2 == 0)
+            B = random_mat(exact_field, rng, denominators=i % 4 < 2)
+            delta = B.discriminant()
+            for m in (0, 1, 2, 5, 31, 499):
+                for S in (None, B):
+                    self._check(A @ B, B @ A, S, delta**m if m else None)
+
+    @pytest.mark.parametrize("rows", [
+        ((1, 2, 3, 4), (0, 1, 1, 0)),  # integer inputs: every form over the denominator 1
+        ((1, -2, -3, 4), (-5, 1, 0, -2)),  # negative parts
+        ((2, 0, 0, 2), (1, 2, 3, 4)),  # A scalar: a zero bracket
+        ((Fraction(1, 2), 1, 0, Fraction(1, 2)), (Fraction(1, 3), 0, 0, Fraction(1, 3))),  # zero
+    ], ids=["den-1", "negative", "scalar", "zero"])
+    def test_cases(self, exact_field, rows):
+        A, B = (Mat2(exact_field, r) for r in rows)
+        delta = B.discriminant()
+        for c in (None, exact_field.coerce(3), delta**2, delta**31):
+            for S in (None, B):
+                self._check(A @ B, B @ A, S, c)
+                assert (A @ B).bracket_step(B @ A, S, c).is_zero() == (A.is_scalar() or B.is_scalar())
+
+    def test_fields_must_match(self):
+        A = Mat2(RATIONAL_Q, (1, 2, 3, 4))
+        with pytest.raises(FieldMismatch):
+            A.bracket_step(Mat2(GAUSSIAN_QI, (1, 2, 3, 4)))
+        with pytest.raises(FieldMismatch):
+            A.bracket_step(A, Mat2(FLOAT_R, (1, 2, 3, 4)))
+
 
 # -- construction ------------------------------------------------------------
 

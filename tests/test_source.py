@@ -266,9 +266,10 @@ def test_no_finite_helper_is_left():
 
 
 def test_kernel_first_commutator_is_products_and_a_difference():
-    """``kcomm``'s first commutator stays A @ B - B @ A, so every kernel answer
-    passes through ``Mat2.__matmul__`` (the bench's gate corrupts that product to
-    show it does not trust ``Mat2``); any later assignment to R builds on R."""
+    """``kcomm`` builds R from both products A @ B and B @ A (and their difference
+    in ``Mat2.bracket_step``), so every kernel answer passes through
+    ``Mat2.__matmul__``: the bench's gate corrupts that product to show it does
+    not trust ``Mat2``.  Any later assignment to R builds on R."""
     kernel = next(node for node in TREES["brackets.py"].body
                   if isinstance(node, ast.FunctionDef) and node.name == "kcomm")
     assigns = sorted((node for node in ast.walk(kernel)
@@ -276,5 +277,8 @@ def test_kernel_first_commutator_is_products_and_a_difference():
                       and "R" in {_used_name(t) for t in getattr(node, "targets", None) or [node.target]}),
                      key=lambda node: node.lineno)
     values = [node.value for node in assigns]
-    assert values and ast.unparse(values[0]) == "A @ B - B @ A"
+    assert values
+    products = {ast.unparse(node) for node in ast.walk(values[0])
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)}
+    assert products == {"A @ B", "B @ A"}
     assert all("R" in {_used_name(n) for n in ast.walk(v)} for v in values[1:])
