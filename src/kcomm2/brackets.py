@@ -15,13 +15,12 @@ from .fields import FieldTag, coprime_fraction, require_same_field
 from .matrices import Mat2, RankOneFactor, outer
 
 # Exact powers whose estimated size passes this many bits are refused: their
-# cost grows faster than linearly (a bracket at the cap takes about 0.007 s over
-# Q and 0.03 s over Qi on a 2-vCPU x86 box, most of it the power itself, since
-# the scaling rule of ``matrices`` starts each gcd from an operand of the
+# cost grows faster than linearly (a bracket at the cap takes about 0.008 s over
+# Q and 0.02-0.03 s over Qi on a 2-vCPU x86 box, most of it the power, since
+# the reduction in ``Mat2._bracket_step`` starts each gcd from an operand of the
 # unscaled size).  This cap alone bounds a kcomm request: a bracket under it
-# with more digits than the interpreter prints is computed, then refused by
-# FieldTag.encode, which at the cap takes 0.08-0.14 s (Q) or 0.09-0.16 s (Qi)
-# as a CLI child, interpreter start included.
+# with more digits than the interpreter prints is refused by FieldTag.encode,
+# at the cap in 0.08-0.11 s (Q) or 0.09-0.10 s (Qi) as a CLI child.
 MAX_POWER_BITS = 1 << 18
 
 # Trial counts of the sampled certifier and the probe campaign are capped so
@@ -89,7 +88,7 @@ def _power(field: FieldTag, x, n: int, name: str):
             mag = max(x.a * x.a + x.b * x.b, x.den * x.den)
             bits = (mag.bit_length() + 1) // 2 if mag > 1 else 0
         else:
-            p, q = x.as_integer_ratio()
+            p, q = x._numerator, x._denominator
             mag = max(abs(p), q)
             bits = mag.bit_length() if mag > 1 else 0
         if n * bits > MAX_POWER_BITS:
@@ -135,11 +134,10 @@ def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto") -> Mat2:
     from the scaled bracket.
 
     Then the two ``Mat2`` products A @ B and B @ A are made, so every answer
-    passes through ``@``, and ``Mat2.bracket_step`` builds the rest in one
+    passes through ``@``, and ``Mat2._bracket_step`` builds the rest in one
     step: their difference, at even k its bracket with B, the scale by delta^m
-    and the answer's entries.  A call therefore makes 2 products and one more
-    ``Mat2``, the answer, at every k >= 1 on every field (none over Q and Q(i)
-    when delta^m is zero).
+    and the answer's entries: three ``Mat2`` objects at every k >= 1 on every
+    field (none over Q and Q(i) when delta^m is zero).
 
     ``method`` must be "auto"; the oracle and the binomial sum are called as
     ``kcomm_recursive`` and ``kcomm_closed``.
@@ -161,7 +159,7 @@ def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto") -> Mat2:
         c = _power(field, B.discriminant(), m, "discriminant")
         if field.is_exact and not c:
             return Mat2.zero(field)
-    R = (A @ B).bracket_step(B @ A, None if k % 2 else B, c)
+    R = (A @ B)._bracket_step(B @ A, None if k % 2 else B, c)
     if not field.is_exact:
         w, x, y, z = R.entries
         if not (cmath.isfinite(w) and cmath.isfinite(x) and cmath.isfinite(y) and cmath.isfinite(z)):

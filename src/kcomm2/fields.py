@@ -126,7 +126,7 @@ class GaussianRational:
         return o * self.inverse()
 
     def __pow__(self, n: int):
-        """Square-and-multiply on the Gaussian integer a + b i, then one reduction.
+        """Square-and-multiply on a + b i (a square is (x + y)(x - y) + 2xy i), then one reduction.
 
         gcd(a, b, den) = 1, so no odd prime p dividing den divides
         (a + b i)**n in Z[i]: an inert p would divide a + b i, and a split
@@ -145,7 +145,7 @@ class GaussianRational:
                 a, b = a * x - b * y, a * y + b * x
             e >>= 1
             if e:
-                x, y = x * x - y * y, 2 * x * y
+                x, y = (x + y) * (x - y), 2 * x * y
         den = self.den**n
         low = a | b | den
         shift = (low & -low).bit_length() - 1
@@ -226,10 +226,8 @@ def _fraction(x) -> Fraction:
 
 
 def _part_str(n: int, den: int) -> str:
-    """str(Fraction(n, den)), one part of a Q(i) scalar.  When |n| >= 10**limit * den,
-    decided on bit lengths (log2(10) = 3.32...), the reduced numerator has more digits
-    than the interpreter prints whatever the gcd is: then ``str(n)`` raises the same
-    ValueError, and no gcd of two large integers is taken."""
+    """str(Fraction(n, den)), but when |n| >= 10**limit * den (on bit lengths, log2(10) =
+    3.32...) ``str(n)`` raises its ValueError, with no gcd of two large integers."""
     limit = sys.get_int_max_str_digits()
     if limit and n.bit_length() > den.bit_length() + 3.3219280948873626 * limit + 2:
         str(n)

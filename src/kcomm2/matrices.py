@@ -9,38 +9,24 @@ shared denominator:
 
 The form is canonical (den > 0 and gcd(den, all numerators) = 1), so equal
 values have equal forms.  The hot exact operations (``@``, ``+``, ``-``,
-``bracket_step``, ``scale``, ``shift``, ``discriminant``, ``top_left``,
+``_bracket_step``, ``scale``, ``shift``, ``discriminant``, ``top_left``,
 equality, hashing, the zero and scalar tests and the sandwich images
-``unit_images``) compute on these integers and normalise with one
-multi-argument gcd, where entrywise ``Fraction`` / ``GaussianRational``
-arithmetic would take one gcd per scalar operation.  They are written out
-slot by slot for the 5- and 9-slot forms, with no list built per operation;
-the Q scalars of ``.entries``, ``top_left`` and ``discriminant`` are built by
-``fields.raw_fraction``, with one gcd and none when the denominator is 1.  The
-cold ones (``trace``, ``det``, ``conj_t``, negation and ``outer``) read or
-build ``.entries`` on every field.  The hash reads the form (or the float
-entries) and not the field: matrices over unequal fields never compare equal,
-so hashing the field too would split no equal pair.
+``unit_images``) compute on these integers, written out slot by slot for the
+5- and 9-slot forms, and reduce with one multi-argument gcd, where entrywise
+``Fraction`` / ``GaussianRational`` arithmetic would take one gcd per scalar
+operation.  The cold ones (``trace``, ``det``, ``conj_t``, negation and
+``outer``) read or build ``.entries``.  The hash reads the form (or the float
+entries), not the field: matrices over unequal fields never compare equal.
 
-``bracket_step`` is the whole of ``kcomm`` after its two products P = A @ B
-and Q = B @ A: c*(P - Q), or c*[P - Q, B] at even orders, made on the forms
-with no intermediate matrix, the bracket reduced once, and the answer's
-entries built.  Over R64 and C64 it makes the float operations of P - Q, the
-bracket and the scale in their order, entry by entry.
-
-c*X, which ``kcomm`` makes with c = delta**m and so with integers that grow
-with the bracket order, is reduced by one rule on Q and Q(i), kept by
-``_scaled`` (the form) and ``_scaled_entries`` (its entries), which
-``scale``, ``.entries`` and ``bracket_step`` share.  With c = p/q in lowest
-terms and X = (r; x1, .., x4), entry j's reduction factor
-gcd(parts of p*xj, q*r) divides r*N(xj), where N(x) is |x| over Q and
-a^2 + b^2 for x = a + b i over Q(i) (proved prime by prime in
-``tests/test_matrices.py::TestScaleRule``).  So the form's gcd is seeded with
-one such r*N(xk), and entry j's with r*N(xj): every gcd starts from an operand
-of X's size, none from two operands of the product's, and the entries are
-built from their coprime parts by ``fields.coprime_fraction`` or
-``fields.coprime_gaussian``.  ``scale`` keeps X in place of the entries, so
-that their first read can seed those gcds; ``bracket_step`` builds them at once.
+``_bracket_step`` is ``kcomm`` after its two products P = A @ B and Q = B @ A:
+c*(P - Q), or c*[P - Q, B] at even orders, entries built, in one pass; ``scale``
+is the same step on X = self.  c*X, which ``kcomm`` makes with c = delta**m, is
+reduced there by one rule.  With c = p/q in lowest terms and X = (r; x1, .., x4),
+reduced or not, entry j's factor gcd(parts of p*xj, q*r) divides r*N(xj), where
+N(x) is |x| over Q and a^2 + b^2 for x = a + b i over Q(i) (proved prime by
+prime in ``tests/test_matrices.py::TestScaleRule``).  So entry j's gcd is
+seeded with r*N(xj), of X's size, and the form's factor is the gcd of the four:
+no gcd takes two operands of the size of the product, which grows with k.
 
 ``Mat2(field, entries)`` is the one checked constructor: exactly four entries,
 each coerced into the field (a wrong kind raises FieldMismatch), and over Q
@@ -81,9 +67,9 @@ def _built(field: FieldTag, entries, form) -> "Mat2":
     return m
 
 
-def _combine(x: tuple, y: tuple, subtract: bool) -> tuple:
+def _combine(field: FieldTag, x: tuple, y: tuple, subtract: bool) -> "Mat2":
     """x + y or x - y on integer forms of the same field, slot by slot, over
-    the product of the denominators when they differ; not reduced."""
+    the product of the denominators when they differ."""
     d, e = x[0], y[0]
     if len(x) == 5:
         _, x1, x2, x3, x4 = x
@@ -93,8 +79,8 @@ def _combine(x: tuple, y: tuple, subtract: bool) -> tuple:
             y1, y2, y3, y4 = y1 * d, y2 * d, y3 * d, y4 * d
             d *= e
         if subtract:
-            return (d, x1 - y1, x2 - y2, x3 - y3, x4 - y4)
-        return (d, x1 + y1, x2 + y2, x3 + y3, x4 + y4)
+            return _normalised(field, (d, x1 - y1, x2 - y2, x3 - y3, x4 - y4))
+        return _normalised(field, (d, x1 + y1, x2 + y2, x3 + y3, x4 + y4))
     _, x1, x2, x3, x4, x5, x6, x7, x8 = x
     _, y1, y2, y3, y4, y5, y6, y7, y8 = y
     if d != e:
@@ -102,8 +88,10 @@ def _combine(x: tuple, y: tuple, subtract: bool) -> tuple:
         y1, y2, y3, y4, y5, y6, y7, y8 = y1 * d, y2 * d, y3 * d, y4 * d, y5 * d, y6 * d, y7 * d, y8 * d
         d *= e
     if subtract:
-        return (d, x1 - y1, x2 - y2, x3 - y3, x4 - y4, x5 - y5, x6 - y6, x7 - y7, x8 - y8)
-    return (d, x1 + y1, x2 + y2, x3 + y3, x4 + y4, x5 + y5, x6 + y6, x7 + y7, x8 + y8)
+        return _normalised(field, (d, x1 - y1, x2 - y2, x3 - y3, x4 - y4,
+                                   x5 - y5, x6 - y6, x7 - y7, x8 - y8))
+    return _normalised(field, (d, x1 + y1, x2 + y2, x3 + y3, x4 + y4,
+                               x5 + y5, x6 + y6, x7 + y7, x8 + y8))
 
 
 def _normalised(field: FieldTag, z: tuple) -> "Mat2":
@@ -124,93 +112,6 @@ def _normalised(field: FieldTag, z: tuple) -> "Mat2":
     return m
 
 
-def _bracketed(x: tuple, y: tuple) -> tuple:
-    """XY - YX on integer forms of the same field, over the product of the
-    denominators; not reduced.  With X = [[x11, x12], [x21, x22]] and
-    Y = [[y11, y12], [y21, y22]] it is
-
-        [[n, y12 u - x12 v], [x21 v - y21 u, -n]],
-        n = x12 y21 - y12 x21,  u = x11 - x22,  v = y11 - y22,
-
-    and the same on (re, im) pairs over Q(i)."""
-    if len(x) == 5:
-        d, x11, x12, x21, x22 = x
-        e, y11, y12, y21, y22 = y
-        u, v = x11 - x22, y11 - y22
-        n = x12 * y21 - y12 * x21
-        return (d * e, n, y12 * u - x12 * v, x21 * v - y21 * u, -n)
-    # entry (p + q i) of X, (r + s i) of Y
-    d, p11, q11, p12, q12, p21, q21, p22, q22 = x
-    e, r11, s11, r12, s12, r21, s21, r22, s22 = y
-    u, ui, v, vi = p11 - p22, q11 - q22, r11 - r22, s11 - s22
-    n, ni = p12 * r21 - q12 * s21 - r12 * p21 + s12 * q21, p12 * s21 + q12 * r21 - r12 * q21 - s12 * p21
-    return (d * e, n, ni,
-            r12 * u - s12 * ui - p12 * v + q12 * vi, r12 * ui + s12 * u - p12 * vi - q12 * v,
-            p21 * v - q21 * vi - r21 * u + s21 * ui, p21 * vi + q21 * v - r21 * ui - s21 * u,
-            -n, -ni)
-
-
-def _entries(z: tuple) -> tuple:
-    """The field scalars of a reduced form, each reduced by its gcd with the denominator."""
-    d = z[0]
-    if len(z) == 9:
-        raw = GaussianRational._raw
-        return (raw(z[1], z[2], d), raw(z[3], z[4], d), raw(z[5], z[6], d), raw(z[7], z[8], d))
-    return (raw_fraction(z[1], d), raw_fraction(z[2], d), raw_fraction(z[3], d), raw_fraction(z[4], d))
-
-
-def _scaled(x: tuple, c) -> tuple:
-    """Reduced form of c*X, for X's reduced form x and an exact scalar c, by the rule in
-    the module docstring: the gcd is seeded with r*N(xk) of X's first nonzero entry (0
-    for a zero X), and a product over the denominator 1 takes none."""
-    if len(x) == 9:
-        # entry (a + b i) / r times c = (s + t i) / q
-        s, t, q = c.a, c.b, c.den
-        r, a1, b1, a2, b2, a3, b3, a4, b4 = x
-        d = q * r
-        u1, v1, u2, v2 = a1 * s - b1 * t, a1 * t + b1 * s, a2 * s - b2 * t, a2 * t + b2 * s
-        u3, v3, u4, v4 = a3 * s - b3 * t, a3 * t + b3 * s, a4 * s - b4 * t, a4 * t + b4 * s
-        if d == 1:
-            return (1, u1, v1, u2, v2, u3, v3, u4, v4)
-        g = gcd(r * (a1 * a1 + b1 * b1 or a2 * a2 + b2 * b2 or a3 * a3 + b3 * b3 or a4 * a4 + b4 * b4),
-                d, u1, v1, u2, v2, u3, v3, u4, v4)
-        if g == 1:
-            return (d, u1, v1, u2, v2, u3, v3, u4, v4)
-        return (d // g, u1 // g, v1 // g, u2 // g, v2 // g, u3 // g, v3 // g, u4 // g, v4 // g)
-    # entry x / r times c = p / q
-    p, q = c.as_integer_ratio()
-    r, x1, x2, x3, x4 = x
-    d, n1, n2, n3, n4 = q * r, p * x1, p * x2, p * x3, p * x4
-    if d == 1:
-        return (1, n1, n2, n3, n4)
-    g = gcd(r * (x1 or x2 or x3 or x4), d, n1, n2, n3, n4)
-    return (d, n1, n2, n3, n4) if g == 1 else (d // g, n1 // g, n2 // g, n3 // g, n4 // g)
-
-
-def _scaled_entries(x: tuple, z: tuple) -> tuple:
-    """The field scalars of z = ``_scaled(x, c)``: entry j's gcd with the denominator
-    divides r*N(xj) of x = (r; x1, .., x4), which seeds it, and the coprime parts are
-    built with no further gcd."""
-    d = z[0]
-    if d == 1:
-        return _entries(z)
-    r = x[0]
-    if len(z) == 9:
-        _, a1, b1, a2, b2, a3, b3, a4, b4 = x
-        h1 = gcd(r * (a1 * a1 + b1 * b1), z[1], z[2], d)
-        h2 = gcd(r * (a2 * a2 + b2 * b2), z[3], z[4], d)
-        h3 = gcd(r * (a3 * a3 + b3 * b3), z[5], z[6], d)
-        h4 = gcd(r * (a4 * a4 + b4 * b4), z[7], z[8], d)
-        return (coprime_gaussian(z[1] // h1, z[2] // h1, d // h1),
-                coprime_gaussian(z[3] // h2, z[4] // h2, d // h2),
-                coprime_gaussian(z[5] // h3, z[6] // h3, d // h3),
-                coprime_gaussian(z[7] // h4, z[8] // h4, d // h4))
-    h1, h2 = gcd(r * x[1], z[1], d), gcd(r * x[2], z[2], d)
-    h3, h4 = gcd(r * x[3], z[3], d), gcd(r * x[4], z[4], d)
-    return (coprime_fraction(z[1] // h1, d // h1), coprime_fraction(z[2] // h2, d // h2),
-            coprime_fraction(z[3] // h3, d // h3), coprime_fraction(z[4] // h4, d // h4))
-
-
 class Mat2:
     """Immutable 2x2 matrix: ``Mat2(field, entries)`` with ``.field`` and ``.entries``.
 
@@ -219,8 +120,7 @@ class Mat2:
     branch on the field once and then run on ``self._z``.
     """
 
-    # field; entries, or None, or (a result of ``scale``) the matrix it is a multiple
-    # of, whose form bounds the gcds of the entries; integer form, or None (floats)
+    # field; entries, None, or (a ``scale`` result c*X) [X, c]; integer form, or None
     __slots__ = ("_f", "_e", "_z")
 
     def __init__(self, field: FieldTag, entries):
@@ -236,12 +136,18 @@ class Mat2:
     @property
     def entries(self) -> tuple:
         """(a11, a12, a21, a22); an exact result builds them from its form on first read,
-        each reduced by its gcd with the denominator, which a result of ``scale``
-        seeds from the matrix it kept."""
+        each reduced by its gcd with the denominator (a ``scale`` result by its step)."""
         e = self._e
         if type(e) is tuple:
             return e
-        e = _entries(self._z) if e is None else _scaled_entries(e._z, self._z)
+        if e is not None:  # a result of ``scale``: [X, c]
+            e = e[0]._bracket_step(None, None, e[1])._e
+        elif len(z := self._z) == 9:
+            d, raw = z[0], GaussianRational._raw
+            e = (raw(z[1], z[2], d), raw(z[3], z[4], d), raw(z[5], z[6], d), raw(z[7], z[8], d))
+        else:
+            d = z[0]
+            e = (raw_fraction(z[1], d), raw_fraction(z[2], d), raw_fraction(z[3], d), raw_fraction(z[4], d))
         self._e = e
         return e
 
@@ -299,7 +205,7 @@ class Mat2:
         if other._f is not f:
             require_same_field(f, other._f)
         if f.is_exact:
-            return _normalised(f, _combine(self._z, other._z, False))
+            return _combine(f, self._z, other._z, False)
         a, b = self._e, other._e
         return _built(f, (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]), None)
 
@@ -308,7 +214,7 @@ class Mat2:
         if other._f is not f:
             require_same_field(f, other._f)
         if f.is_exact:
-            return _normalised(f, _combine(self._z, other._z, True))
+            return _combine(f, self._z, other._z, True)
         a, b = self._e, other._e
         return _built(f, (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]), None)
 
@@ -354,22 +260,16 @@ class Mat2:
             a21 * b12 + a22 * b22,
         ))
 
-    def bracket_step(self, other: "Mat2", B: "Mat2 | None" = None, c=None) -> "Mat2":
-        """c * X with its entries built, for X = self - other, or X = [self - other, B]
-        when B is given, and c a scalar of the field or None for 1.  ``kcomm`` makes
-        its answer with it from its two products and c = delta**m.
-
-        Over Q and Q(i) X is made on the integer forms (``_combine``, ``_bracketed``)
-        and reduced by one gcd, and c * X and its entries follow the rule of ``scale``
-        (``_scaled``, ``_scaled_entries``).  Over R64 and C64 each entry makes the
-        float operations of ``self - other``, then ``X @ B - B @ X``, then
-        ``scale(c)``, in their order, so results and signed zeros are theirs.
-        """
+    def _bracket_step(self, other, B=None, c=None, build: bool = True) -> "Mat2":
+        """c*X for X = self - other (of equal traces, as ``kcomm``'s A @ B and B @ A), or
+        [self - other, B], or self when other is None (``scale``); c a field scalar or
+        None for 1; with build False the entries wait for their first read.  Over Q and
+        Q(i), on the integer forms, X's fourth entry is the first one negated when other
+        is given, [X, B] = [[n, 2 x11 b12 - x12 v], [x21 v - 2 x11 b21, -n]] with
+        n = x12 b21 - b12 x21, v = b11 - b22, and c*X is reduced entries first by the
+        rule in the module docstring.  Over R64 and C64 each entry makes the float
+        operations of ``self - other``, the bracket and ``scale(c)`` in their order."""
         f = self._f
-        if other._f is not f:
-            require_same_field(f, other._f)
-        if B is not None and B._f is not f:
-            require_same_field(f, B._f)
         if not f.is_exact:
             p, q = self._e, other._e
             x = (p[0] - q[0], p[1] - q[1], p[2] - q[2], p[3] - q[3])
@@ -383,32 +283,89 @@ class Mat2:
             if c is not None:
                 x = (c * x[0], c * x[1], c * x[2], c * x[3])
             return _built(f, x, None)
-        x = _combine(self._z, other._z, True)
-        if B is not None:
-            x = _bracketed(x, B._z)
-        m = _normalised(f, x)  # X, reduced once; then its multiple by c in place
+        traceless = other is not None  # then x22 = -x11
+        if not f.is_complex:  # entry x / r times c = p / q
+            r, x1, x2, x3, x4 = self._z
+            if traceless:
+                e, y1, y2, y3, _ = other._z
+                if r != e:
+                    x1, x2, x3, y1, y2, y3, r = x1 * e, x2 * e, x3 * e, y1 * r, y2 * r, y3 * r, r * e
+                x1, x2, x3 = x1 - y1, x2 - y2, x3 - y3
+                if B is not None:
+                    e, b11, b12, b21, b22 = B._z
+                    u, v = x1 + x1, b11 - b22
+                    x1, x2, x3, r = x2 * b21 - b12 * x3, b12 * u - x2 * v, x3 * v - b21 * u, r * e
+            if c is None:
+                d, n1, n2, n3, n4 = r, x1, x2, x3, x4
+                h1, h2, h3 = gcd(d, n1), gcd(d, n2), gcd(d, n3)
+                h4 = h1 if traceless else gcd(d, n4)
+            else:
+                p, q = c._numerator, c._denominator
+                d, n1, n2, n3, n4 = q * r, p * x1, p * x2, p * x3, p * x4
+                h1, h2, h3 = gcd(d, r * x1, n1), gcd(d, r * x2, n2), gcd(d, r * x3, n3)
+                h4 = h1 if traceless else gcd(d, r * x4, n4)
+            if traceless:
+                n4 = -n1
+            g = gcd(h1, h2, h3, h4)
+            z = (d, n1, n2, n3, n4) if g == 1 else (d // g, n1 // g, n2 // g, n3 // g, n4 // g)
+            if not build:
+                return _built(f, None, z)
+            n1, r = n1 // h1, d // h1
+            e4 = coprime_fraction(-n1, r) if traceless else coprime_fraction(n4 // h4, d // h4)
+            return _built(f, (coprime_fraction(n1, r), coprime_fraction(n2 // h2, d // h2),
+                              coprime_fraction(n3 // h3, d // h3), e4), z)
+        # the same on (re, im) pairs: entry (a + b i) / r, c = (s + t i) / q, B's entries g + h i
+        r, a1, b1, a2, b2, a3, b3, a4, b4 = self._z
+        if traceless:
+            e, p1, q1, p2, q2, p3, q3, _, _ = other._z
+            if r != e:
+                a1, b1, a2, b2, a3, b3 = a1 * e, b1 * e, a2 * e, b2 * e, a3 * e, b3 * e
+                p1, q1, p2, q2, p3, q3, r = p1 * r, q1 * r, p2 * r, q2 * r, p3 * r, q3 * r, r * e
+            a1, b1, a2, b2, a3, b3 = a1 - p1, b1 - q1, a2 - p2, b2 - q2, a3 - p3, b3 - q3
+            if B is not None:
+                e, g11, h11, g12, h12, g21, h21, g22, h22 = B._z
+                u, ui, v, vi = a1 + a1, b1 + b1, g11 - g22, h11 - h22
+                n, ni = a2 * g21 - b2 * h21 - g12 * a3 + h12 * b3, a2 * h21 + b2 * g21 - g12 * b3 - h12 * a3
+                a2, b2, a3, b3 = (g12 * u - h12 * ui - a2 * v + b2 * vi, g12 * ui + h12 * u - a2 * vi - b2 * v,
+                                  a3 * v - b3 * vi - g21 * u + h21 * ui, a3 * vi + b3 * v - g21 * ui - h21 * u)
+                a1, b1, r = n, ni, r * e
         if c is None:
-            m._e = _entries(m._z)
+            h1, h2, h3 = gcd(r, a1, b1), gcd(r, a2, b2), gcd(r, a3, b3)
+            h4 = h1 if traceless else gcd(r, a4, b4)
         else:
-            x = m._z
-            m._z = z = _scaled(x, c)
-            m._e = _scaled_entries(x, z)
-        return m
+            s, t, q = c.a, c.b, c.den
+            n1, n2, n3 = r * (a1 * a1 + b1 * b1), r * (a2 * a2 + b2 * b2), r * (a3 * a3 + b3 * b3)
+            if not traceless:
+                n4, a4, b4 = r * (a4 * a4 + b4 * b4), a4 * s - b4 * t, a4 * t + b4 * s
+            a1, b1, a2, b2 = a1 * s - b1 * t, a1 * t + b1 * s, a2 * s - b2 * t, a2 * t + b2 * s
+            a3, b3, r = a3 * s - b3 * t, a3 * t + b3 * s, q * r
+            h1, h2, h3 = gcd(r, n1, a1, b1), gcd(r, n2, a2, b2), gcd(r, n3, a3, b3)
+            h4 = h1 if traceless else gcd(r, n4, a4, b4)
+        if traceless:
+            a4, b4 = -a1, -b1
+        g = gcd(h1, h2, h3, h4)
+        z = (r, a1, b1, a2, b2, a3, b3, a4, b4)
+        if g != 1:
+            z = (r // g, a1 // g, b1 // g, a2 // g, b2 // g, a3 // g, b3 // g, a4 // g, b4 // g)
+        if not build:
+            return _built(f, None, z)
+        a1, b1, d = a1 // h1, b1 // h1, r // h1
+        e4 = coprime_gaussian(-a1, -b1, d) if traceless else coprime_gaussian(a4 // h4, b4 // h4, r // h4)
+        return _built(f, (coprime_gaussian(a1, b1, d), coprime_gaussian(a2 // h2, b2 // h2, r // h2),
+                          coprime_gaussian(a3 // h3, b3 // h3, r // h3), e4), z)
 
     def scale(self, c) -> "Mat2":
-        """c * self.  Over Q and Q(i) by the rule in the module docstring: the form
-        is reduced by a gcd seeded with r*N(xk) for a nonzero entry xk of self, and
-        the result keeps self (in place of its entries) to seed the gcds of its
-        entries when they are first read.  A result over the denominator 1 keeps
-        nothing."""
+        """c * self; over Q and Q(i) the step of ``kcomm`` on X = self, whose entries
+        are built on first read (a result over the denominator 1 keeps nothing)."""
         f = self._f
         if f.is_exact or type(c) is not (complex if f.is_complex else float):
             c = f.coerce(c)
         if not f.is_exact:
             a = self._e
             return _built(f, (c * a[0], c * a[1], c * a[2], c * a[3]), None)
-        z = _scaled(self._z, c)
-        return _built(f, self if z[0] != 1 else None, z)
+        m = self._bracket_step(None, None, c, False)
+        m._e = [self, c] if m._z[0] != 1 else None
+        return m
 
     def shift(self, c) -> "Mat2":
         """self + c*I with one gcd on the integer form; over R64 and C64 the float
@@ -418,8 +375,8 @@ class Mat2:
             return self + Mat2.identity(f).scale(c)
         c = f.coerce(c)  # c*I in integer form, (p + q i) / r on the diagonal
         if f.is_complex:
-            return _normalised(f, _combine(self._z, (c.den, c.a, c.b, 0, 0, 0, 0, c.a, c.b), False))
-        return _normalised(f, _combine(self._z, (c.denominator, c.numerator, 0, 0, c.numerator), False))
+            return _combine(f, self._z, (c.den, c.a, c.b, 0, 0, 0, 0, c.a, c.b), False)
+        return _combine(f, self._z, (c.denominator, c.numerator, 0, 0, c.numerator), False)
 
     def __rmul__(self, c) -> "Mat2":
         return self.scale(c)  # M * M never gets here: Python reflects only across types

@@ -218,7 +218,7 @@ def _made(fn):
 class TestProducts:
     """Cost in ``Mat2`` products.  The oracle makes two at each of its k steps.  The
     kernel makes A @ B and B @ A and builds its answer from them in one
-    ``Mat2.bracket_step``."""
+    ``Mat2._bracket_step``."""
 
     @pytest.fixture
     def products(self, monkeypatch):
@@ -244,7 +244,7 @@ class TestProducts:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 12, 64, 1000])
     def test_exact_kernel_makes_two_at_every_order(self, any_field, products, k):
         """Exactly two on every field: the even-order step is fused into
-        ``Mat2.bracket_step``, over R64 and C64 too.  A float B is scaled into
+        ``Mat2._bracket_step``, over R64 and C64 too.  A float B is scaled into
         [-0.3, 0.3], so that delta**499 cannot overflow."""
         rng = Random(k)
         A, B = random_mat(any_field, rng), random_mat(any_field, rng, denominators=True)

@@ -230,23 +230,22 @@ exact_fields = st.sampled_from([RATIONAL_Q, GAUSSIAN_QI])
 exact_cases = exact_fields.flatmap(_exact_case)
 
 
+# The platform's default NaN, the one inf - inf and 0 * inf make.  It is the only NaN
+# drawn, so every NaN an operation meets has its bits, and the one it keeps cannot
+# depend on which operand CPython 3.11 picks (it can differ once it has specialised
+# the bytecode).
+_NAN = math.inf - math.inf
+
+
 def _float_scalars(field):
-    """Any float (nan, infinities and -0.0 included), or a complex of two."""
-    floats = st.floats(width=64)
+    """Any float (the default NaN, infinities and -0.0 included), or a complex of two."""
+    floats = st.floats(width=64, allow_nan=False) | st.just(_NAN)
     return st.builds(complex, floats, floats) if field.is_complex else floats
 
 
 def _bits(x):
     """The IEEE-754 bits of a float, or of both parts of a complex."""
     return struct.pack("<2d", x.real, x.imag) if isinstance(x, complex) else struct.pack("<d", x)
-
-
-def _ieee(x):
-    """``_bits``, but with every NaN alike: when both operands of a float operation are
-    NaNs, the payload CPython 3.11 keeps depends on whether it has specialised that
-    bytecode yet (warm ``a * b`` keeps a's, cold keeps b's), not on the code."""
-    parts = (x.real, x.imag) if isinstance(x, complex) else (x,)
-    return tuple("nan" if math.isnan(p) else struct.pack("<d", p) for p in parts)
 
 
 def _vectors(field):
@@ -298,7 +297,7 @@ def _check_against_scalars(field, A, B, c):
 
 
 def _composed(P, Q, B, c):
-    """What ``Mat2.bracket_step`` fuses, as separate operations: P - Q, then its
+    """What ``Mat2._bracket_step`` fuses, as separate operations: P - Q, then its
     bracket with B (when given), then the scale by c (when given)."""
     R = P - Q
     if B is not None:
@@ -452,28 +451,38 @@ class TestIntegerForm:
 
     @given(exact_cases)
     def test_commutator_is_the_difference_of_the_products(self, case):
-        """The step's bracket [X - 0, S] is XS - SX, with its entries built."""
+        """The step on the products RS and SR is RS - SR, and with S its bracket with
+        S, each with its entries built."""
         field, A, B, c = case
-        eye, zero = Mat2.identity(field), Mat2.zero(field)
+        eye = Mat2.identity(field)
         # inputs and results of operations; traceless, scalar and equal pairs give zeros
         for R, S in ((A, B), (A @ B - B @ A, B), (B.scale(c), A @ B), (A, eye.scale(c)), (A, A)):
-            got, want = R.bracket_step(zero, S), R @ S - S @ R
-            assert got._z == want._z and hash(got) == hash(want) and got == want
-            assert type(got._e) is tuple  # built by the step
-            _same(got, want.entries)
+            want = R @ S - S @ R
+            for got, want in (((R @ S)._bracket_step(S @ R), want),
+                              ((R @ S)._bracket_step(S @ R, S), want @ S - S @ want)):
+                assert got._z == want._z and hash(got) == hash(want) and got == want
+                assert type(got._e) is tuple  # built by the step
+                _same(got, want.entries)
 
     @pytest.mark.parametrize("field", [RATIONAL_Q, GAUSSIAN_QI], ids=lambda f: f.variant)
-    def test_commutator_symbolic(self, field):
-        """The integer-form bracket itself, run on forms of polynomial numerators
-        over the denominator 1, gives the expanded RB - BR."""
+    def test_commutator_symbolic(self, field, monkeypatch):
+        """The integer-form difference and bracket of ``Mat2._bracket_step``, run with
+        no reduction on forms of polynomial numerators over the denominator 1, give
+        the expanded [R - Y, B], for Y of R's trace (its last entry is fixed by it)."""
+        monkeypatch.setattr(matrices, "gcd", lambda *args: 1)
         n = 8 if field.is_complex else 4
-        R, B = ((Poly({(): 1}), *[Poly.var(f"{x}{i}") for i in range(n)]) for x in "rb")
-        got = matrices._bracketed(R, B)
-        assert got[0] == 1
+        R, Y, B = ((Poly({(): 1}), *[Poly.var(f"{x}{i}") for i in range(n)]) for x in "ryb")
+        m = n // 4  # parts per entry
+        Y = Y[:-m] + tuple(r4 + r1 - y1 for r4, r1, y1 in zip(R[-m:], R[1:1 + m], Y[1:1 + m]))
+        step = matrices._built(field, None, R)._bracket_step(
+            matrices._built(field, None, Y), matrices._built(field, None, B), None, build=False)
+        got = step._z
+        assert got[0] == 1 and step._e is None
+        X = tuple(r - y for r, y in zip(R[1:], Y[1:]))
         if not field.is_complex:
-            assert got[1:] == poly_bracket(R[1:], B[1:])
+            assert got[1:] == poly_bracket(X, B[1:])
             return
-        pairs = [tuple(zip(M[1::2], M[2::2])) for M in (R, B)]
+        pairs = [tuple(zip(M[0::2], M[1::2])) for M in (X, B[1:])]
         want = _pair_bracket(*pairs)
         assert got[1:] == tuple(part for entry in want for part in entry)
 
@@ -491,16 +500,16 @@ class TestIntegerForm:
     def test_commutator_cases(self, exact_field, case):
         lift = (lambda x: GaussianRational(x, -2 * x)) if exact_field.is_complex else (lambda x: x)
         r, b = ([lift(Fraction(x)) for x in entries.split()] for entries in self.COMMUTATOR_CASES[case])
-        R, B, zero = Mat2(exact_field, r), Mat2(exact_field, b), Mat2.zero(exact_field)
+        R, B = Mat2(exact_field, r), Mat2(exact_field, b)
         for X, Y in ((R, B), (B, R)):
-            got = X.bracket_step(zero, Y)
+            got = (X @ Y)._bracket_step(Y @ X)
             want = _expected(exact_field, X.entries, Y.entries, 1)["matmul"]
             back = _expected(exact_field, Y.entries, X.entries, 1)["matmul"]
             _same(got, tuple(p - q for p, q in zip(want, back)))
             assert got._z == (X @ Y - Y @ X)._z
-            # the kernel's call: X - Y from the products, then bracketed with Y
-            assert (X @ Y).bracket_step(Y @ X, Y)._z == _composed(X @ Y, Y @ X, Y, None)._z
-        got = R.bracket_step(zero, B)
+            # the kernel's even step: the difference of the products, bracketed with Y
+            assert (X @ Y)._bracket_step(Y @ X, Y)._z == _composed(X @ Y, Y @ X, Y, None)._z
+        got = (R @ B)._bracket_step(B @ R)
         assert got.is_zero() == (case == "zero")
         if case.startswith("gcd"):
             assert (got._z[0] == R._z[0] * B._z[0] == 6) == (case == "gcd-1")
@@ -513,12 +522,12 @@ class TestIntegerForm:
     def test_float_commutator_makes_the_products_and_their_difference(self, case):
         field, r, b, c = case
         R, B = Mat2(field, r), Mat2(field, b)
-        got, want = R.bracket_step(Mat2.zero(field), B), R @ B - B @ R
-        assert [_ieee(x) for x in got.entries] == [_ieee(x) for x in want.entries]
         P, Q = R @ B, B @ R
-        for S, s in ((None, None), (B, None), (None, c), (B, c)):
-            got, want = P.bracket_step(Q, S, s), _composed(P, Q, S, s)
-            assert [_ieee(x) for x in got.entries] == [_ieee(x) for x in want.entries]
+        got, want = P._bracket_step(Q), R @ B - B @ R
+        assert [_bits(x) for x in got.entries] == [_bits(x) for x in want.entries]
+        for S, s in ((B, None), (None, c), (B, c)):
+            got, want = P._bracket_step(Q, S, s), _composed(P, Q, S, s)
+            assert [_bits(x) for x in got.entries] == [_bits(x) for x in want.entries]
 
     # signed zeros, units, infinities, subnormals and magnitudes whose products overflow
     FLOAT_SPECIALS = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, 5e-324, -5e-324,
@@ -526,9 +535,9 @@ class TestIntegerForm:
 
     @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
     def test_float_commutator_repeats_the_products_on_special_values(self, field):
-        """On every pair (R, B), the bracket [R - 0, B] repeats R @ B - B @ R, and the
-        kernel's step on P = R @ B and Q = B @ R repeats P - Q, then the bracket with
-        B, then ``scale(c)``, entry by entry (repr shows signed zeros and nan)."""
+        """On every pair (R, B), the kernel's step on P = R @ B and Q = B @ R repeats
+        R @ B - B @ R, and with B and c, P - Q, then the bracket with B, then
+        ``scale(c)``, entry by entry (repr shows signed zeros and nan)."""
         rng, scalars = Random(44), Random(45)
 
         def scalar(rng=rng):
@@ -536,16 +545,15 @@ class TestIntegerForm:
                 return rng.uniform(-1e3, 1e3)
             return rng.choice(self.FLOAT_SPECIALS)
 
-        zero = Mat2.zero(field)
         for _ in range(10_000):
             R, B = (Mat2(field, [complex(scalar(), scalar()) if field.is_complex else scalar()
                                  for _ in range(4)]) for _ in range(2))
-            got, want = R.bracket_step(zero, B), R @ B - B @ R
+            P, Q = R @ B, B @ R
+            got, want = P._bracket_step(Q), R @ B - B @ R
             assert [repr(x) for x in got.entries] == [repr(x) for x in want.entries]
             c = complex(scalar(scalars), scalar(scalars)) if field.is_complex else scalar(scalars)
-            P, Q = R @ B, B @ R
-            for S, s in ((None, None), (B, None), (None, c), (B, c)):
-                got, want = P.bracket_step(Q, S, s), _composed(P, Q, S, s)
+            for S, s in ((B, None), (None, c), (B, c)):
+                got, want = P._bracket_step(Q, S, s), _composed(P, Q, S, s)
                 assert [repr(x) for x in got.entries] == [repr(x) for x in want.entries]
 
     @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
@@ -653,12 +661,11 @@ class TestScaleRule:
       (else 2 would), so 2^e | p*xj needs 2e <= 1 + u with
       u = v_(1+i)(xj) = v(N(xj)), that is e <= u (and e = 0 when u = 0).
 
-    So Gj | r*N(xj) in every case, and the form's factor g = gcd(G1, .., G4)
-    divides r*N(xk) for every nonzero xk.  ``scale`` seeds the form's gcd with
-    one such r*N(xk) (with 0 when X is zero, so that g = q*r), and the first
-    read of ``.entries`` seeds entry j's gcd in the reduced form, Gj/g, with
-    r*N(xj): no seed changes a gcd, and each gcd starts from an operand whose
-    size does not grow with c.
+    So Gj | r*N(xj) in every case (for X reduced or not: no step above uses it),
+    and ``Mat2._bracket_step``, which ``scale`` and ``kcomm`` call, seeds entry j's
+    gcd with r*N(xj) and takes the form's factor as gcd(G1, .., G4): no seed
+    changes a gcd, and each gcd starts from an operand whose size does not grow
+    with c.
     """
 
     @staticmethod
@@ -698,12 +705,13 @@ def _step_case(field):
 
 
 class TestBracketStep:
-    """``bracket_step`` over Q and Q(i) gives the form, entries (parts and type) and
-    hash of the operations it fuses: P - Q, the bracket with B, ``scale(c)``."""
+    """``_bracket_step`` over Q and Q(i) gives the form, entries (parts and type) and
+    hash of the operations it fuses: P - Q, the bracket with B, ``scale(c)``, on the
+    products P = A @ B and Q = B @ A of ``kcomm``, whose difference is traceless."""
 
     @staticmethod
     def _check(P, Q, B, c):
-        got, want = P.bracket_step(Q, B, c), _composed(P, Q, B, c)
+        got, want = P._bracket_step(Q, B, c), _composed(P, Q, B, c)
         assert type(got._e) is tuple  # the entries are built in the step
         assert got._z == want._z and got == want and hash(got) == hash(want)
         _same(got, want.entries)
@@ -738,14 +746,7 @@ class TestBracketStep:
         for c in (None, exact_field.coerce(3), delta**2, delta**31):
             for S in (None, B):
                 self._check(A @ B, B @ A, S, c)
-                assert (A @ B).bracket_step(B @ A, S, c).is_zero() == (A.is_scalar() or B.is_scalar())
-
-    def test_fields_must_match(self):
-        A = Mat2(RATIONAL_Q, (1, 2, 3, 4))
-        with pytest.raises(FieldMismatch):
-            A.bracket_step(Mat2(GAUSSIAN_QI, (1, 2, 3, 4)))
-        with pytest.raises(FieldMismatch):
-            A.bracket_step(A, Mat2(FLOAT_R, (1, 2, 3, 4)))
+                assert (A @ B)._bracket_step(B @ A, S, c).is_zero() == (A.is_scalar() or B.is_scalar())
 
 
 # -- construction ------------------------------------------------------------

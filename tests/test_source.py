@@ -267,7 +267,7 @@ def test_no_finite_helper_is_left():
 
 def test_kernel_first_commutator_is_products_and_a_difference():
     """``kcomm`` builds R from both products A @ B and B @ A (and their difference
-    in ``Mat2.bracket_step``), so every kernel answer passes through
+    in ``Mat2._bracket_step``), so every kernel answer passes through
     ``Mat2.__matmul__``: the bench's gate corrupts that product to show it does
     not trust ``Mat2``.  Any later assignment to R builds on R."""
     kernel = next(node for node in TREES["brackets.py"].body
