@@ -171,7 +171,13 @@ def kcomm_eigenpair(factor: RankOneFactor, S: Mat2, k: int, alpha, beta) -> Mat2
     """Bracket of x f* against S when S x = alpha x and S* f = conj(beta) f.
 
     Returns (beta - alpha)^k * (x f*); the eigen-relations are checked, not
-    assumed.  The power is refused where ``kcomm``'s is (ResultTooLarge).
+    assumed.  The power is refused where ``kcomm``'s is (ResultTooLarge).  Under
+    the cap the power is applied by ``Mat2.scale``, one product and one gcd of
+    two operands of the power's size: at the largest k the cap admits, with
+    x f* = [[-2, 1], [-4, 2]], the call takes 80-110 ms over Q (beta - alpha =
+    17/31, k = 52,428) and 32-39 ms over Q(i) ((1 + 3i)/97, k = 37,449), and the
+    first read of the result's entries 0.3 s and 0.05 s more, each entry reduced
+    by its own gcd (in-process, 2-vCPU x86 box).
     """
     _check_order(k)
     f = S.field

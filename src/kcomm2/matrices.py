@@ -19,14 +19,15 @@ operation.  The cold ones (``trace``, ``det``, ``conj_t``, negation and
 entries), not the field: matrices over unequal fields never compare equal.
 
 ``_bracket_step`` is ``kcomm`` after its two products P = A @ B and Q = B @ A:
-c*(P - Q), or c*[P - Q, B] at even orders, entries built, in one pass; ``scale``
-is the same step on X = self.  c*X, which ``kcomm`` makes with c = delta**m, is
-reduced there by one rule.  With c = p/q in lowest terms and X = (r; x1, .., x4),
-reduced or not, entry j's factor gcd(parts of p*xj, q*r) divides r*N(xj), where
-N(x) is |x| over Q and a^2 + b^2 for x = a + b i over Q(i) (proved prime by
-prime in ``tests/test_matrices.py::TestScaleRule``).  So entry j's gcd is
-seeded with r*N(xj), of X's size, and the form's factor is the gcd of the four:
-no gcd takes two operands of the size of the product, which grows with k.
+c*(P - Q), or c*[P - Q, B] at even orders, entries built, in one pass.  The
+scalar c = delta**m grows with the order, and the step alone reduces by it with
+one rule.  With c = p/q in lowest terms and X = (r; x1, .., x4), reduced or
+not, entry j's factor gcd(parts of p*xj, q*r) divides r*N(xj), where N(x) is
+|x| over Q and a^2 + b^2 for x = a + b i over Q(i) (proved prime by prime in
+``tests/test_matrices.py::TestBracketStep``).  So entry j's gcd is seeded with
+r*N(xj), of X's size, and the form's factor is the gcd of the four: no gcd
+takes two operands of the size of the product.  ``scale`` is one product on
+the integer form and one gcd, as ``@`` is.
 
 ``Mat2(field, entries)`` is the one checked constructor: exactly four entries,
 each coerced into the field (a wrong kind raises FieldMismatch), and over Q
@@ -120,7 +121,7 @@ class Mat2:
     branch on the field once and then run on ``self._z``.
     """
 
-    # field; entries, None, or (a ``scale`` result c*X) [X, c]; integer form, or None
+    # field; entries, or None until an exact result's are read; integer form, or None
     __slots__ = ("_f", "_e", "_z")
 
     def __init__(self, field: FieldTag, entries):
@@ -136,13 +137,11 @@ class Mat2:
     @property
     def entries(self) -> tuple:
         """(a11, a12, a21, a22); an exact result builds them from its form on first read,
-        each reduced by its gcd with the denominator (a ``scale`` result by its step)."""
+        each reduced by its gcd with the denominator."""
         e = self._e
-        if type(e) is tuple:
+        if e is not None:
             return e
-        if e is not None:  # a result of ``scale``: [X, c]
-            e = e[0]._bracket_step(None, None, e[1])._e
-        elif len(z := self._z) == 9:
+        if len(z := self._z) == 9:
             d, raw = z[0], GaussianRational._raw
             e = (raw(z[1], z[2], d), raw(z[3], z[4], d), raw(z[5], z[6], d), raw(z[7], z[8], d))
         else:
@@ -260,15 +259,15 @@ class Mat2:
             a21 * b12 + a22 * b22,
         ))
 
-    def _bracket_step(self, other, B=None, c=None, build: bool = True) -> "Mat2":
+    def _bracket_step(self, other, B=None, c=None) -> "Mat2":
         """c*X for X = self - other (of equal traces, as ``kcomm``'s A @ B and B @ A), or
-        [self - other, B], or self when other is None (``scale``); c a field scalar or
-        None for 1; with build False the entries wait for their first read.  Over Q and
-        Q(i), on the integer forms, X's fourth entry is the first one negated when other
-        is given, [X, B] = [[n, 2 x11 b12 - x12 v], [x21 v - 2 x11 b21, -n]] with
-        n = x12 b21 - b12 x21, v = b11 - b22, and c*X is reduced entries first by the
-        rule in the module docstring.  Over R64 and C64 each entry makes the float
-        operations of ``self - other``, the bracket and ``scale(c)`` in their order."""
+        c*[X, B]; c a field scalar, or None for 1; the entries built.  Over Q and Q(i),
+        on the integer forms, X's fourth entry is the first one negated,
+        [X, B] = [[n, 2 x11 b12 - x12 v], [x21 v - 2 x11 b21, -n]] with
+        n = x12 b21 - b12 x21, v = b11 - b22, and the result is reduced entries first
+        by the rule in the module docstring, which nothing else uses.  Over R64 and C64
+        each entry makes the float operations of ``self - other``, the bracket and
+        ``scale(c)`` in their order."""
         f = self._f
         if not f.is_exact:
             p, q = self._e, other._e
@@ -283,89 +282,76 @@ class Mat2:
             if c is not None:
                 x = (c * x[0], c * x[1], c * x[2], c * x[3])
             return _built(f, x, None)
-        traceless = other is not None  # then x22 = -x11
-        if not f.is_complex:  # entry x / r times c = p / q
-            r, x1, x2, x3, x4 = self._z
-            if traceless:
-                e, y1, y2, y3, _ = other._z
-                if r != e:
-                    x1, x2, x3, y1, y2, y3, r = x1 * e, x2 * e, x3 * e, y1 * r, y2 * r, y3 * r, r * e
-                x1, x2, x3 = x1 - y1, x2 - y2, x3 - y3
-                if B is not None:
-                    e, b11, b12, b21, b22 = B._z
-                    u, v = x1 + x1, b11 - b22
-                    x1, x2, x3, r = x2 * b21 - b12 * x3, b12 * u - x2 * v, x3 * v - b21 * u, r * e
+        if not f.is_complex:  # entry x / r times c = p / q; x22 = -x11
+            r, x1, x2, x3, _ = self._z
+            e, y1, y2, y3, _ = other._z
+            if r != e:
+                x1, x2, x3, y1, y2, y3, r = x1 * e, x2 * e, x3 * e, y1 * r, y2 * r, y3 * r, r * e
+            x1, x2, x3 = x1 - y1, x2 - y2, x3 - y3
+            if B is not None:
+                e, b11, b12, b21, b22 = B._z
+                u, v = x1 + x1, b11 - b22
+                x1, x2, x3, r = x2 * b21 - b12 * x3, b12 * u - x2 * v, x3 * v - b21 * u, r * e
             if c is None:
-                d, n1, n2, n3, n4 = r, x1, x2, x3, x4
+                d, n1, n2, n3 = r, x1, x2, x3
                 h1, h2, h3 = gcd(d, n1), gcd(d, n2), gcd(d, n3)
-                h4 = h1 if traceless else gcd(d, n4)
             else:
                 p, q = c._numerator, c._denominator
-                d, n1, n2, n3, n4 = q * r, p * x1, p * x2, p * x3, p * x4
+                d, n1, n2, n3 = q * r, p * x1, p * x2, p * x3
                 h1, h2, h3 = gcd(d, r * x1, n1), gcd(d, r * x2, n2), gcd(d, r * x3, n3)
-                h4 = h1 if traceless else gcd(d, r * x4, n4)
-            if traceless:
-                n4 = -n1
-            g = gcd(h1, h2, h3, h4)
-            z = (d, n1, n2, n3, n4) if g == 1 else (d // g, n1 // g, n2 // g, n3 // g, n4 // g)
-            if not build:
-                return _built(f, None, z)
+            g = gcd(h1, h2, h3)
+            z = (d, n1, n2, n3, -n1) if g == 1 else (d // g, n1 // g, n2 // g, n3 // g, -n1 // g)
             n1, r = n1 // h1, d // h1
-            e4 = coprime_fraction(-n1, r) if traceless else coprime_fraction(n4 // h4, d // h4)
             return _built(f, (coprime_fraction(n1, r), coprime_fraction(n2 // h2, d // h2),
-                              coprime_fraction(n3 // h3, d // h3), e4), z)
+                              coprime_fraction(n3 // h3, d // h3), coprime_fraction(-n1, r)), z)
         # the same on (re, im) pairs: entry (a + b i) / r, c = (s + t i) / q, B's entries g + h i
-        r, a1, b1, a2, b2, a3, b3, a4, b4 = self._z
-        if traceless:
-            e, p1, q1, p2, q2, p3, q3, _, _ = other._z
-            if r != e:
-                a1, b1, a2, b2, a3, b3 = a1 * e, b1 * e, a2 * e, b2 * e, a3 * e, b3 * e
-                p1, q1, p2, q2, p3, q3, r = p1 * r, q1 * r, p2 * r, q2 * r, p3 * r, q3 * r, r * e
-            a1, b1, a2, b2, a3, b3 = a1 - p1, b1 - q1, a2 - p2, b2 - q2, a3 - p3, b3 - q3
-            if B is not None:
-                e, g11, h11, g12, h12, g21, h21, g22, h22 = B._z
-                u, ui, v, vi = a1 + a1, b1 + b1, g11 - g22, h11 - h22
-                n, ni = a2 * g21 - b2 * h21 - g12 * a3 + h12 * b3, a2 * h21 + b2 * g21 - g12 * b3 - h12 * a3
-                a2, b2, a3, b3 = (g12 * u - h12 * ui - a2 * v + b2 * vi, g12 * ui + h12 * u - a2 * vi - b2 * v,
-                                  a3 * v - b3 * vi - g21 * u + h21 * ui, a3 * vi + b3 * v - g21 * ui - h21 * u)
-                a1, b1, r = n, ni, r * e
+        r, a1, b1, a2, b2, a3, b3, _, _ = self._z
+        e, p1, q1, p2, q2, p3, q3, _, _ = other._z
+        if r != e:
+            a1, b1, a2, b2, a3, b3 = a1 * e, b1 * e, a2 * e, b2 * e, a3 * e, b3 * e
+            p1, q1, p2, q2, p3, q3, r = p1 * r, q1 * r, p2 * r, q2 * r, p3 * r, q3 * r, r * e
+        a1, b1, a2, b2, a3, b3 = a1 - p1, b1 - q1, a2 - p2, b2 - q2, a3 - p3, b3 - q3
+        if B is not None:
+            e, g11, h11, g12, h12, g21, h21, g22, h22 = B._z
+            u, ui, v, vi = a1 + a1, b1 + b1, g11 - g22, h11 - h22
+            n, ni = a2 * g21 - b2 * h21 - g12 * a3 + h12 * b3, a2 * h21 + b2 * g21 - g12 * b3 - h12 * a3
+            a2, b2, a3, b3 = (g12 * u - h12 * ui - a2 * v + b2 * vi, g12 * ui + h12 * u - a2 * vi - b2 * v,
+                              a3 * v - b3 * vi - g21 * u + h21 * ui, a3 * vi + b3 * v - g21 * ui - h21 * u)
+            a1, b1, r = n, ni, r * e
         if c is None:
             h1, h2, h3 = gcd(r, a1, b1), gcd(r, a2, b2), gcd(r, a3, b3)
-            h4 = h1 if traceless else gcd(r, a4, b4)
         else:
             s, t, q = c.a, c.b, c.den
             n1, n2, n3 = r * (a1 * a1 + b1 * b1), r * (a2 * a2 + b2 * b2), r * (a3 * a3 + b3 * b3)
-            if not traceless:
-                n4, a4, b4 = r * (a4 * a4 + b4 * b4), a4 * s - b4 * t, a4 * t + b4 * s
             a1, b1, a2, b2 = a1 * s - b1 * t, a1 * t + b1 * s, a2 * s - b2 * t, a2 * t + b2 * s
             a3, b3, r = a3 * s - b3 * t, a3 * t + b3 * s, q * r
             h1, h2, h3 = gcd(r, n1, a1, b1), gcd(r, n2, a2, b2), gcd(r, n3, a3, b3)
-            h4 = h1 if traceless else gcd(r, n4, a4, b4)
-        if traceless:
-            a4, b4 = -a1, -b1
-        g = gcd(h1, h2, h3, h4)
-        z = (r, a1, b1, a2, b2, a3, b3, a4, b4)
+        g = gcd(h1, h2, h3)
+        z = (r, a1, b1, a2, b2, a3, b3, -a1, -b1)
         if g != 1:
-            z = (r // g, a1 // g, b1 // g, a2 // g, b2 // g, a3 // g, b3 // g, a4 // g, b4 // g)
-        if not build:
-            return _built(f, None, z)
+            z = (r // g, a1 // g, b1 // g, a2 // g, b2 // g, a3 // g, b3 // g, -a1 // g, -b1 // g)
         a1, b1, d = a1 // h1, b1 // h1, r // h1
-        e4 = coprime_gaussian(-a1, -b1, d) if traceless else coprime_gaussian(a4 // h4, b4 // h4, r // h4)
         return _built(f, (coprime_gaussian(a1, b1, d), coprime_gaussian(a2 // h2, b2 // h2, r // h2),
-                          coprime_gaussian(a3 // h3, b3 // h3, r // h3), e4), z)
+                          coprime_gaussian(a3 // h3, b3 // h3, r // h3), coprime_gaussian(-a1, -b1, d)), z)
 
     def scale(self, c) -> "Mat2":
-        """c * self; over Q and Q(i) the step of ``kcomm`` on X = self, whose entries
-        are built on first read (a result over the denominator 1 keeps nothing)."""
+        """c * self; over Q and Q(i) one product on the integer form and one gcd, as
+        ``@``: (q*r; p*x1, .., p*x4) for c = p/q and self = (r; x1, .., x4)."""
         f = self._f
         if f.is_exact or type(c) is not (complex if f.is_complex else float):
             c = f.coerce(c)
         if not f.is_exact:
             a = self._e
             return _built(f, (c * a[0], c * a[1], c * a[2], c * a[3]), None)
-        m = self._bracket_step(None, None, c, False)
-        m._e = [self, c] if m._z[0] != 1 else None
-        return m
+        if f.is_complex:  # entry (a + b i) / r times c = (s + t i) / q
+            r, a1, b1, a2, b2, a3, b3, a4, b4 = self._z
+            s, t = c.a, c.b
+            return _normalised(f, (c.den * r, a1 * s - b1 * t, a1 * t + b1 * s, a2 * s - b2 * t,
+                                   a2 * t + b2 * s, a3 * s - b3 * t, a3 * t + b3 * s,
+                                   a4 * s - b4 * t, a4 * t + b4 * s))
+        r, x1, x2, x3, x4 = self._z
+        p = c._numerator
+        return _normalised(f, (c._denominator * r, p * x1, p * x2, p * x3, p * x4))
 
     def shift(self, c) -> "Mat2":
         """self + c*I with one gcd on the integer form; over R64 and C64 the float
@@ -398,10 +384,9 @@ class Mat2:
     # -- scalar invariants and predicates ------------------------------------
 
     def top_left(self):
-        """Entry a11; an exact result other than ``scale``'s reads it from its form and
-        builds no other entry."""
+        """Entry a11; an exact result reads it from its form and builds no other entry."""
         if self._e is not None:
-            return self.entries[0]
+            return self._e[0]
         z = self._z
         return raw_fraction(z[1], z[0]) if len(z) == 5 else GaussianRational._raw(z[1], z[2], z[0])
 

@@ -148,6 +148,12 @@ class Poly:
             out = out * self
         return out
 
+    def __floordiv__(self, n: int):
+        """Exact division by an int that divides every coefficient."""
+        if any(c % n for c in self.terms.values()):
+            raise ValueError(f"{n} does not divide every coefficient")
+        return Poly({m: c // n for m, c in self.terms.items()})
+
     def __eq__(self, other):
         return self.terms == Poly._lift(other).terms
 

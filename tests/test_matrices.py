@@ -468,16 +468,19 @@ class TestIntegerForm:
     def test_commutator_symbolic(self, field, monkeypatch):
         """The integer-form difference and bracket of ``Mat2._bracket_step``, run with
         no reduction on forms of polynomial numerators over the denominator 1, give
-        the expanded [R - Y, B], for Y of R's trace (its last entry is fixed by it)."""
-        monkeypatch.setattr(matrices, "gcd", lambda *args: 1)
+        the expanded [R - Y, B], for Y of R's trace (its last entry is fixed by it),
+        and the entries it builds hold the same parts over 1."""
+        monkeypatch.setattr(matrices, "gcd", lambda *args: 1)  # so every // is by 1
         n = 8 if field.is_complex else 4
         R, Y, B = ((Poly({(): 1}), *[Poly.var(f"{x}{i}") for i in range(n)]) for x in "ryb")
         m = n // 4  # parts per entry
         Y = Y[:-m] + tuple(r4 + r1 - y1 for r4, r1, y1 in zip(R[-m:], R[1:1 + m], Y[1:1 + m]))
         step = matrices._built(field, None, R)._bracket_step(
-            matrices._built(field, None, Y), matrices._built(field, None, B), None, build=False)
+            matrices._built(field, None, Y), matrices._built(field, None, B))
         got = step._z
-        assert got[0] == 1 and step._e is None
+        assert got[0] == 1 and type(step._e) is tuple
+        parts = [(x.a, x.b, x.den) if field.is_complex else (x.numerator, x.denominator) for x in step._e]
+        assert [p for e in parts for p in e[:-1]] == list(got[1:]) and all(e[-1] == 1 for e in parts)
         X = tuple(r - y for r, y in zip(R[1:], Y[1:]))
         if not field.is_complex:
             assert got[1:] == poly_bracket(X, B[1:])
@@ -639,34 +642,9 @@ def _scale_case(field):
 
 
 class TestScaleRule:
-    """``scale`` over Q and Q(i) reduces c*X with gcds that start from an operand
-    of X's size, and gives the canonical form and entries of the entrywise products.
-
-    Write c = p/q in lowest terms (over Q(i), p = s + t i with gcd(s, t, q) = 1)
-    and X = (r; x1, .., x4) in canonical integer form.  Entry j of cX is
-    p*xj / (q*r); its reduction factor Gj = gcd(the parts of p*xj, q*r) divides
-    r*N(xj), where N(x) = |x| over Q and a^2 + b^2 for x = a + b i over Q(i).
-    Prime by prime, for xj != 0, a rational prime l and v its exponent:
-
-    - l does not divide q: v(Gj) <= v(q*r) = v(r).
-    - l divides q, over Q: l does not divide p, so v(Gj) <= v(p*xj) = v(xj).
-    - l divides q and is inert in Z[i] (l = 3 mod 4): l is a Gaussian prime
-      that does not divide p (it would divide s, t and q), so l^e | p*xj
-      forces l^e | xj, and e <= v(xj) <= v(N(xj)).
-    - l divides q and splits, l = w * conj(w) with w, conj(w) non-associate
-      Gaussian primes: l^e | p*xj needs w^e and conj(w)^e to divide p*xj, and
-      one of them, w', does not divide p (else l would), so w'^e | xj and
-      e <= v_w(xj) + v_conj(w)(xj) = v(N(xj)).
-    - l = 2 divides q, 2 = -i (1 + i)^2 ramified: (1 + i)^2 does not divide p
-      (else 2 would), so 2^e | p*xj needs 2e <= 1 + u with
-      u = v_(1+i)(xj) = v(N(xj)), that is e <= u (and e = 0 when u = 0).
-
-    So Gj | r*N(xj) in every case (for X reduced or not: no step above uses it),
-    and ``Mat2._bracket_step``, which ``scale`` and ``kcomm`` call, seeds entry j's
-    gcd with r*N(xj) and takes the form's factor as gcd(G1, .., G4): no seed
-    changes a gcd, and each gcd starts from an operand whose size does not grow
-    with c.
-    """
+    """``scale`` over Q and Q(i), one product on the integer form and one gcd, gives
+    the canonical form and entries of the entrywise products, for c small or a
+    power delta**m as large as ``kcomm``'s."""
 
     @staticmethod
     def _check(A, c):
@@ -707,7 +685,34 @@ def _step_case(field):
 class TestBracketStep:
     """``_bracket_step`` over Q and Q(i) gives the form, entries (parts and type) and
     hash of the operations it fuses: P - Q, the bracket with B, ``scale(c)``, on the
-    products P = A @ B and Q = B @ A of ``kcomm``, whose difference is traceless."""
+    products P = A @ B and Q = B @ A of ``kcomm``, whose difference is traceless.
+    It reduces c*X with gcds that start from an operand of X's size.
+
+    Write c = p/q in lowest terms (over Q(i), p = s + t i with gcd(s, t, q) = 1)
+    and X = (r; x1, .., x4) in integer form, reduced or not.  Entry j of cX is
+    p*xj / (q*r); its reduction factor Gj = gcd(the parts of p*xj, q*r) divides
+    r*N(xj), where N(x) = |x| over Q and a^2 + b^2 for x = a + b i over Q(i).
+    Prime by prime, for xj != 0, a rational prime l and v its exponent:
+
+    - l does not divide q: v(Gj) <= v(q*r) = v(r).
+    - l divides q, over Q: l does not divide p, so v(Gj) <= v(p*xj) = v(xj).
+    - l divides q and is inert in Z[i] (l = 3 mod 4): l is a Gaussian prime
+      that does not divide p (it would divide s, t and q), so l^e | p*xj
+      forces l^e | xj, and e <= v(xj) <= v(N(xj)).
+    - l divides q and splits, l = w * conj(w) with w, conj(w) non-associate
+      Gaussian primes: l^e | p*xj needs w^e and conj(w)^e to divide p*xj, and
+      one of them, w', does not divide p (else l would), so w'^e | xj and
+      e <= v_w(xj) + v_conj(w)(xj) = v(N(xj)).
+    - l = 2 divides q, 2 = -i (1 + i)^2 ramified: (1 + i)^2 does not divide p
+      (else 2 would), so 2^e | p*xj needs 2e <= 1 + u with
+      u = v_(1+i)(xj) = v(N(xj)), that is e <= u (and e = 0 when u = 0).
+
+    So Gj | r*N(xj) in every case (no step above uses that X is reduced, and the
+    step's X = P - Q, or its bracket with B, is not), and the step seeds entry j's
+    gcd with r*N(xj) and takes the form's factor as gcd(G1, .., G4): no seed
+    changes a gcd, and each gcd starts from an operand whose size does not grow
+    with c.
+    """
 
     @staticmethod
     def _check(P, Q, B, c):

@@ -282,3 +282,16 @@ def test_kernel_first_commutator_is_products_and_a_difference():
                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)}
     assert products == {"A @ B", "B @ A"}
     assert all("R" in {_used_name(n) for n in ast.walk(v)} for v in values[1:])
+
+
+def test_kernel_step_serves_kcomm_alone():
+    """``Mat2._bracket_step`` holds the one reduction by an order-sized scalar,
+    delta**m, so ``kcomm`` is its one caller: no function of ``matrices.py``
+    calls it, since ``scale`` is one product and one gcd, as ``@`` is, and
+    ``.entries`` reads the integer form."""
+    callers = {f"{name[:-3]}.{func.name}"
+               for name, tree in TREES.items()
+               for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func)
+               if isinstance(node, ast.Call) and _used_name(node.func) == "_bracket_step"}
+    assert callers == {"brackets.kcomm"}
