@@ -127,17 +127,15 @@ def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto") -> Mat2:
     - x f* with S x = alpha x, S* f = conj(beta) f: delta = (alpha - beta)^2,
       giving (beta - alpha)^k x f* (``kcomm_eigenpair``).
 
-    The factor delta^m, m = (k-1)//2, is settled first.  Over Q and Q(i) an
-    exact zero returns the zero matrix before any product, so a
-    scalar-plus-square-zero B costs one discriminant; over R64 and C64 the
-    products are always made, so signed zeros and 0*inf come out as they would
-    from the scaled bracket.
+    The factor delta^m, m = (k-1)//2, is settled first: a zero (over R64 and
+    C64 also one that underflows) returns the zero matrix before any product,
+    so a scalar-plus-square-zero B costs one discriminant.
 
     Then the two ``Mat2`` products A @ B and B @ A are made, so every answer
     passes through ``@``, and ``Mat2._bracket_step`` builds the rest in one
     step: their difference, at even k its bracket with B, the scale by delta^m
-    and the answer's entries: three ``Mat2`` objects at every k >= 1 on every
-    field (none over Q and Q(i) when delta^m is zero).
+    and the answer's entries: three ``Mat2`` objects at every k >= 1 (none
+    when delta^m is zero).  Every answer is traceless.
 
     ``method`` must be "auto"; the oracle and the binomial sum are called as
     ``kcomm_recursive`` and ``kcomm_closed``.
@@ -157,7 +155,7 @@ def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto") -> Mat2:
     c = None
     if m:
         c = _power(field, B.discriminant(), m, "discriminant")
-        if field.is_exact and not c:
+        if not c:
             return Mat2.zero(field)
     R = (A @ B)._bracket_step(B @ A, None if k % 2 else B, c)
     if not field.is_exact:

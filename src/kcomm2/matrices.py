@@ -261,27 +261,24 @@ class Mat2:
 
     def _bracket_step(self, other, B=None, c=None) -> "Mat2":
         """c*X for X = self - other (of equal traces, as ``kcomm``'s A @ B and B @ A), or
-        c*[X, B]; c a field scalar, or None for 1; the entries built.  Over Q and Q(i),
-        on the integer forms, X's fourth entry is the first one negated,
+        c*[X, B]; c a field scalar, or None for 1; the entries built.  X is traceless,
+        so only x11, x12 and x21 are read,
         [X, B] = [[n, 2 x11 b12 - x12 v], [x21 v - 2 x11 b21, -n]] with
-        n = x12 b21 - b12 x21, v = b11 - b22, and the result is reduced entries first
-        by the rule in the module docstring, which nothing else uses.  Over R64 and C64
-        each entry makes the float operations of ``self - other``, the bracket and
-        ``scale(c)`` in their order."""
+        n = x12 b21 - b12 x21, v = b11 - b22, and the answer's fourth entry is its
+        first one negated (as 0.0 - x over R64 and C64, so that a zero gives +0.0).
+        Over Q and Q(i) the step runs on the integer forms, and the result is reduced
+        entries first by the rule in the module docstring, which nothing else uses."""
         f = self._f
         if not f.is_exact:
             p, q = self._e, other._e
-            x = (p[0] - q[0], p[1] - q[1], p[2] - q[2], p[3] - q[3])
+            x1, x2, x3 = p[0] - q[0], p[1] - q[1], p[2] - q[2]
             if B is not None:
-                x11, x12, x21, x22 = x
                 b11, b12, b21, b22 = B._e
-                x = ((x11 * b11 + x12 * b21) - (b11 * x11 + b12 * x21),
-                     (x11 * b12 + x12 * b22) - (b11 * x12 + b12 * x22),
-                     (x21 * b11 + x22 * b21) - (b21 * x11 + b22 * x21),
-                     (x21 * b12 + x22 * b22) - (b21 * x12 + b22 * x22))
+                u, v = x1 + x1, b11 - b22
+                x1, x2, x3 = x2 * b21 - b12 * x3, b12 * u - x2 * v, x3 * v - b21 * u
             if c is not None:
-                x = (c * x[0], c * x[1], c * x[2], c * x[3])
-            return _built(f, x, None)
+                x1, x2, x3 = c * x1, c * x2, c * x3
+            return _built(f, (x1, x2, x3, 0.0 - x1), None)
         if not f.is_complex:  # entry x / r times c = p / q; x22 = -x11
             r, x1, x2, x3, _ = self._z
             e, y1, y2, y3, _ = other._z

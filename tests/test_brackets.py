@@ -218,7 +218,7 @@ def _made(fn):
 class TestProducts:
     """Cost in ``Mat2`` products.  The oracle makes two at each of its k steps.  The
     kernel makes A @ B and B @ A and builds its answer from them in one
-    ``Mat2._bracket_step``."""
+    ``Mat2._bracket_step``, or makes none when delta**m is zero."""
 
     @pytest.fixture
     def products(self, monkeypatch):
@@ -243,9 +243,9 @@ class TestProducts:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 12, 64, 1000])
     def test_exact_kernel_makes_two_at_every_order(self, any_field, products, k):
-        """Exactly two on every field: the even-order step is fused into
-        ``Mat2._bracket_step``, over R64 and C64 too.  A float B is scaled into
-        [-0.3, 0.3], so that delta**499 cannot overflow."""
+        """Exactly two on every field, none when delta**m is zero: the even-order
+        step is fused into ``Mat2._bracket_step``.  A float B is scaled into
+        [-0.3, 0.3], so that delta**499 cannot overflow; it underflows to zero."""
         rng = Random(k)
         A, B = random_mat(any_field, rng), random_mat(any_field, rng, denominators=True)
         if not any_field.is_exact:
@@ -253,21 +253,59 @@ class TestProducts:
         assert not any_field.is_zero(B.discriminant())
         products.clear()
         kcomm(A, B, k)
-        assert len(products) == 2
+        vanishes = k > 2 and not B.discriminant() ** ((k - 1) // 2)
+        assert vanishes == (k == 1000 and not any_field.is_exact)
+        assert len(products) == (0 if vanishes else 2)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 64, 1000])
     def test_kernel_makes_only_the_products_and_the_answer(self, any_field, monkeypatch, k):
         """The whole bracket after the two products is one step: the only ``Mat2``
-        objects a call makes are A @ B, B @ A and the answer it returns."""
+        objects a call makes are A @ B, B @ A and the answer it returns, and none
+        when delta**m is zero (the float delta**499 here underflows)."""
         rng = Random(k)
         A, B = random_mat(any_field, rng), random_mat(any_field, rng, denominators=True)
         if not any_field.is_exact:
             B = B.scale(0.3)
+        Mat2.zero(any_field)  # built once per field, before the count
         products, matmul = [], Mat2.__matmul__
         monkeypatch.setattr(Mat2, "__matmul__", lambda X, Y: products.append(matmul(X, Y)) or products[-1])
         R, made = _made(lambda: kcomm(A, B, k))
+        if k == 1000 and not any_field.is_exact:
+            assert R is Mat2.zero(any_field) and products == [] and made == []
+            return
         assert len(products) == 2 and all(R is not P for P in products)
         assert len(made) == 3, made
+
+
+def _transposed(M):
+    a11, a12, a21, a22 = M.entries
+    return Mat2(M.field, (a11, a21, a12, a22))
+
+
+class TestKernelLaws:
+    """Laws of every ``kcomm`` answer on every field: it is traceless, its (2,2) entry
+    the (1,1) one negated, and [A, B]_k^T = (-1)^k [A^T, B^T]_k, exactly over Q and
+    Qi and by value over R64 and C64, where transposition is exact."""
+
+    ORDERS = (1, 2, 3, 4, 5, 12, 63, 64)
+
+    def pairs(self, field, seed):
+        rng = Random(seed)
+        for i in range(1_000):
+            yield (random_mat(field, rng, denominators=i % 2 == 1),
+                   random_mat(field, rng, denominators=i % 3 == 1))
+
+    def test_answer_is_traceless(self, any_field):
+        for A, B in self.pairs(any_field, 37):
+            for k in self.ORDERS:
+                a11, _, _, a22 = kcomm(A, B, k).entries
+                assert a22 == -a11, (A, B, k)
+
+    def test_transposition(self, any_field):
+        for A, B in self.pairs(any_field, 38):
+            for k in self.ORDERS:
+                want = kcomm(_transposed(A), _transposed(B), k)
+                assert _transposed(kcomm(A, B, k)) == (-want if k % 2 else want), (A, B, k)
 
 
 class TestAlgebraicLaws:
@@ -424,8 +462,8 @@ class TestCostAtTheCap:
 
 
 class TestZeroFactor:
-    """delta(B)^m is settled before the commutators: over Q and Qi an exact zero
-    returns the zero matrix at once; over R64 and C64 the products still run."""
+    """delta(B)^m is settled before the commutators: a zero returns the zero
+    matrix at once, on every field."""
 
     def test_agrees_with_oracle(self, exact_field):
         rng = Random(19)
@@ -446,20 +484,25 @@ class TestZeroFactor:
         assert calls == []
 
     @pytest.mark.parametrize("field, k, text", [
-        (FLOAT_R, 3, "(-0.0, -0.0, 0.0, 0.0)"),
-        (FLOAT_R, 4, "(-0.0, -0.0, 0.0, 0.0)"),
-        (FLOAT_C, 3, "((-0+0j), (-0+0j), 0j, 0j)"),
-        (FLOAT_C, 4, "((-0+0j), (-0+0j), 0j, 0j)"),
+        (FLOAT_R, 3, "(0.0, 0.0, 0.0, 0.0)"),
+        (FLOAT_R, 4, "(0.0, 0.0, 0.0, 0.0)"),
+        (FLOAT_C, 3, "(0j, 0j, 0j, 0j)"),
+        (FLOAT_C, 4, "(0j, 0j, 0j, 0j)"),
     ], ids=["R64-k3", "R64-k4", "C64-k3", "C64-k4"])
-    def test_float_keeps_its_signed_zeros(self, field, k, text):
-        # delta(E12) = 0.0: the entries of 0.0 * [A, E12]_(1 or 2), as before the shortcut
-        A = Mat2(field, (1.5, -2.0, 0.5, 3.0))
-        assert repr(kcomm(A, units(field)[1], k).entries) == text
+    def test_float_keeps_its_signed_zeros(self, monkeypatch, field, k, text):
+        """delta(E12) = 0.0: the zero matrix, every zero +0.0, with no product; its
+        inputs' -0.0 entries do not reach it."""
+        A = Mat2(field, (1.5, -2.0, -0.0, 3.0))
+        calls, matmul = [], Mat2.__matmul__
+        monkeypatch.setattr(Mat2, "__matmul__", lambda X, Y: calls.append(1) or matmul(X, Y))
+        R = kcomm(A, Mat2(field, (-0.0, 1.0, -0.0, -0.0)), k)
+        assert R is Mat2.zero(field) and repr(R.entries) == text and calls == []
 
     @pytest.mark.parametrize("k", [3, 4])
     @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=["R64", "C64"])
     def test_float_zero_times_inf_still_overflows(self, field, k):
-        # delta = 0.0, and the products overflow: 0.0 * inf is nan, so the bracket is refused
+        # delta of 1e308 E12 is 0 exactly, but 4 * 1e308 overflows before the zero
+        # factor: the float delta is inf * 0.0 = nan, so the bracket is refused
         big = Mat2(field, (1e308,) * 4)
         with pytest.raises(ResultTooLarge):
             kcomm(big, units(field)[1].scale(1e308), k)

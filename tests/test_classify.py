@@ -610,9 +610,10 @@ class TestHotLoopsConstructNoMatrix:
 
 
 class TestPositiveCertifierProducts:
-    """Counted, not timed: over Q and Qi delta(S) = 0 settles every bracket of a
-    positive certifier before a product; over R64 and C64 each of the 36 kernel
-    calls still makes its two products, at odd and even k alike."""
+    """Counted, not timed: delta(S) = 0 settles every bracket of a positive
+    certifier before a product, on every field; a float delta(S) that rounds to
+    a nonzero leaves each of the 36 kernel calls its two products, at odd and
+    even k alike."""
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_matrix_products(self, monkeypatch, any_field, k):
@@ -621,4 +622,4 @@ class TestPositiveCertifierProducts:
         monkeypatch.setattr(Mat2, "__matmul__", lambda X, Y: calls.append(1) or matmul(X, Y))
         S = random_scalar_plus_nilpotent(any_field, Random(9))
         assert scalar_plus_nilpotent_kcomm(S, k, seed=k - 1).holds
-        assert len(calls) == (0 if any_field.is_exact else 36 * 2)
+        assert len(calls) == (0 if not S.discriminant() else 36 * 2)

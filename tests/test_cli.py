@@ -93,6 +93,17 @@ class TestKcommCommand:
                             tmp_path=tmp_path)
         assert (code, out) == (0, {"bracket": {"entries": [["0", "0"], ["0", "0"]], "field": "Q"}})
 
+    @pytest.mark.parametrize("k, response", [
+        (1, (2, {"error": "ResultTooLarge", "message": "order-1 bracket overflows R64"})),
+        (3, (0, {"bracket": {"entries": [[0.0, 0.0], [0.0, 0.0]], "field": "R64"}})),
+    ], ids=["1-2", "3-0"])
+    def test_float_zero_discriminant_settles_an_overflowing_bracket(self, capsys, tmp_path, k, response):
+        # [A, B]_1 of A = 1e200 E12, B = 1e200 E21 overflows and is refused; delta(B) = 0,
+        # so at k = 3 the bracket is the zero matrix, its exact value
+        data = {"A": {"field": "R64", "entries": [[0.0, 1e200], [0.0, 0.0]]},
+                "B": {"field": "R64", "entries": [[0.0, 0.0], [1e200, 0.0]]}}
+        assert run_cli(capsys, ["kcomm", "--k", str(k)], data, tmp_path=tmp_path) == response
+
     def test_bad_json_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         nested = '{"A":' + "[" * 1000 + "]" * 1000 + "}"  # json.loads raises RecursionError
@@ -196,15 +207,15 @@ class TestMapCommands:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("field", ["R64", "C64"])
     def test_float_right_side_that_overflows_exits_2(self, capsys, tmp_path, field, k):
-        # [A, B]_1 of A = 1e200 E12, B = 1e200 E21 is inf, and at k = 3 the kernel
-        # scales it by delta(B) = 0 to nan; the images' bracket is zero, so
+        # [A, B]_1 of A = 1e200 E12, B = E11 + 1e200 E21 is inf, and at k = 3 the
+        # kernel scales it by delta(B) = 1; the images' bracket is zero, so
         # inf <= inf must not hold
         def mat(rows):
             return {"field": field, "entries": rows}
         zero = [[0.0, 0.0], [0.0, 0.0]]
         table = {"field": field, "k": k, "entries": [
             {"in": mat([[0.0, 1e200], [0.0, 0.0]]), "out": mat(zero)},
-            {"in": mat([[0.0, 0.0], [1e200, 0.0]]), "out": mat([[1.0, 0.0], [0.0, 1.0]])}]}
+            {"in": mat([[1.0, 0.0], [1e200, 0.0]]), "out": mat([[1.0, 0.0], [0.0, 1.0]])}]}
         path = tmp_path / "in.json"
         path.write_text(json.dumps(table))
         assert main(["verify-map", "--input", str(path)]) == 2

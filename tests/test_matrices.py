@@ -1,5 +1,7 @@
+import cmath
 import math
 import struct
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -14,12 +16,14 @@ from kcomm2 import (
     FieldTag,
     GaussianRational,
     Mat2,
+    kcomm,
+    kcomm_recursive,
     outer,
     rank_one_factor,
     scalar_plus_nilpotent_spectral,
 )
 from kcomm2 import matrices
-from kcomm2.errors import FieldMismatch, RankNotOne
+from kcomm2.errors import FieldMismatch, RankNotOne, ResultTooLarge
 from kcomm2.randgen import random_nonzero_vec
 from kcomm2.serialize import canonical_dumps, mat_from_json, mat_to_json
 
@@ -246,6 +250,11 @@ def _float_scalars(field):
 def _bits(x):
     """The IEEE-754 bits of a float, or of both parts of a complex."""
     return struct.pack("<2d", x.real, x.imag) if isinstance(x, complex) else struct.pack("<d", x)
+
+
+def _as_float(x):
+    """An exact scalar rounded to a float, or over Q(i) to a complex."""
+    return complex(x.re, x.im) if isinstance(x, GaussianRational) else float(x)
 
 
 def _vectors(field):
@@ -519,31 +528,47 @@ class TestIntegerForm:
         if case == "negative":
             assert min(got._z[1:]) < 0
 
-    @given(st.sampled_from([FLOAT_R, FLOAT_C]).flatmap(lambda f: st.tuples(
-        st.just(f), st.tuples(*[_float_scalars(f)] * 4), st.tuples(*[_float_scalars(f)] * 4),
-        _float_scalars(f))))
-    def test_float_commutator_makes_the_products_and_their_difference(self, case):
-        field, r, b, c = case
-        R, B = Mat2(field, r), Mat2(field, b)
-        P, Q = R @ B, B @ R
-        got, want = P._bracket_step(Q), R @ B - B @ R
-        assert [_bits(x) for x in got.entries] == [_bits(x) for x in want.entries]
-        for S, s in ((B, None), (None, c), (B, c)):
-            got, want = P._bracket_step(Q, S, s), _composed(P, Q, S, s)
-            assert [_bits(x) for x in got.entries] == [_bits(x) for x in want.entries]
+    def test_float_step_is_accurate_against_the_exact_lift(self):
+        """Over R64 and C64 the step on P = R @ B and Q = B @ R, with and without B
+        and c, is within a few ulps of the scale |R| |B| (|B|) |c| of the exact answer:
+        ``kcomm_recursive`` at order 1 or 2 over Q or Q(i) on exact copies of the
+        float inputs, times c."""
+        rng = Random(44)
+
+        def real():
+            return rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-30, 30)
+
+        for field, exact in ((FLOAT_R, RATIONAL_Q), (FLOAT_C, GAUSSIAN_QI)):
+            lift = Fraction if exact is RATIONAL_Q else (
+                lambda z: GaussianRational(Fraction(z.real), Fraction(z.imag)))
+            worst = 0.0
+            for _ in range(1_000):
+                R, B = (Mat2(field, [complex(real(), real()) if field.is_complex else real()
+                                     for _ in range(4)]) for _ in range(2))
+                c = complex(real(), real()) if field.is_complex else real()
+                R_, B_ = (Mat2(exact, [lift(x) for x in M.entries]) for M in (R, B))
+                for S, s in ((None, None), (B, None), (None, c), (B, c)):
+                    got = (R @ B)._bracket_step(B @ R, S, s)
+                    want = kcomm_recursive(R_, B_, 1 if S is None else 2)
+                    scale = R.max_abs() * B.max_abs() ** (1 if S is None else 2)
+                    if s is not None:
+                        want, scale = want.scale(lift(s)), scale * abs(s)
+                    err = max(abs(g - complex(_as_float(w))) for g, w in zip(got.entries, want.entries))
+                    worst = max(worst, err / scale)
+            assert worst <= 16 * sys.float_info.epsilon, (field, worst)
 
     # signed zeros, units, infinities, subnormals and magnitudes whose products overflow
     FLOAT_SPECIALS = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, 5e-324, -5e-324,
                       1e-310, -2.5e-320, 1e300, -1e300)
 
     @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
-    def test_float_commutator_repeats_the_products_on_special_values(self, field):
-        """On every pair (R, B), the kernel's step on P = R @ B and Q = B @ R repeats
-        R @ B - B @ R, and with B and c, P - Q, then the bracket with B, then
-        ``scale(c)``, entry by entry (repr shows signed zeros and nan)."""
-        rng, scalars = Random(44), Random(45)
+    def test_float_kernel_refuses_every_non_finite_answer(self, field):
+        """On pairs of special values at k = 1..4, ``kcomm`` returns the zero matrix of
+        +0.0 when delta**m is zero, raises ResultTooLarge when delta**m or the step's
+        answer is not finite, and otherwise returns that answer: never an inf or a nan."""
+        rng, kinds = Random(45), set()
 
-        def scalar(rng=rng):
+        def scalar():
             if rng.random() < 0.25:
                 return rng.uniform(-1e3, 1e3)
             return rng.choice(self.FLOAT_SPECIALS)
@@ -551,13 +576,23 @@ class TestIntegerForm:
         for _ in range(10_000):
             R, B = (Mat2(field, [complex(scalar(), scalar()) if field.is_complex else scalar()
                                  for _ in range(4)]) for _ in range(2))
-            P, Q = R @ B, B @ R
-            got, want = P._bracket_step(Q), R @ B - B @ R
-            assert [repr(x) for x in got.entries] == [repr(x) for x in want.entries]
-            c = complex(scalar(scalars), scalar(scalars)) if field.is_complex else scalar(scalars)
-            for S, s in ((B, None), (None, c), (B, c)):
-                got, want = P._bracket_step(Q, S, s), _composed(P, Q, S, s)
-                assert [repr(x) for x in got.entries] == [repr(x) for x in want.entries]
+            k = rng.randint(1, 4)
+            c = B.discriminant() if k > 2 else 1.0
+            step = (R @ B)._bracket_step(B @ R, None if k % 2 else B, c)
+            finite = cmath.isfinite(c) and all(cmath.isfinite(x) for x in step.entries)
+            try:
+                got = kcomm(R, B, k)
+            except ResultTooLarge:
+                kinds.add("refused")
+                assert not finite
+                continue
+            if not c:
+                kinds.add("zero")
+                assert got is Mat2.zero(field) and repr(got.entries) == repr(Mat2.zero(field).entries)
+            else:
+                kinds.add("answer")
+                assert finite and got.entries == step.entries
+        assert kinds == {"refused", "zero", "answer"}
 
     @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
     def test_float_shift_signs_its_zeros_as_the_sum_does(self, field):

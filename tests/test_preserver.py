@@ -310,10 +310,10 @@ class TestVerifyPreserving:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("field", [FLOAT_R, FLOAT_C], ids=lambda f: f.variant)
     def test_float_right_side_that_overflows_is_refused(self, field, k):
-        # [A, B]_1 = 1e400 diag(1, -1) is inf, and at k = 3 the kernel scales it
-        # by delta(B) = 0 to nan; the images' bracket is zero, so inf <= inf
-        # must not hold.  The refusal is the kernel's own for the same pair.
-        A, B = Mat2(field, (0, 1e200, 0, 0)), Mat2(field, (0, 0, 1e200, 0))
+        # [A, B]_1 = [[1e400, -1e200], [0, -1e400]] is inf, and at k = 3 the
+        # kernel scales it by delta(B) = 1; the images' bracket is zero, so
+        # inf <= inf must not hold.  The refusal is the kernel's own for the same pair.
+        A, B = Mat2(field, (0, 1e200, 0, 0)), Mat2(field, (1, 0, 1e200, 0))
         table = MapTable(field, k, ((A, Mat2.zero(field)), (B, Mat2.identity(field))))
         message = rf"^order-{k} bracket overflows {field.variant}$"
         with pytest.raises(ResultTooLarge, match=message):
