@@ -4,7 +4,9 @@ The requests are the benchmark's ``cli_ops`` mix for seeds 1-3 (five blocks
 each, so every one of the ten hostile kinds three times), ``fixtures --kmax 50``
 and ``campaign --trials 12`` at k in {1, 2, 3, 6, 12} on the four fields, and
 then this file's own R64 and C64 requests for the subcommands the mix sends
-only exact bodies to (``float_requests``).
+only exact bodies to (``float_requests``) and its Q and Qi sandwich requests
+with fractional entries, which the mix's integer systems lack
+(``exact_sandwich_requests``).
 ``tests/test_cli_corpus.py`` replays them through ``cli.main``.  Float bodies
 that go through ``pow`` depend on the C library, and usage errors on the
 Python version, so the corpus records the platform it was made on.
@@ -68,6 +70,7 @@ def requests():
             yield "campaign", ["campaign", "--field", field, "--k", str(k), "--trials", "12",
                                "--seed", "0"], ""
     yield from float_requests()
+    yield from exact_sandwich_requests()
 
 
 def _enc(x):
@@ -171,6 +174,57 @@ def float_requests():
     table = _table("R64", 3, PROBES, h="zero")
     for i in range(len(PROBES)):
         yield "decompose-map.R64", ["decompose-map"], json.dumps(_tweak(table, i, lambda x: x + 5e-10))
+
+
+def exact_sandwich_requests():
+    """(label, argv, stdin) of Q and Qi sandwich requests whose entries are fractions
+    of unequal denominators, one for each way the solver ends: solved in auto,
+    b-in-d and a-in-c mode, solved on a dependent span, SingularSystem (exit 2)
+    and a broken identity (exit 1)."""
+    from fractions import Fraction as F
+
+    from kcomm2 import FieldTag, Mat2
+    from kcomm2.fields import GaussianRational
+    from kcomm2.serialize import mat_to_json
+
+    for variant in ("Q", "Qi"):
+        f = FieldTag(variant)
+        w, s = (f.one(), f.one()) if variant == "Q" else (GaussianRational(F(2, 3), F(-1, 5)),
+                                                          GaussianRational(1, F(-1, 2)))
+
+        def mat(*e):  # over Qi every input is times w, so entries are not real
+            return Mat2(f, e).scale(w)
+
+        def comb(cs, Ms):
+            return Ms[0].scale(cs[0]) + Ms[1].scale(cs[1])
+
+        def request(left, right, *argv):
+            body = {side: [[mat_to_json(X), mat_to_json(Y)] for X, Y in pairs]
+                    for side, pairs in (("left", left), ("right", right))}
+            return f"sandwich.{variant}.fractions", ["sandwich", *argv], json.dumps(body)
+
+        # B_i = sum_j c_ij D_j and C_j = sum_i c_ij A_i make an identity; over Qi two
+        # of the c_ij are not real
+        A = (mat(F(1, 2), 2, F(-3, 7), 1), mat(0, F(5, 3), 1, F(1, 4)))
+        D = (mat(2, F(-1, 6), 1, F(3, 5)), mat(F(7, 9), -1, 0, 3))
+        c = ((f.coerce(F(3, 2)), s * F(-2, 7)), (s * F(1, 5), f.coerce(3)))
+        B = [comb(c[i], D) for i in range(2)]
+        C = [comb((c[0][j], c[1][j]), A) for j in range(2)]
+        yield request(list(zip(A, B)), list(zip(C, D)))
+        yield request(list(zip(C, D)), list(zip(A, B)), "--mode", "b-in-d")
+        # left first components G/3 and 5G/4 are dependent, so b-in-d has no hypothesis
+        G, q = A[1], (F(1, 3), F(5, 4))
+        yield request([(G.scale(q[0]), D[0]), (G.scale(q[1]), D[1])], [(G, comb(q, D))],
+                      "--mode", "a-in-c")
+        # D_2 = 4/11 D_1: the span is dependent and its free coefficient is zero
+        Dd = (D[0], D[0].scale(F(4, 11)))
+        yield request([(A[i], comb(c[i], Dd)) for i in range(2)], list(zip(C, Dd)))
+        # both members of the left side are dependent: neither mode applies
+        yield request([(A[0], D[0]), (A[0].scale(F(2, 3)), D[0].scale(F(5, 7)))],
+                      [(A[0], D[0].scale(F(31, 21)))])
+        # E12/3 added to D_1 breaks the identity
+        broken = (D[0] + Mat2(f, (0, F(1, 3), 0, 0)), D[1])
+        yield request(list(zip(A, B)), list(zip(C, broken)))
 
 
 def record() -> None:
