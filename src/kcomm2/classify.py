@@ -3,8 +3,8 @@ detection, and the rank-one sandwich-identity solver.
 
 The solver reads the images of the matrix units from ``matrices.unit_images``,
 fused on the integer form over Q and Q(i).  Its row reduction is fraction-free
-on integers over Q and Q(i) (Bareiss), pivoting on the first nonzero entry,
-and Gauss-Jordan with magnitude pivoting over R64 and C64.
+on the matrices' integer forms over Q and Q(i) (Bareiss), pivoting on the first
+nonzero entry, and Gauss-Jordan with magnitude pivoting over R64 and C64.
 
 A matrix is vectorised as its ``.entries``, row-major (t11, t12, t21, t22);
 the 4x4 sandwich matrices use that order on both axes.
@@ -14,14 +14,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from random import Random
 from typing import NamedTuple
 
 from .brackets import MAX_TRIALS, _check_order, kcomm
 from .errors import EmptySystem, InvariantViolation, KTooSmall, SingularSystem
 from .fields import FieldTag, GaussianRational, raw_fraction, require_same_field
-from .matrices import Mat2, matrix_units, unit_images
+from .matrices import Mat2, integer_entries, matrix_units, unit_images
 from .randgen import random_rank_one
 
 
@@ -205,21 +204,6 @@ def _gauss_jordan(field: FieldTag, rows, n: int):
     return work, pivots
 
 
-def _integer_rows(field: FieldTag, rows) -> list:
-    """Exact rows as integers, each scaled by the lcm of its denominators: ints
-    over Q, Gaussian integers (re, im) over Q(i)."""
-    out = []
-    if field.is_complex:
-        for row in rows:
-            d = lcm(*[x.den for x in row])
-            out.append([(x.a * (d // x.den), x.b * (d // x.den)) for x in row])
-    else:
-        for row in rows:
-            d = lcm(*[x.denominator for x in row])
-            out.append([x.numerator * (d // x.denominator) for x in row])
-    return out
-
-
 def _int_update(p, f, q, row, top):
     """(p * row - f * top) / q on integers; the division is exact."""
     return [(p * a - f * b) // q for a, b in zip(row, top)]
@@ -239,7 +223,7 @@ def _gaussian_update(p, f, q, row, top):
 
 
 def _fraction_free(field: FieldTag, rows, n: int):
-    """Gauss-Jordan on the integer rows of an exact system (Bareiss 1968),
+    """Gauss-Jordan on rows of ints, or of Gaussian integers (re, im) (Bareiss 1968),
     pivoting on the first nonzero entry of each of the first n columns.
 
     Each pivot p replaces every other row r by (p * r - r[col] * pivot row) / q,
@@ -250,7 +234,7 @@ def _fraction_free(field: FieldTag, rows, n: int):
     pivot are not updated again.
     """
     update, zero, last = (_gaussian_update, (0, 0), (1, 0)) if field.is_complex else (_int_update, 0, 1)
-    work = _integer_rows(field, rows)
+    work = [list(r) for r in rows]
     pivots = []
     for col in range(n):
         row = len(pivots)
@@ -263,58 +247,63 @@ def _fraction_free(field: FieldTag, rows, n: int):
             continue
         work[row], work[p] = work[p], work[row]
         top = work[row][col:]
-        for r in range(len(work)):
+        pivot = top[0]
+        for r, w in enumerate(work):
             if r != row:
-                work[r][col:] = update(top[0], work[r][col], last, work[r][col:], top)
-        last = top[0]
+                w[col:] = update(pivot, w[col], last, w[col:], top)
+        last = pivot
         pivots.append(col)
     return work, pivots, last
 
 
-def _quotient(field: FieldTag, last):
-    """The map from an entry z of ``_fraction_free``'s rows to the scalar z / last."""
+def _quotient(field: FieldTag, last, dens):
+    """The map from an entry z of ``_fraction_free``'s rows in column j, right-hand
+    side t, to the scalar z * dens[j] / (last * dens[t]), reduced by one gcd."""
     if not field.is_complex:
         s = -1 if last < 0 else 1  # raw_fraction takes a positive denominator
-        return lambda z: raw_fraction(s * z, s * last)
+        return lambda z, j, t: raw_fraction(s * z * dens[j], s * last * dens[t])
     qr, qi = last  # z / q = z * conj(q) / |q|**2
     n, raw = qr * qr + qi * qi, GaussianRational._raw
-    return lambda z: raw(z[0] * qr + z[1] * qi, z[1] * qr - z[0] * qi, n)
+    return lambda z, j, t: raw((z[0] * qr + z[1] * qi) * dens[j], (z[1] * qr - z[0] * qi) * dens[j],
+                               n * dens[t])
 
 
-def solve_linear(field: FieldTag, rows, rhs_list):
-    """One solution of rows * x = rhs for every rhs in rhs_list, or None if
-    any of them is inconsistent.
+def solve_linear(field: FieldTag, span, targets):
+    """Coefficients x with sum_j x[j] * span[j] = target for every target matrix,
+    or None if any target is outside the span; free unknowns are set to zero.
 
-    One elimination serves all right-hand sides; free variables are set to
-    zero.  Q and Q(i) eliminate fraction-free on integers, pivoting on the
-    first nonzero entry; R64 and C64 pivot on magnitude and treat sub-tolerance
-    values as zero.
+    One elimination serves all targets: a row per entry position, a column per
+    matrix, span then targets.  Over Q and Q(i) column j is matrix j times its
+    denominator d_j, which keeps every zero and so every pivot: a reduced entry y
+    gives y * d_j / (last pivot * d_t) for target t.  R64 and C64 pivot on
+    magnitude and treat sub-tolerance values as zero.
     """
-    n = len(rows[0]) if rows else 0
-    aug = [list(row) + [rhs[r] for rhs in rhs_list] for r, row in enumerate(rows)]
+    n, mats = len(span), [*span, *targets]
     if field.is_exact:
-        work, pivots, last = _fraction_free(field, aug, n)
-        scalar = _quotient(field, last)
-        zero = (0, 0) if field.is_complex else 0
-        is_zero = lambda v: v == zero  # last != 0, so v / last is zero iff v is
+        dens, numerators = integer_entries(mats)
+        work, pivots, last = _fraction_free(field, list(zip(*numerators)), n)
+        scalar = _quotient(field, last, dens)
+        is_zero = ((0, 0) if field.is_complex else 0).__eq__  # last != 0, so v / last is zero iff v is
     else:
-        work, pivots = _gauss_jordan(field, aug, n)
-        scalar = lambda v: v  # the reduced rows hold the solution
+        work, pivots = _gauss_jordan(field, list(zip(*[M.entries for M in mats])), n)
+        scalar = lambda v, j, t: v  # the reduced rows hold the solution
         is_zero = field.is_zero
     if not all(is_zero(v) for row in work[len(pivots):] for v in row[n:]):
         return None
-    solutions = []
-    for j in range(n, n + len(rhs_list)):
-        x = [field.zero()] * n
+    solutions, zero = [], field.zero()
+    for t in range(n, len(mats)):
+        x = [zero] * n
         for i, col in enumerate(pivots):
-            x[col] = scalar(work[i][j])
+            x[col] = scalar(work[i][t], col, t)
         solutions.append(x)
     return solutions
 
 
-def matrix_rank(field: FieldTag, rows) -> int:
-    n = len(rows[0]) if rows else 0
-    return len((_fraction_free if field.is_exact else _gauss_jordan)(field, rows, n)[1])
+def matrix_rank(field: FieldTag, mats) -> int:
+    """How many of mats are linearly independent; one row per matrix."""
+    if field.is_exact:
+        return len(_fraction_free(field, integer_entries(mats)[1], 4)[1])
+    return len(_gauss_jordan(field, [M.entries for M in mats], 4)[1])
 
 
 def rank_one_identity_solve(system: SandwichSystem, mode: str = "auto"):
@@ -342,12 +331,11 @@ def rank_one_identity_solve(system: SandwichSystem, mode: str = "auto"):
 
     for m in ("b-in-d", "a-in-c") if mode == "auto" else (mode,):
         i = m == "a-in-c"  # pair member that must be independent; the other is solved for
-        indep = [pair[i].entries for pair in system.left]
+        indep = [pair[i] for pair in system.left]
         if matrix_rank(field, indep) != len(indep):
             continue
-        span = [pair[1 - i].entries for pair in system.right]
-        cols = [[span[j][r] for j in range(len(span))] for r in range(4)]
-        out = solve_linear(field, cols, [pair[1 - i].entries for pair in system.left])
+        out = solve_linear(field, [pair[1 - i] for pair in system.right],
+                           [pair[1 - i] for pair in system.left])
         if out is None:
             # cannot happen when the identity holds and independence does
             raise InvariantViolation("span extraction failed on a valid identity")

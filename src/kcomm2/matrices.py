@@ -14,9 +14,10 @@ equality, hashing, the zero and scalar tests and the sandwich images
 ``unit_images``) compute on these integers, written out slot by slot for the
 5- and 9-slot forms, and reduce with one multi-argument gcd, where entrywise
 ``Fraction`` / ``GaussianRational`` arithmetic would take one gcd per scalar
-operation.  The cold ones (``trace``, ``det``, ``conj_t``, negation and
-``outer``) read or build ``.entries``.  The hash reads the form (or the float
-entries), not the field: matrices over unequal fields never compare equal.
+operation.  ``integer_entries`` hands the forms to the exact row reduction.
+The cold ones (``trace``, ``det``, ``conj_t``, negation and ``outer``) read or
+build ``.entries``.  The hash reads the form (or the float entries), not the
+field: matrices over unequal fields never compare equal.
 
 ``_bracket_step`` is ``kcomm`` after its two products P = A @ B and Q = B @ A:
 c*(P - Q), or c*[P - Q, B] at even orders, entries built, in one pass.  The
@@ -520,6 +521,17 @@ def unit_images(pairs) -> list:
         sums = terms if sums is None else [s + t for s, t in zip(sums, terms)]
     den, n = den_a * den_b, len(sums) // 4
     return [_normalised(f, (den, *sums[c:c + n])) for c in range(0, 4 * n, n)]
+
+
+def integer_entries(mats) -> tuple:
+    """(dens, numerators) of exact matrices: matrix j is numerators[j] / dens[j],
+    its integer form, with four row-major numerators, ints over Q and (re, im)
+    pairs over Q(i)."""
+    forms = [M._z for M in mats]
+    dens = [z[0] for z in forms]
+    if forms and len(forms[0]) == 9:
+        return dens, [((z[1], z[2]), (z[3], z[4]), (z[5], z[6]), (z[7], z[8])) for z in forms]
+    return dens, [z[1:] for z in forms]
 
 
 class RankOneFactor(NamedTuple):

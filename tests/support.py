@@ -59,7 +59,7 @@ def span_system(field, rng: Random, n: int, m: int) -> SandwichSystem:
     """
     while True:
         A = [random_mat(field, rng, span=3) for _ in range(n)]
-        if matrix_rank(field, [a.entries for a in A]) == n:
+        if matrix_rank(field, A) == n:
             break
     D = [random_mat(field, rng, span=3) for _ in range(m)]
     coeffs = [[random_scalar(field, rng, span=3) for _ in range(m)] for _ in range(n)]
@@ -199,8 +199,9 @@ def reference_gauss_jordan(rows, n: int):
 
 
 def reference_solve(field, rows, rhs_list):
-    """``solve_linear`` on ``reference_gauss_jordan``: free unknowns are zero, and an
-    inconsistent right-hand side gives None."""
+    """``solve_linear`` on ``reference_gauss_jordan``, given the system's rows and
+    right-hand sides as scalars: free unknowns are zero, and an inconsistent
+    right-hand side gives None."""
     n = len(rows[0]) if rows else 0
     aug = [list(row) + [rhs[r] for rhs in rhs_list] for r, row in enumerate(rows)]
     work, pivots = reference_gauss_jordan(aug, n)
@@ -215,29 +216,50 @@ def reference_solve(field, rows, rhs_list):
     return solutions
 
 
-def random_linear_system(field, rng: Random):
-    """(rows, rhs_list) of a random exact system with 1-5 rows and unknowns.
+def entry_rows(mats) -> list:
+    """The matrices' entries transposed: row r holds entry r of each matrix, so
+    matrix j is column j, as ``solve_linear`` reads a span."""
+    return [[M.entries[r] for M in mats] for r in range(4)]
 
-    Some columns are combinations of earlier ones, some rows are zero, and the
-    right-hand sides are both rows * x for a random x (consistent) and random
-    vectors (inconsistent when the rows are rank deficient).
+
+def random_span_system(field, rng: Random):
+    """(span, targets) of 1-5 random exact matrices and 1-3 targets.
+
+    Some matrices are combinations of earlier ones, some entry positions are
+    zero in every matrix of the span, the entries have unequal denominators,
+    and the targets are both a combination of the span (consistent) and random
+    matrices (outside the span when it is rank deficient).
     """
-    m, n = rng.randint(1, 5), rng.randint(1, 5)
+    n = rng.randint(1, 5)
     kw = dict(span=rng.choice((2, 9, 1000)), denominators=rng.random() < 0.7)
-    columns = []
+    zero = [rng.random() < 0.15 for _ in range(4)]
+    span = []
     for _ in range(n):
-        if columns and rng.random() < 0.4:  # a dependent column
-            picks = [(random_scalar(field, rng, **kw), c) for c in rng.sample(columns, rng.randint(1, len(columns)))]
-            columns.append([sum((k * c[r] for k, c in picks), field.zero()) for r in range(m)])
+        if span and rng.random() < 0.4:  # a dependent matrix
+            picks = rng.sample(span, rng.randint(1, len(span)))
+            span.append(sum((M.scale(random_scalar(field, rng, **kw)) for M in picks), Mat2.zero(field)))
         else:
-            columns.append([random_scalar(field, rng, **kw) for _ in range(m)])
-    rows = [[c[r] for c in columns] for r in range(m)]
-    for r in range(m):
-        if rng.random() < 0.15:
-            rows[r] = [field.zero()] * n
+            entries = [random_scalar(field, rng, **kw) for _ in range(4)]
+            span.append(Mat2(field, [field.zero() if z else v for z, v in zip(zero, entries)]))
     x = [random_scalar(field, rng, **kw) for _ in range(n)]
-    consistent = [sum((a * b for a, b in zip(row, x)), field.zero()) for row in rows]
-    rhs_list = [consistent] + [[random_scalar(field, rng, **kw) for _ in range(m)]
-                               for _ in range(rng.randint(0, 2))]
-    rng.shuffle(rhs_list)
-    return rows, rhs_list
+    targets = [sum((M.scale(c) for M, c in zip(span, x)), Mat2.zero(field))]
+    targets += [random_mat(field, rng, **kw) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(targets)
+    return span, targets
+
+
+def random_unimodular(field, rng: Random):
+    """(S, S^-1) for S drawn from GL2(Z) with det +-1: the identity moved by 4-10
+    random row operations (add t times one row to the other, |t| <= 2, or swap
+    the rows), so that S^-1 = det(S) * adj(S) is integral too."""
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(rng.randint(4, 10)):
+        move, t = rng.randrange(3), rng.choice((-2, -1, 1, 2))
+        if move == 0:
+            a, b = a + t * c, b + t * d
+        elif move == 1:
+            c, d = c + t * a, d + t * b
+        else:
+            a, b, c, d = c, d, a, b
+    det = a * d - b * c
+    return Mat2(field, (a, b, c, d)), Mat2(field, (det * d, -det * b, -det * c, det * a))

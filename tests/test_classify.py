@@ -28,9 +28,9 @@ from kcomm2.randgen import random_rank_one, random_scalar
 from kcomm2.serialize import canonical_dumps, solver_result_to_json
 
 from conftest import units
-from support import (apply_operator, random_linear_system, random_mat,
-                     random_scalar_plus_nilpotent, reference_gauss_jordan, reference_solve,
-                     span_system as _span_system)
+from support import (apply_operator, entry_rows, random_mat, random_scalar_plus_nilpotent,
+                     random_span_system, random_unimodular, reference_gauss_jordan,
+                     reference_solve, span_system as _span_system)
 
 
 class TestScalarWitness:
@@ -386,34 +386,36 @@ class TestIdentitySolver:
 
 
 class TestExactElimination:
-    """The fraction-free elimination against ``support.reference_gauss_jordan``,
-    Gauss-Jordan on field scalars: the same solutions and ranks, scalar type included."""
+    """The fraction-free elimination on the matrices' integer forms against
+    ``support.reference_gauss_jordan``, Gauss-Jordan on the field scalars of their
+    transposed entries: the same solutions and ranks, scalar type included."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_the_scalar_reference(self, exact_field, seed):
         rng = Random(f"elimination/{exact_field.variant}/{seed}")
         inconsistent = deficient = 0
         for _ in range(150):
-            rows, rhs_list = random_linear_system(exact_field, rng)
-            want = reference_solve(exact_field, rows, rhs_list)
-            got = classify.solve_linear(exact_field, rows, rhs_list)
+            span, targets = random_span_system(exact_field, rng)
+            rows = entry_rows(span)
+            want = reference_solve(exact_field, rows, [T.entries for T in targets])
+            got = classify.solve_linear(exact_field, span, targets)
             assert got == want
             if want is None:
                 inconsistent += 1
             else:
                 assert [[type(v) for v in x] for x in got] == [[type(v) for v in x] for x in want]
-            rank = len(reference_gauss_jordan(rows, len(rows[0]))[1])
-            assert classify.matrix_rank(exact_field, rows) == rank
-            deficient += rank < min(len(rows), len(rows[0]))
+            rank = len(reference_gauss_jordan(rows, len(span))[1])
+            assert classify.matrix_rank(exact_field, span) == rank
+            deficient += rank < min(4, len(span))
         assert inconsistent > 10 and deficient > 30
 
     def test_rank_reads_columns_in_order(self, exact_field):
-        # column 1 is twice column 0, so the pivots are columns 0 and 2
+        # matrix 1 is twice matrix 0, so the pivots are columns 0 and 2
+        M = [Mat2(exact_field, e) for e in ((1, 3, 0, 0), (2, 6, 0, 0), (0, 1, 0, 0))]
         f = exact_field.coerce
-        rows = [[f(1), f(2), f(0)], [f(3), f(6), f(1)], [f(0), f(0), f(0)]]
-        assert classify.matrix_rank(exact_field, rows) == 2
-        assert classify.solve_linear(exact_field, rows, [[f(1), f(4), f(0)]]) == [[f(1), f(0), f(1)]]
-        assert classify.solve_linear(exact_field, rows, [[f(1), f(4), f(1)]]) is None
+        assert classify.matrix_rank(exact_field, M) == 2
+        assert classify.solve_linear(exact_field, M, [Mat2(exact_field, (1, 4, 0, 0))]) == [[f(1), f(0), f(1)]]
+        assert classify.solve_linear(exact_field, M, [Mat2(exact_field, (1, 4, 1, 0))]) is None
 
 
 class TestSolveLinear:
@@ -423,17 +425,101 @@ class TestSolveLinear:
     ``FieldTag.is_zero``, float for float.
     """
 
+    @staticmethod
+    def mats(*entries):
+        return [Mat2(FLOAT_R, e) for e in entries]
+
     def test_sub_tolerance_column_has_no_pivot(self):
-        # column 0 holds 4e-10 and -1e-9 = -tolerance: both zero, so x0 is free
-        rows = [[4e-10, 1.0], [-1e-9, 2.0]]
-        assert classify.solve_linear(FLOAT_R, rows, [[1.0, 2.0 + 4e-10]]) == [[0.0, 1.0000000002]]
-        assert classify.solve_linear(FLOAT_R, rows, [[1.0, 2.5]]) is None
+        # matrix 0 holds 4e-10 and -1e-9 = -tolerance: both zero, so x0 is free
+        span = self.mats((4e-10, -1e-9, 0.0, 0.0), (1.0, 2.0, 0.0, 0.0))
+        got = classify.solve_linear(FLOAT_R, span, self.mats((1.0, 2.0 + 4e-10, 0.0, 0.0)))
+        assert got == [[0.0, 1.0000000002]]
+        assert classify.solve_linear(FLOAT_R, span, self.mats((1.0, 2.5, 0.0, 0.0))) is None
 
     def test_magnitude_tie_takes_the_first_row(self):
         # taking row 1 instead gives [-0.14, 0.07999999999999999]
-        rows = [[1.0, 3.0], [-1.0, 7.0]]
-        got = classify.solve_linear(FLOAT_R, rows, [[0.1, 0.7]])
+        span = self.mats((1.0, -1.0, 0.0, 0.0), (3.0, 7.0, 0.0, 0.0))
+        got = classify.solve_linear(FLOAT_R, span, self.mats((0.1, 0.7, 0.0, 0.0)))
         assert got == [[-0.13999999999999996, 0.07999999999999999]]
+
+
+class TestConjugationLaws:
+    """Conjugating every matrix by one S drawn from GL2(Z) with det +-1 keeps each
+    verdict over Q and Q(i): an oracle that shares no elimination with the solver.
+
+    T -> S T S^-1 maps rank-one matrices onto rank-one matrices, so both sandwich
+    sums move together and independence and span coefficients are kept; Z is
+    scalar, and S is scalar plus square-zero, exactly when their conjugates are;
+    and the discriminant and tr/2 do not move while N is conjugated.
+    """
+
+    CASES = 300
+
+    @staticmethod
+    def _solve(system, mode):
+        try:
+            return rank_one_identity_solve(system, mode)
+        except SingularSystem:
+            return SingularSystem
+
+    @staticmethod
+    def _system(field, rng):
+        """An identity from ``span_system``, a third of them broken by a matrix unit
+        added to D_1, and a fifth with one more term on both sides whose members
+        repeat the first left pair's, so that the left side is dependent."""
+        system = _span_system(field, rng, rng.randint(1, 3), rng.randint(1, 3))
+        left, right = list(system.left), list(system.right)
+        if rng.random() < 0.3:
+            C, D = right[0]
+            right[0] = (C, D + rng.choice(units(field)))
+        if rng.random() < 0.2:
+            (A, B), q = left[0], random_scalar(field, rng, denominators=True) or field.one()
+            extra = (A.scale(q), B.scale(rng.choice((q, field.one()))))
+            left, right = left + [extra], right + [extra]
+        return SandwichSystem(left=left, right=right)
+
+    def test_solver_verdicts_and_coefficients(self, exact_field):
+        rng = Random(f"conjugation/solver/{exact_field.variant}")
+        seen = set()
+        for _ in range(self.CASES):
+            system = self._system(exact_field, rng)
+            S, Sinv = random_unimodular(exact_field, rng)
+            assert (S @ Sinv).eq(Mat2.identity(exact_field))
+            conj = lambda pairs: [(S @ X @ Sinv, S @ Y @ Sinv) for X, Y in pairs]
+            moved = SandwichSystem(left=conj(system.left), right=conj(system.right))
+            for mode in ("auto", "b-in-d", "a-in-c"):
+                want, got = self._solve(system, mode), self._solve(moved, mode)
+                if isinstance(want, NotAnIdentity):
+                    assert isinstance(got, NotAnIdentity)
+                else:
+                    assert got == want
+                seen.add(want if want is SingularSystem else type(want))
+        assert seen == {Coefficients, NotAnIdentity, SingularSystem}
+
+    def test_classifier_verdicts(self, exact_field):
+        rng = Random(f"conjugation/classify/{exact_field.variant}")
+        held = 0
+        for i in range(self.CASES):
+            S, Sinv = random_unimodular(exact_field, rng)
+            if i % 3 == 0:
+                Z = Mat2.identity(exact_field).scale(random_scalar(exact_field, rng, denominators=True))
+            elif i % 3 == 1:
+                Z = random_scalar_plus_nilpotent(exact_field, rng, denominators=True)
+            else:
+                Z = random_mat(exact_field, rng, denominators=True)
+            W = S @ Z @ Sinv
+            k = rng.randint(1, 6)
+            assert scalar_witness_test(W, k).holds == scalar_witness_test(Z, k).holds
+            k = rng.randint(3, 6)
+            verdict = scalar_plus_nilpotent_kcomm(Z, k)
+            assert scalar_plus_nilpotent_kcomm(W, k).holds == verdict.holds
+            held += verdict.holds
+            want, got = scalar_plus_nilpotent_spectral(Z), scalar_plus_nilpotent_spectral(W)
+            assert got.holds == want.holds and got.discriminant == want.discriminant
+            if want.holds:
+                assert got.split.lam == want.split.lam
+                assert got.split.nilpotent.eq(S @ want.split.nilpotent @ Sinv)
+        assert self.CASES // 2 < held < self.CASES
 
 
 # -- the certifier's probe stream --------------------------------------------

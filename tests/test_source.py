@@ -295,3 +295,16 @@ def test_kernel_step_serves_kcomm_alone():
                for node in ast.walk(func)
                if isinstance(node, ast.Call) and _used_name(node.func) == "_bracket_step"}
     assert callers == {"brackets.kcomm"}
+
+
+def test_exact_solver_reads_the_integer_forms():
+    """The exact row reduction eliminates the matrices' integer forms
+    (``matrices.integer_entries``): ``classify.py`` rebuilds no integer rows of
+    its own, so it defines no ``_integer_rows`` and imports no ``lcm``."""
+    tree = TREES["classify.py"]
+    defined = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert "_integer_rows" not in defined and "solve_linear" in defined
+    imported = [m for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for m in _imported(node)]
+    assert not [m for m in imported if m.split(".")[-1] == "lcm"]
+    assert "matrices.integer_entries" in imported
