@@ -411,11 +411,12 @@ class TestExactElimination:
 
     def test_rank_reads_columns_in_order(self, exact_field):
         # matrix 1 is twice matrix 0, so the pivots are columns 0 and 2
-        M = [Mat2(exact_field, e) for e in ((1, 3, 0, 0), (2, 6, 0, 0), (0, 1, 0, 0))]
+        span = [Mat2(exact_field, e) for e in ((1, 3, 0, 0), (2, 6, 0, 0), (0, 1, 0, 0))]
+        inside, outside = Mat2(exact_field, (1, 4, 0, 0)), Mat2(exact_field, (1, 4, 1, 0))
         f = exact_field.coerce
-        assert classify.matrix_rank(exact_field, M) == 2
-        assert classify.solve_linear(exact_field, M, [Mat2(exact_field, (1, 4, 0, 0))]) == [[f(1), f(0), f(1)]]
-        assert classify.solve_linear(exact_field, M, [Mat2(exact_field, (1, 4, 1, 0))]) is None
+        assert classify.matrix_rank(exact_field, span) == 2
+        assert classify.solve_linear(exact_field, span, [inside]) == [[f(1), f(0), f(1)]]
+        assert classify.solve_linear(exact_field, span, [outside]) is None
 
 
 class TestSolveLinear:
@@ -464,9 +465,9 @@ class TestConjugationLaws:
 
     @staticmethod
     def _system(field, rng):
-        """An identity from ``span_system``, a third of them broken by a matrix unit
-        added to D_1, and a fifth with one more term on both sides whose members
-        repeat the first left pair's, so that the left side is dependent."""
+        """An identity from ``span_system``; 30% of them broken by a matrix unit
+        added to D_1, and 20% given one more term on both sides, a multiple of
+        the first left pair, so that the left first components are dependent."""
         system = _span_system(field, rng, rng.randint(1, 3), rng.randint(1, 3))
         left, right = list(system.left), list(system.right)
         if rng.random() < 0.3:
