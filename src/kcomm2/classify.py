@@ -281,11 +281,11 @@ def solve_linear(field: FieldTag, span, targets):
     n, mats = len(span), [*span, *targets]
     if field.is_exact:
         dens, numerators = integer_entries(mats)
-        work, pivots, last = _fraction_free(field, list(zip(*numerators)), n)
+        work, pivots, last = _fraction_free(field, zip(*numerators), n)
         scalar = _quotient(field, last, dens)
         is_zero = ((0, 0) if field.is_complex else 0).__eq__  # last != 0, so v / last is zero iff v is
     else:
-        work, pivots = _gauss_jordan(field, list(zip(*[M.entries for M in mats])), n)
+        work, pivots = _gauss_jordan(field, zip(*[M.entries for M in mats]), n)
         scalar = lambda v, j, t: v  # the reduced rows hold the solution
         is_zero = field.is_zero
     if not all(is_zero(v) for row in work[len(pivots):] for v in row[n:]):
