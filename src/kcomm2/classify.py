@@ -2,7 +2,8 @@
 detection, and the rank-one sandwich-identity solver.
 
 The solver reads the images of the matrix units from ``matrices.unit_images``,
-fused on the integer form over Q and Q(i).  Its row reduction is fraction-free
+fused on the integer form over Q and Q(i), one unit at a time, and stops at the
+first unit whose images differ.  Its row reduction is fraction-free
 on the matrices' integer forms over Q and Q(i) (Bareiss), pivoting on the first
 nonzero entry, and Gauss-Jordan with magnitude pivoting over R64 and C64.
 

@@ -14,7 +14,9 @@ equality, hashing, the zero and scalar tests and the sandwich images
 ``unit_images``) compute on these integers, written out slot by slot for the
 5- and 9-slot forms, and reduce with one multi-argument gcd, where entrywise
 ``Fraction`` / ``GaussianRational`` arithmetic would take one gcd per scalar
-operation.  ``integer_entries`` hands the forms to the exact row reduction.
+operation.  ``unit_images`` yields one image per matrix unit, in
+``matrix_units`` order, so the sandwich solver builds none past its witness.
+``integer_entries`` hands the forms to the exact row reduction.
 The cold ones (``trace``, ``det``, ``conj_t``, negation and ``outer``) read or
 build ``.entries``.  The hash reads the form (or the float entries), not the
 field: matrices over unequal fields never compare equal.
@@ -462,42 +464,16 @@ def matrix_units(field: FieldTag) -> tuple:
     return tuple(Mat2.unit(field, i, j) for i in (1, 2) for j in (1, 2))
 
 
-def _unit_products(a, b) -> list:
-    """Row-major entries of A E B for the matrix units E in ``matrix_units``
-    order, from the row-major entries a of A and b of B.
+def unit_images(pairs):
+    """Yield the images sum A E B over the (A, B) pairs of the four matrix units E,
+    one at a time in ``matrix_units`` order: the columns of the sandwich operator
+    T -> sum A T B.  A caller that stops at an image computes none past it.
 
-    E_ij = e_i e_j*, so A E_ij B is column i of A times row j of B.
-    """
-    a11, a12, a21, a22 = a
-    b11, b12, b21, b22 = b
-    out = []
-    for x, X in ((a11, a21), (a12, a22)):
-        for u, U in ((b11, b12), (b21, b22)):
-            out += (x * u, x * U, X * u, X * U)
-    return out
-
-
-def _gaussian_unit_products(a, b) -> list:
-    """``_unit_products`` on Gaussian integers interleaved as (re, im), as in the
-    Q(i) integer form: (x + y i)(u + v i) = (xu - yv) + (xv + yu) i."""
-    p11, q11, p12, q12, p21, q21, p22, q22 = a
-    r11, s11, r12, s12, r21, s21, r22, s22 = b
-    out = []
-    for x, y, X, Y in ((p11, q11, p21, q21), (p12, q12, p22, q22)):
-        for u, v, U, V in ((r11, s11, r12, s12), (r21, s21, r22, s22)):
-            out += (x * u - y * v, x * v + y * u, x * U - y * V, x * V + y * U,
-                    X * u - Y * v, X * v + Y * u, X * U - Y * V, X * V + Y * U)
-    return out
-
-
-def unit_images(pairs) -> list:
-    """The images sum A E B over the (A, B) pairs of the four matrix units E, in
-    ``matrix_units`` order: the columns of the sandwich operator T -> sum A T B.
-
-    Over Q and Q(i) each side is written over one common denominator, the
-    integer products are summed, and each image is reduced by one gcd.  Over
-    R64 and C64 the sums start from the field's zero, so that a sum of zeros
-    is +0.0, never -0.0, as when A @ E @ B is added to the zero matrix.
+    E_ij = e_i e_j*, so A E_ij B is column i of A times row j of B.  The pairs are
+    checked, and over Q and Q(i) written over one common denominator per side,
+    before the first image; there each image sums integer products and is reduced
+    by one gcd.  Over R64 and C64 the sums start from the field's zero, so that a sum
+    of zeros is +0.0, never -0.0, as when A @ E @ B is added to the zero matrix.
     """
     if not pairs:
         raise EmptySystem("need at least one (A, B) pair")
@@ -505,22 +481,40 @@ def unit_images(pairs) -> list:
     for A, B in pairs:
         require_same_field(f, A._f)
         require_same_field(f, B._f)
-    if not f.is_exact:
-        sums = [f.zero()] * 16
+    if not f.is_exact:  # entries behind a dummy slot, indexed as the Q form
+        forms = [((None, *A._e), (None, *B._e)) for A, B in pairs]
+        zero = f.zero()
+    else:
+        den_a = lcm(*[A._z[0] for A, _ in pairs])
+        den_b = lcm(*[B._z[0] for _, B in pairs])
+        forms, zero, den = [], 0, den_a * den_b
         for A, B in pairs:
-            sums = [s + t for s, t in zip(sums, _unit_products(A._e, B._e))]
-        return [_built(f, tuple(sums[c:c + 4]), None) for c in range(0, 16, 4)]
-    products = _gaussian_unit_products if f.is_complex else _unit_products
-    den_a = lcm(*[A._z[0] for A, _ in pairs])
-    den_b = lcm(*[B._z[0] for _, B in pairs])
-    sums = None
-    for A, B in pairs:
-        a, b = A._z, B._z
-        s = den_a // a[0] * (den_b // b[0])
-        terms = products(a[1:] if s == 1 else [v * s for v in a[1:]], b[1:])
-        sums = terms if sums is None else [s + t for s, t in zip(sums, terms)]
-    den, n = den_a * den_b, len(sums) // 4
-    return [_normalised(f, (den, *sums[c:c + n])) for c in range(0, 4 * n, n)]
+            a, b = A._z, B._z
+            s = den_a // a[0] * (den_b // b[0])
+            forms.append((a if s == 1 else [v * s for v in a], b))
+    if f.is_exact and f.is_complex:  # (x + y i)(u + v i) = (xu - yv) + (xv + yu) i
+        for i in (1, 3):  # column of A: slots i, i + 1 and i + 4, i + 5
+            for j in (1, 5):  # row of B: slots j to j + 3
+                n1 = m1 = n2 = m2 = n3 = m3 = n4 = m4 = 0
+                for a, b in forms:
+                    x, y, X, Y = a[i], a[i + 1], a[i + 4], a[i + 5]
+                    u, v, U, V = b[j], b[j + 1], b[j + 2], b[j + 3]
+                    n1, m1 = n1 + x * u - y * v, m1 + x * v + y * u
+                    n2, m2 = n2 + x * U - y * V, m2 + x * V + y * U
+                    n3, m3 = n3 + X * u - Y * v, m3 + X * v + Y * u
+                    n4, m4 = n4 + X * U - Y * V, m4 + X * V + Y * U
+                yield _normalised(f, (den, n1, m1, n2, m2, n3, m3, n4, m4))
+        return
+    for i in (1, 2):  # column of A: slots i and i + 2
+        for j in (1, 3):  # row of B: slots j and j + 1
+            n1 = n2 = n3 = n4 = zero
+            for a, b in forms:
+                x, X, u, U = a[i], a[i + 2], b[j], b[j + 1]
+                n1, n2, n3, n4 = n1 + x * u, n2 + x * U, n3 + X * u, n4 + X * U
+            if f.is_exact:
+                yield _normalised(f, (den, n1, n2, n3, n4))
+            else:
+                yield _built(f, (n1, n2, n3, n4), None)
 
 
 def integer_entries(mats) -> tuple:

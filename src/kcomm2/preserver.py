@@ -49,11 +49,9 @@ class _InputIndex:
 
     __slots__ = ("_exact", "_scan")
 
-    def __init__(self, pairs=()):
+    def __init__(self):
         self._exact = {}
         self._scan = []
-        for A, value in pairs:
-            self.add(A, value)
 
     def __len__(self):
         return len(self._exact) + len(self._scan)
@@ -117,12 +115,6 @@ class Decomposition(NamedTuple):
     lam: object
     h_table: tuple
     verified_pairs: int
-
-    def h_of(self, A: Mat2):
-        value = _InputIndex(self.h_table).get(A)
-        if value is None:
-            raise InputNotInTable("matrix has no extracted h value")
-        return value
 
 
 class PreservationVerdict(NamedTuple):

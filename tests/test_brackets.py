@@ -28,7 +28,7 @@ from kcomm2.randgen import random_scalar
 
 from conftest import units
 from support import (Poly, poly_bracket, poly_matrix, random_diagonalizable, random_mat,
-                     random_scalar_plus_nilpotent)
+                     random_scalar_plus_nilpotent, random_unimodular)
 
 
 class TestRecursive:
@@ -285,7 +285,9 @@ def _transposed(M):
 class TestKernelLaws:
     """Laws of every ``kcomm`` answer on every field: it is traceless, its (2,2) entry
     the (1,1) one negated, and [A, B]_k^T = (-1)^k [A^T, B^T]_k, exactly over Q and
-    Qi and by value over R64 and C64, where transposition is exact."""
+    Qi and by value over R64 and C64, where transposition is exact.  Over Q and Qi
+    both evaluators keep the similarity law [SAS^-1, SBS^-1]_k = S [A, B]_k S^-1
+    exactly, S drawn from GL2(Z) with det +-1 so that S^-1 is integral."""
 
     ORDERS = (1, 2, 3, 4, 5, 12, 63, 64)
 
@@ -306,6 +308,15 @@ class TestKernelLaws:
             for k in self.ORDERS:
                 want = kcomm(_transposed(A), _transposed(B), k)
                 assert _transposed(kcomm(A, B, k)) == (-want if k % 2 else want), (A, B, k)
+
+    def test_similarity(self, exact_field):
+        rng = Random(f"similarity/{exact_field.variant}")
+        for _, (A, B) in zip(range(300), self.pairs(exact_field, 39)):
+            S, Sinv = random_unimodular(exact_field, rng)
+            SA, SB = S @ A @ Sinv, S @ B @ Sinv
+            for k in self.ORDERS:
+                assert kcomm(SA, SB, k) == S @ kcomm(A, B, k) @ Sinv, (A, B, S, k)
+                assert kcomm_recursive(SA, SB, k) == S @ kcomm_recursive(A, B, k) @ Sinv, (A, B, S, k)
 
 
 class TestAlgebraicLaws:

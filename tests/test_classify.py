@@ -23,6 +23,7 @@ from kcomm2 import (
     scalar_plus_nilpotent_spectral,
     scalar_witness_test,
 )
+from kcomm2 import matrices as matrices_module
 from kcomm2.errors import EmptySystem, FieldMismatch, InvalidOrder, KTooSmall, SingularSystem
 from kcomm2.randgen import random_rank_one, random_scalar
 from kcomm2.serialize import canonical_dumps, solver_result_to_json
@@ -366,6 +367,30 @@ class TestIdentitySolver:
         system = SandwichSystem(left=[(A, B)], right=[(A.scale(2.0), D)])
         result = rank_one_identity_solve(system)
         assert canonical_dumps(solver_result_to_json(result, field)) == expected
+
+    def test_refuted_at_e11_builds_one_image_a_side(self, exact_field, monkeypatch):
+        # E11 E11 E11 = E11 but E11 E11 E12 = E12: the first unit refutes, and no
+        # image past it is built on either side
+        e11, e12, _, _ = units(exact_field)
+        system = SandwichSystem(left=[(e11, e11)], right=[(e11, e12)])
+        built, normalised = [], matrices_module._normalised
+        monkeypatch.setattr(matrices_module, "_normalised", lambda f, z: built.append(z) or normalised(f, z))
+        result = rank_one_identity_solve(system)
+        assert isinstance(result, NotAnIdentity)
+        assert (result.witness, result.left_value, result.right_value) == (e11, e11, e12)
+        assert len(built) == 2
+
+    def test_first_image_is_the_sum_at_e11(self, exact_field):
+        rng = Random(406)
+        e11 = units(exact_field)[0]
+        for _ in range(40):
+            pairs = [(random_mat(exact_field, rng, span=3, denominators=True),
+                      random_mat(exact_field, rng, span=3, denominators=True))
+                     for _ in range(rng.randint(1, 3))]
+            want = Mat2.zero(exact_field)
+            for A, B in pairs:
+                want = want + A @ e11 @ B
+            assert next(matrices_module.unit_images(pairs)) == want
 
     def test_witness_is_rank_one(self, exact_field):
         rng = Random(405)

@@ -383,16 +383,18 @@ class TestDecompose:
         table = generate_map(Fraction(-1), h_det, probes, 3)
         dec = decompose(table)
         assert dec.lam == Fraction(-1)
-        assert dec.h_of(probes[0]) == Fraction(0)
-        assert dec.h_of(probes[4]) == Fraction(0)  # det(E11 + E12) = 0
+        h_values = dict(dec.h_table)
+        assert h_values[probes[0]] == Fraction(0)
+        assert h_values[probes[4]] == Fraction(0)  # det(E11 + E12) = 0
 
     def test_identity_map(self, exact_field):
         probes = probe_set(exact_field)
         table = MapTable(exact_field, 4, tuple((p, p) for p in probes))
         dec = decompose(table)
         assert exact_field.eq(dec.lam, exact_field.one())
+        h_values = dict(dec.h_table)
         for p in probes:
-            assert exact_field.is_zero(dec.h_of(p))
+            assert exact_field.is_zero(h_values[p])
         assert dec.verified_pairs == 36
 
     def test_offdiagonal_image_rejected(self, exact_field):
@@ -485,22 +487,25 @@ class TestDecompose:
             table = generate_map(lam, h, probes, 3)
             dec = decompose(table)
             assert dec.lam == lam
+            h_values = dict(dec.h_table)
             for p in probes:
-                assert dec.h_of(p) == h(p)
+                assert h_values[p] == h(p)
 
     def test_exact_h_lookups_by_value(self, monkeypatch):
         probes = probe_set(GAUSSIAN_QI)
         h = h_random(GAUSSIAN_QI, seed=5)
-        dec = decompose(generate_map(GaussianRational(0, 1), h, probes, 3))
+        table = generate_map(GaussianRational(0, 1), h, probes, 3)
+        dec = decompose(table)
         twin = Mat2.unit(GAUSSIAN_QI, 1, 2) @ Mat2.unit(GAUSSIAN_QI, 2, 1)  # E11, computed
 
         def no_scan(self, other):
             raise AssertionError("exact lookups must not scan with Mat2.eq")
 
         monkeypatch.setattr(Mat2, "eq", no_scan)
-        assert dec.h_of(twin) == dec.h_of(probes[0]) == h(twin) == h(probes[0])
+        assert dict(dec.h_table)[twin] == h(twin) == h(probes[0])
+        assert table.lookup(twin) is table.lookup(probes[0])
         with pytest.raises(InputNotInTable):
-            dec.h_of(Mat2.identity(GAUSSIAN_QI))
+            table.lookup(Mat2.identity(GAUSSIAN_QI))
 
     def test_h_is_read_without_building_residue_entries(self, exact_field, monkeypatch):
         residues, is_scalar = [], Mat2.is_scalar

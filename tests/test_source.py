@@ -210,8 +210,10 @@ def test_only_fields_reads_the_print_limit():
     assert any(_used_name(node) == "get_int_max_str_digits" for node in ast.walk(TREES["fields.py"]))
 
 def test_sandwich_images_are_fused():
-    """``matrices.unit_images`` computes every A E B as column times row on the
-    integer form; the classifiers and the solver multiply no matrices themselves."""
+    """``matrices.unit_images`` yields each unit's image sum A E B, column times row
+    on the integer form, one unit at a time in ``matrix_units`` order, so the
+    solver stops at its witness; the classifiers and the solver multiply no
+    matrices themselves."""
     products = [f"classify.py:{node.lineno}" for node in ast.walk(TREES["classify.py"])
                 if isinstance(getattr(node, "op", None), ast.MatMult)]
     assert products == []
