@@ -22,9 +22,9 @@ build ``.entries``.  The hash reads the form (or the float entries), not the
 field: matrices over unequal fields never compare equal.
 
 ``_bracket_step`` is ``kcomm`` after its two products P = A @ B and Q = B @ A:
-c*(P - Q), or c*[P - Q, B] at even orders, entries built, in one pass.  The
-scalar c = delta**m grows with the order, and the step alone reduces by it with
-one rule.  With c = p/q in lowest terms and X = (r; x1, .., x4), reduced or
+c*(P - Q), or c*[P - Q, B] at even orders, entries built (or, when asked, the
+reduced form alone), in one pass.  The scalar c = delta**m grows with the order,
+and the step alone reduces by it with one rule.  With c = p/q in lowest terms and X = (r; x1, .., x4), reduced or
 not, entry j's factor gcd(parts of p*xj, q*r) divides r*N(xj), where N(x) is
 |x| over Q and a^2 + b^2 for x = a + b i over Q(i) (proved prime by prime in
 ``tests/test_matrices.py::TestBracketStep``).  So entry j's gcd is seeded with
@@ -262,9 +262,10 @@ class Mat2:
             a21 * b12 + a22 * b22,
         ))
 
-    def _bracket_step(self, other, B=None, c=None) -> "Mat2":
+    def _bracket_step(self, other, B=None, c=None, entries=True) -> "Mat2":
         """c*X for X = self - other (of equal traces, as ``kcomm``'s A @ B and B @ A), or
-        c*[X, B]; c a field scalar, or None for 1; the entries built.  X is traceless,
+        c*[X, B]; c a field scalar, or None for 1; the entries built unless ``entries``
+        is false, when an exact result is its reduced form alone.  X is traceless,
         so only x11, x12 and x21 are read,
         [X, B] = [[n, 2 x11 b12 - x12 v], [x21 v - 2 x11 b21, -n]] with
         n = x12 b21 - b12 x21, v = b11 - b22, and the answer's fourth entry is its
@@ -301,6 +302,8 @@ class Mat2:
                 h1, h2, h3 = gcd(d, r * x1, n1), gcd(d, r * x2, n2), gcd(d, r * x3, n3)
             g = gcd(h1, h2, h3)
             z = (d, n1, n2, n3, -n1) if g == 1 else (d // g, n1 // g, n2 // g, n3 // g, -n1 // g)
+            if not entries:
+                return _built(f, None, z)
             n1, r = n1 // h1, d // h1
             return _built(f, (coprime_fraction(n1, r), coprime_fraction(n2 // h2, d // h2),
                               coprime_fraction(n3 // h3, d // h3), coprime_fraction(-n1, r)), z)
@@ -330,6 +333,8 @@ class Mat2:
         z = (r, a1, b1, a2, b2, a3, b3, -a1, -b1)
         if g != 1:
             z = (r // g, a1 // g, b1 // g, a2 // g, b2 // g, a3 // g, b3 // g, -a1 // g, -b1 // g)
+        if not entries:
+            return _built(f, None, z)
         a1, b1, d = a1 // h1, b1 // h1, r // h1
         return _built(f, (coprime_gaussian(a1, b1, d), coprime_gaussian(a2 // h2, b2 // h2, r // h2),
                           coprime_gaussian(a3 // h3, b3 // h3, r // h3), coprime_gaussian(-a1, -b1, d)), z)
@@ -464,20 +469,21 @@ def matrix_units(field: FieldTag) -> tuple:
     return tuple(Mat2.unit(field, i, j) for i in (1, 2) for j in (1, 2))
 
 
-def unit_images(pairs):
+def unit_images(pairs, field=None):
     """Yield the images sum A E B over the (A, B) pairs of the four matrix units E,
     one at a time in ``matrix_units`` order: the columns of the sandwich operator
     T -> sum A T B.  A caller that stops at an image computes none past it.
 
     E_ij = e_i e_j*, so A E_ij B is column i of A times row j of B.  The pairs are
-    checked, and over Q and Q(i) written over one common denominator per side,
-    before the first image; there each image sums integer products and is reduced
-    by one gcd.  Over R64 and C64 the sums start from the field's zero, so that a sum
-    of zeros is +0.0, never -0.0, as when A @ E @ B is added to the zero matrix.
+    checked to be over ``field`` (by default the first matrix's), and over Q and
+    Q(i) written over one common denominator per side, before the first image;
+    there each image sums integer products and is reduced by one gcd.  Over R64 and
+    C64 the sums start from the field's zero, so that a sum of zeros is +0.0, never
+    -0.0, as when A @ E @ B is added to the zero matrix.
     """
     if not pairs:
         raise EmptySystem("need at least one (A, B) pair")
-    f = pairs[0][0]._f
+    f = pairs[0][0]._f if field is None else field
     for A, B in pairs:
         require_same_field(f, A._f)
         require_same_field(f, B._f)

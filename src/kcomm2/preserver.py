@@ -186,6 +186,26 @@ def generate_map(lam, h_spec, inputs, k: int) -> MapTable:
     return MapTable(field=field, k=k, entries=_theorem_form(lam, h_spec, inputs))
 
 
+def _failed_pair(field: FieldTag, k: int, A: Mat2, B: Mat2, FA: Mat2, FB: Mat2):
+    """None when [FA, FB]_k matches [A, B]_k, else the failing verdict on (A, B).
+
+    Exact brackets must be equal; float ones, whose entries grow like 2**k, must
+    agree within the tolerance times the right side's largest entry (at least 1).
+    The exact brackets are compared on their integer forms, built without entries;
+    a failing pair's two are built again with their entries, which the verdict
+    prints: read lazily, a bracket at the size cap would reduce each entry by a
+    gcd of two operands of the power's size.
+    """
+    left = kcomm(FA, FB, k, entries=False)
+    right = kcomm(A, B, k, entries=False)
+    if field.is_exact:
+        if left.eq(right):
+            return None
+    elif (left - right).max_abs() <= field.tolerance * max(1.0, right.max_abs()):
+        return None
+    return PreservationVerdict(holds=False, pair=(A, B), left=kcomm(FA, FB, k), right=kcomm(A, B, k))
+
+
 def verify_preserving(table: MapTable, pairs) -> PreservationVerdict:
     """Check the order-k bracket identity [F(A), F(B)]_k = [A, B]_k on listed pairs.
 
@@ -193,9 +213,8 @@ def verify_preserving(table: MapTable, pairs) -> PreservationVerdict:
     field, so a pair costs O(1) in k; the kernel is checked against the
     recursive oracle by the tests, not here.  Either side raises
     ResultTooLarge where the kernel does: an exact delta power past
-    MAX_POWER_BITS, or a float bracket that is not finite.  Exact brackets
-    must be equal; float ones, whose entries grow like 2**k, must agree
-    within the tolerance times the right side's largest entry (at least 1).
+    MAX_POWER_BITS, or a float bracket that is not finite.  The two sides
+    are compared as ``decompose`` compares them (``_failed_pair``).
 
     A table input object finds its image by identity (the table keeps it
     alive, so its id is not reused); any other object is looked up by value at
@@ -208,14 +227,9 @@ def verify_preserving(table: MapTable, pairs) -> PreservationVerdict:
     for A, B in pairs:
         FA = images.get(id(A)) or table.lookup(A)
         FB = images.get(id(B)) or table.lookup(B)
-        left = kcomm(FA, FB, k)
-        right = kcomm(A, B, k)
-        if field.is_exact:
-            same = left.eq(right)
-        else:
-            same = (left - right).max_abs() <= field.tolerance * max(1.0, right.max_abs())
-        if not same:
-            return PreservationVerdict(holds=False, pair=(A, B), left=left, right=right)
+        failed = _failed_pair(field, k, A, B, FA, FB)
+        if failed is not None:
+            return failed
     return PreservationVerdict(holds=True)
 
 
@@ -265,11 +279,11 @@ def decompose(table: MapTable) -> Decomposition:
             raise NotTheoremForm("nonscalar-residue", A, residue)
         h_table.append((A, residue.top_left()))
 
-    pairs = all_pairs([A for A, _ in found])  # the table's own inputs: no lookup
-    verdict = verify_preserving(table, pairs)
-    if not verdict.holds:
-        raise PreservationFailed(verdict.pair, verdict.left, verdict.right)
-    return Decomposition(lam=lam, h_table=tuple(h_table), verified_pairs=len(pairs))
+    for (A, FA), (B, FB) in all_pairs(found):  # the table's own entries: no lookup
+        failed = _failed_pair(field, k, A, B, FA, FB)
+        if failed is not None:
+            raise PreservationFailed(failed.pair, failed.left, failed.right)
+    return Decomposition(lam=lam, h_table=tuple(h_table), verified_pairs=len(found) ** 2)
 
 
 # -- randomized exercise of the equivalence ----------------------------------
@@ -291,12 +305,14 @@ class CampaignReport(NamedTuple):
         return not self.anomalies
 
 
-def _bad_lambda(field: FieldTag, k: int, rng: Random):
-    """A lam from a fixed candidate list that ``_check_root`` refuses."""
+@lru_cache(maxsize=8)
+def _bad_lambdas(field: FieldTag, k: int) -> tuple:
+    """The lams of a fixed candidate list that ``_check_root`` refuses, in list order;
+    filtered once per field and order, not once per bad-lambda trial."""
     candidates = [field.coerce(c) for c in (2, 3, 5, -2, -1)]
     if field.is_complex:
         candidates.append(field.coerce(GaussianRational(0, 1)))
-    return rng.choice([lam for lam in candidates if not _root_power(field, lam, k)[1]])
+    return tuple(lam for lam in candidates if not _root_power(field, lam, k)[1])
 
 
 def probe_campaign(k: int, field: FieldTag, trials: int, seed: int) -> CampaignReport:
@@ -340,7 +356,7 @@ def probe_campaign(k: int, field: FieldTag, trials: int, seed: int) -> CampaignR
             kind = rng.choice(("bad-lambda", "residue", "swap"))
             entries = list(table.entries)
             if kind == "bad-lambda":
-                entries = _theorem_form(_bad_lambda(field, k, rng), h, probes)
+                entries = _theorem_form(rng.choice(_bad_lambdas(field, k)), h, probes)
             elif kind == "residue":
                 idx = rng.randrange(len(entries))
                 A, out = entries[idx]

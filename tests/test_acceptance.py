@@ -202,7 +202,7 @@ def test_criterion_6_round_trip():
                     if trial % 10 == 0 and not verify_preserving(table, pairs).holds:
                         failures += 1
                         continue
-                    # decompose re-runs verify_preserving on every probe pair
+                    # decompose re-checks every probe pair with verify_preserving's pair rule
                     dec = decompose(table)
                     if dec.verified_pairs != len(pairs):
                         failures += 1
@@ -250,7 +250,7 @@ def test_criterion_8_float_field_sanity():
                 table = generate_map(lam, h, probes, k)
                 if trial % 10 == 0 and not verify_preserving(table, pairs).holds:
                     ok = False
-                # decompose re-runs verify_preserving on every probe pair
+                # decompose re-checks every probe pair with verify_preserving's pair rule
                 dec = decompose(table)
                 if dec.verified_pairs != len(pairs):
                     ok = False

@@ -22,8 +22,12 @@ from kcomm2 import (
 )
 from kcomm2 import brackets as brackets_module
 from kcomm2 import matrices as matrices_module
+from kcomm2 import serialize
+from kcomm2.brackets import MAX_ORDER
+from kcomm2.cli import main
 from kcomm2.errors import InvalidOrder, NotAnEigenpair, ResultTooLarge
 from kcomm2.identities import golden_identities
+from kcomm2.preserver import MapTable, all_pairs, verify_preserving
 from kcomm2.randgen import random_scalar
 
 from conftest import units
@@ -309,6 +313,16 @@ class TestKernelLaws:
                 want = kcomm(_transposed(A), _transposed(B), k)
                 assert _transposed(kcomm(A, B, k)) == (-want if k % 2 else want), (A, B, k)
 
+    def test_answer_without_entries_is_the_answer(self, exact_field):
+        # entries=False: the same value and integer form, and the same entries once read
+        for _, (A, B) in zip(range(300), self.pairs(exact_field, 40)):
+            for k in self.ORDERS:
+                want = kcomm(A, B, k)
+                got = kcomm(A, B, k, entries=False)
+                assert got._e is None or got is want, (A, B, k)  # a zero delta**m needs no step
+                assert got == want and got._z == want._z, (A, B, k)
+                assert repr(got.entries) == repr(want.entries), (A, B, k)
+
     def test_similarity(self, exact_field):
         rng = Random(f"similarity/{exact_field.variant}")
         for _, (A, B) in zip(range(300), self.pairs(exact_field, 39)):
@@ -451,12 +465,9 @@ class TestCostAtTheCap:
         pytest.param(RATIONAL_Q, Fraction(1, 3), 58255, id="Q-58255"),
     ]
 
-    @pytest.mark.parametrize("field, b11, k", REPRODUCERS)
-    def test_every_gcd_has_an_operand_of_the_inputs_size(self, monkeypatch, field, b11, k):
-        A, B = Mat2(field, (1, 2, 3, 4)), Mat2(field, (b11, 2, 3, 5))
-        unscaled = kcomm(A, B, 2 - k % 2)  # the bracket delta**((k - 1) // 2) scales
-        # r * N(x) for a form (r; x), N(x) = |x| or a^2 + b^2: three times its largest part
-        limit = 3 * max(abs(v).bit_length() for M in (A, B, unscaled) for v in M._z) + 2
+    @staticmethod
+    def gcd_sizes(monkeypatch) -> list:
+        """The sorted operand bit lengths of each gcd made until ``monkeypatch.undo()``."""
         sizes, real_gcd = [], math.gcd
 
         def recorded_gcd(*args):
@@ -465,11 +476,52 @@ class TestCostAtTheCap:
 
         monkeypatch.setattr(math, "gcd", recorded_gcd)
         monkeypatch.setattr(matrices_module, "gcd", recorded_gcd)
+        return sizes
+
+    @staticmethod
+    def limit(*mats) -> int:
+        """r * N(x) for a form (r; x), N(x) = |x| or a^2 + b^2: three times its largest part."""
+        return 3 * max(abs(v).bit_length() for M in mats for v in M._z) + 2
+
+    @pytest.mark.parametrize("field, b11, k", REPRODUCERS)
+    def test_every_gcd_has_an_operand_of_the_inputs_size(self, monkeypatch, field, b11, k):
+        A, B = Mat2(field, (1, 2, 3, 4)), Mat2(field, (b11, 2, 3, 5))
+        unscaled = kcomm(A, B, 2 - k % 2)  # the bracket delta**((k - 1) // 2) scales
+        limit = self.limit(A, B, unscaled)
+        sizes = self.gcd_sizes(monkeypatch)
         R = kcomm(A, B, k)
         monkeypatch.undo()
         assert max(s[-1] for s in sizes) > brackets_module.MAX_POWER_BITS // 2  # at the cap
         assert [s for s in sizes if s[0] > limit] == []
         assert R == Mat2(field, R.entries)  # entries built inside kcomm, from the same reduction
+
+    @pytest.mark.parametrize("field, b11", [
+        pytest.param(GAUSSIAN_QI, GaussianRational(Fraction(1, 3**160), Fraction(2, 7)), id="Qi"),
+        pytest.param(RATIONAL_Q, Fraction(1, 3**160), id="Q"),
+    ])
+    def test_failing_verify_map_pair_at_the_cap(self, monkeypatch, capsys, tmp_path, field, b11):
+        # A -> 2A, B -> B at k = 1000: (A, A) holds, and (A, B) fails with both brackets
+        # near the size cap.  The pair check reads no entries, and the verdict's are
+        # built inside the kernel, so reading them makes no large gcd either.
+        A, B = Mat2(field, (1, 2, 3, 4)), Mat2(field, (b11, 2, 3, 5))
+        twice = A.scale(field.coerce(2))
+        table = MapTable(field, MAX_ORDER, ((A, twice), (B, B)))
+        path = tmp_path / "table.json"
+        path.write_text(serialize.canonical_dumps(serialize.maptable_to_json(table)))
+        limit = self.limit(A, B, twice, kcomm(A, B, 2), kcomm(twice, B, 2))
+        sizes = self.gcd_sizes(monkeypatch)
+        verdict = verify_preserving(table, all_pairs(table.inputs()))
+        read = verdict.left.entries, verdict.right.entries
+        # printing too over Q: past the print limit, the entries are refused on their
+        # bit lengths.  Over Qi ``fields._part_str`` reduces each real and imaginary
+        # part by its own gcd with the denominator, of the power's size.
+        if field is RATIONAL_Q:
+            assert main(["verify-map", "--input", str(path)]) == 2
+            assert capsys.readouterr().out.startswith('{"error":"ResultTooLarge",')
+        monkeypatch.undo()
+        assert verdict.pair == (A, B) and read[0] != read[1]
+        assert max(s[-1] for s in sizes) > brackets_module.MAX_POWER_BITS // 2  # at the cap
+        assert [s for s in sizes if s[0] > limit] == []
 
 
 class TestZeroFactor:

@@ -286,6 +286,35 @@ class TestIdentitySolver:
         for row in result.coeffs:
             assert exact_field.eq(row[0], exact_field.one())
 
+    def test_each_matrix_field_is_checked_once(self, exact_field, monkeypatch):
+        checked, real = [], matrices_module.require_same_field
+
+        def counting(a, b):
+            checked.append(b)
+            return real(a, b)
+
+        monkeypatch.setattr(matrices_module, "require_same_field", counting)
+        # and classify's own binding, should it check any matrix again
+        monkeypatch.setattr(classify, "require_same_field", counting, raising=False)
+        e11, e12, e21, e22 = units(exact_field)
+        system = SandwichSystem(left=[(e11, e12), (e22, e21)], right=[(e11, e12), (e21, e22)])
+        assert isinstance(rank_one_identity_solve(system), NotAnIdentity)
+        assert len(checked) == 8
+
+    def test_first_matrix_off_the_first_field_is_named(self):
+        # every matrix is checked against the first one's field, left side first
+        q, qi, r64 = (Mat2.identity(f) for f in (RATIONAL_Q, GAUSSIAN_QI, FLOAT_R))
+        for i in range(1, 8):
+            for j in range(i + 1, 9):
+                slots = [q] * 8
+                slots[i] = qi
+                if j < 8:
+                    slots[j] = r64
+                system = SandwichSystem(left=[tuple(slots[0:2]), tuple(slots[2:4])],
+                                        right=[tuple(slots[4:6]), tuple(slots[6:8])])
+                with pytest.raises(FieldMismatch, match=r"^Q vs Qi$"):
+                    rank_one_identity_solve(system)
+
     def test_not_an_identity_with_witness(self, exact_field):
         e11, e12, e21, e22 = units(exact_field)
         system = SandwichSystem(

@@ -421,11 +421,12 @@ class TestPinnedBodies:
 
     def test_decompose_preservation_failed(self, capsys, tmp_path, monkeypatch):
         # a correct kernel never reaches this body: the table is the identity map.
-        # verify_preserving brackets a pair's images, then the pair itself; only
+        # each pair check brackets the pair's images, then the pair itself; only
         # the images' bracket (the first of each two calls) is forced to zero
         calls, real = itertools.count(), preserver.kcomm
         monkeypatch.setattr(preserver, "kcomm",
-                            lambda A, B, k: Mat2.zero(A.field) if next(calls) % 2 == 0 else real(A, B, k))
+                            lambda A, B, k, **kw: Mat2.zero(A.field) if next(calls) % 2 == 0
+                            else real(A, B, k, **kw))
         path = tmp_path / "in.json"
         path.write_text(json.dumps(_q_table(1, [(p, p) for p in _PROBES])))
         assert main(["decompose-map", "--input", str(path)]) == 1

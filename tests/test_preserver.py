@@ -26,6 +26,7 @@ from kcomm2 import (
     verify_preserving,
 )
 from kcomm2 import brackets
+from kcomm2 import matrices as matrices_module
 from kcomm2.brackets import MAX_ORDER
 from kcomm2.classify import _witness_idempotents
 from kcomm2.errors import (
@@ -51,6 +52,7 @@ from kcomm2.preserver import (
 from kcomm2.randgen import random_scalar
 
 from conftest import units
+from support import random_mat, random_unimodular
 
 # probe_campaign reports over four fields x k in {1, 2, 3, 5, 6} x seeds {0, 1, 7}
 CAMPAIGN_PINS = json.loads((Path(__file__).parent / "pinned" / "campaign-reports.json").read_text())
@@ -271,12 +273,14 @@ class TestVerifyPreserving:
         pairs = [(probes[0], probes[4]), (probes[1], probes[2]), (probes[3], probes[1]),
                  (probes[4], probes[5])]
         checked = []
-        monkeypatch.setattr(preserver, "kcomm", lambda *args: checked.append(args) or kcomm(*args))
+        monkeypatch.setattr(preserver, "kcomm",
+                            lambda *args, **kw: checked.append(args) or kcomm(*args, **kw))
         # two brackets per pair, the images' then the pair's own: count the pairs
         if bad_first:
             verdict = verify_preserving(table, pairs)
-            assert verdict.pair == pairs[0] and len(checked) == 2
-            assert [args[:2] for args in checked[1::2]] == pairs[:1]
+            # the failing pair's two brackets, then the same two rebuilt with their entries
+            assert verdict.pair == pairs[0] and len(checked) == 4
+            assert [args[:2] for args in checked[1::2]] == pairs[:1] * 2
             return
         with pytest.raises(InputNotInTable):
             verify_preserving(table, pairs)
@@ -292,7 +296,8 @@ class TestVerifyPreserving:
         for module in (preserver, brackets):
             monkeypatch.setattr(module, "kcomm_recursive", no_oracle)
         checked = []
-        monkeypatch.setattr(preserver, "kcomm", lambda *args: checked.append(args) or kcomm(*args))
+        monkeypatch.setattr(preserver, "kcomm",
+                            lambda *args, **kw: checked.append(args) or kcomm(*args, **kw))
         probes = probe_set(any_field)
         pairs = all_pairs(probes)
         table = generate_map(any_field.one(), h_trace, probes, k)
@@ -356,6 +361,59 @@ def _verify_per_pair(table, pairs):
         if not same:
             return (A, B), left, right
     return None
+
+
+class TestSimilarityLaw:
+    """[SAS^-1, SBS^-1]_k = S [A, B]_k S^-1, so a table and its pairs conjugated by S
+    get the same verdict, and a failing pair fails conjugated, with its two brackets
+    conjugated.  S is drawn from GL2(Z) with det +-1, so that S^-1 is integral."""
+
+    KINDS = ("valid", "bad-lambda", "bump", "scale", "swap")
+
+    def tables(self, field, seed):
+        rng = Random(seed)
+        for i in range(150):
+            k = rng.choice([1, 2, 3, 4, 12])
+            inputs, n = [], rng.randint(2, 4)
+            while len(inputs) < n:
+                A = random_mat(field, rng, denominators=i % 2 == 1)
+                if A not in inputs:
+                    inputs.append(A)
+            kind = self.KINDS[i % len(self.KINDS)]
+            lam = field.coerce(2) if kind == "bad-lambda" else rng.choice(roots_of_unity(field, k + 1))
+            entries = list(preserver._theorem_form(lam, h_random(field, seed=i), inputs))
+            j = rng.randrange(len(entries))
+            A, out = entries[j]
+            if kind == "bump":
+                entries[j] = (A, out + random_mat(field, rng))
+            elif kind == "scale":
+                entries[j] = (A, out.scale(field.coerce(2)))
+            elif kind == "swap":
+                entries[j], entries[j - 1] = (A, entries[j - 1][1]), (entries[j - 1][0], out)
+            pairs = all_pairs(inputs)
+            rng.shuffle(pairs)
+            yield kind, MapTable(field, k, tuple(entries)), pairs
+
+    def test_conjugated_table_gets_the_same_verdict(self, exact_field):
+        rng = Random(f"verify-similarity/{exact_field.variant}")
+        failed = set()
+        for kind, table, pairs in self.tables(exact_field, 41):
+            S, Sinv = random_unimodular(exact_field, rng)
+
+            def conj(X):
+                return S @ X @ Sinv
+
+            twin = MapTable(exact_field, table.k, tuple((conj(A), conj(out)) for A, out in table.entries))
+            twin_pairs = [(conj(A), conj(B)) for A, B in pairs]
+            verdict, got = verify_preserving(table, pairs), verify_preserving(twin, twin_pairs)
+            assert got.holds is verdict.holds, (kind, table.entries, S)
+            if kind == "valid":
+                assert verdict.holds, table.entries
+            if not verdict.holds:
+                failed.add(kind)
+                assert got.pair == twin_pairs[pairs.index(verdict.pair)], (kind, table.entries, S)
+                assert got.left == conj(verdict.left) and got.right == conj(verdict.right)
+        assert failed == set(self.KINDS) - {"valid"}
 
 
 def test_cached_probes_are_constructed_values(any_field):
@@ -516,6 +574,18 @@ class TestDecompose:
         assert [value for _, value in dec.h_table] == [h(p) for p in probes]
         assert len(residues) == 6 and all(R._e is None for R in residues)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_valid_exact_decompose_builds_no_bracket_entries(self, exact_field, monkeypatch, k):
+        # the 72 brackets are compared on their integer forms; none of their entries is read
+        built = []
+        for name in ("coprime_fraction", "coprime_gaussian"):
+            real = getattr(matrices_module, name)
+            monkeypatch.setattr(matrices_module, name, lambda *args, real=real: built.append(args) or real(*args))
+        lam = roots_of_unity(exact_field, k + 1)[-1]
+        table = generate_map(lam, h_random(exact_field, seed=k), probe_set(exact_field), k)
+        assert decompose(table).verified_pairs == 36
+        assert built == []
+
     def test_h_table_lists_the_table_inputs_in_order(self, exact_field):
         inputs = [*reversed(probe_set(exact_field)), Mat2.identity(exact_field)]
         table = generate_map(exact_field.one(), h_trace, inputs, 3)
@@ -602,7 +672,7 @@ class TestCampaign:
         report = probe_campaign(k, field, trials=60, seed=11)
         assert report.clean
         assert report.valid_ok + report.perturbed_rejected == 60
-        # the bad-lambda impostors: _bad_lambda draws a candidate _check_root refuses
+        # the bad-lambda impostors: _bad_lambdas lists the candidates _check_root refuses
         assert report.rejection_kinds.get("LambdaNotRootOfUnity", 0) > 0
 
     @pytest.mark.parametrize("field, k", [(FLOAT_C, 20), (FLOAT_R, 40)], ids=["C64-20", "R64-40"])
@@ -619,13 +689,12 @@ class TestCampaign:
         # the candidates are 2, 3, 5, -2, -1 and, over a complex field, i; of
         # those only -1 (order 2) and i (order 4) are roots of unity at all
         orders = {-1: 2, 1j: 4}
-        drawn = set()
-        for seed in range(40):
-            lam = FLOAT_C.coerce(preserver._bad_lambda(field, k, Random(seed)))
+        bad = [FLOAT_C.coerce(lam) for lam in preserver._bad_lambdas(field, k)]
+        for lam in bad:
             order = orders.get(lam)
             assert order is None or (k + 1) % order != 0, (lam, k)
-            drawn.add(lam)
-        assert len(drawn) >= 4
+        assert bad[:4] == [2, 3, 5, -2]
+        assert len(set(bad)) == len(bad) >= 4
 
     def test_round_trip_mismatch_is_an_anomaly(self, monkeypatch):
         real = preserver.decompose
@@ -661,10 +730,10 @@ class TestCampaign:
     def test_preservation_failure_is_an_anomaly(self, monkeypatch):
         probes = probe_set(RATIONAL_Q)  # the inputs of every campaign table
 
-        def wrong_bracket(A, B, k):
+        def wrong_bracket(A, B, k, entries=True):
             # only the bracket of table outputs is wrong; the probes' own is kept
             if any(A is p for p in probes):
-                return kcomm(A, B, k)
+                return kcomm(A, B, k, entries=entries)
             return kcomm_recursive(A, B, k) + Mat2.unit(A.field, 1, 2)
 
         monkeypatch.setattr(preserver, "kcomm", wrong_bracket)
