@@ -108,7 +108,7 @@ def _power(field: FieldTag, x, n: int, name: str):
     return power
 
 
-def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto", entries: bool = True) -> Mat2:
+def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto") -> Mat2:
     """Order-k bracket in O(1) operations: two products, one power and one fused step.
 
     T(R) = RB - BR satisfies T^3 = delta*T on 2x2 matrices, where
@@ -133,20 +133,13 @@ def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto", entries: bool = True) 
 
     Then the two ``Mat2`` products A @ B and B @ A are made, so every answer
     passes through ``@``, and ``Mat2._bracket_step`` builds the rest in one
-    step: their difference, at even k its bracket with B, the scale by delta^m
-    and the answer's entries: three ``Mat2`` objects at every k >= 1 (none
-    when delta^m is zero).  Every answer is traceless.
+    step: their difference, at even k its bracket with B, and the scale by
+    delta^m: three ``Mat2`` objects at every k >= 1 (none when delta^m is
+    zero).  Every answer is traceless, and an exact one is its reduced integer
+    form, its entries built on first read with no gcd of the power's size.
 
     ``method`` must be "auto"; the oracle and the binomial sum are called as
     ``kcomm_recursive`` and ``kcomm_closed``.
-
-    With ``entries=False`` an exact answer is returned as its reduced integer
-    form alone, from the same seeded gcds, so it compares, hashes and tests
-    zero as the eager one does; its entries are built on first read, each
-    reduced by its own gcd with the denominator, as for every other hot exact
-    result (an order-sized gcd at the size cap).  Float answers, and the
-    answers that need no step (k = 0, a zero delta^m), are the same either
-    way.  The keyword goes once every exact answer is lazy (ROADMAP item 18).
 
     Raises ResultTooLarge when delta^((k-1)//2) would pass MAX_POWER_BITS over
     an exact field, or when a float result is not finite.
@@ -165,7 +158,7 @@ def kcomm(A: Mat2, B: Mat2, k: int, method: str = "auto", entries: bool = True) 
         c = _power(field, B.discriminant(), m, "discriminant")
         if not c:
             return Mat2.zero(field)
-    R = (A @ B)._bracket_step(B @ A, None if k % 2 else B, c, entries)
+    R = (A @ B)._bracket_step(B @ A, None if k % 2 else B, c)
     if not field.is_exact:
         w, x, y, z = R.entries
         if not (cmath.isfinite(w) and cmath.isfinite(x) and cmath.isfinite(y) and cmath.isfinite(z)):

@@ -22,15 +22,17 @@ build ``.entries``.  The hash reads the form (or the float entries), not the
 field: matrices over unequal fields never compare equal.
 
 ``_bracket_step`` is ``kcomm`` after its two products P = A @ B and Q = B @ A:
-c*(P - Q), or c*[P - Q, B] at even orders, entries built (or, when asked, the
-reduced form alone), in one pass.  The scalar c = delta**m grows with the order,
-and the step alone reduces by it with one rule.  With c = p/q in lowest terms and X = (r; x1, .., x4), reduced or
-not, entry j's factor gcd(parts of p*xj, q*r) divides r*N(xj), where N(x) is
-|x| over Q and a^2 + b^2 for x = a + b i over Q(i) (proved prime by prime in
-``tests/test_matrices.py::TestBracketStep``).  So entry j's gcd is seeded with
-r*N(xj), of X's size, and the form's factor is the gcd of the four: no gcd
-takes two operands of the size of the product.  ``scale`` is one product on
-the integer form and one gcd, as ``@`` is.
+c*(P - Q), or c*[P - Q, B] at even orders, in one pass, its answer the reduced
+form.  The scalar c = delta**m grows with the order, and the step alone reduces
+by it with one rule.  With c = p/q in lowest terms and X = (r; x1, .., x4),
+reduced or not, entry j's factor h_j = gcd(parts of p*xj, q*r) divides r*N(xj),
+where N(x) is |x| over Q and a^2 + b^2 for x = a + b i over Q(i) (proved prime
+by prime in ``tests/test_matrices.py::TestBracketStep``).  So h_j is seeded with
+r*N(xj), of X's size, and the form's factor g is the gcd of the four: no gcd
+takes two operands of the size of the product.  The step keeps g and each h_j in
+the slot ``_h``, which nothing else sets, and the first read of its entries
+divides entry j of the reduced form by h_j // g, with no gcd.  ``scale`` is one
+product on the integer form and one gcd, as ``@`` is.
 
 ``Mat2(field, entries)`` is the one checked constructor: exactly four entries,
 each coerced into the field (a wrong kind raises FieldMismatch), and over Q
@@ -124,8 +126,9 @@ class Mat2:
     branch on the field once and then run on ``self._z``.
     """
 
-    # field; entries, or None until an exact result's are read; integer form, or None
-    __slots__ = ("_f", "_e", "_z")
+    # field; entries, or None until an exact result's are read; integer form, or None;
+    # and, set by a scaled kernel step alone, the gcds its entries' first read divides by
+    __slots__ = ("_f", "_e", "_z", "_h")
 
     def __init__(self, field: FieldTag, entries):
         a, b, c, d = entries
@@ -140,11 +143,24 @@ class Mat2:
     @property
     def entries(self) -> tuple:
         """(a11, a12, a21, a22); an exact result builds them from its form on first read,
-        each reduced by its gcd with the denominator."""
+        each reduced by its gcd with the denominator, or by h_j // g from the gcds a
+        scaled kernel step kept in ``_h``."""
         e = self._e
         if e is not None:
             return e
-        if len(z := self._z) == 9:
+        z, h = self._z, getattr(self, "_h", None)
+        if h is not None:  # a11 and a12, a21 over their own denominators; a22 = -a11
+            d, (g, h1, h2, h3) = z[0], h
+            h1, h2, h3 = h1 // g, h2 // g, h3 // g
+            if len(z) == 9:
+                a, b, r = z[1] // h1, z[2] // h1, d // h1
+                e = (coprime_gaussian(a, b, r), coprime_gaussian(z[3] // h2, z[4] // h2, d // h2),
+                     coprime_gaussian(z[5] // h3, z[6] // h3, d // h3), coprime_gaussian(-a, -b, r))
+            else:
+                n, r = z[1] // h1, d // h1
+                e = (coprime_fraction(n, r), coprime_fraction(z[2] // h2, d // h2),
+                     coprime_fraction(z[3] // h3, d // h3), coprime_fraction(-n, r))
+        elif len(z) == 9:
             d, raw = z[0], GaussianRational._raw
             e = (raw(z[1], z[2], d), raw(z[3], z[4], d), raw(z[5], z[6], d), raw(z[7], z[8], d))
         else:
@@ -262,16 +278,15 @@ class Mat2:
             a21 * b12 + a22 * b22,
         ))
 
-    def _bracket_step(self, other, B=None, c=None, entries=True) -> "Mat2":
+    def _bracket_step(self, other, B=None, c=None) -> "Mat2":
         """c*X for X = self - other (of equal traces, as ``kcomm``'s A @ B and B @ A), or
-        c*[X, B]; c a field scalar, or None for 1; the entries built unless ``entries``
-        is false, when an exact result is its reduced form alone.  X is traceless,
-        so only x11, x12 and x21 are read,
-        [X, B] = [[n, 2 x11 b12 - x12 v], [x21 v - 2 x11 b21, -n]] with
+        c*[X, B]; c a field scalar, or None for 1.  X is traceless, so only x11, x12 and
+        x21 are read, [X, B] = [[n, 2 x11 b12 - x12 v], [x21 v - 2 x11 b21, -n]] with
         n = x12 b21 - b12 x21, v = b11 - b22, and the answer's fourth entry is its
         first one negated (as 0.0 - x over R64 and C64, so that a zero gives +0.0).
-        Over Q and Q(i) the step runs on the integer forms, and the result is reduced
-        entries first by the rule in the module docstring, which nothing else uses."""
+        Over Q and Q(i) the step runs on the integer forms and returns the reduced
+        form, its entries built on first read: with no c by one gcd, as ``@``; with
+        c by the rule in the module docstring, which nothing else uses."""
         f = self._f
         if not f.is_exact:
             p, q = self._e, other._e
@@ -294,19 +309,15 @@ class Mat2:
                 u, v = x1 + x1, b11 - b22
                 x1, x2, x3, r = x2 * b21 - b12 * x3, b12 * u - x2 * v, x3 * v - b21 * u, r * e
             if c is None:
-                d, n1, n2, n3 = r, x1, x2, x3
-                h1, h2, h3 = gcd(d, n1), gcd(d, n2), gcd(d, n3)
-            else:
-                p, q = c._numerator, c._denominator
-                d, n1, n2, n3 = q * r, p * x1, p * x2, p * x3
-                h1, h2, h3 = gcd(d, r * x1, n1), gcd(d, r * x2, n2), gcd(d, r * x3, n3)
+                return _normalised(f, (r, x1, x2, x3, -x1))
+            p, q = c._numerator, c._denominator
+            d, n1, n2, n3 = q * r, p * x1, p * x2, p * x3
+            h1, h2, h3 = gcd(d, r * x1, n1), gcd(d, r * x2, n2), gcd(d, r * x3, n3)
             g = gcd(h1, h2, h3)
             z = (d, n1, n2, n3, -n1) if g == 1 else (d // g, n1 // g, n2 // g, n3 // g, -n1 // g)
-            if not entries:
-                return _built(f, None, z)
-            n1, r = n1 // h1, d // h1
-            return _built(f, (coprime_fraction(n1, r), coprime_fraction(n2 // h2, d // h2),
-                              coprime_fraction(n3 // h3, d // h3), coprime_fraction(-n1, r)), z)
+            m = _built(f, None, z)
+            m._h = (g, h1, h2, h3)  # for the first read of .entries
+            return m
         # the same on (re, im) pairs: entry (a + b i) / r, c = (s + t i) / q, B's entries g + h i
         r, a1, b1, a2, b2, a3, b3, _, _ = self._z
         e, p1, q1, p2, q2, p3, q3, _, _ = other._z
@@ -322,22 +333,19 @@ class Mat2:
                               a3 * v - b3 * vi - g21 * u + h21 * ui, a3 * vi + b3 * v - g21 * ui - h21 * u)
             a1, b1, r = n, ni, r * e
         if c is None:
-            h1, h2, h3 = gcd(r, a1, b1), gcd(r, a2, b2), gcd(r, a3, b3)
-        else:
-            s, t, q = c.a, c.b, c.den
-            n1, n2, n3 = r * (a1 * a1 + b1 * b1), r * (a2 * a2 + b2 * b2), r * (a3 * a3 + b3 * b3)
-            a1, b1, a2, b2 = a1 * s - b1 * t, a1 * t + b1 * s, a2 * s - b2 * t, a2 * t + b2 * s
-            a3, b3, r = a3 * s - b3 * t, a3 * t + b3 * s, q * r
-            h1, h2, h3 = gcd(r, n1, a1, b1), gcd(r, n2, a2, b2), gcd(r, n3, a3, b3)
+            return _normalised(f, (r, a1, b1, a2, b2, a3, b3, -a1, -b1))
+        s, t, q = c.a, c.b, c.den
+        n1, n2, n3 = r * (a1 * a1 + b1 * b1), r * (a2 * a2 + b2 * b2), r * (a3 * a3 + b3 * b3)
+        a1, b1, a2, b2 = a1 * s - b1 * t, a1 * t + b1 * s, a2 * s - b2 * t, a2 * t + b2 * s
+        a3, b3, r = a3 * s - b3 * t, a3 * t + b3 * s, q * r
+        h1, h2, h3 = gcd(r, n1, a1, b1), gcd(r, n2, a2, b2), gcd(r, n3, a3, b3)
         g = gcd(h1, h2, h3)
         z = (r, a1, b1, a2, b2, a3, b3, -a1, -b1)
         if g != 1:
             z = (r // g, a1 // g, b1 // g, a2 // g, b2 // g, a3 // g, b3 // g, -a1 // g, -b1 // g)
-        if not entries:
-            return _built(f, None, z)
-        a1, b1, d = a1 // h1, b1 // h1, r // h1
-        return _built(f, (coprime_gaussian(a1, b1, d), coprime_gaussian(a2 // h2, b2 // h2, r // h2),
-                          coprime_gaussian(a3 // h3, b3 // h3, r // h3), coprime_gaussian(-a1, -b1, d)), z)
+        m = _built(f, None, z)
+        m._h = (g, h1, h2, h3)
+        return m
 
     def scale(self, c) -> "Mat2":
         """c * self; over Q and Q(i) one product on the integer form and one gcd, as

@@ -191,19 +191,16 @@ def _failed_pair(field: FieldTag, k: int, A: Mat2, B: Mat2, FA: Mat2, FB: Mat2):
 
     Exact brackets must be equal; float ones, whose entries grow like 2**k, must
     agree within the tolerance times the right side's largest entry (at least 1).
-    The exact brackets are compared on their integer forms, built without entries;
-    a failing pair's two are built again with their entries, which the verdict
-    prints: read lazily, a bracket at the size cap would reduce each entry by a
-    gcd of two operands of the power's size.
+    The exact brackets are compared on their integer forms, and a failing verdict
+    holds the two that were compared, their entries still unbuilt.
     """
-    left = kcomm(FA, FB, k, entries=False)
-    right = kcomm(A, B, k, entries=False)
+    left, right = kcomm(FA, FB, k), kcomm(A, B, k)
     if field.is_exact:
         if left.eq(right):
             return None
     elif (left - right).max_abs() <= field.tolerance * max(1.0, right.max_abs()):
         return None
-    return PreservationVerdict(holds=False, pair=(A, B), left=kcomm(FA, FB, k), right=kcomm(A, B, k))
+    return PreservationVerdict(holds=False, pair=(A, B), left=left, right=right)
 
 
 def verify_preserving(table: MapTable, pairs) -> PreservationVerdict:

@@ -313,16 +313,6 @@ class TestKernelLaws:
                 want = kcomm(_transposed(A), _transposed(B), k)
                 assert _transposed(kcomm(A, B, k)) == (-want if k % 2 else want), (A, B, k)
 
-    def test_answer_without_entries_is_the_answer(self, exact_field):
-        # entries=False: the same value and integer form, and the same entries once read
-        for _, (A, B) in zip(range(300), self.pairs(exact_field, 40)):
-            for k in self.ORDERS:
-                want = kcomm(A, B, k)
-                got = kcomm(A, B, k, entries=False)
-                assert got._e is None or got is want, (A, B, k)  # a zero delta**m needs no step
-                assert got == want and got._z == want._z, (A, B, k)
-                assert repr(got.entries) == repr(want.entries), (A, B, k)
-
     def test_similarity(self, exact_field):
         rng = Random(f"similarity/{exact_field.variant}")
         for _, (A, B) in zip(range(300), self.pairs(exact_field, 39)):
@@ -490,10 +480,33 @@ class TestCostAtTheCap:
         limit = self.limit(A, B, unscaled)
         sizes = self.gcd_sizes(monkeypatch)
         R = kcomm(A, B, k)
+        read = R.entries  # the first read divides by the factors the kernel step kept
         monkeypatch.undo()
         assert max(s[-1] for s in sizes) > brackets_module.MAX_POWER_BITS // 2  # at the cap
         assert [s for s in sizes if s[0] > limit] == []
-        assert R == Mat2(field, R.entries)  # entries built inside kcomm, from the same reduction
+        assert R == Mat2(field, read)
+
+    @pytest.mark.parametrize("argv", [["kcomm"], ["classify", "--lemma", "2.3-kcomm"]],
+                             ids=["kcomm", "classify-2.3-kcomm"])
+    def test_unprintable_q_answer_at_the_cap(self, monkeypatch, capsys, tmp_path, argv):
+        # over Q an answer past the print limit is refused on its bit lengths, and the
+        # entries that refusal reads make no large gcd; the certifier's first probe,
+        # E11, already gives a bracket at the cap.  Over Qi ``fields._part_str``
+        # reduces each printed part by a gcd of the power's size.
+        field, b11, k = self.REPRODUCERS[1].values
+        A, B = Mat2(field, (1, 2, 3, 4)), Mat2(field, (b11, 2, 3, 5))
+        inputs = (A, *units(field))
+        limit = self.limit(B, *inputs, *[kcomm(M, B, 2 - k % 2) for M in inputs])
+        request = {"A": A, "B": B} if argv == ["kcomm"] else {"S": B}
+        path = tmp_path / "request.json"
+        path.write_text(serialize.canonical_dumps({key: serialize.mat_to_json(M)
+                                                   for key, M in request.items()}))
+        sizes = self.gcd_sizes(monkeypatch)
+        code = main([*argv, "--k", str(k), "--input", str(path)])
+        monkeypatch.undo()
+        assert code == 2 and capsys.readouterr().out.startswith('{"error":"ResultTooLarge",')
+        assert max(s[-1] for s in sizes) > brackets_module.MAX_POWER_BITS // 2  # at the cap
+        assert [s for s in sizes if s[0] > limit] == []
 
     @pytest.mark.parametrize("field, b11", [
         pytest.param(GAUSSIAN_QI, GaussianRational(Fraction(1, 3**160), Fraction(2, 7)), id="Qi"),
@@ -501,8 +514,8 @@ class TestCostAtTheCap:
     ])
     def test_failing_verify_map_pair_at_the_cap(self, monkeypatch, capsys, tmp_path, field, b11):
         # A -> 2A, B -> B at k = 1000: (A, A) holds, and (A, B) fails with both brackets
-        # near the size cap.  The pair check reads no entries, and the verdict's are
-        # built inside the kernel, so reading them makes no large gcd either.
+        # near the size cap.  The pair check reads no entries, and the first read of
+        # the verdict's divides by the factors the kernel step kept: no large gcd either.
         A, B = Mat2(field, (1, 2, 3, 4)), Mat2(field, (b11, 2, 3, 5))
         twice = A.scale(field.coerce(2))
         table = MapTable(field, MAX_ORDER, ((A, twice), (B, B)))

@@ -15,6 +15,7 @@ from kcomm2 import (
     RATIONAL_Q,
     FieldTag,
     GaussianRational,
+    Mat2,
     roots_of_unity,
 )
 from kcomm2 import fields
@@ -198,6 +199,18 @@ class TestGaussianRational:
         assert z + 1 == GaussianRational(2, 2)
         assert 1 - z == GaussianRational(0, -2)
         assert 1 / GaussianRational(0, 1) == GaussianRational(0, -1)
+
+    @pytest.mark.parametrize("other", [1.5, "1", None], ids=["float", "str", "None"])
+    def test_foreign_operand_is_not_implemented(self, other):
+        """Against a float, str or None, + - * / raise TypeError on either side, and
+        a Gaussian rational or an exact matrix compares unequal."""
+        x = GaussianRational(Fraction(1, 2), 3)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for left, right in ((x, other), (other, x)):
+                with pytest.raises(TypeError):
+                    op(left, right)
+        for value in (x, Mat2(GAUSSIAN_QI, (x, 0, 0, x))):
+            assert (value == other) is False and (other == value) is False
 
 
 class TestRawFraction:

@@ -70,6 +70,8 @@ class TestRingOps:
         A = Mat2.from_rows(exact_field, [[1, 1], [0, 1]])
         assert A.power(0).eq(Mat2.identity(exact_field))
         assert A.power(3).eq(Mat2.from_rows(exact_field, [[1, 3], [0, 1]]))
+        with pytest.raises(ValueError):
+            A.power(-1)
 
     def test_cayley_hamilton_self_check(self, exact_field):
         rng = Random(11)
@@ -461,7 +463,7 @@ class TestIntegerForm:
     @given(exact_cases)
     def test_commutator_is_the_difference_of_the_products(self, case):
         """The step on the products RS and SR is RS - SR, and with S its bracket with
-        S, each with its entries built."""
+        S, each its integer form alone until its entries are first read."""
         field, A, B, c = case
         eye = Mat2.identity(field)
         # inputs and results of operations; traceless, scalar and equal pairs give zeros
@@ -470,15 +472,15 @@ class TestIntegerForm:
             for got, want in (((R @ S)._bracket_step(S @ R), want),
                               ((R @ S)._bracket_step(S @ R, S), want @ S - S @ want)):
                 assert got._z == want._z and hash(got) == hash(want) and got == want
-                assert type(got._e) is tuple  # built by the step
-                _same(got, want.entries)
+                assert got._e is None  # no entry built yet
+                _same(got, want.entries)  # the first read
 
     @pytest.mark.parametrize("field", [RATIONAL_Q, GAUSSIAN_QI], ids=lambda f: f.variant)
     def test_commutator_symbolic(self, field, monkeypatch):
         """The integer-form difference and bracket of ``Mat2._bracket_step``, run with
         no reduction on forms of polynomial numerators over the denominator 1, give
         the expanded [R - Y, B], for Y of R's trace (its last entry is fixed by it),
-        and the entries it builds hold the same parts over 1."""
+        and the entries its first read builds hold the same parts over 1."""
         monkeypatch.setattr(matrices, "gcd", lambda *args: 1)  # so every // is by 1
         n = 8 if field.is_complex else 4
         R, Y, B = ((Poly({(): 1}), *[Poly.var(f"{x}{i}") for i in range(n)]) for x in "ryb")
@@ -487,8 +489,9 @@ class TestIntegerForm:
         step = matrices._built(field, None, R)._bracket_step(
             matrices._built(field, None, Y), matrices._built(field, None, B))
         got = step._z
-        assert got[0] == 1 and type(step._e) is tuple
-        parts = [(x.a, x.b, x.den) if field.is_complex else (x.numerator, x.denominator) for x in step._e]
+        assert got[0] == 1 and step._e is None
+        parts = [(x.a, x.b, x.den) if field.is_complex else (x.numerator, x.denominator)
+                 for x in step.entries]
         assert [p for e in parts for p in e[:-1]] == list(got[1:]) and all(e[-1] == 1 for e in parts)
         X = tuple(r - y for r, y in zip(R[1:], Y[1:]))
         if not field.is_complex:
@@ -718,9 +721,10 @@ def _step_case(field):
 
 
 class TestBracketStep:
-    """``_bracket_step`` over Q and Q(i) gives the form, entries (parts and type) and
-    hash of the operations it fuses: P - Q, the bracket with B, ``scale(c)``, on the
-    products P = A @ B and Q = B @ A of ``kcomm``, whose difference is traceless.
+    """``_bracket_step`` over Q and Q(i) gives the form, entries (parts and type, built
+    on first read) and hash of the operations it fuses: P - Q, the bracket with B,
+    ``scale(c)``, on the products P = A @ B and Q = B @ A of ``kcomm``, whose
+    difference is traceless.
     It reduces c*X with gcds that start from an operand of X's size.
 
     Write c = p/q in lowest terms (over Q(i), p = s + t i with gcd(s, t, q) = 1)
@@ -746,14 +750,15 @@ class TestBracketStep:
     step's X = P - Q, or its bracket with B, is not), and the step seeds entry j's
     gcd with r*N(xj) and takes the form's factor as gcd(G1, .., G4): no seed
     changes a gcd, and each gcd starts from an operand whose size does not grow
-    with c.
+    with c.  The step keeps these gcds, and the first read of the entries divides
+    entry j of the reduced form by Gj / gcd(G1, .., G4) and makes no gcd.
     """
 
     @staticmethod
     def _check(P, Q, B, c):
         got, want = P._bracket_step(Q, B, c), _composed(P, Q, B, c)
-        assert type(got._e) is tuple  # the entries are built in the step
         assert got._z == want._z and got == want and hash(got) == hash(want)
+        assert got._e is None  # the entries are built on first read
         _same(got, want.entries)
         assert got._z == Mat2(got.field, got.entries)._z  # canonical
 

@@ -272,15 +272,16 @@ class TestVerifyPreserving:
         table = MapTable(exact_field, 3, tuple(entries))
         pairs = [(probes[0], probes[4]), (probes[1], probes[2]), (probes[3], probes[1]),
                  (probes[4], probes[5])]
-        checked = []
-        monkeypatch.setattr(preserver, "kcomm",
-                            lambda *args, **kw: checked.append(args) or kcomm(*args, **kw))
+        checked, returned = [], []
+        monkeypatch.setattr(preserver, "kcomm", lambda *args: checked.append(args)
+                            or returned.append(kcomm(*args)) or returned[-1])
         # two brackets per pair, the images' then the pair's own: count the pairs
         if bad_first:
             verdict = verify_preserving(table, pairs)
-            # the failing pair's two brackets, then the same two rebuilt with their entries
-            assert verdict.pair == pairs[0] and len(checked) == 4
-            assert [args[:2] for args in checked[1::2]] == pairs[:1] * 2
+            # the failing pair's two brackets, and the verdict holds those objects
+            assert verdict.pair == pairs[0] and len(checked) == 2
+            assert [args[:2] for args in checked[1::2]] == pairs[:1]
+            assert verdict.left is returned[0] and verdict.right is returned[1]
             return
         with pytest.raises(InputNotInTable):
             verify_preserving(table, pairs)
@@ -730,10 +731,10 @@ class TestCampaign:
     def test_preservation_failure_is_an_anomaly(self, monkeypatch):
         probes = probe_set(RATIONAL_Q)  # the inputs of every campaign table
 
-        def wrong_bracket(A, B, k, entries=True):
+        def wrong_bracket(A, B, k):
             # only the bracket of table outputs is wrong; the probes' own is kept
             if any(A is p for p in probes):
-                return kcomm(A, B, k, entries=entries)
+                return kcomm(A, B, k)
             return kcomm_recursive(A, B, k) + Mat2.unit(A.field, 1, 2)
 
         monkeypatch.setattr(preserver, "kcomm", wrong_bracket)

@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import kcomm2
@@ -56,10 +57,10 @@ def test_only_value_types_define_eq():
     assert defined == []
 
 
-# Parts of Mat2 that only matrices.py may touch: the stored entries and
-# integer form, and the helpers that build a matrix without the checks of
+# Parts of Mat2 that only matrices.py may touch: the stored entries, integer
+# form and kernel-step factors, and the helpers that build a matrix without the checks of
 # ``Mat2(field, entries)``.  Every matrix made elsewhere is therefore checked.
-MATRICES_PRIVATE = ("_e", "_z", "_built", "_normalised", "_integer_form")
+MATRICES_PRIVATE = ("_e", "_z", "_h", "_built", "_normalised", "_integer_form")
 
 
 def _used_name(node):
@@ -73,7 +74,7 @@ def _used_name(node):
 
 
 def test_only_matrices_reads_the_integer_form():
-    """``Mat2._e``, ``._z`` and the unchecked builders are private to ``matrices.py``."""
+    """``Mat2._e``, ``._z``, ``._h`` and the unchecked builders are private to ``matrices.py``."""
     uses = [
         f"{name}:{node.lineno}"
         for name, tree in TREES.items()
@@ -122,6 +123,22 @@ def _imports_run_on_import(nodes):
             yield from _imports_run_on_import(node.orelse)
         elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             yield from _imports_run_on_import(ast.iter_child_nodes(node))
+
+
+def test_no_runtime_dependency():
+    """``dependencies = []``: every import of the library is relative or names a
+    standard-library module, and its one dynamic import (the lazy package
+    ``__getattr__``) loads a submodule by a relative name."""
+    foreign = [f"{name}:{node.lineno}"
+               for name, tree in TREES.items()
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom)) and not getattr(node, "level", 0)
+               and any(m.split(".")[0] not in sys.stdlib_module_names for m in _imported(node))]
+    assert foreign == []
+    dynamic = [ast.unparse(node.args[0]) for tree in TREES.values() for node in ast.walk(tree)
+               if isinstance(node, ast.Call)
+               and _used_name(node.func) in ("_import_module", "import_module")]
+    assert dynamic and all(arg.startswith(("f'.", "'.")) for arg in dynamic)
 
 
 def test_no_module_imports_dataclasses():
