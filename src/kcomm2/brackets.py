@@ -24,9 +24,9 @@ from .matrices import Mat2, RankOneFactor, outer
 MAX_POWER_BITS = 1 << 18
 
 # Trial counts of the sampled certifier and the probe campaign are capped so
-# that a hostile count has bounded cost: as a CLI child on a 2-vCPU x86 box
-# 10**4 campaign trials at k = 1000 take 4.6-5.1 s (Q), 4.6-5.9 s (Qi),
-# 4.7-4.8 s (R64) or 5.1-6.3 s (C64), every bracket of a campaign being O(1)
+# that a hostile count has bounded cost: as a CLI child on a shared 2-vCPU x86
+# box 10**4 campaign trials at k = 1000 take 2.7-4.8 s (Q), 4.0-7.5 s (Qi),
+# 2.9-6.4 s (R64) or 3.2-6.6 s (C64), every bracket of a campaign being O(1)
 # in k, and 10**4 float certifier probes 0.32-0.34 s.
 MAX_TRIALS = 10_000
 

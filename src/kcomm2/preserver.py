@@ -53,9 +53,6 @@ class _InputIndex:
         self._exact = {}
         self._scan = []
 
-    def __len__(self):
-        return len(self._exact) + len(self._scan)
-
     def get(self, A: Mat2):
         """The value stored for A, or None."""
         if A.field.is_exact:
@@ -140,14 +137,14 @@ def h_det(A: Mat2):
 
 
 def h_random(field: FieldTag, seed: int):
-    """A random scalar rule: its value at an input is draw n of ``seed``, n the
-    number of distinct inputs queried before it, and equal inputs share it."""
-    cache = _InputIndex()
+    """A random scalar rule: the n-th distinct input queried takes the n-th
+    ``random_scalar`` draw of one ``Random(seed)``, seeded once, and a repeated
+    input (within the tolerance over R64/C64) reuses its value and draws nothing."""
+    cache, rng = _InputIndex(), Random(seed)
 
     def rule(A: Mat2):
         value = cache.get(A)
         if value is None:
-            rng = Random(seed * 1000003 + len(cache))
             value = random_scalar(field, rng, denominators=field.is_exact)
             cache.add(A, value)
         return value

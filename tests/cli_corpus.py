@@ -15,7 +15,10 @@ A change that alters a body on purpose records the corpus again:
 
     python tests/cli_corpus.py
 
-and lists each changed body in ``CHANGES.md``.
+and lists each changed body in ``CHANGES.md``.  The same command writes the
+eight whole bodies that ``tests/test_cli.py``'s ``TestPinnedBodies`` compares
+byte for byte (``pinned_bodies``): ``fixtures --kmax 3`` and ``gen-map --seed 11``
+with a random h, on each field.
 """
 
 import contextlib
@@ -29,7 +32,8 @@ from random import Random
 from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
-CORPUS = ROOT / "tests" / "pinned" / "cli-corpus.json"
+PINNED = ROOT / "tests" / "pinned"
+CORPUS = PINNED / "cli-corpus.json"
 FIELDS = ("Q", "Qi", "R64", "C64")
 
 
@@ -227,7 +231,18 @@ def exact_sandwich_requests():
         yield request(list(zip(A, B)), list(zip(C, broken)))
 
 
+def pinned_bodies():
+    """(file name, argv, stdin) of each whole body pinned under ``tests/pinned``."""
+    lams = {"Q": "1", "Qi": "1", "R64": 1.0, "C64": {"re": 1.0, "im": 0.0}}
+    for field in FIELDS:
+        yield f"fixtures-kmax3-{field}.json", ["fixtures", "--kmax", "3", "--field", field], ""
+        yield (f"gen-map-random-h-seed11-{field}.json", ["gen-map", "--field", field, "--seed", "11"],
+               json.dumps({"lambda": lams[field], "h": "random"}))
+
+
 def record() -> None:
+    for name, argv, stdin in pinned_bodies():
+        (PINNED / name).write_text(run(argv, stdin)[1])
     entries = []
     for label, argv, stdin in requests():
         code, out = run(argv, stdin)

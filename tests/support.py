@@ -263,3 +263,13 @@ def random_unimodular(field, rng: Random):
             a, b, c, d = c, d, a, b
     det = a * d - b * c
     return Mat2(field, (a, b, c, d)), Mat2(field, (det * d, -det * b, -det * c, det * a))
+
+
+def transposed(M: Mat2) -> Mat2:
+    a11, a12, a21, a22 = M.entries
+    return Mat2(M.field, (a11, a21, a12, a22))
+
+
+def conjugated(M: Mat2) -> Mat2:
+    """M with the field's conjugation applied entrywise (M itself over a real field)."""
+    return Mat2(M.field, tuple(M.field.conj(x) for x in M.entries))

@@ -31,8 +31,8 @@ from kcomm2.preserver import MapTable, all_pairs, verify_preserving
 from kcomm2.randgen import random_scalar
 
 from conftest import units
-from support import (Poly, poly_bracket, poly_matrix, random_diagonalizable, random_mat,
-                     random_scalar_plus_nilpotent, random_unimodular)
+from support import (Poly, conjugated, poly_bracket, poly_matrix, random_diagonalizable, random_mat,
+                     random_scalar_plus_nilpotent, random_unimodular, transposed)
 
 
 class TestRecursive:
@@ -281,17 +281,13 @@ class TestProducts:
         assert len(made) == 3, made
 
 
-def _transposed(M):
-    a11, a12, a21, a22 = M.entries
-    return Mat2(M.field, (a11, a21, a12, a22))
-
-
 class TestKernelLaws:
     """Laws of every ``kcomm`` answer on every field: it is traceless, its (2,2) entry
     the (1,1) one negated, and [A, B]_k^T = (-1)^k [A^T, B^T]_k, exactly over Q and
     Qi and by value over R64 and C64, where transposition is exact.  Over Q and Qi
     both evaluators keep the similarity law [SAS^-1, SBS^-1]_k = S [A, B]_k S^-1
-    exactly, S drawn from GL2(Z) with det +-1 so that S^-1 is integral."""
+    exactly, S drawn from GL2(Z) with det +-1 so that S^-1 is integral, and over
+    Qi the conjugation law [conj A, conj B]_k = conj [A, B]_k, entrywise."""
 
     ORDERS = (1, 2, 3, 4, 5, 12, 63, 64)
 
@@ -310,8 +306,8 @@ class TestKernelLaws:
     def test_transposition(self, any_field):
         for A, B in self.pairs(any_field, 38):
             for k in self.ORDERS:
-                want = kcomm(_transposed(A), _transposed(B), k)
-                assert _transposed(kcomm(A, B, k)) == (-want if k % 2 else want), (A, B, k)
+                want = kcomm(transposed(A), transposed(B), k)
+                assert transposed(kcomm(A, B, k)) == (-want if k % 2 else want), (A, B, k)
 
     def test_similarity(self, exact_field):
         rng = Random(f"similarity/{exact_field.variant}")
@@ -321,6 +317,13 @@ class TestKernelLaws:
             for k in self.ORDERS:
                 assert kcomm(SA, SB, k) == S @ kcomm(A, B, k) @ Sinv, (A, B, S, k)
                 assert kcomm_recursive(SA, SB, k) == S @ kcomm_recursive(A, B, k) @ Sinv, (A, B, S, k)
+
+    def test_entrywise_conjugation(self):
+        for _, (A, B) in zip(range(300), self.pairs(GAUSSIAN_QI, 40)):
+            barA, barB = conjugated(A), conjugated(B)
+            for k in self.ORDERS:
+                assert kcomm(barA, barB, k) == conjugated(kcomm(A, B, k)), (A, B, k)
+                assert kcomm_recursive(barA, barB, k) == conjugated(kcomm_recursive(A, B, k)), (A, B, k)
 
 
 class TestAlgebraicLaws:

@@ -29,9 +29,9 @@ from kcomm2.randgen import random_rank_one, random_scalar
 from kcomm2.serialize import canonical_dumps, solver_result_to_json
 
 from conftest import units
-from support import (apply_operator, entry_rows, random_mat, random_scalar_plus_nilpotent,
+from support import (apply_operator, conjugated, entry_rows, random_mat, random_scalar_plus_nilpotent,
                      random_span_system, random_unimodular, reference_gauss_jordan,
-                     reference_solve, span_system as _span_system)
+                     reference_solve, span_system as _span_system, transposed)
 
 
 class TestScalarWitness:
@@ -551,17 +551,21 @@ class TestConjugationLaws:
                 seen.add(want if want is SingularSystem else type(want))
         assert seen == {Coefficients, NotAnIdentity, SingularSystem}
 
+    @staticmethod
+    def _classifier_input(field, rng, i):
+        """A scalar, a scalar plus square-zero or a general matrix, as i is 0, 1 or 2 mod 3."""
+        if i % 3 == 0:
+            return Mat2.identity(field).scale(random_scalar(field, rng, denominators=True))
+        if i % 3 == 1:
+            return random_scalar_plus_nilpotent(field, rng, denominators=True)
+        return random_mat(field, rng, denominators=True)
+
     def test_classifier_verdicts(self, exact_field):
         rng = Random(f"conjugation/classify/{exact_field.variant}")
         held = 0
         for i in range(self.CASES):
             S, Sinv = random_unimodular(exact_field, rng)
-            if i % 3 == 0:
-                Z = Mat2.identity(exact_field).scale(random_scalar(exact_field, rng, denominators=True))
-            elif i % 3 == 1:
-                Z = random_scalar_plus_nilpotent(exact_field, rng, denominators=True)
-            else:
-                Z = random_mat(exact_field, rng, denominators=True)
+            Z = self._classifier_input(exact_field, rng, i)
             W = S @ Z @ Sinv
             k = rng.randint(1, 6)
             assert scalar_witness_test(W, k).holds == scalar_witness_test(Z, k).holds
@@ -575,6 +579,78 @@ class TestConjugationLaws:
                 assert got.split.lam == want.split.lam
                 assert got.split.nilpotent.eq(S @ want.split.nilpotent @ Sinv)
         assert self.CASES // 2 < held < self.CASES
+
+
+# (field, move) of the exact laws below: transposition over Q and Qi, and
+# entrywise conjugation over Qi
+_MOVES = {"Q-transpose": (RATIONAL_Q, transposed), "Qi-transpose": (GAUSSIAN_QI, transposed),
+          "Qi-conjugate": (GAUSSIAN_QI, conjugated)}
+
+
+def _outcome(result):
+    """SingularSystem, NotAnIdentity or Coefficients: what a solve decided."""
+    return result if result is SingularSystem else type(result)
+
+
+class TestTranspositionAndConjugationLaws:
+    """Transposing every matrix, or over Q(i) conjugating every entry, keeps each
+    verdict, with the inputs drawn as ``TestConjugationLaws`` draws them.
+
+    Both moves keep scalars, square-zero matrices and rank one, and move the
+    discriminant and tr/2 as they move an entry.  Transposition turns
+    sum A T B into sum B^T T^T A^T, so the pairs (A, B) become (B^T, A^T): the
+    modes swap and the span coefficients stay.  Conjugation keeps the modes and
+    conjugates the coefficients.
+    """
+
+    CASES = TestConjugationLaws.CASES
+
+    @pytest.mark.parametrize("name", sorted(_MOVES))
+    def test_classifier_verdicts(self, name):
+        field, move = _MOVES[name]
+        scalar = (lambda x: x) if move is transposed else field.conj
+        rng = Random(f"{name}/classify")
+        held = 0
+        for i in range(self.CASES):
+            Z = TestConjugationLaws._classifier_input(field, rng, i)
+            W = move(Z)
+            k = rng.randint(1, 6)
+            assert scalar_witness_test(W, k).holds == scalar_witness_test(Z, k).holds
+            k = rng.randint(3, 6)
+            verdict = scalar_plus_nilpotent_kcomm(Z, k)
+            assert scalar_plus_nilpotent_kcomm(W, k).holds == verdict.holds
+            held += verdict.holds
+            want, got = scalar_plus_nilpotent_spectral(Z), scalar_plus_nilpotent_spectral(W)
+            assert got.holds == want.holds and got.discriminant == scalar(want.discriminant)
+            if want.holds:
+                assert got.split.lam == scalar(want.split.lam)
+                assert got.split.nilpotent == move(want.split.nilpotent)
+        assert self.CASES // 2 < held < self.CASES
+
+    @pytest.mark.parametrize("name", sorted(_MOVES))
+    def test_solver_verdicts_and_coefficients(self, name):
+        field, move = _MOVES[name]
+        swap = move is transposed
+        modes = {"b-in-d": "a-in-c", "a-in-c": "b-in-d"} if swap else {m: m for m in ("b-in-d", "a-in-c")}
+        rng = Random(f"{name}/solver")
+        solve = TestConjugationLaws._solve
+        seen = set()
+        for _ in range(self.CASES):
+            system = TestConjugationLaws._system(field, rng)
+            left, right = ([(move(Y), move(X)) if swap else (move(X), move(Y)) for X, Y in side]
+                           for side in system)
+            moved = SandwichSystem(left=left, right=right)
+            want = solve(system, "auto")
+            assert _outcome(solve(moved, "auto")) == _outcome(want)
+            seen.add(_outcome(want))
+            for mode in ("b-in-d", "a-in-c"):
+                want, got = solve(system, mode), solve(moved, modes[mode])
+                if isinstance(want, Coefficients):
+                    coeffs = [[c if swap else field.conj(c) for c in row] for row in want.coeffs]
+                    assert got == Coefficients(modes[mode], coeffs)
+                else:
+                    assert _outcome(got) == _outcome(want)
+        assert seen == {Coefficients, NotAnIdentity, SingularSystem}
 
 
 # -- the certifier's probe stream --------------------------------------------

@@ -27,7 +27,9 @@ from kcomm2.preserver import generate_map, h_det, probe_set
 
 from fractions import Fraction
 
-PINNED = Path(__file__).parent / "pinned"  # stdout of CLI requests, byte for byte
+# stdout of CLI requests, byte for byte; python tests/cli_corpus.py records the
+# fixtures-kmax3-* and gen-map-random-h-seed11-* bodies that TestPinnedBodies reads
+PINNED = Path(__file__).parent / "pinned"
 IMPOSTORS = json.loads((PINNED / "cli-impostors.json").read_text())
 IMPOSTOR_IDS = [f"{pin['argv'][0]}-{n}" for n, pin in enumerate(IMPOSTORS)]
 
@@ -443,7 +445,7 @@ class TestPinnedBodies:
     @pytest.mark.parametrize("field, lam", [("Q", "1"), ("Qi", "1"), ("R64", 1.0),
                                             ("C64", {"re": 1.0, "im": 0.0})])
     def test_gen_map_random_h(self, capsys, tmp_path, field, lam):
-        # the h_random stream: one random_scalar draw per probe, from --seed 11
+        # the h_random stream: the n-th probe takes the n-th random_scalar draw of Random(11)
         path = tmp_path / "in.json"
         path.write_text(json.dumps({"lambda": lam, "h": "random"}))
         assert main(["gen-map", "--field", field, "--seed", "11", "--input", str(path)]) == 0

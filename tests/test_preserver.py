@@ -52,7 +52,7 @@ from kcomm2.preserver import (
 from kcomm2.randgen import random_scalar
 
 from conftest import units
-from support import random_mat, random_unimodular
+from support import conjugated, random_mat, random_unimodular, transposed
 
 # probe_campaign reports over four fields x k in {1, 2, 3, 5, 6} x seeds {0, 1, 7}
 CAMPAIGN_PINS = json.loads((Path(__file__).parent / "pinned" / "campaign-reports.json").read_text())
@@ -364,57 +364,82 @@ def _verify_per_pair(table, pairs):
     return None
 
 
+_LAW_KINDS = ("valid", "bad-lambda", "bump", "scale", "swap")
+
+
+def _law_tables(field, seed):
+    """150 drawn tables of every kind in ``_LAW_KINDS``, with their pairs shuffled."""
+    rng = Random(seed)
+    for i in range(150):
+        k = rng.choice([1, 2, 3, 4, 12])
+        inputs, n = [], rng.randint(2, 4)
+        while len(inputs) < n:
+            A = random_mat(field, rng, denominators=i % 2 == 1)
+            if A not in inputs:
+                inputs.append(A)
+        kind = _LAW_KINDS[i % len(_LAW_KINDS)]
+        lam = field.coerce(2) if kind == "bad-lambda" else rng.choice(roots_of_unity(field, k + 1))
+        entries = list(preserver._theorem_form(lam, h_random(field, seed=i), inputs))
+        j = rng.randrange(len(entries))
+        A, out = entries[j]
+        if kind == "bump":
+            entries[j] = (A, out + random_mat(field, rng))
+        elif kind == "scale":
+            entries[j] = (A, out.scale(field.coerce(2)))
+        elif kind == "swap":
+            entries[j], entries[j - 1] = (A, entries[j - 1][1]), (entries[j - 1][0], out)
+        pairs = all_pairs(inputs)
+        rng.shuffle(pairs)
+        yield kind, MapTable(field, k, tuple(entries)), pairs
+
+
+def _check_moved_verdicts(field, seed, moves):
+    """Each drawn table and its pairs, moved by one matrix map, get the table's
+    verdict, and a failing pair fails moved, with its brackets moved as the law
+    says.  ``moves(k)`` gives (the map on matrices, the one on order-k brackets)."""
+    failed = set()
+    for kind, table, pairs in _law_tables(field, seed):
+        move, moved_bracket = moves(table.k)
+        twin = MapTable(field, table.k, tuple((move(A), move(out)) for A, out in table.entries))
+        twin_pairs = [(move(A), move(B)) for A, B in pairs]
+        verdict, got = verify_preserving(table, pairs), verify_preserving(twin, twin_pairs)
+        assert got.holds is verdict.holds, (kind, table.entries)
+        if kind == "valid":
+            assert verdict.holds, table.entries
+        if not verdict.holds:
+            failed.add(kind)
+            assert got.pair == twin_pairs[pairs.index(verdict.pair)], (kind, table.entries)
+            assert got.left == moved_bracket(verdict.left) and got.right == moved_bracket(verdict.right)
+    assert failed == set(_LAW_KINDS) - {"valid"}
+
+
 class TestSimilarityLaw:
     """[SAS^-1, SBS^-1]_k = S [A, B]_k S^-1, so a table and its pairs conjugated by S
     get the same verdict, and a failing pair fails conjugated, with its two brackets
     conjugated.  S is drawn from GL2(Z) with det +-1, so that S^-1 is integral."""
 
-    KINDS = ("valid", "bad-lambda", "bump", "scale", "swap")
-
-    def tables(self, field, seed):
-        rng = Random(seed)
-        for i in range(150):
-            k = rng.choice([1, 2, 3, 4, 12])
-            inputs, n = [], rng.randint(2, 4)
-            while len(inputs) < n:
-                A = random_mat(field, rng, denominators=i % 2 == 1)
-                if A not in inputs:
-                    inputs.append(A)
-            kind = self.KINDS[i % len(self.KINDS)]
-            lam = field.coerce(2) if kind == "bad-lambda" else rng.choice(roots_of_unity(field, k + 1))
-            entries = list(preserver._theorem_form(lam, h_random(field, seed=i), inputs))
-            j = rng.randrange(len(entries))
-            A, out = entries[j]
-            if kind == "bump":
-                entries[j] = (A, out + random_mat(field, rng))
-            elif kind == "scale":
-                entries[j] = (A, out.scale(field.coerce(2)))
-            elif kind == "swap":
-                entries[j], entries[j - 1] = (A, entries[j - 1][1]), (entries[j - 1][0], out)
-            pairs = all_pairs(inputs)
-            rng.shuffle(pairs)
-            yield kind, MapTable(field, k, tuple(entries)), pairs
-
     def test_conjugated_table_gets_the_same_verdict(self, exact_field):
         rng = Random(f"verify-similarity/{exact_field.variant}")
-        failed = set()
-        for kind, table, pairs in self.tables(exact_field, 41):
+
+        def moves(k):
             S, Sinv = random_unimodular(exact_field, rng)
+            conj = lambda X: S @ X @ Sinv  # noqa: E731
+            return conj, conj
 
-            def conj(X):
-                return S @ X @ Sinv
+        _check_moved_verdicts(exact_field, 41, moves)
 
-            twin = MapTable(exact_field, table.k, tuple((conj(A), conj(out)) for A, out in table.entries))
-            twin_pairs = [(conj(A), conj(B)) for A, B in pairs]
-            verdict, got = verify_preserving(table, pairs), verify_preserving(twin, twin_pairs)
-            assert got.holds is verdict.holds, (kind, table.entries, S)
-            if kind == "valid":
-                assert verdict.holds, table.entries
-            if not verdict.holds:
-                failed.add(kind)
-                assert got.pair == twin_pairs[pairs.index(verdict.pair)], (kind, table.entries, S)
-                assert got.left == conj(verdict.left) and got.right == conj(verdict.right)
-        assert failed == set(self.KINDS) - {"valid"}
+
+class TestTranspositionAndConjugationLaws:
+    """[A^T, B^T]_k = (-1)^k [A, B]_k^T, and over Qi [conj A, conj B]_k = conj [A, B]_k
+    entrywise: a transposed or conjugated table and its pairs get the same verdict,
+    and a failing pair's brackets move by the same law."""
+
+    def test_transposed_table_gets_the_same_verdict(self, exact_field):
+        _check_moved_verdicts(exact_field, 42, lambda k: (
+            transposed, lambda X: -transposed(X) if k % 2 else transposed(X)))
+
+    def test_entrywise_conjugated_table_gets_the_same_verdict(self):
+        _check_moved_verdicts(GAUSSIAN_QI, 43, lambda k: (conjugated, conjugated))
 
 
 def test_cached_probes_are_constructed_values(any_field):
@@ -607,6 +632,56 @@ class TestDecompose:
                 assert out.is_scalar()
 
 
+class TestRandomRule:
+    """``h_random(field, seed)`` seeds one ``Random(seed)`` when it is made: the n-th
+    distinct input takes the n-th ``random_scalar`` draw of that stream, and a
+    repeated input (equal, or within the tolerance over R64/C64) draws nothing."""
+
+    @staticmethod
+    def inputs(field, rng, n=MAX_TABLE_INPUTS):
+        inputs = []
+        while len(inputs) < n:
+            A = random_mat(field, rng, denominators=field.is_exact)
+            if not any(A.eq(B) for B in inputs):
+                inputs.append(A)
+        return inputs
+
+    @staticmethod
+    def draws(field, seed, n):
+        stream = Random(seed)
+        return [random_scalar(field, stream, denominators=field.is_exact) for _ in range(n)]
+
+    @pytest.mark.parametrize("n", [0, 1, MAX_TABLE_INPUTS])
+    def test_one_rule_seeds_one_stream(self, any_field, monkeypatch, n):
+        made = []
+        monkeypatch.setattr(preserver, "Random", lambda *args: made.append(args) or Random(*args))
+        rule = h_random(any_field, 5)
+        for A in self.inputs(any_field, Random(n), n) * 2:
+            rule(A)
+        assert made == [(5,)]
+
+    def test_nth_distinct_input_takes_the_nth_draw(self, any_field):
+        rng = Random(f"h-random/{any_field.variant}")
+        seed = rng.randrange(1 << 30)
+        inputs = self.inputs(any_field, rng)
+        rule = h_random(any_field, seed)
+        assert [rule(A) for A in inputs] == self.draws(any_field, seed, len(inputs))
+
+    def test_repeated_input_draws_nothing(self, any_field):
+        rng = Random(f"h-random-repeat/{any_field.variant}")
+        seed = rng.randrange(1 << 30)
+        *inputs, last = self.inputs(any_field, rng, 13)
+        rule = h_random(any_field, seed)
+        values = [rule(A) for A in inputs]
+        # an equal fresh matrix over Q/Qi; one a quarter tolerance away over R64/C64
+        nudge = any_field.zero() if any_field.is_exact else any_field.tolerance / 4
+        repeats = [(i, A.shift(nudge)) for i, A in enumerate(inputs)]
+        rng.shuffle(repeats)
+        for i, A in repeats:
+            assert rule(A) is values[i]
+        assert rule(last) == self.draws(any_field, seed, 13)[-1]
+
+
 class TestCampaign:
     def test_gaussian_campaign_clean(self):
         report = probe_campaign(3, GAUSSIAN_QI, trials=60, seed=7)
@@ -633,9 +708,10 @@ class TestCampaign:
             pin["valid_ok"], pin["perturbed_rejected"], pin["anomalies"])
         assert sorted(map(list, report.rejection_kinds.items())) == pin["rejection_kinds"]
 
-    def test_reproducible(self):
-        a = probe_campaign(3, GAUSSIAN_QI, trials=30, seed=42)
-        b = probe_campaign(3, GAUSSIAN_QI, trials=30, seed=42)
+    def test_reproducible(self, any_field):
+        # each trial's h replays from the seed the campaign stream gives it
+        a = probe_campaign(3, any_field, trials=30, seed=42)
+        b = probe_campaign(3, any_field, trials=30, seed=42)
         assert a == b
 
     def test_order_zero_rejected(self):
