@@ -35,10 +35,10 @@ MAX_TRIALS = 10_000
 # the k + 1 roots of unity a campaign lists.  Every bracket of a map table is
 # O(1) in k: decompose on a probe table at k = 1000 makes 72 kernel calls and
 # takes 0.08-0.10 s as a CLI child, interpreter start included, on every
-# field (2-vCPU x86 box).  fixtures steps each family's bracket one order at
-# a time, O(kmax) steps in all, so a fixtures --kmax 1000 request (a CLI
-# child) takes 0.26-0.28 s (Q) to 0.52-0.70 s (Qi), most of it printing
-# entries of up to 1,000 bits.
+# field (2-vCPU x86 box).  fixtures prints every order up to kmax of each
+# family and checks it with one kernel call, so a fixtures --kmax 1000 request
+# (a CLI child) takes 0.20-0.52 s (Q, R64, C64) to 0.53-0.86 s (Qi), most of
+# it printing entries of up to 1,000 bits.
 MAX_ORDER = 1_000
 
 

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .brackets import MAX_ORDER, _check_order, kcomm, kcomm_recursive
+from .brackets import MAX_ORDER, _check_order, kcomm
 from .errors import (
     InputError,
     InvariantViolation,
@@ -181,13 +181,10 @@ def cmd_fixtures(args) -> tuple[dict, int]:
 
     field = FieldTag(args.field)
     _check_order(args.kmax, name="kmax", maximum=MAX_ORDER)
-    items, previous = [], {}
+    items = []
     for k in range(1, args.kmax + 1):
         for ident in golden_identities(field, k):
-            # a family's A and B do not depend on k: step its order-(k-1) bracket once
-            computed = kcomm_recursive(previous.get(ident.name, ident.A), ident.B, 1)
-            previous[ident.name] = computed
-            if not computed.eq(ident.expected):
+            if not kcomm(ident.A, ident.B, k).eq(ident.expected):
                 raise InvariantViolation(f"fixture {ident.name} at k={k} failed self-check")
             items.append(
                 {

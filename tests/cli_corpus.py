@@ -4,9 +4,10 @@ The requests are the benchmark's ``cli_ops`` mix for seeds 1-3 (five blocks
 each, so every one of the ten hostile kinds three times), ``fixtures --kmax 50``
 and ``campaign --trials 12`` at k in {1, 2, 3, 6, 12} on the four fields, and
 then this file's own R64 and C64 requests for the subcommands the mix sends
-only exact bodies to (``float_requests``) and its Q and Qi sandwich requests
+only exact bodies to (``float_requests``), its Q and Qi sandwich requests
 with fractional entries, which the mix's integer systems lack
-(``exact_sandwich_requests``).
+(``exact_sandwich_requests``), and its map tables on each field that reach the
+rejections and ``pairs`` bodies no other request does (``rejection_requests``).
 ``tests/test_cli_corpus.py`` replays them through ``cli.main``.  Float bodies
 that go through ``pow`` depend on the C library, and usage errors on the
 Python version, so the corpus records the platform it was made on.
@@ -15,16 +16,19 @@ A change that alters a body on purpose records the corpus again:
 
     python tests/cli_corpus.py
 
-and lists each changed body in ``CHANGES.md``.  The same command writes the
-eight whole bodies that ``tests/test_cli.py``'s ``TestPinnedBodies`` compares
-byte for byte (``pinned_bodies``): ``fixtures --kmax 3`` and ``gen-map --seed 11``
-with a random h, on each field.
+and lists each changed body in ``CHANGES.md``.  The same command rewrites
+every other file under ``tests/pinned``: the eight whole bodies that
+``tests/test_cli.py``'s ``TestPinnedBodies`` compares byte for byte
+(``pinned_bodies``), ``fixtures --kmax 3`` and ``gen-map --seed 11`` with a
+random h on each field, and the responses to the requests stored in
+``cli-impostors.json``, ``cli-usage.json`` and ``campaign-reports.json``.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import platform
 import sys
 from pathlib import Path
@@ -51,7 +55,10 @@ def run(argv, stdin: str):
     out = io.StringIO()
     with mock.patch.object(sys, "stdin", data), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(list(argv))
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # --help prints and exits 0
+            code = exc.code
     return code, out.getvalue()
 
 
@@ -75,6 +82,7 @@ def requests():
                                "--seed", "0"], ""
     yield from float_requests()
     yield from exact_sandwich_requests()
+    yield from rejection_requests()
 
 
 def _enc(x):
@@ -180,6 +188,45 @@ def float_requests():
         yield "decompose-map.R64", ["decompose-map"], json.dumps(_tweak(table, i, lambda x: x + 5e-10))
 
 
+def rejection_requests():
+    """(label, argv, stdin) on each field of the table bodies the other requests never
+    reach: ``decompose-map`` rejected at each ``NotTheoremForm`` stage and on a table
+    that lacks a probe (``ProbeSetIncomplete``), and ``verify-map`` with a listed
+    ``pairs`` array that holds, one that fails and one that names an input not in the
+    table (``InputNotInTable``)."""
+    from kcomm2 import FieldTag, Mat2
+    from kcomm2.fields import GaussianRational
+    from kcomm2.preserver import probe_set
+    from kcomm2.serialize import mat_to_json
+
+    # a fourth root of unity, for k = 3: i on the complex fields
+    lams = {"Q": 1, "Qi": GaussianRational(0, 1), "R64": 1.0, "C64": 1j}
+    for variant in FIELDS:
+        f = FieldTag(variant)
+        lam = f.coerce(lams[variant])
+        probes = probe_set(f)
+        e11, e22, e12, e21 = probes[:4]
+        valid = [A.scale(lam).shift(A.trace()) for A in probes]  # lam A + tr(A) I
+
+        def body(images, drop=0):
+            return {"field": variant, "k": 3,
+                    "entries": [{"in": mat_to_json(A), "out": mat_to_json(FA)}
+                                for A, FA in list(zip(probes, images))[drop:]]}
+
+        def decompose(images, drop=0):
+            return f"decompose-map.{variant}.rejected", ["decompose-map"], json.dumps(body(images, drop))
+
+        yield decompose([valid[0] + e12, *valid[1:]])  # image-of-E11-not-diagonal
+        yield decompose([Mat2.identity(f).scale(A.trace()) for A in probes])  # lambda-zero: A -> tr(A) I
+        yield decompose([*valid[:5], valid[5] + e21])  # nonscalar-residue at E12 + E21
+        yield decompose(valid, drop=1)  # no input stands for E11
+        for images, pairs in ((valid, [(e11, e12), (e12 + e21, e22)]),
+                              ([*valid[:2], valid[2].scale(f.coerce(2)), *valid[3:]], [(e11, e22), (e12, e11)]),
+                              (valid, [(e11, e12), (e11, Mat2.identity(f))])):
+            request = {"table": body(images), "pairs": [[mat_to_json(A), mat_to_json(B)] for A, B in pairs]}
+            yield f"verify-map.{variant}.pairs", ["verify-map"], json.dumps(request)
+
+
 def exact_sandwich_requests():
     """(label, argv, stdin) of Q and Qi sandwich requests whose entries are fractions
     of unequal denominators, one for each way the solver ends: solved in auto,
@@ -240,9 +287,46 @@ def pinned_bodies():
                json.dumps({"lambda": lams[field], "h": "random"}))
 
 
+def _repin(name, update) -> None:
+    """Rewrite the pin file ``tests/pinned/<name>`` after update fills in the
+    response of each request stored in it."""
+    path = PINNED / name
+    pins = json.loads(path.read_text())
+    update(pins)
+    path.write_text(json.dumps(pins, indent=1) + "\n")
+
+
+def _impostors(pins) -> None:
+    for pin in pins:
+        pin["code"], pin["stdout"] = run(pin["argv"], pin["stdin"])
+
+
+def _usage(pins) -> None:
+    """Help and usage errors as ``TestUsage`` runs them: 80 columns wide, under
+    the running Python's minor version."""
+    pins["python"] = "%d.%d" % sys.version_info[:2]
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        for pin in pins["responses"]:
+            pin["code"], pin["stdout"] = run(pin["argv"], "")
+
+
+def _campaigns(pins) -> None:
+    from kcomm2 import FieldTag
+    from kcomm2.preserver import probe_campaign
+
+    for pin in pins:
+        report = probe_campaign(pin["k"], FieldTag(pin["field"]), pin["trials"], pin["seed"])
+        pin.update(valid_ok=report.valid_ok, perturbed_rejected=report.perturbed_rejected,
+                   anomalies=report.anomalies,
+                   rejection_kinds=sorted(map(list, report.rejection_kinds.items())))
+
+
 def record() -> None:
     for name, argv, stdin in pinned_bodies():
         (PINNED / name).write_text(run(argv, stdin)[1])
+    _repin("cli-impostors.json", _impostors)
+    _repin("cli-usage.json", _usage)
+    _repin("campaign-reports.json", _campaigns)
     entries = []
     for label, argv, stdin in requests():
         code, out = run(argv, stdin)

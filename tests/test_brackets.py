@@ -11,6 +11,7 @@ from kcomm2 import (
     FLOAT_R,
     GAUSSIAN_QI,
     RATIONAL_Q,
+    FieldTag,
     GaussianRational,
     Mat2,
     RankOneFactor,
@@ -34,6 +35,10 @@ from conftest import units
 from support import (Poly, conjugated, poly_bracket, poly_matrix, random_diagonalizable, random_mat,
                      random_scalar_plus_nilpotent, random_unimodular, transposed)
 
+# the four fields, the float ones at tolerance 0, so a golden pin holds bit for bit
+STRICT_FIELDS = [RATIONAL_Q, GAUSSIAN_QI, FieldTag("R64", 0), FieldTag("C64", 0)]
+_each_strict_field = pytest.mark.parametrize("field", STRICT_FIELDS, ids=lambda f: f.variant)
+
 
 class TestRecursive:
     def test_order_zero_is_first_argument(self, any_field):
@@ -56,6 +61,13 @@ class TestRecursive:
         eye = Mat2.identity(RATIONAL_Q)
         with pytest.raises(InvalidOrder):
             kcomm_recursive(eye, eye, -1)
+
+    @_each_strict_field
+    def test_golden_identities(self, field):
+        # the oracle against the hand-written closed forms it shares no code with
+        for k in range(1, 13):
+            for ident in golden_identities(field, k):
+                assert kcomm_recursive(ident.A, ident.B, k).eq(ident.expected), (ident.name, k)
 
 
 class TestClosedForm:
@@ -120,6 +132,13 @@ class TestCayleyHamilton:
         for k in range(1, 7):
             left, right = poly_bracket(left, shifted(B, b)), poly_bracket(right, B)
             assert left == tuple(lam ** (k + 1) * r for r in right), k
+
+    @_each_strict_field
+    def test_golden_identities(self, field):
+        # the kernel against the same closed forms, at low orders and up to MAX_ORDER
+        for k in (*range(1, 7), *range(995, 1001)):
+            for ident in golden_identities(field, k):
+                assert kcomm(ident.A, ident.B, k).eq(ident.expected), (ident.name, k)
 
     def test_auto_equals_oracle_exactly(self, exact_field):
         rng = Random(64)

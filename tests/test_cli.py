@@ -20,8 +20,8 @@ from kcomm2.serialize import (
     maptable_from_json,
     maptable_to_json,
 )
-from kcomm2 import cli, preserver
-from kcomm2.brackets import MAX_ORDER, kcomm, kcomm_recursive
+from kcomm2 import brackets, cli, preserver
+from kcomm2.brackets import MAX_ORDER, kcomm
 from kcomm2.errors import ResultTooLarge
 from kcomm2.preserver import generate_map, h_det, probe_set
 
@@ -518,22 +518,25 @@ class TestCampaignAndFixtures:
         assert swaps[3]["expected"]["entries"] == [["0", "4"], ["-4", "0"]]
         assert swaps[4]["expected"]["entries"] == [["8", "0"], ["0", "-8"]]
 
-    def test_fixtures_step_each_family_one_order(self, capsys, monkeypatch):
-        orders = []
+    def test_fixtures_bracket_each_family_once_per_order(self, capsys, monkeypatch):
+        calls = []
 
         def counting(A, B, k):
-            orders.append(k)
-            return kcomm_recursive(A, B, k)
+            calls.append(k)
+            return kcomm(A, B, k)
 
-        monkeypatch.setattr(cli, "kcomm_recursive", counting)
+        monkeypatch.setattr(cli, "kcomm", counting)
+        for module in (brackets, preserver, cli):  # cli, should it import the oracle again
+            monkeypatch.setattr(module, "kcomm_recursive", lambda A, B, k: calls.append("oracle"),
+                                raising=False)
         assert main(["fixtures", "--kmax", "40"]) == 0
         assert len(json.loads(capsys.readouterr().out)["identities"]) == 5 * 40
-        assert orders == [1] * 200  # one recursion step per (family, k), not k of them
+        # one kernel call per (family, k), at order k, and none of the oracle
+        assert calls == [k for k in range(1, 41) for _ in range(5)]
 
     def test_fixtures_self_check_failure_exits_2(self, capsys, monkeypatch):
-        # an oracle that returns twice the bracket
-        monkeypatch.setattr(cli, "kcomm_recursive",
-                            lambda A, B, k: kcomm_recursive(A, B, k).scale(2))
+        # a kernel that returns twice the bracket
+        monkeypatch.setattr(cli, "kcomm", lambda A, B, k: kcomm(A, B, k).scale(2))
         assert main(["fixtures", "--kmax", "3"]) == 2
         assert capsys.readouterr().out == ('{"error":"InvariantViolation",'
                                            '"message":"fixture offdiag-scale(a=1) at k=1 failed self-check"}\n')
@@ -868,9 +871,9 @@ class TestHostileInputs:
         def no_bracket(*args, **kwargs):
             raise RuntimeError("a bracket ran")
 
+        monkeypatch.setattr(preserver, "kcomm_recursive", no_bracket)
         for module in (preserver, cli):
-            monkeypatch.setattr(module, "kcomm_recursive", no_bracket)
-        monkeypatch.setattr(preserver, "kcomm", no_bracket)
+            monkeypatch.setattr(module, "kcomm", no_bracket)
         k = str(MAX_ORDER + 1)
         if command == "fixtures":
             argv, text = ["fixtures", "--kmax", k], ""

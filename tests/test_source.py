@@ -261,9 +261,9 @@ def test_oracle_step_is_products_and_a_difference():
     assert ast.unparse(oracle.body[-1]) == "return R"
 
 
-# The only caller of the O(k) oracle outside brackets.py: fixtures steps each
-# family one order at a time.
-ORACLE_CALLERS = {"cli.cmd_fixtures"}
+# The callers of the O(k) oracle outside brackets.py: none, every request
+# brackets through kcomm.
+ORACLE_CALLERS = set()
 
 
 def test_oracle_stays_off_the_request_paths():
